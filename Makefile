@@ -1,6 +1,6 @@
 # Convenience targets for the PalimpChat reproduction.
 
-.PHONY: install test bench bench-exec bench-scale bench-incremental bench-server perf lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
+.PHONY: install test bench bench-smoke bench-exec bench-scale bench-incremental bench-server perf lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -13,6 +13,13 @@ bench:
 
 perf:
 	PYTHONPATH=src python scripts/perf_snapshot.py
+
+# The wall-clock benchmark (BENCHMARK.json) at reduced size, both modes,
+# plus its metric-name check (~20 s).  bench/ reaches into the engine by
+# import path, class (`execute` wrapped per executor class) and constructor
+# keyword, so this is what keeps an engine refactor from breaking it.
+bench-smoke:
+	python3 bench/run.py --smoke
 
 # Executor benchmarks + regression gate: per-record vs threaded vs batched.
 bench-exec:

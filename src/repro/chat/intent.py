@@ -22,6 +22,7 @@ from repro.agent.react import (
 )
 from repro.chat.workspace import PipelineWorkspace
 from repro.obs.trace import NULL_TRACER, SpanKind
+from repro.physical.options import SCALE_OUT_EXECUTORS
 
 _STATE_KEY = "_palimpchat_pending"
 
@@ -543,7 +544,7 @@ def plan_requests(message: str,
                                    clause, re.I)
             batch_size = int(size_match.group(1)) if size_match else 1
             arguments = {"executor": executor, "batch_size": batch_size}
-            if executor in ("sharded", "async") and shard_match:
+            if executor in SCALE_OUT_EXECUTORS and shard_match:
                 arguments["shards"] = int(shard_match.group(1))
             calls.append(ToolCall(
                 thought=f"Switch pipelines to the {executor} executor.",

@@ -18,6 +18,7 @@ from repro.llm.clock import VirtualClock
 from repro.llm.models import ModelCard, get_model
 from repro.llm.usage import UsageLedger
 from repro.obs.trace import NULL_TRACER, SpanKind, Trace, Tracer
+from repro.physical.options import ExecutionOptions
 
 
 @dataclass
@@ -70,7 +71,7 @@ class PalimpChatSession:
     ):
         self.on_event = on_event
         self.workspace = PipelineWorkspace()
-        self.workspace.max_workers = max_workers
+        self.workspace.options = ExecutionOptions(max_workers=max_workers)
         self.workspace.sample_size = sample_size
         self.workspace.on_progress = self._emit_event
         self.registry = build_pz_tools(self.workspace)

@@ -10,6 +10,7 @@ reproduces the paper's Fig. 2 example — including the dynamic
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import List, Optional
 
@@ -20,6 +21,7 @@ from repro.core.dataset import Dataset
 from repro.core.schemas import make_schema
 from repro.core.sources import global_source_registry
 from repro.execution.execute import Execute
+from repro.physical.options import ExecutionOptions
 from repro.optimizer.policies import parse_policy
 
 
@@ -242,8 +244,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         from repro.analysis import lint_plan
 
         lint_result = lint_plan(
-            workspace.current,
-            shards=workspace.shards if workspace.shards is not None else 1,
+            workspace.current, shards=workspace.options.degree,
         )
         if not lint_result.ok:
             raise ToolError(
@@ -253,14 +254,8 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         records, stats = Execute(
             workspace.current,
             policy=workspace.policy,
-            max_workers=workspace.max_workers,
             sample_size=workspace.sample_size,
-            executor=workspace.executor,
-            batch_size=workspace.batch_size,
-            shards=(
-                workspace.shards
-                if workspace.executor in ("sharded", "async") else None
-            ),
+            **workspace.options.kwargs(),
             lint=False,  # already linted above, with a friendlier message
             trace=True,  # so explain_execution can answer "what took so long"
             provenance=True,  # so explain_record can answer "why is X here"
@@ -328,14 +323,8 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         records, stats = Execute(
             workspace.current,
             policy=workspace.policy,
-            max_workers=workspace.max_workers,
             sample_size=workspace.sample_size,
-            executor=workspace.executor,
-            batch_size=workspace.batch_size,
-            shards=(
-                workspace.shards
-                if workspace.executor in ("sharded", "async") else None
-            ),
+            **workspace.options.kwargs(),
             trace=True,
             provenance=True,
             incremental=True,
@@ -590,9 +579,11 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             set_parallelism(workers=4)
         """
         workers = int(workers)
-        if workers < 1:
-            raise ToolError("workers must be >= 1")
-        workspace.max_workers = workers
+        try:
+            workspace.options = dataclasses.replace(
+                workspace.options, max_workers=workers)
+        except ValueError as exc:
+            raise ToolError(str(exc)) from None
         workspace.log_step("parallelism", workers=workers)
         return f"Pipelines will now execute with {workers} workers."
 
@@ -629,33 +620,22 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             set_execution_mode(executor="async")   # optimizer picks degree
         """
         executor = str(executor).strip().lower()
-        valid = ("sequential", "parallel", "pipelined", "sharded", "async")
-        if executor not in valid:
-            raise ToolError(
-                f"unknown executor {executor!r}; "
-                f"expected one of {', '.join(valid)}"
+        try:
+            workspace.options = ExecutionOptions(
+                executor, workspace.options.max_workers, int(batch_size),
+                None if shards is None else int(shards),
             )
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ToolError("batch_size must be >= 1")
-        if shards is not None:
-            shards = int(shards)
-            if shards < 1:
-                raise ToolError("shards must be >= 1")
-            if executor not in ("sharded", "async"):
-                raise ToolError(
-                    "shards only applies to the sharded/async executors"
-                )
-        workspace.executor = executor
-        workspace.batch_size = batch_size
-        workspace.shards = shards
+        except ValueError as exc:
+            raise ToolError(str(exc)) from None
+        batch_size = workspace.options.batch_size
+        shards = workspace.options.shards
         workspace.log_step(
             "execution_mode", executor=executor, batch_size=batch_size,
             shards=shards,
         )
         if executor == "pipelined":
             suffix = f" with batch size {batch_size}"
-        elif executor in ("sharded", "async"):
+        elif workspace.options.scale_out:
             suffix = (
                 f" with {shards} shards" if shards is not None
                 else " (optimizer chooses the shard count)"
@@ -681,7 +661,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
 
         engine = ExecutionEngine(
             policy=workspace.policy,
-            max_workers=workspace.max_workers,
+            max_workers=workspace.options.max_workers,
         )
         return engine.explain(workspace.current)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -12,6 +13,7 @@ from repro.core.records import DataRecord
 from repro.core.schemas import Schema
 from repro.execution.stats import ExecutionStats
 from repro.optimizer.policies import MaxQuality, Policy
+from repro.physical.options import ExecutionOptions
 
 
 @dataclass
@@ -39,15 +41,9 @@ class PipelineWorkspace:
         self.current: Optional[Dataset] = None
         self.schemas: Dict[str, Type[Schema]] = {}
         self.policy: Policy = MaxQuality()
-        self.max_workers: int = 1
-        #: None = infer from max_workers; else "sequential" | "parallel"
-        #: | "pipelined" | "sharded" | "async".
-        self.executor: Optional[str] = None
-        #: LLM-stage batch size used by the pipelined/sharded executors.
-        self.batch_size: int = 1
-        #: Shard count for the sharded/async executors; None lets the
-        #: optimizer choose the degree.
-        self.shards: Optional[int] = None
+        #: How pipelines run (executor, max_workers, batch_size, shards);
+        #: set by the set_parallelism / set_execution_mode tools.
+        self.options = ExecutionOptions()
         self.sample_size: int = 0
         self.steps: List[PipelineStep] = []
         self.last_records: Optional[List[DataRecord]] = None
@@ -132,6 +128,10 @@ class PipelineWorkspace:
         self.root = os.fspath(root)
         self.runs_dir = os.path.join(self.root, "runs")
 
+    @property
+    def max_workers(self) -> int:
+        return self.options.max_workers
+
     # -- snapshots (Beaker-style state restore) ---------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -146,10 +146,7 @@ class PipelineWorkspace:
             "current": self.current,          # Datasets are immutable chains
             "schemas": dict(self.schemas),
             "policy": self.policy,
-            "max_workers": self.max_workers,
-            "executor": self.executor,
-            "batch_size": self.batch_size,
-            "shards": self.shards,
+            "options": self.options,          # frozen
             "sample_size": self.sample_size,
             "steps": copy.deepcopy(self.steps),
             "root": self.root,
@@ -161,10 +158,7 @@ class PipelineWorkspace:
         self.current = snapshot["current"]
         self.schemas = dict(snapshot["schemas"])
         self.policy = snapshot["policy"]
-        self.max_workers = snapshot["max_workers"]
-        self.executor = snapshot.get("executor")
-        self.batch_size = snapshot.get("batch_size", 1)
-        self.shards = snapshot.get("shards")
+        self.options = snapshot["options"]
         self.sample_size = snapshot["sample_size"]
         self.steps = copy.deepcopy(snapshot["steps"])
         if "root" in snapshot:
@@ -195,10 +189,10 @@ class PipelineWorkspace:
                 for step in self.steps
             ],
             "policy": self.policy.describe(),
-            "max_workers": self.max_workers,
-            "executor": self.executor,
-            "batch_size": self.batch_size,
-            "shards": self.shards,
+            "max_workers": self.options.max_workers,
+            "executor": self.options.executor,
+            "batch_size": self.options.batch_size,
+            "shards": self.options.shards,
             "sample_size": self.sample_size,
             "keep_runs": self.keep_runs,
         }
@@ -216,10 +210,10 @@ class PipelineWorkspace:
         from repro.core.schemas import make_schema
         from repro.optimizer.policies import parse_policy
 
-        self.max_workers = int(payload.get("max_workers", 1))
-        self.executor = payload.get("executor")
-        self.batch_size = int(payload.get("batch_size", 1))
-        self.shards = payload.get("shards")
+        self.options = ExecutionOptions.normalized(
+            payload.get("executor"), int(payload.get("max_workers", 1)),
+            int(payload.get("batch_size", 1)), payload.get("shards"),
+        )
         self.sample_size = int(payload.get("sample_size", 0))
         self.keep_runs = int(payload.get("keep_runs", self.keep_runs))
         self.current = None
@@ -249,11 +243,13 @@ class PipelineWorkspace:
             elif kind == "policy":
                 self.policy = parse_policy(params["target"])
             elif kind == "parallelism":
-                self.max_workers = int(params["workers"])
+                self.options = dataclasses.replace(
+                    self.options, max_workers=int(params["workers"]))
             elif kind == "execution_mode":
-                self.executor = params.get("executor")
-                self.batch_size = int(params.get("batch_size", 1))
-                self.shards = params.get("shards")
+                self.options = ExecutionOptions.normalized(
+                    params.get("executor"), self.options.max_workers,
+                    int(params.get("batch_size", 1)), params.get("shards"),
+                )
             # execute/rerun and unknown kinds: log-only (below).
             self.steps.append(PipelineStep(kind=kind, params=params))
         if "policy" in payload and not any(

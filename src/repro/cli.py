@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import repro as pz
 from repro.llm.models import default_registry
+from repro.physical.options import EXECUTORS, ExecutionOptions
 
 #: Used only when neither installed metadata nor pyproject.toml is
 #: readable (e.g. the package was vendored without its build files).
@@ -134,10 +135,21 @@ def _demo_pipelines(data_dir=None) -> Dict[str, "pz.Dataset"]:
     }
 
 
+def _execution_kwargs(args) -> Dict[str, object]:
+    """The subcommand's ``--executor/--workers/--batch-size/--shards``
+    flags (whichever it defines) as ``Execute`` keyword arguments."""
+    return ExecutionOptions.normalized(
+        executor=getattr(args, "executor", None),
+        max_workers=args.workers,
+        batch_size=getattr(args, "batch_size", 1),
+        shards=getattr(args, "shards", None),
+    ).kwargs()
+
+
 def _cmd_demo(args) -> int:
     dataset = _demo_pipelines(args.data_dir)[args.scenario]
     records, stats = pz.Execute(
-        dataset, policy=args.policy, max_workers=args.workers
+        dataset, policy=args.policy, **_execution_kwargs(args)
     )
     print(stats.summary())
     print()
@@ -172,12 +184,12 @@ def _cmd_run(args) -> int:
         dataset = dataset.limit(args.limit)
     if args.explain:
         engine = pz.ExecutionEngine(
-            policy=args.policy, max_workers=args.workers
+            policy=args.policy, **_execution_kwargs(args)
         )
         print(engine.explain(dataset))
         return 0
     records, stats = pz.Execute(
-        dataset, policy=args.policy, max_workers=args.workers
+        dataset, policy=args.policy, **_execution_kwargs(args)
     )
     print(stats.summary())
     print()
@@ -471,13 +483,8 @@ def _cmd_trace(args) -> int:
     records, stats = pz.Execute(
         dataset,
         policy=args.policy,
-        max_workers=args.workers,
-        executor=args.executor,
-        batch_size=args.batch_size,
-        shards=(
-            args.shards if args.executor in ("sharded", "async") else None
-        ),
         trace=True,
+        **_execution_kwargs(args),
     )
     trace = stats.trace
     report = analyze_critical_path(trace)
@@ -532,15 +539,9 @@ def _cmd_runs(args) -> int:
         records, stats = pz.Execute(
             dataset,
             policy=args.policy,
-            max_workers=args.workers,
-            executor=args.executor,
-            batch_size=args.batch_size,
-            shards=(
-                args.shards if args.executor in ("sharded", "async")
-                else None
-            ),
             trace=True,
             provenance=True,
+            **_execution_kwargs(args),
         )
         snapshot = registry.record(records, stats)
         print(
@@ -612,10 +613,9 @@ def _cmd_runs(args) -> int:
 
         common = dict(
             policy=args.policy,
-            max_workers=args.workers,
-            executor=args.executor,
             trace=True,
             provenance=True,
+            **_execution_kwargs(args),
         )
         if args.base:
             base_snapshot = registry.load(args.base)
@@ -872,8 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quality | cost | runtime")
     trace.add_argument("--workers", type=int, default=4)
     trace.add_argument("--executor",
-                       choices=("sequential", "parallel", "pipelined",
-                                "sharded", "async"),
+                       choices=EXECUTORS,
                        default="pipelined")
     trace.add_argument("--batch-size", type=int, default=4,
                        help="LLM batch size (pipelined/sharded executors)")
@@ -923,8 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="quality | cost | runtime")
     record.add_argument("--workers", type=int, default=1)
     record.add_argument("--executor",
-                        choices=("sequential", "parallel", "pipelined",
-                                 "sharded", "async"),
+                        choices=EXECUTORS,
                         default="sequential")
     record.add_argument("--batch-size", type=int, default=1)
     record.add_argument("--shards", type=int, default=None,
@@ -992,8 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quality | cost | runtime")
     rerun.add_argument("--workers", type=int, default=1)
     rerun.add_argument("--executor",
-                       choices=("sequential", "parallel", "pipelined",
-                                "sharded", "async"),
+                       choices=EXECUTORS,
                        default="sequential")
     rerun.add_argument("--base", default=None, metavar="RUN",
                        help="re-run from this stored run instead of "

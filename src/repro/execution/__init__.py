@@ -6,6 +6,7 @@ the total pipeline cost and runtime" — that is what
 :class:`~repro.execution.stats.ExecutionStats` reports.
 """
 
+from repro.physical.options import ExecutionOptions
 from repro.execution.stats import OperatorStats, PlanStats, ExecutionStats
 from repro.execution.executors import SequentialExecutor, ParallelExecutor
 from repro.execution.pipeline import PipelinedExecutor
@@ -24,6 +25,7 @@ __all__ = [
     "OperatorStats",
     "PlanStats",
     "ExecutionStats",
+    "ExecutionOptions",
     "SequentialExecutor",
     "ParallelExecutor",
     "PipelinedExecutor",

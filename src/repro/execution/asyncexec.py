@@ -1,24 +1,24 @@
 """Asyncio-based scale-out execution for high-fan-out LLM stages.
 
 :class:`AsyncExecutor` keeps the sharded executor's scatter/gather
-discipline — shardable prefix runs data-parallel, suffix runs post-gather in
-global order — but replaces the per-shard worker *threads* with asyncio
-tasks awaiting the client's coroutine API
+skeleton — shardable prefix runs data-parallel, suffix runs post-gather in
+global order — but drives the prefix with asyncio tasks awaiting the
+client's coroutine API
 (:meth:`SimulatedLLMClient.ajudge` / ``aextract`` / ``acomplete``), gathered
-with bounded concurrency (a semaphore of ``fanout`` permits).  Each scanned
-record becomes one task charging virtual lane ``1 + index % fanout``, so the
-simulated makespan shows the same data-parallel speedup as the threaded
-executor.
+with bounded concurrency (a semaphore of ``fanout`` permits), instead of
+per-shard worker *threads*.  Each scanned record becomes one task charging
+virtual lane ``1 + index % fanout``, so the simulated makespan shows the
+same data-parallel speedup as the threaded executor.
 
 Determinism and accounting rest on one invariant: **no coroutine in the
 simulated stack ever suspends**.  The client answers from a virtual clock,
 so an ``await`` of ``ajudge`` runs the whole call — clock advance, ledger
 entry, trace span — atomically on the event-loop thread.  Task bodies
 therefore execute as indivisible units in task-creation (arrival) order,
-which makes the thread-local lane/capture attribution inherited from the
-pipelined machinery exact, with no context-variable migration.  A client
-that really awaited the network would need context-local attribution and a
-merge discipline for interleaved captures.
+which makes the core meter's thread-local lane/capture attribution exact,
+with no context-variable migration.  A client that really awaited the
+network would need context-local attribution and a merge discipline for
+interleaved captures.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Dict, List, Optional
 
 from repro.core.records import DataRecord
 from repro.core.sources import SHARD_ROUND_ROBIN
-from repro.execution.pipeline import _PipeMeter
-from repro.execution.sharded import ShardedExecutor
+from repro.execution.pipeline import _Meter, _PinnedSpan
+from repro.execution.sharded import ShardedExecutor, _ScatterRun
 from repro.obs.trace import SpanKind
 from repro.physical.context import ExecutionContext
 from repro.physical.plan import PhysicalPlan
@@ -59,76 +59,44 @@ class AsyncExecutor(ShardedExecutor):
             batch_size=batch_size, on_event=on_event,
         )
 
-    @property
-    def fanout(self) -> int:
-        return self.shards
+    def _lane_span(self, k: int, degree: int, prefix_ops: str):
+        return self.context.tracer.start_span(
+            "async.lane", SpanKind.STAGE, clock=self.context.clock,
+            lane=1 + k, fanout=degree, ops=prefix_ops,
+        )
 
-    def _execute_concurrent(self, plan: PhysicalPlan,
-                            meters: List[_PipeMeter]) -> List[DataRecord]:
+    def _scatter_gather(self, plan: PhysicalPlan, scan_meter: _Meter,
+                        run: _ScatterRun) -> List[DataRecord]:
         loop = asyncio.new_event_loop()
         try:
-            return loop.run_until_complete(self._drive(plan, meters))
+            return loop.run_until_complete(
+                self._drive(plan, scan_meter, run)
+            )
         finally:
             loop.close()
 
-    async def _drive(self, plan: PhysicalPlan,
-                     meters: List[_PipeMeter]) -> List[DataRecord]:
-        scan_meter = meters[0]
-        prefix, suffix = self._split(meters[1:])
-        decomp_meter = self._decomposable_head(suffix)
+    async def _drive(self, plan: PhysicalPlan, scan_meter: _Meter,
+                     run: _ScatterRun) -> List[DataRecord]:
         clock = self.context.clock
-        tracer = self.context.tracer
-        fanout = self.shards
-        gather_lane = fanout + 1
-        clock.ensure_lanes(fanout + 2)
-
-        lane_spans: List = [None] * fanout
-        close_span = None
-        gather_span = None
-        if tracer.enabled:
-            prefix_ops = "+".join(m.op.op_label for m in prefix) or "<forward>"
-            suffix_ops = "+".join(m.op.op_label for m in suffix) or "<sink>"
-            for k in range(fanout):
-                lane_spans[k] = tracer.start_span(
-                    "async.lane", SpanKind.STAGE, clock=clock,
-                    lane=1 + k, fanout=fanout, ops=prefix_ops,
-                )
-            close_span = tracer.start_span(
-                "shard.close", SpanKind.STAGE, clock=clock, ops=prefix_ops,
-            )
-            gather_span = tracer.start_span(
-                "shard.gather", SpanKind.STAGE, clock=clock, ops=suffix_ops,
-                shards=fanout,
-            )
-
-        semaphore = asyncio.Semaphore(fanout)
+        semaphore = asyncio.Semaphore(run.degree)
         results: Dict[int, List[DataRecord]] = {}
         tasks: List["asyncio.Task"] = []
-        fed = 0
         clock.use_lane(0)
         try:
-            for record in self._traced_scan(plan, scan_meter):
+            for record in self._scan(plan, scan_meter):
                 if self._abort.is_set():
                     break
-                index = fed
-                fed += 1
                 # Blocks once ``fanout`` tasks are in flight; the loop then
                 # runs pending tasks (in creation order, each atomic) until
                 # a permit frees up.
                 await semaphore.acquire()
                 tasks.append(asyncio.ensure_future(self._one_record(
-                    index, record, prefix, decomp_meter, results,
-                    semaphore, fanout, lane_spans,
+                    run, len(tasks), record, results, semaphore,
                 )))
                 # Tasks that ran during the acquire switched the loop
                 # thread's lane; the next scan pull must charge lane 0.
                 clock.use_lane(0)
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(results),
-                    "elapsed_seconds": clock.elapsed,
-                })
+                self._emit_progress(scan_meter, len(results))
         except BaseException as exc:  # noqa: BLE001 - reported below
             self._fail(exc)
         if tasks:
@@ -136,90 +104,29 @@ class AsyncExecutor(ShardedExecutor):
         if self._errors:
             raise self._errors[0]
 
-        # Prefix close on lane 1 (all tasks done; the lane time is final).
-        clock.use_lane(1)
-        flushed_out: List[DataRecord] = []
-        with tracer.attach(close_span):
-            for index, meter in enumerate(prefix):
-                flushed = meter.close()
-                flushed_out.extend(
-                    self._run_chain(prefix[index + 1:], flushed)
-                )
-            if decomp_meter is not None:
-                for output in flushed_out:
-                    decomp_meter.charge_accumulate(output)
-        results[fed] = flushed_out
+        # All tasks are done, so lane 1's time is final: close the prefix
+        # there, then gather in global order.
+        results[len(tasks)] = self._close_prefix(run)
+        self._gather(
+            run, (results.get(seq, []) for seq in range(len(tasks) + 1))
+        )
+        return self._finish(run)
 
-        # Gather: stream bundles in global order, then close the suffix.
-        sink: List[DataRecord] = []
-        clock.use_lane(gather_lane)
-        with tracer.attach(gather_span):
-            for seq in range(fed + 1):
-                self._gather_feed(
-                    results.get(seq, []), sink, suffix, decomp_meter
-                )
-            self._gather_close(sink, suffix)
-
-        elapsed = clock.elapsed
-        for span in lane_spans:
-            if span is not None:
-                span.finish_at(elapsed)
-        if close_span is not None:
-            close_span.finish_at(elapsed)
-        if gather_span is not None:
-            gather_span.set_attribute(
-                "records_out",
-                suffix[-1].stats.records_out if suffix else len(sink),
-            )
-            gather_span.finish_at(elapsed)
-        return sink
-
-    async def _one_record(self, index: int, record: DataRecord,
-                          prefix: List[_PipeMeter],
-                          decomp_meter: Optional[_PipeMeter],
+    async def _one_record(self, run: _ScatterRun, index: int,
+                          record: DataRecord,
                           results: Dict[int, List[DataRecord]],
-                          semaphore: "asyncio.Semaphore", fanout: int,
-                          lane_spans: List) -> None:
-        clock = self.context.clock
-        tracer = self.context.tracer
+                          semaphore: "asyncio.Semaphore") -> None:
+        lane = index % run.degree
         try:
-            clock.use_lane(1 + index % fanout)
-            with tracer.attach(lane_spans[index % fanout]):
-                if tracer.enabled:
-                    with tracer.span(
-                        "async.bundle", SpanKind.BUNDLE, clock=clock,
-                        seq=index, records=1,
-                    ) as span:
-                        advanced_before = clock.local_advanced
-                        outputs = await self._achain(prefix, record)
-                        span.finish_at(
-                            span.start
-                            + (clock.local_advanced - advanced_before)
-                        )
-                else:
-                    outputs = await self._achain(prefix, record)
-                if decomp_meter is not None:
-                    for output in outputs:
-                        decomp_meter.charge_accumulate(output)
+            self.context.clock.use_lane(1 + lane)
+            with self.context.tracer.attach(run.lane_spans[lane]):
+                with _PinnedSpan(self.context, "async.bundle",
+                                 SpanKind.BUNDLE, seq=index, records=1):
+                    outputs = await self._arun_chain(run.prefix, record)
+                self._charge_fold(run, outputs)
             results[index] = outputs
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             self._fail(exc)
             results[index] = []
         finally:
             semaphore.release()
-
-    @staticmethod
-    async def _achain(meters: List[_PipeMeter],
-                      record: DataRecord) -> List[DataRecord]:
-        """Depth-first async twin of ``_run_chain`` for a single record."""
-        sink: List[DataRecord] = []
-        stack = [(record, 0)]
-        while stack:
-            current, index = stack.pop()
-            if index >= len(meters):
-                sink.append(current)
-                continue
-            outputs = await meters[index].aprocess(current)
-            for output in reversed(outputs):
-                stack.append((output, index + 1))
-        return sink

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import List, Optional, Tuple, Union
 
 from repro.core.dataset import Dataset
@@ -28,6 +29,7 @@ from repro.optimizer.cost_model import CostModel
 from repro.optimizer.optimizer import OptimizationReport, Optimizer
 from repro.optimizer.policies import MaxQuality, Policy, parse_policy
 from repro.physical.context import ExecutionContext
+from repro.physical.options import ExecutionOptions
 
 
 class ExecutionEngine:
@@ -35,25 +37,15 @@ class ExecutionEngine:
 
     Args:
         policy: optimization preference (name string or Policy instance).
-        max_workers: record-level parallelism for LLM operators.
+        executor, max_workers, batch_size, shards: how the chosen plan
+            is run — validated and carried as one
+            :class:`~repro.physical.options.ExecutionOptions` (see it for
+            each value's meaning; ``self.options`` holds it).
         sample_size: sentinel sample size for the optimizer (0 = naive
             estimates only).
         models: model registry for both plan space and execution.
         lint: run plan lint before optimizing; error-level findings raise
             :class:`~repro.analysis.LintError` instead of executing.
-        executor: which executor runs the chosen plan — "sequential",
-            "parallel", "pipelined" (real worker threads with bounded
-            queues), "sharded" (scatter/gather over deterministic source
-            shards), or "async" (asyncio fan-out over the client's
-            coroutine API).  ``None`` keeps the historical inference:
-            parallel when ``max_workers > 1``, sequential otherwise.
-        batch_size: LLM-stage batch size for the pipelined/sharded
-            executors; the cost model amortizes per-call overhead
-            accordingly.  Ignored (beyond costing) by the other executors,
-            which call per record.
-        shards: parallelism degree for the "sharded"/"async" executors.
-            ``None`` (default) lets the optimizer enumerate degrees and
-            *choose* one with the cost model; an integer pins it.
         trace: observability.  ``False`` (default) disables tracing at zero
             cost; ``True`` records the run with a fresh
             :class:`~repro.obs.Tracer`; an existing ``Tracer`` instance
@@ -99,10 +91,9 @@ class ExecutionEngine:
             never charge the budget.
         on_event: progress callback receiving executor event dicts
             (``plan_start`` / ``record_processed`` / ``operator_flush`` /
-            ``plan_end``) as the run advances.  Honored by the
-            sequential/parallel executors; the threaded and scale-out
-            executors ignore it (their progress is recoverable from the
-            trace).
+            ``plan_end``) as the run advances, under every executor.  The
+            threaded executors call it from worker threads (never
+            concurrently), and their ``outputs_so_far`` is best-effort.
         sanitize: run the plan under the lock sanitizer
             (:mod:`repro.analysis.sanitizer`): every lock created during
             the run is observed, the cross-thread lock-order graph is
@@ -114,10 +105,6 @@ class ExecutionEngine:
         candidate_options: plan-space ablation switches (forwarded to the
             optimizer).
     """
-
-    EXECUTORS = ("sequential", "parallel", "pipelined", "sharded", "async")
-    #: Executors that scatter the shardable prefix over source shards.
-    SCALE_OUT_EXECUTORS = ("sharded", "async")
 
     def __init__(
         self,
@@ -146,31 +133,14 @@ class ExecutionEngine:
             policy = MaxQuality()
         elif isinstance(policy, str):
             policy = parse_policy(policy)
-        if executor is not None and executor not in self.EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; "
-                f"expected one of {', '.join(self.EXECUTORS)}"
-            )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if shards is not None:
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            if executor not in self.SCALE_OUT_EXECUTORS:
-                raise ValueError(
-                    "shards only applies to the "
-                    f"{' / '.join(self.SCALE_OUT_EXECUTORS)} executors; "
-                    f"got executor={executor!r}"
-                )
-        self.shards = shards
+        self.options = ExecutionOptions(
+            executor, max_workers, batch_size, shards
+        )
         self.policy = policy
-        self.max_workers = max_workers
         self.sample_size = sample_size
         self.models = models
         self.cache = cache
         self.lint = lint
-        self.executor = executor
-        self.batch_size = batch_size
         self.trace = trace
         self.provenance = provenance
         self.sanitize = sanitize
@@ -191,49 +161,36 @@ class ExecutionEngine:
     def _phase(self, name: str):
         """Telemetry phase timer; free (no-op context) when unhooked."""
         if self.telemetry is None:
-            from contextlib import nullcontext
-
             return nullcontext()
         return self.telemetry.phase(name)
 
-    def _make_tracer(self):
-        """(tracer, traced?) for one run, honoring the ``trace`` setting."""
-        if isinstance(self.trace, Tracer):
-            return self.trace, True
-        if self.trace:
-            return Tracer(), True
-        return NULL_TRACER, False
+    @staticmethod
+    def _observer(setting, kind, null):
+        """(observer, observing?) for a ``trace=`` / ``provenance=``
+        setting: an instance of ``kind`` records into itself, ``True``
+        makes a fresh one, and ``False`` is the zero-cost ``null``."""
+        if isinstance(setting, kind):
+            return setting, True
+        if setting:
+            return kind(), True
+        return null, False
 
-    def _make_provenance(self):
-        """(recorder, recording?) honoring the ``provenance`` setting."""
-        if isinstance(self.provenance, ProvenanceRecorder):
-            return self.provenance, True
-        if self.provenance:
-            return ProvenanceRecorder(), True
-        return NULL_PROVENANCE, False
-
-    def _executor_name(self) -> str:
-        if self.executor is not None:
-            return self.executor
-        return "parallel" if self.max_workers > 1 else "sequential"
+    def _cache_counts(self) -> Tuple[int, int, int]:
+        """(hits, misses, evictions) of the shared CallCache so far."""
+        if self.cache is None:
+            return 0, 0, 0
+        stats = self.cache.stats
+        return stats.hits, stats.misses, stats.evictions
 
     def optimize(self, dataset: Dataset,
                  tracer=None) -> OptimizationReport:
-        name = self._executor_name()
         optimizer = Optimizer(
             policy=self.policy,
-            max_workers=self.max_workers,
             sample_size=self.sample_size,
             models=self.models,
             lint=self.lint,
-            batch_size=(
-                self.batch_size
-                if name in ("pipelined",) + self.SCALE_OUT_EXECUTORS
-                else 1
-            ),
-            executor=name,
-            shards=self.shards,
             tracer=tracer,
+            **self.options.resolved().kwargs(),
             **self.candidate_options,
         )
         return optimizer.optimize(dataset.logical_plan(), dataset.source)
@@ -300,11 +257,36 @@ class ExecutionEngine:
                 )
         return registry.load(str(run_id))
 
+    def _build_executor(self, context: ExecutionContext,
+                        options: ExecutionOptions, plan_shards: int):
+        """The schedule ``options.executor`` names, over ``context``."""
+        common = dict(context=context, on_event=self.on_event)
+        if options.executor == "pipelined":
+            return PipelinedExecutor(
+                max_workers=options.max_workers,
+                batch_size=options.batch_size, **common,
+            )
+        if options.executor == "sharded":
+            return ShardedExecutor(
+                shards=plan_shards, batch_size=options.batch_size, **common
+            )
+        if options.executor == "async":
+            return AsyncExecutor(
+                fanout=plan_shards, batch_size=options.batch_size, **common
+            )
+        if options.executor == "parallel":
+            return ParallelExecutor(
+                max_workers=options.max_workers, **common
+            )
+        return SequentialExecutor(**common)
+
     def _execute(
         self, dataset: Dataset
     ) -> Tuple[List[DataRecord], ExecutionStats]:
-        tracer, traced = self._make_tracer()
-        recorder, recording = self._make_provenance()
+        tracer, traced = self._observer(self.trace, Tracer, NULL_TRACER)
+        recorder, recording = self._observer(
+            self.provenance, ProvenanceRecorder, NULL_PROVENANCE
+        )
         with self._phase("engine.optimize"):
             report = self.optimize(dataset, tracer=tracer)
         replay_log = None
@@ -340,7 +322,7 @@ class ExecutionEngine:
         elif self.capture_calls:
             replay_log = ReplayLog()
         context = ExecutionContext(
-            max_workers=self.max_workers,
+            max_workers=self.options.max_workers,
             models=self.models,
             cache=self.cache,
             tracer=tracer,
@@ -352,35 +334,12 @@ class ExecutionEngine:
             # Optimizer spans were recorded clockless (optimization is free
             # in virtual time); execution spans follow the run's clock.
             tracer.default_clock = context.clock
-        cache_before = (
-            (self.cache.stats.hits, self.cache.stats.misses,
-             self.cache.stats.evictions)
-            if self.cache is not None else (0, 0, 0)
-        )
-        name = self._executor_name()
+        cache_before = self._cache_counts()
+        options = self.options.resolved()
+        name = options.executor
         chosen_plan = report.chosen.plan
         plan_shards = max(1, getattr(chosen_plan, "shards", 1))
-        if name == "pipelined":
-            executor = PipelinedExecutor(
-                context,
-                max_workers=self.max_workers,
-                batch_size=self.batch_size,
-            )
-        elif name == "sharded":
-            executor = ShardedExecutor(
-                context, shards=plan_shards, batch_size=self.batch_size
-            )
-        elif name == "async":
-            executor = AsyncExecutor(
-                context, fanout=plan_shards, batch_size=self.batch_size
-            )
-        elif name == "parallel":
-            executor = ParallelExecutor(
-                context, max_workers=self.max_workers,
-                on_event=self.on_event,
-            )
-        else:
-            executor = SequentialExecutor(context, on_event=self.on_event)
+        executor = self._build_executor(context, options, plan_shards)
         with self._phase("engine.execute"):
             records, plan_stats = executor.execute(chosen_plan)
         if self.telemetry is not None:
@@ -388,12 +347,11 @@ class ExecutionEngine:
                 "engine_run", executor=name,
                 records=len(records), shards=plan_shards,
             )
-        if self.cache is not None:
-            cache_hits = self.cache.stats.hits - cache_before[0]
-            cache_misses = self.cache.stats.misses - cache_before[1]
-            cache_evictions = self.cache.stats.evictions - cache_before[2]
-        else:
-            cache_hits = cache_misses = cache_evictions = 0
+        # Deltas: the cache may be shared across runs.
+        cache_hits, cache_misses, cache_evictions = (
+            after - before
+            for after, before in zip(self._cache_counts(), cache_before)
+        )
         context.metrics.counter("llm.cache_hits").inc(cache_hits)
         context.metrics.counter("llm.cache_misses").inc(cache_misses)
         stats = ExecutionStats(
@@ -402,14 +360,10 @@ class ExecutionEngine:
             plans_considered=report.plans_considered,
             optimization_cost_usd=report.sentinel_cost_usd,
             optimization_time_seconds=report.sentinel_time_seconds,
-            max_workers=self.max_workers,
+            max_workers=options.max_workers,
             executor=name,
-            batch_size=(
-                self.batch_size
-                if name in ("pipelined",) + self.SCALE_OUT_EXECUTORS
-                else 1
-            ),
-            shards=plan_shards if name in self.SCALE_OUT_EXECUTORS else 1,
+            batch_size=options.batch_size,
+            shards=plan_shards if options.scale_out else 1,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_evictions=cache_evictions,
@@ -472,8 +426,11 @@ def Execute(
         records, stats = Execute(dataset, policy=MaxQuality())
         print(stats.summary())
 
-    Pass ``executor="pipelined"`` (optionally with ``batch_size``) to run
-    the plan on the thread-pipelined executor::
+    ``executor``, ``max_workers``, ``batch_size`` and ``shards`` choose how
+    the plan is run; :class:`~repro.physical.options.ExecutionOptions`
+    documents and validates the four.  Pass ``executor="pipelined"``
+    (optionally with ``batch_size``) to run the plan on the
+    thread-pipelined executor::
 
         records, stats = Execute(
             dataset, executor="pipelined", max_workers=4, batch_size=8

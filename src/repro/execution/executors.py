@@ -1,11 +1,13 @@
-"""Plan executors.
+"""The inline schedules: sequential and (lane-)parallel execution.
 
-Both executors process records depth-first through the operator chain,
-splitting at blocking operators (aggregates, group-by, retrieve).  The
-parallel executor assigns each source record's journey to the least-busy
+Both run :meth:`~repro.execution.pipeline.PlanExecutor._run_inline` — the
+core's single-threaded loop, records depth-first through the operator
+chain, blocking operators (aggregates, group-by, retrieve) flushed once
+the source is drained — and differ only in the lane policy.  The parallel
+executor assigns each source record's journey to the least-busy
 virtual-clock lane, modelling ``max_workers`` concurrent LLM calls; lanes
-synchronize at blocking-operator barriers, exactly like a thread pool with a
-stage barrier would.
+synchronize at blocking-operator barriers, exactly like a thread pool with
+a stage barrier would.
 
 Early termination: when a ``LimitOp`` with no blocking operator upstream is
 exhausted, the executor stops pulling source records — limits genuinely save
@@ -17,346 +19,33 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.records import DataRecord
-from repro.execution.stats import ModelUsageRow, OperatorStats, PlanStats
-from repro.obs.trace import SpanKind
-from repro.physical.base import PhysicalOperator
+from repro.execution.pipeline import PlanExecutor
+from repro.execution.stats import PlanStats
 from repro.physical.context import ExecutionContext
 from repro.physical.plan import PhysicalPlan
-from repro.physical.structural import LimitOp
 
 
-def _fill_run_metrics(
-    context: ExecutionContext,
-    op_stats: List[OperatorStats],
-    sink: List[DataRecord],
-) -> None:
-    """Populate the context's MetricsRegistry from the finished run.
+class SequentialExecutor(PlanExecutor):
+    """Single-worker depth-first execution (see :class:`PlanExecutor` for
+    the ``on_event`` progress hook)."""
 
-    Every value here is a deterministic function of the plan and input —
-    computed once at run end from the same OperatorStats / ledger the
-    stats report, never sampled in the hot path — so the snapshot that
-    lands in ``ExecutionStats.metrics`` is identical traced or untraced,
-    at any worker count.
-    """
-    metrics = context.metrics
-    ledger_total = context.ledger.total()
-    metrics.counter("llm.calls").inc(len(context.ledger))
-    metrics.counter("llm.input_tokens").inc(ledger_total.input_tokens)
-    metrics.counter("llm.output_tokens").inc(ledger_total.output_tokens)
-    # Per-call distributions.  Cost and token counts are batch-invariant
-    # (identical per-record or batched); latency is not, so no latency
-    # histogram — it would differ between batch sizes.
-    cost_hist = metrics.histogram("llm.call_cost_usd")
-    in_hist = metrics.histogram("llm.call_input_tokens")
-    out_hist = metrics.histogram("llm.call_output_tokens")
-    for usage in context.ledger.records:
-        cost_hist.observe(usage.cost_usd)
-        in_hist.observe(usage.input_tokens)
-        out_hist.observe(usage.output_tokens)
-    metrics.counter("run.records_out").inc(len(sink))
-    metrics.gauge("run.elapsed_seconds").set(round(context.clock.elapsed, 9))
-    for index, stats in enumerate(op_stats):
-        prefix = f"op.{index}.{stats.op_label}"
-        metrics.counter(f"{prefix}.records_in").inc(stats.records_in)
-        metrics.counter(f"{prefix}.records_out").inc(stats.records_out)
-        metrics.counter(f"{prefix}.llm_calls").inc(stats.llm_calls)
-        metrics.gauge(f"{prefix}.busy_seconds").set(
-            round(stats.time_seconds, 9)
-        )
-
-
-def build_plan_stats(
-    plan: PhysicalPlan,
-    op_stats: List[OperatorStats],
-    context: ExecutionContext,
-    sink: List[DataRecord],
-) -> PlanStats:
-    """Assemble the :class:`PlanStats` for a finished run.
-
-    Shared by every executor so their reports are structurally identical.
-    Scan parse time is charged to the clock inside ``records()`` where no
-    meter wraps it, so the scan's time line is the residual
-    ``total_busy - sum(downstream op times)`` — computed *before* the
-    PlanStats object is built, so per-op times already sum to the clock's
-    busy time in the stats a caller receives.
-    """
-    for stats in op_stats:
-        # Canonicalize float totals before anything reads them: concurrent
-        # meters accumulated time/cost in thread-arrival order, which is
-        # nondeterministic at the last ulp.
-        stats.finalize()
-    scan_stats, downstream_stats = op_stats[0], op_stats[1:]
-    accounted = sum(stats.time_seconds for stats in downstream_stats)
-    scan_stats.time_seconds = max(0.0, context.clock.total_busy - accounted)
-    _fill_run_metrics(context, op_stats, sink)
-    invalid = sum(
-        1
-        for record in sink
-        if record.missing_required()
-        or any(
-            not field.validate(record.get(name))
-            for name, field in record.schema.field_map().items()
-        )
-    )
-    model_usage = [
-        ModelUsageRow(
-            model=model,
-            calls=totals.calls,
-            input_tokens=totals.input_tokens,
-            output_tokens=totals.output_tokens,
-            cost_usd=totals.cost_usd,
-        )
-        for model, totals in sorted(context.ledger.by_model().items())
-    ]
-    return PlanStats(
-        plan_id=plan.plan_id,
-        plan_describe=plan.describe(),
-        operator_stats=op_stats,
-        total_time_seconds=context.clock.elapsed,
-        total_cost_usd=context.ledger.total().cost_usd,
-        records_out=len(sink),
-        invalid_records=invalid,
-        model_usage=model_usage,
-    )
-
-
-class _OpMeter:
-    """Wraps one operator's stats accumulation for a run.
-
-    When tracing is on, every metered call also becomes an ``op.*`` span:
-    the span's duration is *pinned* to the same ``total_busy`` delta the
-    stats accumulate, so per-op span durations sum exactly to
-    ``OperatorStats.time_seconds`` — LLM leaf spans created inside the
-    call nest under it automatically.
-    """
-
-    def __init__(self, op: PhysicalOperator, context: ExecutionContext):
-        self.op = op
-        self.context = context
-        self.stats = OperatorStats(
-            op_label=op.op_label,
-            logical_describe=op.logical_op.describe(),
-        )
-
-    def open(self) -> None:
-        """Open the operator, attributing any setup work (e.g. a join's
-        right-side materialization) to this operator's stats.  Opening
-        produces no records, so only time/cost are metered."""
-        self._metered(
-            lambda: self.op.open(self.context) or [],
-            inputs=0, count_outputs=False, span_name="op.open",
-        )
-
-    def process(self, record: DataRecord) -> List[DataRecord]:
-        outputs, _ = self._metered(lambda: self.op.process(record), inputs=1)
-        return outputs
-
-    def close(self) -> List[DataRecord]:
-        outputs, _ = self._metered(self.op.close, inputs=0,
-                                   span_name="op.close")
-        return outputs
-
-    def _metered(self, fn, inputs: int, count_outputs: bool = True,
-                 span_name: str = "op.process",
-                 ) -> Tuple[List[DataRecord], float]:
-        ledger = self.context.ledger
-        clock = self.context.clock
-        tracer = self.context.tracer
-        busy_before = clock.total_busy
-        calls_before = len(ledger)
-        if tracer.enabled:
-            with tracer.span(span_name, SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                outputs = fn()
-                busy_delta = clock.total_busy - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", inputs)
-                if count_outputs:
-                    span.set_attribute("records_out", len(outputs))
-        else:
-            outputs = fn()
-            busy_delta = clock.total_busy - busy_before
-        new_usages = ledger.records[calls_before:]
-
-        self.stats.records_in += inputs
-        if count_outputs:
-            self.stats.records_out += len(outputs)
-        self.stats.add_time(busy_delta)
-        self.stats.llm_calls += len(new_usages)
-        for usage in new_usages:
-            self.stats.add_cost(usage.cost_usd)
-            self.stats.input_tokens += usage.input_tokens
-            self.stats.output_tokens += usage.output_tokens
-        return outputs, busy_delta
-
-
-class SequentialExecutor:
-    """Single-worker depth-first execution.
-
-    ``on_event`` (optional) receives progress dictionaries as the run
-    advances: ``plan_start``, ``record_processed`` (one per source record,
-    with the running output count), ``operator_flush`` (blocking operators
-    emitting), and ``plan_end`` — the hook a UI like the demo's Fig. 5
-    progress panel would subscribe to.
-    """
+    EXECUTOR_NAME = "sequential"
+    OPEN_SPAN_REPORTS_OUTPUTS = False
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  on_event=None):
-        self.context = context or ExecutionContext(max_workers=1)
-        self._on_event = on_event
-
-    def _emit(self, event: dict) -> None:
-        if self._on_event is not None:
-            self._on_event(event)
-
-    # -- helpers shared with the parallel executor -----------------------
-
-    def _prepare(self, plan: PhysicalPlan) -> List[_OpMeter]:
-        meters = []
-        for op in plan:
-            meter = _OpMeter(op, self.context)
-            meter.open()
-            meters.append(meter)
-        return meters
-
-    @staticmethod
-    def _early_stop(plan: PhysicalPlan) -> Optional[LimitOp]:
-        """The first LimitOp with only streaming operators upstream."""
-        for op in plan.downstream:
-            if op.is_blocking:
-                return None
-            if isinstance(op, LimitOp):
-                return op
-        return None
-
-    def _push(
-        self,
-        record: DataRecord,
-        meters: List[_OpMeter],
-        start: int,
-        sink: List[DataRecord],
-    ) -> None:
-        """Send one record through meters[start:], depth-first.
-
-        Blocking operators swallow records here; their buffered output is
-        flushed by :meth:`_flush` once the upstream segment is drained.
-
-        Depth-first order is kept with an explicit work stack rather than
-        recursion: a chain of high-fanout operators (one-to-many converts,
-        joins) multiplies the depth, and Python's recursion limit must not
-        bound plan depth times fanout.
-        """
-        stack: List[Tuple[DataRecord, int]] = [(record, start)]
-        while stack:
-            current, index = stack.pop()
-            if index >= len(meters):
-                sink.append(current)
-                continue
-            # Cooperative quota-abort point: a shared budget breached by
-            # a concurrent run stops this one between operators, before
-            # the next operator spends anything.
-            self.context.checkpoint()
-            outputs = meters[index].process(current)
-            # Reversed so outputs are visited in their emitted order,
-            # matching what the recursive formulation produced.
-            for output in reversed(outputs):
-                stack.append((output, index + 1))
-
-    def _flush(self, meters: List[_OpMeter], sink: List[DataRecord]) -> None:
-        """Close operators in order, pushing flushed records downstream."""
-        for index, meter in enumerate(meters):
-            self._on_barrier(meter)
-            self.context.checkpoint()
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            for output in flushed:
-                self._push(output, meters, index + 1, sink)
-
-    def _on_barrier(self, meter: _OpMeter) -> None:
-        """Hook: parallel executor synchronizes lanes at blocking ops."""
-
-    def _assign_lane(self) -> None:
-        """Hook: parallel executor picks a clock lane per source record."""
+        super().__init__(context or ExecutionContext(max_workers=1),
+                         on_event=on_event)
 
     def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
-        self._emit({
-            "type": "plan_start",
-            "plan_id": plan.plan_id,
-            "plan": plan.describe(),
-            "operators": len(plan),
-        })
-        tracer = self.context.tracer
-        clock = self.context.clock
-        self.context.provenance.begin_plan(plan)
-        with tracer.span(
-            "plan.run", SpanKind.PLAN, clock=clock,
-            plan_id=plan.plan_id, executor=self._trace_executor_name(),
-            workers=self.context.max_workers,
-        ) as plan_span:
-            meters = self._prepare(plan)
-            scan_meter, downstream = meters[0], meters[1:]
-            scan_label = scan_meter.op.op_label
-            stop_limit = self._early_stop(plan)
-            sink: List[DataRecord] = []
-
-            source_iter = plan.scan.records()
-            while True:
-                # Pick the lane *before* pulling, so the parse time charged
-                # inside records() lands on the worker that handles the
-                # record.
-                self._assign_lane()
-                if tracer.enabled:
-                    scan_start = clock.now
-                    scan_lane = clock.current_lane
-                    busy_before = clock.total_busy
-                try:
-                    record = next(source_iter)
-                except StopIteration:
-                    break
-                self.context.provenance.source(record)
-                if tracer.enabled:
-                    tracer.record(
-                        "op.scan", SpanKind.OPERATOR, scan_start,
-                        scan_start + (clock.total_busy - busy_before),
-                        scan_lane, op=scan_label,
-                        records_in=1, records_out=1,
-                    )
-                scan_meter.stats.records_in += 1
-                scan_meter.stats.records_out += 1
-                self._push(record, downstream, 0, sink)
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(sink),
-                    "elapsed_seconds": clock.elapsed,
-                })
-                if stop_limit is not None and stop_limit.exhausted:
-                    break
-            self._flush(downstream, sink)
-            plan_span.finish_at(clock.elapsed)
-
-        plan_stats = build_plan_stats(
-            plan, [m.stats for m in meters], self.context, sink
-        )
-        self._emit({
-            "type": "plan_end",
-            "records_out": len(sink),
-            "elapsed_seconds": self.context.clock.elapsed,
-            "cost_usd": plan_stats.total_cost_usd,
-        })
-        return sink, plan_stats
-
-    def _trace_executor_name(self) -> str:
-        return "sequential"
+        return self._run(plan, {"workers": self.context.max_workers})
 
 
 class ParallelExecutor(SequentialExecutor):
     """Record-parallel execution across ``max_workers`` clock lanes."""
+
+    EXECUTOR_NAME = "parallel"
+    LANE_PER_RECORD = True
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  max_workers: int = 4, on_event=None):
@@ -367,13 +56,3 @@ class ParallelExecutor(SequentialExecutor):
                 "context clock must have at least max_workers lanes"
             )
         super().__init__(context, on_event=on_event)
-
-    def _assign_lane(self) -> None:
-        self.context.clock.pick_least_busy_lane()
-
-    def _on_barrier(self, meter: _OpMeter) -> None:
-        if meter.op.is_blocking:
-            self.context.clock.synchronize()
-
-    def _trace_executor_name(self) -> str:
-        return "parallel"

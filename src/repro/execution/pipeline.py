@@ -1,7 +1,24 @@
-"""Batched, pipelined plan execution with real worker threads.
+"""The execution core, and the stage-pipelined schedule built on it.
 
-:class:`PipelinedExecutor` splits a physical plan into *stages* connected by
-bounded queues and runs them concurrently on OS threads:
+Every executor name — sequential, parallel, pipelined, sharded, async — is
+one algorithm under a different *schedule*.  The algorithm lives here, in
+:class:`PlanExecutor`, once: one meter (:class:`_Meter` — every operator
+call is timed by the calling thread's own clock advances and billed
+through a thread-local ledger capture, exact under any interleaving and
+O(1) per call), one depth-first chain runner (:func:`_depth_first`, which
+also carries the cooperative quota checkpoint), one sequence-ordered
+reorder buffer (:meth:`PlanExecutor._in_order`) and one close-and-flush
+routine (:meth:`PlanExecutor._close_and_flush`).
+
+The *inline schedule* (:meth:`PlanExecutor._run_inline`) runs all of it on
+the calling thread: that is the sequential executor, the parallel executor
+(same loop, least-busy clock lane per source record), and what every other
+schedule falls back to when a ``LimitOp`` can stop the source early —
+speculative parallelism upstream of such a limit would change which records
+get (and pay for) LLM calls.
+
+:class:`PipelinedExecutor` is the *stage* schedule.  It splits the plan
+into stages connected by bounded queues and runs them on OS threads:
 
 * a **parallel stage** is a maximal run of consecutive LLM-bound operators
   (filters, converts, semantic joins); it gets a pool of ``max_workers``
@@ -12,24 +29,18 @@ bounded queues and runs them concurrently on OS threads:
 * a **barrier stage** wraps one blocking operator (aggregate, group-by,
   retrieve, sort); it accumulates in source order and flushes on close.
 
-Determinism contract — the whole point of the design — is that a pipelined
-run produces *byte-identical records* and identical per-operator
-``records_in`` / ``records_out`` / ``llm_calls`` to
-:class:`~repro.execution.executors.SequentialExecutor`, for any thread
-count and any thread interleaving:
+Determinism contract — the whole point of the design — is that every
+schedule produces *byte-identical records* and identical per-operator
+``records_in`` / ``records_out`` / ``llm_calls``, for any thread count and
+any thread interleaving:
 
 * answers are pure functions of ``(model, document, task)`` (seeded per
   record), so processing order cannot change them;
-* every inter-stage message carries a sequence number; serial and barrier
-  stages hold a reorder buffer and consume strictly in sequence order, and
-  the sink reassembles final output in sequence order;
+* serial and barrier stages consume through the reorder buffer, and the
+  sink reassembles final output in sequence order;
 * simulated time is charged to a virtual-clock lane chosen by *sequence
   number* (``lane_base + seq % workers``), not by whichever OS thread got
-  the bundle, so even the simulated makespan is reproducible run to run;
-* a plan whose ``LimitOp`` can stop the source early is executed inline on
-  the orchestrator thread with exactly the sequential early-stop protocol —
-  speculative parallelism upstream of such a limit would change which
-  records get (and pay for) LLM calls.
+  the bundle, so even the simulated makespan is reproducible run to run.
 
 Batching (``batch_size > 1``) bundles consecutive records into one
 ``process_batch`` call per operator.  The client guarantees batched answers
@@ -46,15 +57,16 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataRecord
-from repro.execution.executors import build_plan_stats
-from repro.execution.stats import OperatorStats, PlanStats
+from repro.execution.stats import OperatorStats, PlanStats, build_plan_stats
 from repro.obs.trace import SpanKind
 from repro.physical.base import PhysicalOperator
 from repro.physical.context import ExecutionContext
 from repro.physical.converts import CodeSynthesisConvert
+from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan
 from repro.physical.structural import LimitOp
 
@@ -90,113 +102,152 @@ def parallel_safe(op: PhysicalOperator) -> bool:
     )
 
 
-class _PipeMeter:
-    """Thread-safe per-operator stats accumulation.
+def _early_stop(plan: PhysicalPlan) -> Optional[LimitOp]:
+    """The first LimitOp with only streaming operators upstream."""
+    for op in plan.downstream:
+        if op.is_blocking:
+            return None
+        if isinstance(op, LimitOp):
+            return op
+    return None
 
-    The single-threaded executors meter a call by slicing the ledger and
-    diffing the clock's ``total_busy`` — both break under interleaving.
-    Here each call is wrapped in :meth:`UsageLedger.capture` (thread-local)
-    and timed by the calling thread's *own lane* delta, so concurrent calls
-    to different operators attribute correctly.
+
+def plan_batch_size(requested: int, plan: PhysicalPlan) -> int:
+    """One call's batch size: the constructor's, or — when the caller did
+    not pick one — the size the optimizer stamped onto the plan.  Resolved
+    per ``execute`` call, so an executor reused on a second plan does not
+    keep the first plan's stamp."""
+    if requested == 1 and getattr(plan, "batch_size", 1) > 1:
+        return plan.batch_size
+    return requested
+
+
+class _PinnedSpan:
+    """Context manager: a span whose duration is *pinned* to the block's
+    own clock charges (``busy``, available once the block has run).
+
+    Busy time is measured with the thread-local advance accumulator, not
+    the lane's wall time: another worker charged to the same lane (bundle
+    seqs that collide modulo ``workers``) would otherwise leak its
+    advances into this delta.  Pinning the span to the same delta the
+    stats accumulate makes span durations reconcile with
+    ``OperatorStats.time_seconds`` exactly.  With tracing off the span is
+    the shared no-op span and only the delta is computed.  ``outputs`` is
+    the slot a metered call reports its output count in.
+    """
+
+    __slots__ = ("_clock", "_active", "_before", "span", "busy", "outputs")
+
+    def __init__(self, context: ExecutionContext, name: str, kind: str,
+                 **attributes):
+        self._clock = context.clock
+        self._active = context.tracer.span(
+            name, kind, clock=self._clock, **attributes
+        )
+        self.busy = 0.0
+        self.outputs = 0
+
+    def __enter__(self) -> "_PinnedSpan":
+        self.span = self._active.__enter__()
+        self._before = self._clock.local_advanced
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.busy = self._clock.local_advanced - self._before
+        self.span.finish_at(self.span.start + self.busy)
+        self._active.__exit__(exc_type, exc, tb)
+
+
+class _Meter:
+    """Thread-safe per-operator stats accumulation, for every schedule.
+
+    ``open_reports_outputs``: whether the ``op.open`` span carries a
+    ``records_out`` attribute.  The sequential/parallel names never
+    reported one and the pipelined family always did; the cross-commit
+    golden pin keeps both trace shapes byte-stable.
     """
 
     #: Writes-only: readers (build_plan_stats, after all workers joined)
     #: see a quiesced meter.
     _GUARDED_BY = {"stats": ("_lock", "writes")}
 
-    def __init__(self, op: PhysicalOperator, context: ExecutionContext):
+    def __init__(self, op: PhysicalOperator, context: ExecutionContext,
+                 open_reports_outputs: bool = True):
         self.op = op
         self.context = context
+        self.open_reports_outputs = open_reports_outputs
         self.stats = OperatorStats(
             op_label=op.op_label,
             logical_describe=op.logical_op.describe(),
         )
         self._lock = threading.Lock()
 
+    @contextmanager
+    def _span_and_capture(self, span_name: str, inputs: int,
+                          report_outputs: bool = True
+                          ) -> Iterator[_PinnedSpan]:
+        """Meter the block as one operator call: under an ``op.*`` span
+        pinned to its own clock charges and inside a ledger capture, so
+        concurrent calls attribute time and LLM usage correctly.  The
+        block reports its output count on the yielded pin; a block that
+        raises is not accounted."""
+        with _PinnedSpan(self.context, span_name, SpanKind.OPERATOR,
+                         op=self.op.op_label) as pin, \
+                self.context.ledger.capture() as bucket:
+            yield pin
+        pin.span.set_attribute("records_in", inputs)
+        if report_outputs:
+            pin.span.set_attribute("records_out", pin.outputs)
+        with self._lock:
+            stats = self.stats
+            stats.records_in += inputs
+            stats.records_out += pin.outputs
+            stats.add_time(pin.busy)
+            stats.llm_calls += len(bucket)
+            for usage in bucket:
+                stats.add_cost(usage.cost_usd)
+                stats.input_tokens += usage.input_tokens
+                stats.output_tokens += usage.output_tokens
+
     def open(self) -> None:
-        self._metered(
-            lambda: self.op.open(self.context) or [],
-            inputs=0, count_outputs=False, span_name="op.open",
-        )
+        """Open the operator, attributing any setup work (e.g. a join's
+        right-side materialization) to this operator's stats."""
+        with self._span_and_capture(
+                "op.open", 0, report_outputs=self.open_reports_outputs):
+            self.op.open(self.context)
 
     def process(self, record: DataRecord) -> List[DataRecord]:
-        return self._metered(lambda: self.op.process(record), inputs=1)
+        with self._span_and_capture("op.process", 1) as call:
+            outputs = self.op.process(record)
+            call.outputs = len(outputs)
+        return outputs
+
+    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
+        """Awaitable :meth:`process` with identical accounting.
+
+        The awaited operator must not suspend between the accounting
+        boundaries (the simulated client's coroutines never do), so the
+        thread-local capture/advance attribution stays exact even with
+        many asyncio tasks sharing the event-loop thread.
+        """
+        with self._span_and_capture("op.process", 1) as call:
+            outputs = await self.op.aprocess(record)
+            call.outputs = len(outputs)
+        return outputs
 
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:
-        groups = self._metered_raw(
-            lambda: self.op.process_batch(records), inputs=len(records),
-            n_outputs=lambda gs: sum(len(g) for g in gs),
-            span_name="op.batch",
-        )
+        with self._span_and_capture("op.batch", len(records)) as call:
+            groups = self.op.process_batch(records)
+            call.outputs = sum(len(group) for group in groups)
         return groups
 
     def close(self) -> List[DataRecord]:
-        return self._metered(self.op.close, inputs=0, span_name="op.close")
-
-    def _metered(self, fn, inputs: int, count_outputs: bool = True,
-                 span_name: str = "op.process") -> List[DataRecord]:
-        return self._metered_raw(
-            fn, inputs, n_outputs=len if count_outputs else lambda _: 0,
-            span_name=span_name,
-        )
-
-    def _metered_raw(self, fn, inputs: int, n_outputs: Callable[[Any], int],
-                     span_name: str = "op.process"):
-        clock = self.context.clock
-        tracer = self.context.tracer
-        # Busy time is measured with the thread-local advance accumulator,
-        # not the lane's wall time: another worker charged to the same lane
-        # (bundle seqs that collide modulo ``workers``) would otherwise
-        # leak its advances into this delta.  The span's duration is pinned
-        # to the same delta the stats accumulate, so span durations
-        # reconcile with OperatorStats.time_seconds exactly.
-        if tracer.enabled:
-            with tracer.span(span_name, SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                with self.context.ledger.capture() as bucket:
-                    busy_before = clock.local_advanced
-                    result = fn()
-                    busy_delta = clock.local_advanced - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", inputs)
-                span.set_attribute("records_out", n_outputs(result))
-        else:
-            with self.context.ledger.capture() as bucket:
-                busy_before = clock.local_advanced
-                result = fn()
-                busy_delta = clock.local_advanced - busy_before
-        self._account(inputs, n_outputs(result), busy_delta, bucket)
-        return result
-
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        """Async twin of :meth:`process` with identical accounting.
-
-        The awaited operator must not suspend between the accounting
-        boundaries (the simulated client's coroutines never do), so the
-        thread-local capture/advance attribution below stays exact even
-        with many asyncio tasks sharing the event-loop thread.
-        """
-        clock = self.context.clock
-        tracer = self.context.tracer
-        if tracer.enabled:
-            with tracer.span("op.process", SpanKind.OPERATOR, clock=clock,
-                             op=self.op.op_label) as span:
-                with self.context.ledger.capture() as bucket:
-                    busy_before = clock.local_advanced
-                    result = await self.op.aprocess(record)
-                    busy_delta = clock.local_advanced - busy_before
-                span.finish_at(span.start + busy_delta)
-                span.set_attribute("records_in", 1)
-                span.set_attribute("records_out", len(result))
-        else:
-            with self.context.ledger.capture() as bucket:
-                busy_before = clock.local_advanced
-                result = await self.op.aprocess(record)
-                busy_delta = clock.local_advanced - busy_before
-        self._account(1, len(result), busy_delta, bucket)
-        return result
+        with self._span_and_capture("op.close", 0) as call:
+            outputs = self.op.close()
+            call.outputs = len(outputs)
+        return outputs
 
     def charge_accumulate(self, record: DataRecord) -> None:
         """Pay a decomposable blocking op's per-record fold cost here.
@@ -210,108 +261,72 @@ class _PipeMeter:
         op = self.op
         seconds = op.accumulate_seconds
         assert seconds is not None, f"{op.op_label} fold is not decomposable"
-        self._metered(
-            lambda: op._charge_local_time(seconds) or [],
-            inputs=1, span_name="op.accumulate",
-        )
-
-    def _account(self, inputs: int, outputs: int, busy_delta: float,
-                 bucket) -> None:
-        with self._lock:
-            self.stats.records_in += inputs
-            self.stats.records_out += outputs
-            self.stats.add_time(busy_delta)
-            self.stats.llm_calls += len(bucket)
-            for usage in bucket:
-                self.stats.add_cost(usage.cost_usd)
-                self.stats.input_tokens += usage.input_tokens
-                self.stats.output_tokens += usage.output_tokens
+        with self._span_and_capture("op.accumulate", 1):
+            op._charge_local_time(seconds)
 
 
-class _Stage:
-    """One segment of the operator chain plus its plumbing."""
+def _depth_first(meters: List[_Meter], record: DataRecord):
+    """The chain's visiting order, defined once.
 
-    _GUARDED_BY = {"exited": "exit_lock", "eos": "exit_lock"}
+    A generator: yields each ``(meter, record)`` visit, takes that visit's
+    outputs back through ``send()``, and returns the records that fell off
+    the end of the chain.  Blocking operators swallow records here; their
+    buffered output is released by :meth:`PlanExecutor._close_and_flush`.
 
-    def __init__(self, meters: List[_PipeMeter], parallel: bool,
-                 workers: int, lane_base: int):
-        self.meters = meters
-        self.parallel = parallel
-        self.workers = workers if parallel else 1
-        self.lane_base = lane_base
-        self.in_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.workers)
-        )
-        # Wired by the executor before threads start:
-        self.out_queue: Optional["queue.Queue"] = None
-        self.next_consumers = 1  # sentinel fan-out (next stage's workers)
-        self.next_parallel = False  # next stage wants batch-sized bundles
-        # Parallel-stage shutdown bookkeeping (last worker out closes ops).
-        self.exit_lock = threading.Lock()
-        self.exited = 0
-        self.eos: Optional[_Eos] = None
-        # Observability (wired by the executor when tracing/metrics are on):
-        self.span = None  # pipeline.stage span workers attach under
-        self.depth_gauge = None  # best-effort in-queue high-water mark
-        self.poll_counter = None  # best-effort empty-poll retries
-
-    @property
-    def is_barrier(self) -> bool:
-        return len(self.meters) == 1 and self.meters[0].op.is_blocking
-
-    def describe(self) -> str:
-        kind = (
-            "barrier" if self.is_barrier
-            else "parallel" if self.parallel else "serial"
-        )
-        ops = "+".join(m.op.op_label for m in self.meters)
-        return f"{kind}({ops})"
+    Depth-first order is kept with an explicit work stack rather than
+    recursion: a chain of high-fanout operators (one-to-many converts,
+    joins) multiplies the depth, and Python's recursion limit must not
+    bound plan depth times fanout.
+    """
+    sink: List[DataRecord] = []
+    stack: List[Tuple[DataRecord, int]] = [(record, 0)]
+    while stack:
+        current, index = stack.pop()
+        if index >= len(meters):
+            sink.append(current)
+            continue
+        outputs = yield meters[index], current
+        # Reversed so outputs are visited in their emitted order.
+        for output in reversed(outputs):
+            stack.append((output, index + 1))
+    return sink
 
 
-class PipelinedExecutor:
-    """Stage-pipelined, optionally batched, multi-threaded execution.
+class PlanExecutor:
+    """The execution core every executor name is a schedule of.
 
-    Args:
-        context: execution context; created with ``max_workers`` lanes when
-            omitted.
-        max_workers: thread-pool size per parallel (LLM-bound) stage;
-            defaults to the context's ``max_workers``.
-        batch_size: records per ``process_batch`` call in parallel stages;
-            1 means per-record calls (byte-identical accounting to the
-            sequential executor).
-        on_event: optional progress callback (same events the sequential
-            executor emits; may be invoked from worker threads).
+    ``on_event`` (optional) receives progress dictionaries as the run
+    advances: ``plan_start``, ``record_processed`` (one per source record,
+    with the running output count — best-effort under threads),
+    ``operator_flush`` (blocking operators emitting), and ``plan_end`` —
+    the hook a UI like the demo's Fig. 5 progress panel subscribes to.  It
+    may be invoked from worker threads, never concurrently.
     """
 
-    #: Name recorded on the plan.run span and in ExecutionStats; subclasses
-    #: (the sharded and async executors) override it.
-    EXECUTOR_NAME = "pipelined"
+    #: Name recorded on the plan.run span and in ExecutionStats.
+    EXECUTOR_NAME = ""
+    #: The inline schedule's lane policy.  False: stay on the calling
+    #: thread's lane.  True: assign each source record's journey to the
+    #: least-busy virtual-clock lane — modelling ``max_workers`` concurrent
+    #: LLM calls — and synchronize lanes at blocking operators, exactly
+    #: like a thread pool with a stage barrier would.
+    LANE_PER_RECORD = False
+    #: See :class:`_Meter`.
+    OPEN_SPAN_REPORTS_OUTPUTS = True
 
-    #: Writes-only: the post-join reads in execute() happen after every
+    #: Writes-only: the post-join read in _join() happens after every
     #: worker thread has exited.
     _GUARDED_BY = {"_errors": ("_error_lock", "writes")}
 
-    def __init__(self, context: Optional[ExecutionContext] = None,
-                 max_workers: Optional[int] = None, batch_size: int = 1,
-                 on_event=None):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if context is None:
-            context = ExecutionContext(max_workers=max_workers or 4)
+    def __init__(self, context: ExecutionContext, on_event=None):
         self.context = context
-        self.max_workers = max_workers or context.max_workers
-        if self.max_workers < 1:
-            raise ValueError(
-                f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        self.batch_size = batch_size
         self._on_event = on_event
         self._event_lock = threading.Lock()
         self._abort = threading.Event()
         self._errors: List[BaseException] = []
         self._error_lock = threading.Lock()
 
-    # -- event / error plumbing -------------------------------------------
+    # -- event / error / thread plumbing -----------------------------------
 
     def _emit(self, event: dict) -> None:
         if self._on_event is not None:
@@ -322,6 +337,30 @@ class PipelinedExecutor:
         with self._error_lock:
             self._errors.append(exc)
         self._abort.set()
+
+    def _guarded(self, target: Callable, *args) -> None:
+        """Run ``target`` under the abort protocol: a failure is reported
+        to the caller of ``execute`` and aborts every other thread."""
+        try:
+            target(*args)
+        except _Aborted:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - re-raised by _join
+            self._fail(exc)
+
+    def _spawn(self, name: str, target: Callable, *args) -> threading.Thread:
+        thread = threading.Thread(
+            target=self._guarded, args=(target,) + args,
+            name=name, daemon=True,
+        )
+        thread.start()
+        return thread
+
+    def _join(self, threads: List[threading.Thread]) -> None:
+        for thread in threads:
+            thread.join()
+        if self._errors:
+            raise self._errors[0]
 
     def _put(self, target: "queue.Queue", item) -> None:
         while True:
@@ -344,303 +383,112 @@ class PipelinedExecutor:
                     poll_counter.inc()
                 continue
 
-    # -- plan segmentation -------------------------------------------------
+    def _in_order(self, source: "queue.Queue", stage: "Optional[_Stage]" = None):
+        """The reorder buffer: yield ``(seq, payload)`` messages' payloads
+        strictly in sequence order until end-of-stream.
 
-    def _build_stages(self, meters: List[_PipeMeter]) -> List[_Stage]:
-        """Split downstream meters into parallel/serial/barrier stages."""
-        stages: List[_Stage] = []
-        run: List[_PipeMeter] = []
-        run_parallel = False
-        lane_base = 1  # lane 0 belongs to the orchestrator (scan parses)
-
-        def flush_run():
-            nonlocal run, lane_base
-            if run:
-                stage = _Stage(run, run_parallel,
-                               self.max_workers, lane_base)
-                lane_base += stage.workers
-                stages.append(stage)
-                run = []
-
-        for meter in meters:
-            if meter.op.is_blocking:
-                flush_run()
-                stage = _Stage([meter], parallel=False, workers=1,
-                               lane_base=lane_base)
-                lane_base += 1
-                stages.append(stage)
-                continue
-            safe = parallel_safe(meter.op)
-            if run and safe != run_parallel:
-                flush_run()
-            run_parallel = safe
-            run.append(meter)
-        flush_run()
-        self.context.clock.ensure_lanes(lane_base)
-        return stages
-
-    @staticmethod
-    def _early_stop(plan: PhysicalPlan) -> Optional[LimitOp]:
-        """The first LimitOp with only streaming operators upstream."""
-        for op in plan.downstream:
-            if op.is_blocking:
-                return None
-            if isinstance(op, LimitOp):
-                return op
-        return None
+        EOS is always enqueued after every bundle it counts, so by then
+        each bundle has been released; anything still held is a gap.
+        """
+        held: dict = {}
+        next_seq = 0
+        while True:
+            item = self._get(
+                source, stage.poll_counter if stage is not None else None
+            )
+            if isinstance(item, _Eos):
+                assert not held, "sequence gap in pipeline"
+                return
+            seq, payload = item
+            held[seq] = payload
+            if stage is not None:
+                stage.depth_gauge.set_max(source.qsize())
+            while next_seq in held:
+                yield held.pop(next_seq)
+                next_seq += 1
 
     # -- record movement through an operator chain ------------------------
 
-    @staticmethod
-    def _run_chain(meters: List[_PipeMeter],
+    def _run_chain(self, meters: List[_Meter],
                    records: Sequence[DataRecord]) -> List[DataRecord]:
-        """Depth-first per-record processing (sequential-identical order)."""
+        """Send records through ``meters`` one at a time, depth-first."""
         sink: List[DataRecord] = []
         for record in records:
-            stack: List[Tuple[DataRecord, int]] = [(record, 0)]
-            while stack:
-                current, index = stack.pop()
-                if index >= len(meters):
-                    sink.append(current)
-                    continue
-                outputs = meters[index].process(current)
-                for output in reversed(outputs):
-                    stack.append((output, index + 1))
+            walk = _depth_first(meters, record)
+            outputs = None
+            try:
+                while True:
+                    meter, current = walk.send(outputs)
+                    # Cooperative quota-abort point: a shared budget
+                    # breached by a concurrent run stops this one between
+                    # operators, before the next operator spends anything.
+                    self.context.checkpoint()
+                    outputs = meter.process(current)
+            except StopIteration as done:
+                sink.extend(done.value)
         return sink
 
-    @staticmethod
-    def _run_chain_batched(meters: List[_PipeMeter],
-                           records: Sequence[DataRecord]) -> List[DataRecord]:
-        """Layer-batched processing; same flattened output order as
-        :meth:`_run_chain` because per-input grouping is preserved."""
+    async def _arun_chain(self, meters: List[_Meter],
+                          record: DataRecord) -> List[DataRecord]:
+        """:meth:`_run_chain` for one record over the coroutine API."""
+        walk = _depth_first(meters, record)
+        outputs = None
+        try:
+            while True:
+                meter, current = walk.send(outputs)
+                self.context.checkpoint()
+                outputs = await meter.aprocess(current)
+        except StopIteration as done:
+            return done.value
+
+    def _run_chain_grouped(
+        self, meters: List[_Meter], records: Sequence[DataRecord]
+    ) -> List[List[DataRecord]]:
+        """Layer-batched processing: one ``process_batch`` call per
+        operator over the whole bundle, one output group per input record.
+        Flattened, the groups are in :meth:`_run_chain` order."""
         groups: List[List[DataRecord]] = [[record] for record in records]
         for meter in meters:
             flat = [record for group in groups for record in group]
             if not flat:
-                return []
-            batched = meter.process_batch(flat)
-            regrouped: List[List[DataRecord]] = []
-            cursor = 0
-            for group in groups:
-                merged: List[DataRecord] = []
-                for _ in group:
-                    merged.extend(batched[cursor])
-                    cursor += 1
-                regrouped.append(merged)
-            groups = regrouped
-        return [record for group in groups for record in group]
-
-    # -- stage workers -----------------------------------------------------
-
-    def _parallel_worker(self, stage: _Stage) -> None:
-        clock = self.context.clock
-        tracer = self.context.tracer
-        try:
-            # Attach the stage span so bundle / op / llm spans created on
-            # this worker thread nest under it (bundles carry a ``seq``
-            # attribute, so canonical ordering erases the thread race).
-            with tracer.attach(stage.span):
-                while True:
-                    item = self._get(stage.in_queue, stage.poll_counter)
-                    if isinstance(item, _Eos):
-                        with stage.exit_lock:
-                            stage.exited += 1
-                            stage.eos = item
-                            last_out = stage.exited == stage.workers
-                        if last_out:
-                            self._close_stage_ops(stage, item.count)
-                        return
-                    seq, records = item
-                    if stage.depth_gauge is not None:
-                        stage.depth_gauge.set_max(stage.in_queue.qsize())
-                    # Lane by sequence number, not by thread: simulated time
-                    # is then independent of which OS thread won the race.
-                    clock.use_lane(stage.lane_base + seq % stage.workers)
-                    outputs = self._traced_bundle(
-                        stage, seq, records, tracer, clock
-                    )
-                    self._put(stage.out_queue, (seq, outputs))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _traced_bundle(self, stage: _Stage, seq: int,
-                       records: Sequence[DataRecord], tracer,
-                       clock) -> List[DataRecord]:
-        """Process one bundle through the stage chain, under its span.
-
-        The bundle's duration is pinned to the thread-local advance delta
-        (the thread's own charges only); its *start* is canonicalized after
-        the threads join — same-lane starts observed live are racy, but
-        durations plus per-lane seq order determine the layout exactly.
-        """
-        if tracer.enabled:
-            with tracer.span("pipeline.bundle", SpanKind.BUNDLE, clock=clock,
-                             seq=seq, records=len(records)) as span:
-                advanced_before = clock.local_advanced
-                outputs = self._bundle_chain(stage, records)
-                span.finish_at(
-                    span.start + (clock.local_advanced - advanced_before)
-                )
-            return outputs
-        return self._bundle_chain(stage, records)
-
-    def _bundle_chain(self, stage: _Stage,
-                      records: Sequence[DataRecord]) -> List[DataRecord]:
-        if stage.parallel and self.batch_size > 1:
-            return self._run_chain_batched(stage.meters, records)
-        return self._run_chain(stage.meters, records)
-
-    def _serial_worker(self, stage: _Stage) -> None:
-        clock = self.context.clock
-        tracer = self.context.tracer
-        clock.use_lane(stage.lane_base)
-        buffer: dict = {}
-        next_seq = 0
-        emitted = 0
-        pending: List[DataRecord] = []
-        out_batch = self._out_bundle_size(stage)
-        try:
-            with tracer.attach(stage.span):
-                while True:
-                    item = self._get(stage.in_queue, stage.poll_counter)
-                    if isinstance(item, _Eos):
-                        # EOS is always enqueued last, so the buffer now
-                        # holds every outstanding bundle; drain in order.
-                        for seq in sorted(buffer):
-                            assert seq == next_seq, "sequence gap in pipeline"
-                            pending.extend(
-                                self._serial_process(stage, buffer[seq], seq)
-                            )
-                            emitted = self._send_bundles(
-                                stage, pending, emitted, out_batch
-                            )
-                            next_seq += 1
-                        buffer.clear()
-                        pending.extend(self._close_serial(stage))
-                        emitted = self._send_bundles(
-                            stage, pending, emitted, out_batch, flush=True
-                        )
-                        for _ in range(stage.next_consumers):
-                            self._put(stage.out_queue, _Eos(emitted))
-                        return
-                    seq, records = item
-                    buffer[seq] = records
-                    if stage.depth_gauge is not None:
-                        stage.depth_gauge.set_max(stage.in_queue.qsize())
-                    while next_seq in buffer:
-                        pending.extend(
-                            self._serial_process(
-                                stage, buffer.pop(next_seq), next_seq
-                            )
-                        )
-                        emitted = self._send_bundles(
-                            stage, pending, emitted, out_batch
-                        )
-                        next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _serial_process(self, stage: _Stage, records: Sequence[DataRecord],
-                        seq: int) -> List[DataRecord]:
-        return self._traced_bundle(
-            stage, seq, records, self.context.tracer, self.context.clock
-        )
-
-    def _close_serial(self, stage: _Stage) -> List[DataRecord]:
-        """Close the stage's operators in order, like the sequential flush."""
-        if stage.is_barrier:
-            # Model every upstream worker arriving at the barrier.
-            self.context.clock.synchronize()
-        flushed_out: List[DataRecord] = []
-        for index, meter in enumerate(stage.meters):
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            flushed_out.extend(
-                self._run_chain(stage.meters[index + 1:], flushed)
-            )
-        return flushed_out
-
-    def _close_stage_ops(self, stage: _Stage, mainline_bundles: int) -> None:
-        """Last worker of a parallel stage: close ops, emit, propagate EOS."""
-        self.context.clock.use_lane(stage.lane_base)
-        outputs = self._close_serial(stage)
-        seq = mainline_bundles
-        if outputs:
-            self._put(stage.out_queue, (seq, outputs))
-            seq += 1
-        for _ in range(stage.next_consumers):
-            self._put(stage.out_queue, _Eos(seq))
-
-    def _out_bundle_size(self, stage: _Stage) -> int:
-        """Records per bundle sent downstream of ``stage``."""
-        return self.batch_size if stage.next_parallel else 1
-
-    def _send_bundles(self, stage: _Stage, pending: List[DataRecord],
-                      emitted: int, out_batch: int,
-                      flush: bool = False) -> int:
-        while len(pending) >= out_batch or (flush and pending):
-            bundle = pending[:out_batch]
-            del pending[:out_batch]
-            self._put(stage.out_queue, (emitted, bundle))
-            emitted += 1
-        return emitted
-
-    def _sink_worker(self, source: "queue.Queue",
-                     sink: List[DataRecord]) -> None:
-        buffer: dict = {}
-        next_seq = 0
-        try:
-            while True:
-                item = self._get(source)
-                if isinstance(item, _Eos):
-                    for seq in sorted(buffer):
-                        assert seq == next_seq, "sequence gap at sink"
-                        sink.extend(buffer[seq])
-                        next_seq += 1
-                    return
-                seq, records = item
-                buffer[seq] = records
-                while next_seq in buffer:
-                    sink.extend(buffer.pop(next_seq))
-                    next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    # -- serial-inline path (limit early stop) -----------------------------
-
-    def _execute_inline(self, plan: PhysicalPlan, meters: List[_PipeMeter],
-                        stop_limit: LimitOp) -> List[DataRecord]:
-        """Sequential-identical execution on the orchestrator thread.
-
-        Used when a LimitOp can stop the source early: which records reach
-        the LLM operators then depends on the limit's feedback after every
-        single record, so any speculative parallelism (threads *or*
-        batches) would change the run's LLM call count.
-        """
-        scan_meter, downstream = meters[0], meters[1:]
-        sink: List[DataRecord] = []
-        for record in self._traced_scan(plan, scan_meter):
-            sink.extend(self._run_chain(downstream, [record]))
-            self._emit({
-                "type": "record_processed",
-                "index": scan_meter.stats.records_in,
-                "outputs_so_far": len(sink),
-                "elapsed_seconds": self.context.clock.elapsed,
-            })
-            if stop_limit.exhausted:
                 break
-        for index, meter in enumerate(downstream):
+            self.context.checkpoint()
+            batched = iter(meter.process_batch(flat))
+            groups = [
+                [output for _ in group for output in next(batched)]
+                for group in groups
+            ]
+        return groups
+
+    def _bundle(self, span_name: str, seq: int, meters: List[_Meter],
+                records: Sequence[DataRecord],
+                batched: bool) -> List[List[DataRecord]]:
+        """Process one bundle through ``meters`` under its span; returns
+        one output group per input record.
+
+        The bundle's duration is pinned to the thread's own charges; where
+        same-lane *starts* observed live are racy, the schedule
+        canonicalizes them after its threads join.
+        """
+        with _PinnedSpan(self.context, span_name, SpanKind.BUNDLE,
+                         seq=seq, records=len(records)):
+            if batched:
+                return self._run_chain_grouped(meters, records)
+            return [self._run_chain(meters, [record]) for record in records]
+
+    def _close_and_flush(self, meters: List[_Meter],
+                         sync_barriers: bool) -> List[DataRecord]:
+        """Close ``meters`` in order, pushing flushed records downstream;
+        returns what falls off the end of the chain.
+
+        ``sync_barriers`` models every lane arriving at a blocking
+        operator before it emits (schedules that spread work over lanes).
+        """
+        out: List[DataRecord] = []
+        for index, meter in enumerate(meters):
+            if sync_barriers and meter.op.is_blocking:
+                self.context.clock.synchronize()
+            self.context.checkpoint()
             flushed = meter.close()
             if flushed and meter.op.is_blocking:
                 self._emit({
@@ -648,72 +496,12 @@ class PipelinedExecutor:
                     "operator": meter.op.op_label,
                     "records": len(flushed),
                 })
-            sink.extend(self._run_chain(downstream[index + 1:], flushed))
-        return sink
+            out.extend(self._run_chain(meters[index + 1:], flushed))
+        return out
 
-    # -- the main entry point ---------------------------------------------
+    # -- the source ----------------------------------------------------------
 
-    def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
-        self._abort.clear()
-        with self._error_lock:
-            self._errors.clear()
-        if self.batch_size == 1 and getattr(plan, "batch_size", 1) > 1:
-            # Honor the batch size the optimizer stamped onto the plan when
-            # the caller did not pick one explicitly.
-            self.batch_size = plan.batch_size
-        self._emit({
-            "type": "plan_start",
-            "plan_id": plan.plan_id,
-            "plan": plan.describe(),
-            "operators": len(plan),
-        })
-        tracer = self.context.tracer
-        self.context.provenance.begin_plan(plan)
-        with tracer.span(
-            "plan.run", SpanKind.PLAN, clock=self.context.clock,
-            plan_id=plan.plan_id, executor=self.EXECUTOR_NAME,
-            **self._plan_span_attrs(),
-        ) as plan_span:
-            meters = [_PipeMeter(op, self.context) for op in plan]
-            for meter in meters:
-                meter.open()
-
-            stop_limit = self._early_stop(plan)
-            if stop_limit is not None or not plan.downstream:
-                sink = (
-                    self._execute_inline(plan, meters, stop_limit)
-                    if stop_limit is not None
-                    else self._scan_only(plan, meters[0])
-                )
-            else:
-                sink = self._execute_concurrent(plan, meters)
-            plan_span.finish_at(self.context.clock.elapsed)
-
-        plan_stats = build_plan_stats(
-            plan, [m.stats for m in meters], self.context, sink
-        )
-        self._emit({
-            "type": "plan_end",
-            "records_out": len(sink),
-            "elapsed_seconds": self.context.clock.elapsed,
-            "cost_usd": plan_stats.total_cost_usd,
-        })
-        return sink, plan_stats
-
-    def _plan_span_attrs(self) -> dict:
-        """Extra attributes for the plan.run span (overridden by subclasses)."""
-        return {"workers": self.max_workers, "batch_size": self.batch_size}
-
-    def _execute_concurrent(self, plan: PhysicalPlan,
-                            meters: List[_PipeMeter]) -> List[DataRecord]:
-        """The concurrent execution strategy; subclasses swap theirs in."""
-        return self._execute_pipelined(plan, meters)
-
-    def _scan_only(self, plan: PhysicalPlan,
-                   scan_meter: _PipeMeter) -> List[DataRecord]:
-        return list(self._traced_scan(plan, scan_meter))
-
-    def _traced_scan(self, plan: PhysicalPlan, scan_meter: _PipeMeter):
+    def _scan(self, plan: PhysicalPlan, scan_meter: _Meter):
         """Iterate the source, metering each pull as an ``op.scan`` span.
 
         The parse time charged inside ``records()`` lands on the calling
@@ -724,9 +512,11 @@ class PipelinedExecutor:
         scan_label = scan_meter.op.op_label
         source_iter = plan.scan.records()
         while True:
-            if tracer.enabled:
-                scan_start = clock.now
-                scan_lane = clock.current_lane
+            if self.LANE_PER_RECORD:
+                # Pick the lane *before* pulling, so the parse time lands
+                # on the worker that handles the record.
+                clock.pick_least_busy_lane()
+            scan_start = clock.now if tracer.enabled else 0.0
             try:
                 record = next(source_iter)
             except StopIteration:
@@ -734,7 +524,8 @@ class PipelinedExecutor:
             if tracer.enabled:
                 tracer.record(
                     "op.scan", SpanKind.OPERATOR, scan_start, clock.now,
-                    scan_lane, op=scan_label, records_in=1, records_out=1,
+                    clock.current_lane, op=scan_label,
+                    records_in=1, records_out=1,
                 )
             self.context.provenance.source(record)
             with scan_meter._lock:
@@ -742,22 +533,297 @@ class PipelinedExecutor:
                 scan_meter.stats.records_out += 1
             yield record
 
-    def _execute_pipelined(self, plan: PhysicalPlan,
-                           meters: List[_PipeMeter]) -> List[DataRecord]:
+    def _emit_progress(self, scan_meter: _Meter, outputs_so_far: int) -> None:
+        if self._on_event is None:
+            return  # per-record hot path: skip the dict and the clock read
+        self._emit({
+            "type": "record_processed",
+            "index": scan_meter.stats.records_in,
+            "outputs_so_far": outputs_so_far,
+            "elapsed_seconds": self.context.clock.elapsed,
+        })
+
+    # -- the run skeleton and the inline schedule ---------------------------
+
+    def _run(
+        self, plan: PhysicalPlan, span_attrs: dict,
+        concurrent: Optional[
+            Callable[[List[_Meter]], List[DataRecord]]] = None,
+    ) -> Tuple[List[DataRecord], PlanStats]:
+        """What every ``execute`` does around its schedule.
+
+        ``concurrent(meters)`` is the schedule's threaded/async strategy;
+        ``None`` — or a plan it cannot speed up without changing the
+        run's LLM calls — runs the inline schedule instead.
+        """
+        self._abort.clear()
+        with self._error_lock:
+            self._errors.clear()
+        self._emit({
+            "type": "plan_start",
+            "plan_id": plan.plan_id,
+            "plan": plan.describe(),
+            "operators": len(plan),
+        })
+        context = self.context
+        context.provenance.begin_plan(plan)
+        with context.tracer.span(
+            "plan.run", SpanKind.PLAN, clock=context.clock,
+            plan_id=plan.plan_id, executor=self.EXECUTOR_NAME, **span_attrs,
+        ) as plan_span:
+            meters = [
+                _Meter(op, context, self.OPEN_SPAN_REPORTS_OUTPUTS)
+                for op in plan
+            ]
+            for meter in meters:
+                meter.open()
+            stop_limit = _early_stop(plan)
+            if (concurrent is None or stop_limit is not None
+                    or not plan.downstream):
+                sink = self._run_inline(plan, meters, stop_limit)
+            else:
+                sink = concurrent(meters)
+            plan_span.finish_at(context.clock.elapsed)
+
+        plan_stats = build_plan_stats(
+            plan, [m.stats for m in meters], context, sink
+        )
+        self._emit({
+            "type": "plan_end",
+            "records_out": len(sink),
+            "elapsed_seconds": context.clock.elapsed,
+            "cost_usd": plan_stats.total_cost_usd,
+        })
+        return sink, plan_stats
+
+    def _run_inline(self, plan: PhysicalPlan, meters: List[_Meter],
+                    stop_limit: Optional[LimitOp]) -> List[DataRecord]:
+        """The inline schedule: everything on the calling thread.
+
+        When a LimitOp can stop the source early, which records reach the
+        LLM operators depends on the limit's feedback after every single
+        record — so the source is abandoned the moment it is exhausted,
+        and limits genuinely save LLM calls.
+        """
+        scan_meter, downstream = meters[0], meters[1:]
+        sink: List[DataRecord] = []
+        for record in self._scan(plan, scan_meter):
+            sink.extend(self._run_chain(downstream, [record]))
+            self._emit_progress(scan_meter, len(sink))
+            if stop_limit is not None and stop_limit.exhausted:
+                break
+        sink.extend(
+            self._close_and_flush(downstream, self.LANE_PER_RECORD)
+        )
+        return sink
+
+
+class _Stage:
+    """One segment of the operator chain plus its plumbing."""
+
+    _GUARDED_BY = {"exited": "exit_lock"}
+
+    def __init__(self, meters: List[_Meter], parallel: bool,
+                 workers: int, lane_base: int, batch_size: int):
+        self.meters = meters
+        self.parallel = parallel
+        self.workers = workers if parallel else 1
+        self.lane_base = lane_base
+        #: Records per bundle this stage wants on its input queue, and
+        #: whether it runs them layer-batched.
+        self.in_bundle = batch_size if parallel else 1
+        self.batched = parallel and batch_size > 1
+        self.in_queue: "queue.Queue" = queue.Queue(
+            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.workers)
+        )
+        # Wired by the executor before threads start:
+        self.out_queue: Optional["queue.Queue"] = None
+        self.next_consumers = 1  # sentinel fan-out (next stage's workers)
+        self.out_bundle = 1  # records per bundle the next stage wants
+        # Parallel-stage shutdown bookkeeping (last worker out closes ops).
+        self.exit_lock = threading.Lock()
+        self.exited = 0
+        # Serial-stage output: records awaiting a full bundle, bundles sent.
+        self.pending: List[DataRecord] = []
+        self.sent = 0
+        # Observability (wired by the executor before threads start):
+        self.span = None  # pipeline.stage span workers attach under
+        self.depth_gauge = None  # best-effort in-queue high-water mark
+        self.poll_counter = None  # best-effort empty-poll retries
+
+    @property
+    def is_barrier(self) -> bool:
+        return len(self.meters) == 1 and self.meters[0].op.is_blocking
+
+    def describe(self) -> str:
+        kind = (
+            "barrier" if self.is_barrier
+            else "parallel" if self.parallel else "serial"
+        )
+        ops = "+".join(m.op.op_label for m in self.meters)
+        return f"{kind}({ops})"
+
+
+class PipelinedExecutor(PlanExecutor):
+    """Stage-pipelined, optionally batched, multi-threaded execution.
+
+    Args:
+        context: execution context; created with ``max_workers`` lanes when
+            omitted.
+        max_workers: thread-pool size per parallel (LLM-bound) stage;
+            defaults to the context's ``max_workers``.
+        batch_size: records per ``process_batch`` call in parallel stages;
+            1 means per-record calls (byte-identical accounting to the
+            sequential executor) unless the optimizer stamped a batch
+            size onto the plan being executed.
+        on_event: optional progress callback (see :class:`PlanExecutor`).
+    """
+
+    EXECUTOR_NAME = "pipelined"
+
+    def __init__(self, context: Optional[ExecutionContext] = None,
+                 max_workers: Optional[int] = None, batch_size: int = 1,
+                 on_event=None):
+        if context is None:
+            context = ExecutionContext(max_workers=max_workers or 4)
+        super().__init__(context, on_event=on_event)
+        options = ExecutionOptions(  # validates
+            self.EXECUTOR_NAME, max_workers or context.max_workers,
+            batch_size,
+        )
+        self.max_workers = options.max_workers
+        self.batch_size = options.batch_size
+
+    def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
+        batch_size = plan_batch_size(self.batch_size, plan)
+        return self._run(
+            plan, {"workers": self.max_workers, "batch_size": batch_size},
+            lambda meters: self._run_stages(plan, meters, batch_size),
+        )
+
+    # -- plan segmentation -------------------------------------------------
+
+    def _build_stages(self, meters: List[_Meter],
+                      batch_size: int) -> List[_Stage]:
+        """Split downstream meters into parallel/serial/barrier stages."""
+        stages: List[_Stage] = []
+        run: List[_Meter] = []
+        run_parallel = False
+        lane_base = 1  # lane 0 belongs to the orchestrator (scan parses)
+
+        def flush_run():
+            nonlocal run, lane_base
+            if run:
+                stage = _Stage(run, run_parallel, self.max_workers,
+                               lane_base, batch_size)
+                lane_base += stage.workers
+                stages.append(stage)
+                run = []
+
+        for meter in meters:
+            safe = parallel_safe(meter.op)
+            if run and (meter.op.is_blocking or safe != run_parallel):
+                flush_run()
+            run_parallel = safe
+            run.append(meter)
+            if meter.op.is_blocking:
+                # A blocking operator is a stage of its own (a barrier).
+                flush_run()
+        flush_run()
+        self.context.clock.ensure_lanes(lane_base)
+        return stages
+
+    # -- stage workers -----------------------------------------------------
+
+    def _stage_bundle(self, stage: _Stage, seq: int,
+                      records: Sequence[DataRecord]) -> List[DataRecord]:
+        groups = self._bundle(
+            "pipeline.bundle", seq, stage.meters, records, stage.batched
+        )
+        return [record for group in groups for record in group]
+
+    def _parallel_worker(self, stage: _Stage) -> None:
+        clock = self.context.clock
+        # Attach the stage span so bundle / op / llm spans created on this
+        # worker thread nest under it (bundles carry a ``seq`` attribute,
+        # so canonical ordering erases the thread race).
+        with self.context.tracer.attach(stage.span):
+            while True:
+                item = self._get(stage.in_queue, stage.poll_counter)
+                if isinstance(item, _Eos):
+                    with stage.exit_lock:
+                        stage.exited += 1
+                        last_out = stage.exited == stage.workers
+                    if last_out:
+                        self._close_parallel_stage(stage, item.count)
+                    return
+                seq, records = item
+                stage.depth_gauge.set_max(stage.in_queue.qsize())
+                # Lane by sequence number, not by thread: simulated time
+                # is then independent of which OS thread won the race.
+                clock.use_lane(stage.lane_base + seq % stage.workers)
+                self._put(
+                    stage.out_queue,
+                    (seq, self._stage_bundle(stage, seq, records)),
+                )
+
+    def _close_parallel_stage(self, stage: _Stage,
+                              mainline_bundles: int) -> None:
+        """Last worker of a parallel stage: close ops, emit, propagate EOS."""
+        self.context.clock.use_lane(stage.lane_base)
+        outputs = self._close_and_flush(stage.meters, sync_barriers=True)
+        seq = mainline_bundles
+        if outputs:
+            self._put(stage.out_queue, (seq, outputs))
+            seq += 1
+        for _ in range(stage.next_consumers):
+            self._put(stage.out_queue, _Eos(seq))
+
+    def _serial_worker(self, stage: _Stage) -> None:
+        self.context.clock.use_lane(stage.lane_base)
+        with self.context.tracer.attach(stage.span):
+            for seq, records in enumerate(
+                    self._in_order(stage.in_queue, stage)):
+                stage.pending.extend(self._stage_bundle(stage, seq, records))
+                self._send_bundles(stage)
+            stage.pending.extend(
+                self._close_and_flush(stage.meters, sync_barriers=True)
+            )
+            self._send_bundles(stage, flush=True)
+            for _ in range(stage.next_consumers):
+                self._put(stage.out_queue, _Eos(stage.sent))
+
+    def _send_bundles(self, stage: _Stage, flush: bool = False) -> None:
+        """Send the stage's pending records on, a full bundle at a time."""
+        pending = stage.pending
+        while len(pending) >= stage.out_bundle or (flush and pending):
+            bundle = pending[:stage.out_bundle]
+            del pending[:stage.out_bundle]
+            self._put(stage.out_queue, (stage.sent, bundle))
+            stage.sent += 1
+
+    def _sink_worker(self, source: "queue.Queue",
+                     sink: List[DataRecord]) -> None:
+        for records in self._in_order(source):
+            sink.extend(records)
+
+    # -- the stage schedule ------------------------------------------------
+
+    def _run_stages(self, plan: PhysicalPlan, meters: List[_Meter],
+                    batch_size: int) -> List[DataRecord]:
         scan_meter = meters[0]
-        stages = self._build_stages(meters[1:])
+        stages = self._build_stages(meters[1:], batch_size)
+        clock = self.context.clock
         tracer = self.context.tracer
         metrics = self.context.metrics
         for index, stage in enumerate(stages):
-            if tracer.enabled:
-                # Created on the orchestrator thread (under plan.run) so
-                # worker threads can attach to it before any bundle flows.
-                stage.span = tracer.start_span(
-                    "pipeline.stage", SpanKind.STAGE,
-                    clock=self.context.clock, stage=index,
-                    ops=stage.describe(), workers=stage.workers,
-                    parallel=stage.parallel,
-                )
+            # Created on the orchestrator thread (under plan.run) so
+            # worker threads can attach to it before any bundle flows.
+            stage.span = tracer.start_span(
+                "pipeline.stage", SpanKind.STAGE, clock=clock, stage=index,
+                ops=stage.describe(), workers=stage.workers,
+                parallel=stage.parallel,
+            )
             stage.depth_gauge = metrics.gauge(
                 f"pipeline.stage{index}.queue_depth_peak", best_effort=True
             )
@@ -774,87 +840,65 @@ class PipelinedExecutor:
         for stage, successor in zip(stages, stages[1:]):
             stage.out_queue = successor.in_queue
             stage.next_consumers = successor.workers
-            stage.next_parallel = successor.parallel
+            stage.out_bundle = successor.in_bundle
         stages[-1].out_queue = sink_queue
-        stages[-1].next_consumers = 1
-        stages[-1].next_parallel = False
 
         sink: List[DataRecord] = []
-        threads: List[threading.Thread] = []
         # Lane times before any worker runs: the relayout pass below lays
         # each lane's bundles out cumulatively from these baselines.
-        base_lane_times = (
-            self.context.clock.lane_times() if tracer.enabled else []
-        )
-        for number, stage in enumerate(stages):
-            worker = (
+        base_lane_times = clock.lane_times()
+        threads = [
+            self._spawn(
+                f"pipeline-s{number}-w{wid}",
                 self._parallel_worker if stage.parallel
-                else self._serial_worker
+                else self._serial_worker,
+                stage,
             )
-            for wid in range(stage.workers):
-                thread = threading.Thread(
-                    target=worker, args=(stage,),
-                    name=f"pipeline-s{number}-w{wid}", daemon=True,
-                )
-                thread.start()
-                threads.append(thread)
-        sink_thread = threading.Thread(
-            target=self._sink_worker, args=(sink_queue, sink),
-            name="pipeline-sink", daemon=True,
+            for number, stage in enumerate(stages)
+            for wid in range(stage.workers)
+        ]
+        threads.append(
+            self._spawn("pipeline-sink", self._sink_worker, sink_queue, sink)
         )
-        sink_thread.start()
-        threads.append(sink_thread)
 
-        # Orchestrator: pull the scan on lane 0, bundle, and feed stage 0.
-        first = stages[0]
-        in_bundle = self.batch_size if first.parallel else 1
-        self.context.clock.use_lane(0)
-        bundle: List[DataRecord] = []
-        fed = 0
-        try:
-            for record in self._traced_scan(plan, scan_meter):
+        def feed() -> None:
+            """Orchestrator: pull the scan on lane 0, bundle, feed stage 0."""
+            first = stages[0]
+            clock.use_lane(0)
+            bundle: List[DataRecord] = []
+            fed = 0
+            for record in self._scan(plan, scan_meter):
                 bundle.append(record)
-                if len(bundle) >= in_bundle:
+                if len(bundle) >= first.in_bundle:
                     self._put(first.in_queue, (fed, bundle))
                     fed += 1
                     bundle = []
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(sink),
-                    "elapsed_seconds": self.context.clock.elapsed,
-                })
+                self._emit_progress(scan_meter, len(sink))
             if bundle:
                 self._put(first.in_queue, (fed, bundle))
                 fed += 1
             for _ in range(first.workers):
                 self._put(first.in_queue, _Eos(fed))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            self._fail(exc)
 
-        for thread in threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
+        self._guarded(feed)
+        self._join(threads)
 
         # Finish stage spans and record deterministic per-stage busy time
         # (the sum of the stage's operator lane-time deltas — the same
         # numbers OperatorStats reports, so trace and stats reconcile).
-        elapsed = self.context.clock.elapsed
+        elapsed = clock.elapsed
         for index, stage in enumerate(stages):
             busy = round(
                 sum(m.stats.time_seconds for m in stage.meters), 9
             )
             metrics.gauge(f"pipeline.stage{index}.busy_seconds").set(busy)
-            if stage.span is not None:
+            if tracer.enabled:
                 self._canonicalize_stage(stage, base_lane_times)
-                stage.span.set_attribute("busy_seconds", busy)
-                stage.span.set_attribute(
-                    "records_out", stage.meters[-1].stats.records_out
-                )
-                stage.span.finish_at(elapsed)
+            stage.span.set_attribute("busy_seconds", busy)
+            stage.span.set_attribute(
+                "records_out", stage.meters[-1].stats.records_out
+            )
+            stage.span.finish_at(elapsed)
         return sink
 
     # -- canonical span layout (after threads join) ------------------------

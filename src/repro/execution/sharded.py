@@ -9,10 +9,17 @@ worker thread.  Everything after the prefix (the *suffix*: limits, distinct,
 blocking aggregates, sorts, retrieves, UDF joins, ...) runs post-gather in
 global arrival order, so order-sensitive semantics are untouched.
 
-Equivalence contract (inherited from the pipelined executor and extended
-here): output records, per-operator ``ExecutionStats``, traces, and
-provenance graphs are identical to the sequential executor at any shard
-count.  The mechanisms:
+This module also holds the scatter/gather *skeleton* the asyncio schedule
+(:class:`~repro.execution.asyncexec.AsyncExecutor`) shares: span set-up
+(:meth:`ShardedExecutor._begin`), prefix close on lane 1
+(:meth:`~ShardedExecutor._close_prefix`), gather feed/close
+(:meth:`~ShardedExecutor._gather`), and span finish
+(:meth:`~ShardedExecutor._finish`).  The two differ only in how the prefix
+is driven: threads and queues here, semaphore-bounded tasks there.
+
+Equivalence contract (the core's, extended here): output records,
+per-operator ``ExecutionStats``, traces, and provenance graphs are identical
+to the sequential executor at any shard count.  The mechanisms:
 
 * **Scatter** — the orchestrator iterates the scan once on lane 0 and routes
   ``(index, record)`` pairs by the same pure assignment function
@@ -27,28 +34,28 @@ count.  The mechanisms:
   one writer, so live span start times are already deterministic and no
   post-hoc relayout pass is needed.
 * **Prefix close by last worker out** — the last shard worker to exit closes
-  the prefix operators (outer joins flush unmatched rows here) on lane 1
-  under a dedicated span, and the flushed records become the final bundle,
-  sequenced after every mainline record — exactly where a sequential flush
-  would put them.
+  the prefix operators (joins flush their unmatched bookkeeping here) on
+  lane 1 under a dedicated span, and the flushed records become the final
+  bundle, sequenced after every mainline record — exactly where a
+  sequential flush would put them.
 * **Shard-local pre-aggregation** — when the first suffix operator is a
   decomposable blocking op (``accumulate_seconds`` set: aggregates,
   group-bys), shard workers pay its per-record fold charge in parallel via
-  :meth:`_PipeMeter.charge_accumulate` and the gather replays only the
+  :meth:`_Meter.charge_accumulate` and the gather replays only the
   unmetered state mutation (``accumulate_silent``) in global order — the
   combined accounting is identical to a sequential fold, but the time
   parallelizes.
 
-Plans whose ``LimitOp`` can stop the source early fall back to the inline
-sequential path (inherited), because speculative parallelism upstream of
-such a limit would change which records pay for LLM calls.
+Plans whose ``LimitOp`` can stop the source early fall back to the core's
+inline schedule, because speculative parallelism upstream of such a limit
+would change which records pay for LLM calls.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataRecord
 from repro.core.sources import (
@@ -58,60 +65,69 @@ from repro.core.sources import (
 )
 from repro.execution.pipeline import (
     QUEUE_DEPTH_PER_WORKER,
-    PipelinedExecutor,
-    _Aborted,
+    PlanExecutor,
     _Eos,
-    _PipeMeter,
+    _Meter,
+    plan_batch_size,
 )
+from repro.execution.stats import PlanStats
 from repro.llm.tokenizer import count_tokens
 from repro.obs.trace import SpanKind
 from repro.physical.context import ExecutionContext
+from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan, shard_safe
 
 
-class _ShardRun:
-    """Mutable state shared by one sharded execution's threads."""
+class _ScatterRun:
+    """One scatter/gather execution's state, shared by its threads/tasks."""
 
-    #: ``total`` is writes-only: _close_prefix reads it after every shard
-    #: worker has exited (the last-one-out check is itself locked).
+    #: ``total`` is writes-only: the closing worker reads it after every
+    #: shard worker has exited (the last-one-out check is itself locked).
     _GUARDED_BY = {"exited": "exit_lock", "total": ("exit_lock", "writes")}
 
-    __slots__ = (
-        "prefix", "suffix", "decomp_meter", "gather_queue", "close_span",
-        "exit_lock", "exited", "total", "shards",
-    )
-
-    def __init__(self, prefix: List[_PipeMeter], suffix: List[_PipeMeter],
-                 decomp_meter: Optional[_PipeMeter],
-                 gather_queue: "queue.Queue", close_span, shards: int):
+    def __init__(self, prefix: List[_Meter], suffix: List[_Meter],
+                 degree: int, batch_size: int):
         self.prefix = prefix
         self.suffix = suffix
-        self.decomp_meter = decomp_meter
-        self.gather_queue = gather_queue
-        self.close_span = close_span
+        self.degree = degree
+        #: Layer-batch the prefix?  Batches are composed of one shard's
+        #: consecutive records, so the grouping is deterministic.
+        self.batched = batch_size > 1 and bool(prefix)
+        self.batch_size = batch_size
+        #: The first suffix op, if its fold can be paid shard-locally.
+        head = suffix[0] if suffix else None
+        self.decomp_meter: Optional[_Meter] = (
+            head if head is not None and head.op.is_blocking
+            and head.op.accumulate_seconds is not None else None
+        )
+        self.sink: List[DataRecord] = []
+        #: Shard workers -> gather thread (the threaded schedule only).
+        self.gather_queue: Optional["queue.Queue"] = None
         self.exit_lock = threading.Lock()
         self.exited = 0
         self.total = 0  # global record count, learned from the scatter's EOS
-        self.shards = shards
+        # Stage spans, created by _begin on the orchestrator:
+        self.lane_spans: List = []
+        self.close_span = None
+        self.gather_span = None
 
 
-class ShardedExecutor(PipelinedExecutor):
+class ShardedExecutor(PlanExecutor):
     """Scatter/gather execution over deterministic source shards.
 
     Args:
         context: execution context; created with ``shards`` lanes when
             omitted.
         shards: parallelism degree.  ``None`` (default) honors the degree
-            the optimizer stamped onto the plan (``plan.shards``), falling
-            back to 2.
+            the optimizer stamped onto the plan being executed
+            (``plan.shards``), falling back to 2.
         strategy: shard assignment strategy — ``"round_robin"`` or
             ``"balanced"`` (greedy size balancing by document tokens).
             Either way results are identical; only lane utilization moves.
         batch_size: records per ``process_batch`` call inside a shard
-            worker; batches are composed of a shard's consecutive records,
-            so the grouping is deterministic.
-        on_event: optional progress callback (same events as the other
-            executors; may fire from worker threads).
+            worker (1 honors the plan's stamp, like the pipelined
+            executor).
+        on_event: optional progress callback (see :class:`PlanExecutor`).
     """
 
     EXECUTOR_NAME = "sharded"
@@ -120,139 +136,161 @@ class ShardedExecutor(PipelinedExecutor):
                  shards: Optional[int] = None,
                  strategy: str = SHARD_ROUND_ROBIN,
                  batch_size: int = 1, on_event=None):
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        ExecutionOptions(  # validates
+            self.EXECUTOR_NAME, batch_size=batch_size, shards=shards
+        )
         if strategy not in SHARD_STRATEGIES:
             raise ValueError(
                 f"unknown shard strategy {strategy!r}; "
                 f"expected one of {SHARD_STRATEGIES}"
             )
-        degree = shards or 2
         super().__init__(
-            context=context or ExecutionContext(max_workers=degree),
-            max_workers=degree, batch_size=batch_size, on_event=on_event,
+            context or ExecutionContext(max_workers=shards or 2),
+            on_event=on_event,
         )
-        self._requested_shards = shards
-        self.shards = degree
+        self.shards = shards
         self.strategy = strategy
+        self.batch_size = batch_size
 
-    def execute(self, plan: PhysicalPlan):
-        if self._requested_shards is None and getattr(plan, "shards", 1) > 1:
-            # Honor the degree the optimizer stamped onto the plan when the
-            # caller did not pick one explicitly (mirrors batch_size).
-            self.shards = plan.shards
-        self.max_workers = self.shards
-        return super().execute(plan)
+    def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
+        # Plan stamps are resolved per call, never stored: one executor
+        # instance may run plans the optimizer stamped differently.
+        degree = self.shards or (
+            plan.shards if getattr(plan, "shards", 1) > 1 else 2
+        )
+        batch_size = plan_batch_size(self.batch_size, plan)
+        return self._run(
+            plan,
+            {"shards": degree, "batch_size": batch_size,
+             "strategy": self.strategy},
+            lambda meters: self._scatter_gather(
+                plan, meters[0],
+                self._begin(meters[1:], degree, batch_size),
+            ),
+        )
 
-    def _plan_span_attrs(self) -> dict:
-        return {
-            "shards": self.shards,
-            "batch_size": self.batch_size,
-            "strategy": self.strategy,
-        }
+    # -- the scatter/gather skeleton ---------------------------------------
 
-    def _execute_concurrent(self, plan: PhysicalPlan,
-                            meters: List[_PipeMeter]) -> List[DataRecord]:
-        return self._execute_sharded(plan, meters)
+    def _begin(self, downstream: List[_Meter], degree: int,
+               batch_size: int) -> _ScatterRun:
+        """Split the chain into shardable prefix and global suffix, reserve
+        the lanes, and open the run's stage spans.
 
-    # -- plan segmentation -------------------------------------------------
-
-    @staticmethod
-    def _split(
-        meters: List[_PipeMeter],
-    ) -> Tuple[List[_PipeMeter], List[_PipeMeter]]:
-        """Split downstream meters into shardable prefix and global suffix."""
-        prefix: List[_PipeMeter] = []
-        for index, meter in enumerate(meters):
-            if not shard_safe(meter.op):
-                return prefix, meters[index:]
-            prefix.append(meter)
-        return prefix, []
-
-    @staticmethod
-    def _decomposable_head(
-        suffix: List[_PipeMeter],
-    ) -> Optional[_PipeMeter]:
-        """The first suffix op, if its fold can be paid shard-locally."""
-        if not suffix:
-            return None
-        head = suffix[0]
-        if head.op.is_blocking and head.op.accumulate_seconds is not None:
-            return head
-        return None
-
-    # -- the scatter/gather run --------------------------------------------
-
-    def _execute_sharded(self, plan: PhysicalPlan,
-                         meters: List[_PipeMeter]) -> List[DataRecord]:
-        scan_meter = meters[0]
-        prefix, suffix = self._split(meters[1:])
+        Lane map: 0 = orchestrator (scan parses), 1..degree = one per
+        shard, degree+1 = gather/suffix.  The spans are created here, on
+        the orchestrator under plan.run, so workers can attach before any
+        bundle flows; creation order fixes the child order in the trace.
+        """
+        split = next(
+            (index for index, meter in enumerate(downstream)
+             if not shard_safe(meter.op)),
+            len(downstream),
+        )
+        run = _ScatterRun(
+            downstream[:split], downstream[split:], degree, batch_size
+        )
         clock = self.context.clock
         tracer = self.context.tracer
-        metrics = self.context.metrics
-        shards = self.shards
-        # Lane map: 0 = orchestrator (scan parses), 1..shards = one
-        # dedicated thread per shard, shards+1 = gather/suffix.
-        gather_lane = shards + 1
-        clock.ensure_lanes(shards + 2)
+        clock.ensure_lanes(degree + 2)
+        prefix_ops = "+".join(m.op.op_label for m in run.prefix) or "<forward>"
+        suffix_ops = "+".join(m.op.op_label for m in run.suffix) or "<sink>"
+        run.lane_spans = [
+            self._lane_span(k, degree, prefix_ops) for k in range(degree)
+        ]
+        run.close_span = tracer.start_span(
+            "shard.close", SpanKind.STAGE, clock=clock, ops=prefix_ops,
+        )
+        run.gather_span = tracer.start_span(
+            "shard.gather", SpanKind.STAGE, clock=clock, ops=suffix_ops,
+            shards=degree,
+        )
+        return run
 
-        shard_spans: List = [None] * shards
-        close_span = None
-        gather_span = None
-        if tracer.enabled:
-            prefix_ops = "+".join(m.op.op_label for m in prefix) or "<forward>"
-            suffix_ops = "+".join(m.op.op_label for m in suffix) or "<sink>"
-            # Created on the orchestrator (under plan.run) so worker threads
-            # can attach before any bundle flows; creation order fixes the
-            # child order in the trace.
-            for k in range(shards):
-                shard_spans[k] = tracer.start_span(
-                    "shard.worker", SpanKind.STAGE, clock=clock,
-                    shard=k, shards=shards, ops=prefix_ops,
-                    strategy=self.strategy,
-                )
-            close_span = tracer.start_span(
-                "shard.close", SpanKind.STAGE, clock=clock, ops=prefix_ops,
-            )
-            gather_span = tracer.start_span(
-                "shard.gather", SpanKind.STAGE, clock=clock, ops=suffix_ops,
-                shards=shards,
+    def _lane_span(self, k: int, degree: int, prefix_ops: str):
+        """The stage span lane ``1 + k``'s prefix work nests under."""
+        return self.context.tracer.start_span(
+            "shard.worker", SpanKind.STAGE, clock=self.context.clock,
+            shard=k, shards=degree, ops=prefix_ops, strategy=self.strategy,
+        )
+
+    def _charge_fold(self, run: _ScatterRun,
+                     outputs: Sequence[DataRecord]) -> None:
+        """Pay a decomposable suffix head's fold on the calling lane."""
+        if run.decomp_meter is not None:
+            for output in outputs:
+                run.decomp_meter.charge_accumulate(output)
+
+    def _close_prefix(self, run: _ScatterRun) -> List[DataRecord]:
+        """Close the prefix operators once every lane has stopped charging.
+
+        Runs on lane 1 under a dedicated span, so the trace layout does not
+        depend on which thread happened to exit last.  The flushed records
+        are sequenced after every mainline record — the position a
+        sequential flush gives them.
+        """
+        self.context.clock.use_lane(1)
+        with self.context.tracer.attach(run.close_span):
+            flushed = self._close_and_flush(run.prefix, sync_barriers=False)
+            self._charge_fold(run, flushed)
+        return flushed
+
+    def _gather(self, run: _ScatterRun,
+                bundles: Iterable[Sequence[DataRecord]]) -> None:
+        """Stream ``bundles`` (already in global order) into the suffix on
+        the gather lane, then close it like the sequential flush."""
+        self.context.clock.use_lane(run.degree + 1)
+        with self.context.tracer.attach(run.gather_span):
+            for records in bundles:
+                if run.decomp_meter is not None:
+                    # The fold charge was paid shard-locally; replay only
+                    # the state mutation here so group/parent order matches
+                    # sequential.
+                    for record in records:
+                        run.decomp_meter.op.accumulate_silent(record)
+                elif records:
+                    run.sink.extend(self._run_chain(run.suffix, records))
+            run.sink.extend(
+                self._close_and_flush(run.suffix, sync_barriers=True)
             )
 
-        depth = max(2, QUEUE_DEPTH_PER_WORKER * max(1, self.batch_size))
+    def _finish(self, run: _ScatterRun) -> List[DataRecord]:
+        elapsed = self.context.clock.elapsed
+        for span in run.lane_spans + [run.close_span]:
+            span.finish_at(elapsed)
+        run.gather_span.set_attribute(
+            "records_out",
+            run.suffix[-1].stats.records_out if run.suffix
+            else len(run.sink),
+        )
+        run.gather_span.finish_at(elapsed)
+        return run.sink
+
+    # -- driving the prefix with threads ------------------------------------
+
+    def _scatter_gather(self, plan: PhysicalPlan, scan_meter: _Meter,
+                        run: _ScatterRun) -> List[DataRecord]:
+        shards = run.degree
+        clock = self.context.clock
+        depth = max(2, QUEUE_DEPTH_PER_WORKER * run.batch_size)
         shard_queues = [queue.Queue(maxsize=depth) for _ in range(shards)]
-        gather_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(4, depth * shards)
-        )
-        run = _ShardRun(
-            prefix, suffix, self._decomposable_head(suffix),
-            gather_queue, close_span, shards,
-        )
-
-        sink: List[DataRecord] = []
-        threads: List[threading.Thread] = []
-        for k in range(shards):
-            thread = threading.Thread(
-                target=self._shard_worker,
-                args=(run, k, shard_queues[k], shard_spans[k]),
-                name=f"shard-w{k}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        gather_thread = threading.Thread(
-            target=self._gather_worker, args=(run, sink, gather_span),
-            name="shard-gather", daemon=True,
-        )
-        gather_thread.start()
-        threads.append(gather_thread)
-
-        # Orchestrator: pull the scan on lane 0 and scatter by assignment.
-        loads = [0.0] * shards
+        run.gather_queue = queue.Queue(maxsize=max(4, depth * shards))
+        threads = [
+            self._spawn(f"shard-w{k}", self._shard_worker,
+                        run, k, shard_queues[k])
+            for k in range(shards)
+        ]
+        threads.append(self._spawn(
+            "shard-gather", self._gather, run,
+            self._in_order(run.gather_queue),
+        ))
         per_shard = [0] * shards
-        clock.use_lane(0)
-        fed = 0
-        try:
-            for record in self._traced_scan(plan, scan_meter):
+
+        def scatter() -> None:
+            """Orchestrator: pull the scan on lane 0, route by assignment."""
+            loads = [0.0] * shards
+            clock.use_lane(0)
+            fed = 0
+            for record in self._scan(plan, scan_meter):
                 if self.strategy == SHARD_BALANCED:
                     # Online greedy argmin by accumulated document tokens —
                     # the same function shard_assignment() computes offline.
@@ -265,70 +303,43 @@ class ShardedExecutor(PipelinedExecutor):
                 self._put(shard_queues[shard], (fed, record))
                 per_shard[shard] += 1
                 fed += 1
-                self._emit({
-                    "type": "record_processed",
-                    "index": scan_meter.stats.records_in,
-                    "outputs_so_far": len(sink),
-                    "elapsed_seconds": clock.elapsed,
-                })
+                self._emit_progress(scan_meter, len(run.sink))
             for shard_queue in shard_queues:
                 self._put(shard_queue, _Eos(fed))
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            self._fail(exc)
 
-        for thread in threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
+        self._guarded(scatter)
+        self._join(threads)
 
-        metrics.counter("shard.scatter.records").inc(fed)
-        elapsed = clock.elapsed
+        metrics = self.context.metrics
+        metrics.counter("shard.scatter.records").inc(sum(per_shard))
         for k in range(shards):
             metrics.counter(f"shard.{k}.records").inc(per_shard[k])
-            if shard_spans[k] is not None:
-                shard_spans[k].set_attribute("records", per_shard[k])
-                shard_spans[k].finish_at(elapsed)
-        if close_span is not None:
-            close_span.finish_at(elapsed)
-        if gather_span is not None:
-            gather_span.set_attribute(
-                "records_out",
-                suffix[-1].stats.records_out if suffix else len(sink),
-            )
-            gather_span.finish_at(elapsed)
-        return sink
+            run.lane_spans[k].set_attribute("records", per_shard[k])
+        return self._finish(run)
 
-    # -- shard workers -----------------------------------------------------
-
-    def _shard_worker(self, run: _ShardRun, shard: int,
-                      in_queue: "queue.Queue", span) -> None:
-        clock = self.context.clock
-        clock.use_lane(1 + shard)
+    def _shard_worker(self, run: _ScatterRun, shard: int,
+                      in_queue: "queue.Queue") -> None:
+        self.context.clock.use_lane(1 + shard)
         batch: List[Tuple[int, DataRecord]] = []
-        try:
-            with self.context.tracer.attach(span):
-                while True:
-                    item = self._get(in_queue)
-                    if isinstance(item, _Eos):
-                        self._flush_shard_batch(run, batch)
-                        with run.exit_lock:
-                            run.exited += 1
-                            run.total = item.count
-                            last_out = run.exited == run.shards
-                        if last_out:
-                            self._close_prefix(run)
-                        return
-                    batch.append(item)
-                    if len(batch) >= self.batch_size:
-                        self._flush_shard_batch(run, batch)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
+        with self.context.tracer.attach(run.lane_spans[shard]):
+            while True:
+                item = self._get(in_queue)
+                if isinstance(item, _Eos):
+                    self._flush_shard_batch(run, batch)
+                    with run.exit_lock:
+                        run.exited += 1
+                        run.total = item.count
+                        last_out = run.exited == run.degree
+                    if last_out:
+                        flushed = self._close_prefix(run)
+                        self._put(run.gather_queue, (run.total, flushed))
+                        self._put(run.gather_queue, _Eos(run.total + 1))
+                    return
+                batch.append(item)
+                if len(batch) >= run.batch_size:
+                    self._flush_shard_batch(run, batch)
 
-    def _flush_shard_batch(self, run: _ShardRun,
+    def _flush_shard_batch(self, run: _ScatterRun,
                            batch: List[Tuple[int, DataRecord]]) -> None:
         """Process buffered records through the prefix; emit one bundle per
         input record so the gather's reorder buffer sees dense indices."""
@@ -336,162 +347,18 @@ class ShardedExecutor(PipelinedExecutor):
             return
         indices = [index for index, _ in batch]
         records = [record for _, record in batch]
-        groups = self._shard_chain(run.prefix, indices, records)
+        if run.batched:
+            groups = self._bundle(
+                "shard.bundle", indices[0], run.prefix, records, True
+            )
+        else:
+            groups = [
+                self._bundle(
+                    "shard.bundle", index, run.prefix, [record], False
+                )[0]
+                for index, record in zip(indices, records)
+            ]
         for index, outputs in zip(indices, groups):
-            if run.decomp_meter is not None:
-                for output in outputs:
-                    run.decomp_meter.charge_accumulate(output)
+            self._charge_fold(run, outputs)
             self._put(run.gather_queue, (index, outputs))
         batch.clear()
-
-    def _shard_chain(self, prefix: List[_PipeMeter], indices: List[int],
-                     records: List[DataRecord]) -> List[List[DataRecord]]:
-        """Run records through the prefix, one output group per input."""
-        tracer = self.context.tracer
-        clock = self.context.clock
-        if self.batch_size > 1 and prefix:
-            if tracer.enabled:
-                with tracer.span(
-                    "shard.bundle", SpanKind.BUNDLE, clock=clock,
-                    seq=indices[0], records=len(records),
-                ) as span:
-                    advanced_before = clock.local_advanced
-                    groups = self._run_chain_batched_grouped(prefix, records)
-                    span.finish_at(
-                        span.start + (clock.local_advanced - advanced_before)
-                    )
-                return groups
-            return self._run_chain_batched_grouped(prefix, records)
-        groups: List[List[DataRecord]] = []
-        for index, record in zip(indices, records):
-            if tracer.enabled:
-                with tracer.span(
-                    "shard.bundle", SpanKind.BUNDLE, clock=clock,
-                    seq=index, records=1,
-                ) as span:
-                    advanced_before = clock.local_advanced
-                    outputs = self._run_chain(prefix, [record])
-                    span.finish_at(
-                        span.start + (clock.local_advanced - advanced_before)
-                    )
-            else:
-                outputs = self._run_chain(prefix, [record])
-            groups.append(outputs)
-        return groups
-
-    @staticmethod
-    def _run_chain_batched_grouped(
-        meters: List[_PipeMeter], records: Sequence[DataRecord]
-    ) -> List[List[DataRecord]]:
-        """Layer-batched processing that preserves per-input grouping."""
-        groups: List[List[DataRecord]] = [[record] for record in records]
-        for meter in meters:
-            flat = [record for group in groups for record in group]
-            if not flat:
-                break
-            batched = meter.process_batch(flat)
-            regrouped: List[List[DataRecord]] = []
-            cursor = 0
-            for group in groups:
-                merged: List[DataRecord] = []
-                for _ in group:
-                    merged.extend(batched[cursor])
-                    cursor += 1
-                regrouped.append(merged)
-            groups = regrouped
-        return groups
-
-    def _close_prefix(self, run: _ShardRun) -> None:
-        """Last shard worker out: close prefix ops and emit the final bundle.
-
-        Runs on lane 1 (deterministic: every worker has stopped charging by
-        now) under a dedicated span, so the trace layout does not depend on
-        which thread happened to exit last.  Flushed records (outer joins'
-        unmatched rows) get the sequence number after every mainline record —
-        the same position a sequential flush gives them.
-        """
-        self.context.clock.use_lane(1)
-        flushed_out: List[DataRecord] = []
-        with self.context.tracer.attach(run.close_span):
-            for index, meter in enumerate(run.prefix):
-                flushed = meter.close()
-                flushed_out.extend(
-                    self._run_chain(run.prefix[index + 1:], flushed)
-                )
-            if run.decomp_meter is not None:
-                for output in flushed_out:
-                    run.decomp_meter.charge_accumulate(output)
-        self._put(run.gather_queue, (run.total, flushed_out))
-        self._put(run.gather_queue, _Eos(run.total + 1))
-
-    # -- gather ------------------------------------------------------------
-
-    def _gather_worker(self, run: _ShardRun, sink: List[DataRecord],
-                       span) -> None:
-        clock = self.context.clock
-        clock.use_lane(run.shards + 1)
-        buffer: dict = {}
-        next_seq = 0
-        try:
-            with self.context.tracer.attach(span):
-                while True:
-                    item = self._get(run.gather_queue)
-                    if isinstance(item, _Eos):
-                        # EOS is enqueued by the closing worker after every
-                        # shard stopped putting, so the buffer now holds all
-                        # outstanding bundles; drain strictly in order.
-                        for seq in sorted(buffer):
-                            assert seq == next_seq, "sequence gap at gather"
-                            self._gather_feed(
-                                buffer[seq], sink, run.suffix,
-                                run.decomp_meter,
-                            )
-                            next_seq += 1
-                        buffer.clear()
-                        self._gather_close(sink, run.suffix)
-                        return
-                    seq, records = item
-                    buffer[seq] = records
-                    while next_seq in buffer:
-                        self._gather_feed(
-                            buffer.pop(next_seq), sink, run.suffix,
-                            run.decomp_meter,
-                        )
-                        next_seq += 1
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-
-    def _gather_feed(self, records: Sequence[DataRecord],
-                     sink: List[DataRecord], suffix: List[_PipeMeter],
-                     decomp_meter: Optional[_PipeMeter]) -> None:
-        """Stream one bundle (already in global order) into the suffix."""
-        if not records:
-            return
-        if decomp_meter is not None:
-            # The fold charge was paid shard-locally; replay only the state
-            # mutation here so group/parent order matches sequential.
-            for record in records:
-                decomp_meter.op.accumulate_silent(record)
-            return
-        if not suffix:
-            sink.extend(records)
-            return
-        sink.extend(self._run_chain(suffix, records))
-
-    def _gather_close(self, sink: List[DataRecord],
-                      suffix: List[_PipeMeter]) -> None:
-        """Close suffix ops in order, like the sequential flush."""
-        for index, meter in enumerate(suffix):
-            if meter.op.is_blocking:
-                # Model every lane arriving at the barrier.
-                self.context.clock.synchronize()
-            flushed = meter.close()
-            if flushed and meter.op.is_blocking:
-                self._emit({
-                    "type": "operator_flush",
-                    "operator": meter.op.op_label,
-                    "records": len(flushed),
-                })
-            sink.extend(self._run_chain(suffix[index + 1:], flushed))

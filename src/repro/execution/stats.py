@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from repro.core.records import DataRecord
+    from repro.physical.context import ExecutionContext
+    from repro.physical.plan import PhysicalPlan
 
 
 @dataclass
@@ -114,6 +119,101 @@ class PlanStats:
             "operators": [op.to_dict() for op in self.operator_stats],
             "models": [row.to_dict() for row in self.model_usage],
         }
+
+
+def _fill_run_metrics(
+    context: "ExecutionContext",
+    op_stats: List[OperatorStats],
+    sink: "List[DataRecord]",
+) -> None:
+    """Populate the context's MetricsRegistry from the finished run.
+
+    Every value here is a deterministic function of the plan and input —
+    computed once at run end from the same OperatorStats / ledger the
+    stats report, never sampled in the hot path — so the snapshot that
+    lands in ``ExecutionStats.metrics`` is identical traced or untraced,
+    at any worker count.
+    """
+    metrics = context.metrics
+    ledger_total = context.ledger.total()
+    metrics.counter("llm.calls").inc(len(context.ledger))
+    metrics.counter("llm.input_tokens").inc(ledger_total.input_tokens)
+    metrics.counter("llm.output_tokens").inc(ledger_total.output_tokens)
+    # Per-call distributions.  Cost and token counts are batch-invariant
+    # (identical per-record or batched); latency is not, so no latency
+    # histogram — it would differ between batch sizes.
+    cost_hist = metrics.histogram("llm.call_cost_usd")
+    in_hist = metrics.histogram("llm.call_input_tokens")
+    out_hist = metrics.histogram("llm.call_output_tokens")
+    for usage in context.ledger.records:
+        cost_hist.observe(usage.cost_usd)
+        in_hist.observe(usage.input_tokens)
+        out_hist.observe(usage.output_tokens)
+    metrics.counter("run.records_out").inc(len(sink))
+    metrics.gauge("run.elapsed_seconds").set(round(context.clock.elapsed, 9))
+    for index, stats in enumerate(op_stats):
+        prefix = f"op.{index}.{stats.op_label}"
+        metrics.counter(f"{prefix}.records_in").inc(stats.records_in)
+        metrics.counter(f"{prefix}.records_out").inc(stats.records_out)
+        metrics.counter(f"{prefix}.llm_calls").inc(stats.llm_calls)
+        metrics.gauge(f"{prefix}.busy_seconds").set(
+            round(stats.time_seconds, 9)
+        )
+
+
+def build_plan_stats(
+    plan: "PhysicalPlan",
+    op_stats: List[OperatorStats],
+    context: "ExecutionContext",
+    sink: "List[DataRecord]",
+) -> PlanStats:
+    """Assemble the :class:`PlanStats` for a finished run.
+
+    Shared by every schedule so their reports are structurally identical.
+    Scan parse time is charged to the clock inside ``records()`` where no
+    meter wraps it, so the scan's time line is the residual
+    ``total_busy - sum(downstream op times)`` — computed *before* the
+    PlanStats object is built, so per-op times already sum to the clock's
+    busy time in the stats a caller receives.
+    """
+    for stats in op_stats:
+        # Canonicalize float totals before anything reads them: concurrent
+        # meters accumulated time/cost in thread-arrival order, which is
+        # nondeterministic at the last ulp.
+        stats.finalize()
+    scan_stats, downstream_stats = op_stats[0], op_stats[1:]
+    accounted = sum(stats.time_seconds for stats in downstream_stats)
+    scan_stats.time_seconds = max(0.0, context.clock.total_busy - accounted)
+    _fill_run_metrics(context, op_stats, sink)
+    invalid = sum(
+        1
+        for record in sink
+        if record.missing_required()
+        or any(
+            not field.validate(record.get(name))
+            for name, field in record.schema.field_map().items()
+        )
+    )
+    model_usage = [
+        ModelUsageRow(
+            model=model,
+            calls=totals.calls,
+            input_tokens=totals.input_tokens,
+            output_tokens=totals.output_tokens,
+            cost_usd=totals.cost_usd,
+        )
+        for model, totals in sorted(context.ledger.by_model().items())
+    ]
+    return PlanStats(
+        plan_id=plan.plan_id,
+        plan_describe=plan.describe(),
+        operator_stats=op_stats,
+        total_time_seconds=context.clock.elapsed,
+        total_cost_usd=context.ledger.total().cost_usd,
+        records_out=len(sink),
+        invalid_records=invalid,
+        model_usage=model_usage,
+    )
 
 
 @dataclass

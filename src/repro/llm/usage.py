@@ -9,9 +9,8 @@ dollar costs, and call counts.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -274,6 +273,31 @@ class BudgetMeter:
         )
 
 
+class _Capture:
+    """Context manager behind :meth:`UsageLedger.capture`: registers a
+    bucket on the calling thread's capture stack for the block."""
+
+    __slots__ = ("_captures", "_bucket")
+
+    def __init__(self, captures: List[List[LLMUsage]]):
+        self._captures = captures
+        self._bucket: List[LLMUsage] = []
+
+    def __enter__(self) -> List[LLMUsage]:
+        self._captures.append(self._bucket)
+        return self._bucket
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # By identity, innermost first: a nested bucket holding the same
+        # records compares *equal* to its enclosing one, so ``remove()``
+        # would drop the wrong capture.
+        captures = self._captures
+        for index in range(len(captures) - 1, -1, -1):
+            if captures[index] is self._bucket:
+                del captures[index]
+                break
+
+
 class UsageLedger:
     """Collects :class:`LLMUsage` records and aggregates them.
 
@@ -321,22 +345,16 @@ class UsageLedger:
         for usage in usages:
             self.record(usage)
 
-    @contextmanager
-    def capture(self) -> Iterator[List[LLMUsage]]:
+    def capture(self) -> "_Capture":
         """Collect the records this thread produces inside the block.
 
         Captures nest: an inner capture's records also appear in the outer
         one, exactly like the slicing technique they replace.
         """
-        bucket: List[LLMUsage] = []
         captures = getattr(self._local, "captures", None)
         if captures is None:
             captures = self._local.captures = []
-        captures.append(bucket)
-        try:
-            yield bucket
-        finally:
-            captures.remove(bucket)
+        return _Capture(captures)
 
     @property
     def records(self) -> List[LLMUsage]:

@@ -26,11 +26,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.sources import SourceProfile
 from repro.physical.base import PhysicalOperator, StreamEstimate
+from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan, shard_safe
 from repro.physical.scan import MarshalAndScan
-
-#: Executors that scatter the shardable prefix over source shards.
-SCALE_OUT_EXECUTORS = ("sharded", "async")
 
 #: Fixed per-shard scale-out overhead: worker/task setup, queue plumbing,
 #: and the gather thread's reorder bookkeeping (simulated seconds).
@@ -141,21 +139,21 @@ class CostModel:
 
     Args:
         source_profile: cardinality + document-size statistics of the scan.
-        max_workers: LLM calls across records run concurrently on this many
-            workers, so estimated LLM wall time divides by it.
         sample_stats: observed per-operator stats that override priors.
-        batch_size: LLM calls issued in batches of this size pay the fixed
-            per-call overhead (``ModelCard.overhead_seconds``) once per
-            batch instead of once per record, so the amortized share
+        executor, max_workers, batch_size, shards: the
+            :class:`~repro.physical.options.ExecutionOptions` being priced
+            (``self.options``).  LLM calls across records run concurrently
+            on ``max_workers`` workers, so estimated LLM wall time divides
+            by it.  LLM calls issued in batches of ``batch_size`` pay the
+            fixed per-call overhead (``ModelCard.overhead_seconds``) once
+            per batch instead of once per record, so the amortized share
             ``overhead * (1 - 1/batch_size)`` comes off each LLM record's
-            estimated time.  Cost and quality are unaffected.
-        executor: which executor the estimate prices.  For the scale-out
-            executors (``"sharded"``/``"async"``) LLM time inside the
-            shardable prefix divides by ``shards`` instead of
-            ``max_workers``, and :meth:`finish` adds the scatter/gather
-            overhead (``SHARD_SETUP_SECONDS`` per shard plus
+            estimated time; cost and quality are unaffected.  For the
+            scale-out executors LLM time inside the shardable prefix
+            divides by the shard degree instead of ``max_workers``, and
+            :meth:`finish` adds the scatter/gather overhead
+            (``SHARD_SETUP_SECONDS`` per shard plus
             ``SCATTER_SECONDS_PER_RECORD`` per scanned record).
-        shards: parallelism degree assumed for a scale-out executor.
     """
 
     def __init__(
@@ -165,19 +163,12 @@ class CostModel:
         sample_stats: Optional[Dict[str, SampleStats]] = None,
         batch_size: int = 1,
         executor: str = "sequential",
-        shards: int = 1,
+        shards: Optional[int] = None,
     ):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        self.options = ExecutionOptions(
+            executor, max_workers, batch_size, shards
+        )
         self.source_profile = source_profile
-        self.max_workers = max_workers
-        self.batch_size = batch_size
-        self.executor = executor
-        self.shards = shards
         self.sample_stats = dict(sample_stats or {})
         # (op, input cardinality, avg tokens) -> resolved per-op numbers.
         # Keyed on the operator instance itself: enumeration reuses one
@@ -241,10 +232,11 @@ class CostModel:
         (cost_per_record, time_per_record, output_cardinality,
          op_quality, sampled) = self._resolve_operator(op, acc.stream)
 
+        options = self.options
         input_cardinality = acc.stream.cardinality
         if (
             op.is_llm_op
-            and self.batch_size > 1
+            and options.batch_size > 1
             and op.model is not None
         ):
             # Batched calls pay the fixed per-call overhead once per batch;
@@ -252,7 +244,7 @@ class CostModel:
             time_per_record = max(
                 0.0,
                 time_per_record
-                - op.model.overhead_seconds * (1.0 - 1.0 / self.batch_size),
+                - op.model.overhead_seconds * (1.0 - 1.0 / options.batch_size),
             )
         # Track whether ``op`` still sits in the shardable prefix (the scan
         # is prefix-neutral: the prefix is defined over downstream ops).
@@ -266,15 +258,15 @@ class CostModel:
         op_time = time_per_record * input_cardinality
         if op.is_llm_op:
             if (
-                self.executor in SCALE_OUT_EXECUTORS
+                options.scale_out
                 and acc.in_shardable_prefix
                 and shard_safe(op)
             ):
                 # Scale-out executors scatter prefix LLM calls over shards.
-                op_time /= self.shards
+                op_time /= options.degree
             else:
                 # Record-parallel LLM calls spread across workers.
-                op_time /= self.max_workers
+                op_time /= options.max_workers
         return PlanAccumulator(
             cost_usd=acc.cost_usd + cost_per_record * input_cardinality,
             time_seconds=acc.time_seconds + op_time,
@@ -291,12 +283,13 @@ class CostModel:
                acc: PlanAccumulator) -> PlanEstimate:
         """Seal a fully-extended accumulator into a :class:`PlanEstimate`."""
         time_seconds = acc.time_seconds
-        if self.executor in SCALE_OUT_EXECUTORS and self.shards > 1:
+        degree = self.options.degree
+        if degree > 1:
             # Scatter/gather isn't free: per-shard setup plus per-record
             # routing.  This is what makes the optimizer prefer degree 1
             # on tiny sources instead of maximal fan-out everywhere.
             time_seconds += (
-                SHARD_SETUP_SECONDS * self.shards
+                SHARD_SETUP_SECONDS * degree
                 + SCATTER_SECONDS_PER_RECORD
                 * float(self.source_profile.cardinality)
             )

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.logical import LogicalPlan
 from repro.core.sources import DataSource, MemorySource
 from repro.llm.models import ModelRegistry, default_registry
-from repro.optimizer.cost_model import (
-    SCALE_OUT_EXECUTORS,
-    CostModel,
-    PlanEstimate,
-    SampleStats,
-)
+from repro.optimizer.cost_model import CostModel, PlanEstimate, SampleStats
 from repro.obs.trace import NULL_TRACER, SpanKind
 from repro.optimizer.planner import (
     EXHAUSTIVE_LIMIT,
@@ -24,6 +20,7 @@ from repro.optimizer.planner import (
 )
 from repro.optimizer.policies import MaxQuality, Policy
 from repro.physical.context import ExecutionContext
+from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan
 from repro.physical.scan import MarshalAndScan
 
@@ -68,21 +65,17 @@ class Optimizer:
 
     Args:
         policy: user preference (defaults to :class:`MaxQuality`).
-        max_workers: execution parallelism assumed by the cost model.
-        batch_size: LLM-stage batch size assumed by the cost model (the
-            pipelined executor amortizes per-call overhead across a batch);
-            stamped onto the chosen plan via
+        executor, max_workers, batch_size, shards: the
+            :class:`~repro.physical.options.ExecutionOptions` the plan
+            will run under (``self.options``); the cost model prices them.
+            A batch size > 1 is stamped onto the chosen plan via
             :meth:`~repro.physical.plan.PhysicalPlan.with_batch_size`.
-        executor: which executor the cost model prices ("sequential" by
-            default).  For the scale-out executors ("sharded"/"async")
-            prefix LLM time divides by the shard count and the estimate
-            carries scatter/gather overhead.
-        shards: parallelism degree for a scale-out executor.  ``None``
-            (default) makes the optimizer *enumerate* the degrees in
-            :data:`SHARD_DEGREES` (capped at the source cardinality) as
-            extra plan candidates and lets the policy choose one jointly
-            with the operator choices; an integer pins the degree.  The
-            chosen plan is stamped via
+            For a scale-out executor, ``shards=None`` (default) makes the
+            optimizer *enumerate* the degrees in :data:`SHARD_DEGREES`
+            (capped at the source cardinality) as extra plan candidates
+            and lets the policy choose one jointly with the operator
+            choices; an integer pins the degree.  Either way the chosen
+            plan is stamped via
             :meth:`~repro.physical.plan.PhysicalPlan.with_shards`.
         sample_size: if > 0, run the Pareto-frontier plans on this many
             sample records first ("sentinel" execution) and replace the
@@ -111,13 +104,10 @@ class Optimizer:
         tracer=None,
         **candidate_options,
     ):
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        self.options = ExecutionOptions(
+            executor, max_workers, batch_size, shards
+        )
         self.policy = policy or MaxQuality()
-        self.max_workers = max_workers
-        self.batch_size = batch_size
-        self.executor = executor
-        self.shards = shards
         self.sample_size = sample_size
         self.models = models or default_registry()
         self.lint = lint
@@ -130,20 +120,13 @@ class Optimizer:
             from repro.analysis import LintError, lint_plan
 
             lint_result = lint_plan(
-                logical_plan, source=source,
-                shards=self.shards if self.shards is not None else 1,
+                logical_plan, source=source, shards=self.options.degree,
             )
             if not lint_result.ok:
                 raise LintError(lint_result)
         profile = source.profile()
-        scale_out = self.executor in SCALE_OUT_EXECUTORS
-        cost_model = CostModel(
-            profile,
-            max_workers=self.max_workers,
-            batch_size=self.batch_size,
-            executor=self.executor,
-            shards=self.shards if self.shards is not None else 1,
-        )
+        options = self.options
+        cost_model = CostModel(profile, **options.kwargs())
         tracer = self.tracer
         with tracer.span(
             "optimize.enumerate", SpanKind.OPTIMIZE,
@@ -191,7 +174,7 @@ class Optimizer:
                 for candidate in candidates
             ]
 
-        if scale_out and self.shards is None:
+        if options.scale_out and options.shards is None:
             candidates = self._enumerate_degrees(
                 candidates, profile, cost_model, measured_quality
             )
@@ -210,20 +193,20 @@ class Optimizer:
                 choose_span.set_attribute(
                     "frontier", len(pareto_frontier(candidates))
                 )
-                if scale_out:
+                if options.scale_out:
                     choose_span.set_attribute(
                         "shards",
-                        self.shards if self.shards is not None
+                        options.shards if options.shards is not None
                         else chosen.plan.shards,
                     )
-        if scale_out and self.shards is not None:
+        if options.shards is not None:
             chosen = PlanCandidate(
-                plan=chosen.plan.with_shards(self.shards),
+                plan=chosen.plan.with_shards(options.shards),
                 estimate=chosen.estimate,
             )
-        if self.batch_size > 1:
+        if options.batch_size > 1:
             chosen = PlanCandidate(
-                plan=chosen.plan.with_batch_size(self.batch_size),
+                plan=chosen.plan.with_batch_size(options.batch_size),
                 estimate=chosen.estimate,
             )
         return OptimizationReport(
@@ -247,8 +230,6 @@ class Optimizer:
         """Estimate ``plan`` with ``cost_model``, folding in any measured
         sentinel quality (keyed by plan id, which ignores shard/batch
         stamps — a sampled plan stays sampled at every degree)."""
-        import dataclasses
-
         estimate = cost_model.estimate_plan(plan)
         if plan.plan_id in measured_quality:
             estimate = dataclasses.replace(
@@ -282,11 +263,8 @@ class Optimizer:
                 continue
             degree_model = CostModel(
                 profile,
-                max_workers=self.max_workers,
                 sample_stats=cost_model.sample_stats,
-                batch_size=self.batch_size,
-                executor=self.executor,
-                shards=degree,
+                **dataclasses.replace(self.options, shards=degree).kwargs(),
             )
             expanded.extend(
                 self._requalified(

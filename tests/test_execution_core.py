@@ -1,0 +1,236 @@
+"""The one execution core: behaviour every schedule must share.
+
+* the cooperative quota checkpoint is polled by every executor name;
+* an executor instance never keeps one plan's optimizer stamps for the
+  next plan;
+* ``ExecutionOptions`` is the only place the four settings are validated.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import threading
+
+import pytest
+
+from repro.execution import (
+    AsyncExecutor,
+    ExecutionOptions,
+    ParallelExecutor,
+    PipelinedExecutor,
+    SequentialExecutor,
+    ShardedExecutor,
+)
+from repro.llm.usage import BudgetMeter, QuotaExceededError
+from repro.obs.trace import Tracer
+from repro.physical.context import ExecutionContext
+from repro.physical.options import EXECUTORS, SCALE_OUT_EXECUTORS
+
+sys.path.insert(0, "tests")
+from test_execution_pipeline import (  # noqa: E402
+    chosen_plan,
+    make_source,
+    shape_filter_convert,
+    shape_groupby,
+)
+
+
+def build_executor(name, context, on_event=None, **overrides):
+    """``name``'s executor over ``context`` with unpinned batch/shards."""
+    if name == "sequential":
+        return SequentialExecutor(context, on_event=on_event)
+    if name == "parallel":
+        return ParallelExecutor(context, max_workers=context.max_workers,
+                                on_event=on_event)
+    if name == "pipelined":
+        return PipelinedExecutor(context, on_event=on_event, **overrides)
+    if name == "sharded":
+        return ShardedExecutor(context, on_event=on_event, **overrides)
+    return AsyncExecutor(context, on_event=on_event, **overrides)
+
+
+# ----------------------------------------------------------------------
+# The quota checkpoint lives in the chain runner, so every schedule polls.
+# ----------------------------------------------------------------------
+
+class CheckpointOnlyBudget(BudgetMeter):
+    """Records every charge but never aborts from one, so the only thing
+    that can stop a run is the cooperative checkpoint — which makes the
+    abort path under test deterministic even when a worker thread is
+    mid-call at the moment the budget is exhausted."""
+
+    def charge(self, usage):
+        try:
+            super().charge(usage)
+        except QuotaExceededError:
+            pass
+
+
+class TestQuotaCheckpointOnEverySchedule:
+    DOCS = 40
+    EXHAUST_AT = 30  # bounded queues: most of these are through the filter
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_budget_exhausted_from_outside_aborts_midrun(self, name):
+        source = make_source(n=self.DOCS, dataset_id=f"core-quota-{name}")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        _, full = SequentialExecutor().execute(plan)
+        full_calls = sum(op.llm_calls for op in full.operator_stats)
+
+        # A cap this run alone never reaches ...
+        budget = CheckpointOnlyBudget(max_cost_usd=1000.0)
+
+        def another_session_spends_it(event):
+            # ... breached by "a concurrent session of the same tenant".
+            if (event["type"] == "record_processed"
+                    and event["index"] == self.EXHAUST_AT):
+                budget.charge_totals(cost_usd=2000.0, tokens=0)
+
+        context = ExecutionContext(max_workers=4, budget=budget)
+        executor = build_executor(name, context, another_session_spends_it)
+        with pytest.raises(QuotaExceededError, match="checkpoint"):
+            executor.execute(plan)
+        # No hung worker: every thread the schedule started was joined.
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith(("pipeline-", "shard-"))
+        ]
+        # The partial ledger survives the abort and agrees with the meter.
+        assert 0 < len(context.ledger) < full_calls
+        assert budget.calls == len(context.ledger)
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_untouched_budget_lets_the_run_finish(self, name):
+        source = make_source(n=6, dataset_id=f"core-quota-ok-{name}")
+        plan = chosen_plan(shape_groupby(source), source)
+        context = ExecutionContext(
+            max_workers=4, budget=BudgetMeter(max_cost_usd=1000.0)
+        )
+        records, _ = build_executor(name, context).execute(plan)
+        assert records
+
+
+# ----------------------------------------------------------------------
+# Plan stamps are resolved per call, never stored on the executor.
+# ----------------------------------------------------------------------
+
+def plan_run_attributes(tracer):
+    return [
+        dict(span.attributes) for span in tracer.finish().roots
+        if span.name == "plan.run"
+    ]
+
+
+class TestExecutorReuseAcrossPlans:
+    def test_pipelined_batch_stamp_does_not_stick(self):
+        source = make_source(dataset_id="core-reuse-pipe")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        tracer = Tracer()
+        executor = PipelinedExecutor(
+            ExecutionContext(max_workers=2, tracer=tracer)
+        )
+        executor.execute(plan.with_batch_size(8))
+        executor.execute(plan)  # unstamped: per-record calls again
+        executor.execute(plan.with_batch_size(4))
+        assert [a["batch_size"] for a in plan_run_attributes(tracer)] == [
+            8, 1, 4,
+        ]
+        assert executor.batch_size == 1
+
+    @pytest.mark.parametrize("name", SCALE_OUT_EXECUTORS)
+    def test_scale_out_degree_and_batch_stamps_do_not_stick(self, name):
+        source = make_source(dataset_id=f"core-reuse-{name}")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        tracer = Tracer()
+        executor = build_executor(
+            name, ExecutionContext(max_workers=4, tracer=tracer)
+        )
+        executor.execute(plan.with_shards(4).with_batch_size(8))
+        executor.execute(plan.with_shards(2))
+        executor.execute(plan)  # unstamped: the documented fallback of 2
+        runs = plan_run_attributes(tracer)
+        assert [a["shards"] for a in runs] == [4, 2, 2]
+        assert [a["batch_size"] for a in runs] == [8, 1, 1]
+        assert executor.shards is None and executor.batch_size == 1
+
+    def test_explicit_settings_beat_the_stamp_every_time(self):
+        source = make_source(dataset_id="core-reuse-pinned")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        tracer = Tracer()
+        executor = ShardedExecutor(
+            ExecutionContext(max_workers=4, tracer=tracer),
+            shards=3, batch_size=2,
+        )
+        executor.execute(plan.with_shards(4).with_batch_size(8))
+        executor.execute(plan)
+        runs = plan_run_attributes(tracer)
+        assert [(a["shards"], a["batch_size"]) for a in runs] == [
+            (3, 2), (3, 2),
+        ]
+
+
+# ----------------------------------------------------------------------
+# ExecutionOptions: the four settings, validated in one place.
+# ----------------------------------------------------------------------
+
+class TestExecutionOptions:
+    def test_defaults_infer_the_executor_from_workers(self):
+        assert ExecutionOptions().name == "sequential"
+        assert ExecutionOptions(max_workers=4).name == "parallel"
+        assert ExecutionOptions("pipelined", 4).name == "pipelined"
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            ExecutionOptions().batch_size = 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(executor="warp"), "unknown executor"),
+        (dict(max_workers=0), "max_workers must be >= 1"),
+        (dict(batch_size=0), "batch_size must be >= 1"),
+        (dict(executor="sharded", shards=0), "shards must be >= 1"),
+        (dict(executor="pipelined", shards=2), "shards only applies"),
+        (dict(shards=2), "shards only applies"),
+    ])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExecutionOptions(**kwargs)
+
+    def test_dataclasses_replace_revalidates(self):
+        options = ExecutionOptions("sharded", shards=4)
+        assert dataclasses.replace(options, shards=2).shards == 2
+        with pytest.raises(ValueError, match="shards only applies"):
+            dataclasses.replace(options, executor="pipelined")
+
+    def test_normalized_drops_shards_for_single_chain_executors(self):
+        assert ExecutionOptions.normalized("pipelined", shards=4).shards \
+            is None
+        assert ExecutionOptions.normalized(None, shards=4).shards is None
+        assert ExecutionOptions.normalized("async", shards=4).shards == 4
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            ExecutionOptions.normalized("sharded", shards=0)
+
+    def test_resolved_names_the_executor_and_caps_the_batch(self):
+        resolved = ExecutionOptions(max_workers=4, batch_size=8).resolved()
+        assert (resolved.executor, resolved.batch_size) == ("parallel", 1)
+        for name in ("pipelined",) + SCALE_OUT_EXECUTORS:
+            assert ExecutionOptions(name, batch_size=8).resolved() \
+                .batch_size == 8
+
+    def test_degree_and_kwargs(self):
+        assert ExecutionOptions("sharded").degree == 1
+        assert ExecutionOptions("sharded", shards=4).degree == 4
+        assert ExecutionOptions("async", 2, 8, 4).kwargs() == {
+            "executor": "async", "max_workers": 2, "batch_size": 8,
+            "shards": 4,
+        }
+
+    @pytest.mark.parametrize("build", [
+        lambda: PipelinedExecutor(batch_size=0),
+        lambda: ShardedExecutor(shards=0),
+        lambda: ShardedExecutor(batch_size=0),
+        lambda: AsyncExecutor(fanout=0),
+    ])
+    def test_executor_constructors_validate_through_it(self, build):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build()

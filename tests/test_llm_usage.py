@@ -97,6 +97,21 @@ class TestUsageLedger:
         ledger.extend([usage(), usage()])
         assert len(ledger) == 2
 
+    def test_nested_captures_with_equal_contents_unwind_by_identity(self):
+        # An inner capture that saw exactly the outer one's records compares
+        # equal to it; leaving the inner block must not drop the outer.
+        ledger = UsageLedger()
+        with ledger.capture() as outer:
+            with ledger.capture() as inner:
+                ledger.record(usage(cost=0.5))
+            assert inner == outer and inner is not outer
+            ledger.record(usage(cost=0.25))
+        assert [u.cost_usd for u in outer] == [0.5, 0.25]
+        assert [u.cost_usd for u in inner] == [0.5]
+        with ledger.capture() as later:
+            ledger.record(usage())
+        assert len(later) == 1 and len(outer) == 2
+
 
 class TestVirtualTimestamps:
     def test_timestamps_monotone_within_a_sequential_run(self):

@@ -10,6 +10,7 @@ from repro.core.builtin_schemas import TextFile
 from repro.core.sources import MemorySource
 from repro.execution.executors import ParallelExecutor, SequentialExecutor
 from repro.optimizer.optimizer import Optimizer
+from repro.physical.options import EXECUTORS
 from repro.server.progress import ProgressBuffer, progress_events_from_trace
 
 
@@ -69,6 +70,48 @@ class TestParallelEvents:
         executor = ParallelExecutor(max_workers=2, on_event=events.append)
         executor.execute(make_plan(n=4, dataset_id="ev-par"))
         assert [e["type"] for e in events].count("record_processed") == 4
+
+
+class TestEveryExecutorEmits:
+    """``Execute(on_event=...)`` reaches every executor name, not only the
+    inline ones."""
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_plan_start_one_event_per_source_record_plan_end(self, name):
+        n = 6
+        docs = [f"progress document {i}" for i in range(n)]
+        source = MemorySource(docs, dataset_id=f"ev-{name}", schema=TextFile)
+        dataset = pz.Dataset(source).filter("mentions a document").count()
+        events = []
+        records, stats = pz.Execute(
+            dataset, executor=name, max_workers=2, on_event=events.append
+        )
+        kinds = [e["type"] for e in events]
+        assert kinds[0] == "plan_start"
+        assert kinds[-1] == "plan_end"
+        assert kinds.count("operator_flush") == 1
+        # One per source record, in scan order; ``outputs_so_far`` is
+        # best-effort under threads and deliberately not asserted.
+        assert [
+            e["index"] for e in events if e["type"] == "record_processed"
+        ] == list(range(1, n + 1))
+        assert events[-1]["records_out"] == len(records)
+        assert stats.executor == name
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_listening_does_not_change_the_run(self, name):
+        docs = [f"observed document {i}" for i in range(5)]
+
+        def run(on_event):
+            source = MemorySource(docs, dataset_id=f"ev-same-{name}",
+                                  schema=TextFile)
+            records, stats = pz.Execute(
+                pz.Dataset(source).filter("mentions a document"),
+                executor=name, max_workers=2, on_event=on_event,
+            )
+            return [r.to_dict() for r in records], stats.to_dict()
+
+        assert run(None) == run([].append)
 
 
 class TestProgressBufferEdges:
