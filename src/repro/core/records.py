@@ -16,6 +16,7 @@ from repro.core.schemas import Schema
 from repro.llm.oracle import fingerprint_text
 
 _record_counter = itertools.count(1)
+_UNSET = object()
 
 #: Field names that carry the "document text" of a record, in preference
 #: order.  Semantic operators feed this text to the (simulated) models.
@@ -56,9 +57,12 @@ class DataRecord:
         parent: Optional["DataRecord"] = None,
     ) -> "DataRecord":
         record = cls(schema, source_id=source_id, parent=parent)
+        fields = schema.field_map()
+        stored = record._values
         for name, value in values.items():
-            if name in schema.field_map():
-                setattr(record, name, value)
+            field = fields.get(name)
+            if field is not None:
+                stored[name] = field.coerce(value)
         return record
 
     def derive(
@@ -76,14 +80,31 @@ class DataRecord:
         """
         child = DataRecord(schema, source_id=self._source_id, parent=self,
                            extra_parents=extra_parents)
-        for name in schema.field_map():
-            if name in self._values:
-                child._values[name] = self._values[name]
+        fields = schema.field_map()
+        inherited = self._values
+        stored = child._values
+        for name in fields:
+            if name in inherited:
+                stored[name] = inherited[name]
         for name, value in (values or {}).items():
-            if name in schema.field_map():
-                field = schema.field_map()[name]
-                child._values[name] = field.coerce(value)
+            field = fields.get(name)
+            if field is not None:
+                stored[name] = field.coerce(value)
         return child
+
+    def own_values(self) -> Dict[str, Any]:
+        """The field values this record does not share with its parent.
+
+        ``parent.derive(schema, own_values)`` rebuilds an equal record:
+        :meth:`derive` copies shared fields by reference, so identity with
+        the parent's value tells a carried-over field from a computed one
+        (and coercion is idempotent, so re-deriving changes nothing).
+        """
+        inherited = self._parent._values if self._parent is not None else {}
+        return {
+            name: value for name, value in self._values.items()
+            if inherited.get(name, _UNSET) is not value
+        }
 
     # -- attribute proxying ----------------------------------------------
 

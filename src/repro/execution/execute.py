@@ -14,6 +14,7 @@ from repro.execution.asyncexec import AsyncExecutor
 from repro.execution.executors import ParallelExecutor, SequentialExecutor
 from repro.execution.incremental import (
     IncrementalReport,
+    JourneyLog,
     build_source_manifest,
     delta_impact,
     diff_manifests,
@@ -29,7 +30,7 @@ from repro.optimizer.cost_model import CostModel
 from repro.optimizer.optimizer import OptimizationReport, Optimizer
 from repro.optimizer.policies import MaxQuality, Policy, parse_policy
 from repro.physical.context import ExecutionContext
-from repro.physical.options import ExecutionOptions
+from repro.physical.options import BATCHING_EXECUTORS, ExecutionOptions
 
 
 class ExecutionEngine:
@@ -62,18 +63,29 @@ class ExecutionEngine:
             ``why``/``why_not``, persist it with
             :class:`~repro.obs.registry.RunRegistry`).  Like tracing, it
             never changes records, stats, or LLM call counts.
-        capture_calls: record the run's source manifest and LLM call log
-            onto the stats (``stats.source_manifest`` / ``stats.call_log``)
-            so the RunRegistry can persist them — the base a later
-            incremental re-run diffs against and replays from.
+        capture_calls: record the run's source manifest, LLM call log
+            and — on the sequential/parallel schedules — per-document
+            journeys onto the stats (``stats.source_manifest`` /
+            ``stats.call_log`` / ``stats.journeys``) so the RunRegistry
+            can persist them — the base a later incremental re-run diffs
+            against, splices and replays from.
         incremental: re-run against ``base_run``: diff the live source
             against the base run's manifest, let the cost model price
-            replay-vs-cold, and (in replay mode) serve unchanged
-            documents' LLM calls from the base call log.  Records, stats,
-            traces, and provenance stay byte-identical to a cold run; the
+            replay-vs-cold, and (in replay mode) serve what did not
+            change from the base run.  An unchanged document whose
+            journey the base holds is *spliced*: its accounting is
+            re-issued and its outputs rebuilt without running the
+            operators (sequential/parallel schedules, same plan prefix,
+            no shared ``cache``); otherwise its LLM calls are *replayed*
+            one by one from the base call log (every schedule); added
+            and changed documents pay *fresh* calls.  Nothing selects the
+            tier but the base snapshot, the chosen plan and the schedule.
+            Records, stats, traces, and provenance stay byte-identical to
+            a cold run; the
             :class:`~repro.execution.incremental.IncrementalReport` on
-            ``stats.incremental`` carries the fresh-vs-reused bill.
-            Implies ``capture_calls``.
+            ``stats.incremental`` carries the spliced/executed document
+            counts and the fresh-vs-reused bill.  Implies
+            ``capture_calls``.
         base_run: the base for an incremental run — a
             :class:`~repro.obs.registry.RunSnapshot`, a run id string
             resolved against ``runs_dir``, or ``None`` for the most
@@ -258,8 +270,10 @@ class ExecutionEngine:
         return registry.load(str(run_id))
 
     def _build_executor(self, context: ExecutionContext,
-                        options: ExecutionOptions, plan_shards: int):
-        """The schedule ``options.executor`` names, over ``context``."""
+                        options: ExecutionOptions, plan_shards: int,
+                        journeys: Optional[JourneyLog] = None):
+        """The schedule ``options.executor`` names, over ``context``
+        (``journeys`` is only ever made for the two inline names)."""
         common = dict(context=context, on_event=self.on_event)
         if options.executor == "pipelined":
             return PipelinedExecutor(
@@ -276,9 +290,9 @@ class ExecutionEngine:
             )
         if options.executor == "parallel":
             return ParallelExecutor(
-                max_workers=options.max_workers, **common
+                max_workers=options.max_workers, journeys=journeys, **common
             )
-        return SequentialExecutor(**common)
+        return SequentialExecutor(journeys=journeys, **common)
 
     def _execute(
         self, dataset: Dataset
@@ -314,13 +328,27 @@ class ExecutionEngine:
                 "replay" if pricing.use_incremental and snapshot.calls
                 else "cold"
             )
-            replay_log = (
-                ReplayLog.from_payload(snapshot.calls)
-                if mode == "replay" else ReplayLog()
+            replay_log = ReplayLog(
+                snapshot.replay_table() if mode == "replay" else None
             )
             incremental_plan = (snapshot, delta, pricing, mode)
         elif self.capture_calls:
             replay_log = ReplayLog()
+        options = self.options.resolved()
+        chosen_plan = report.chosen.plan
+        # Document journeys exist where a journey is well defined: one
+        # record at a time through the chain (the inline schedules; bundled
+        # ones amortize latency over whoever shares the bundle) and no
+        # cross-run CallCache deciding which calls are priced.
+        journeys = None
+        prefix = chosen_plan.streaming_prefix
+        if (replay_log is not None and prefix and self.cache is None
+                and options.executor not in BATCHING_EXECUTORS):
+            journeys = JourneyLog(prefix, replay_log)
+            if replay_log.primed:
+                journeys.prime(
+                    snapshot.manifest, snapshot.journeys, live_manifest
+                )
         context = ExecutionContext(
             max_workers=self.options.max_workers,
             models=self.models,
@@ -335,11 +363,11 @@ class ExecutionEngine:
             # in virtual time); execution spans follow the run's clock.
             tracer.default_clock = context.clock
         cache_before = self._cache_counts()
-        options = self.options.resolved()
         name = options.executor
-        chosen_plan = report.chosen.plan
         plan_shards = max(1, getattr(chosen_plan, "shards", 1))
-        executor = self._build_executor(context, options, plan_shards)
+        executor = self._build_executor(
+            context, options, plan_shards, journeys
+        )
         with self._phase("engine.execute"):
             records, plan_stats = executor.execute(chosen_plan)
         if self.telemetry is not None:
@@ -374,10 +402,13 @@ class ExecutionEngine:
         if replay_log is not None:
             stats.source_manifest = live_manifest
             stats.call_log = replay_log.to_payload()
+            if journeys is not None:
+                stats.journeys = journeys.to_payload()
         if incremental_plan is not None:
             snapshot, delta, pricing, mode = incremental_plan
             reused = replay_log.reused_summary()
             totals = context.ledger.total()
+            spliced = journeys.spliced if journeys is not None else 0
             stats.incremental = IncrementalReport(
                 base_run_id=snapshot.run_id,
                 mode=mode,
@@ -391,6 +422,10 @@ class ExecutionEngine:
                 reused_llm_seconds=reused.seconds,
                 fresh_cost_usd=totals.cost_usd - reused.cost_usd,
                 fresh_llm_seconds=totals.latency_seconds - reused.seconds,
+                spliced_docs=spliced,
+                executed_docs=(
+                    plan_stats.operator_stats[0].records_in - spliced
+                ),
                 pricing=pricing,
             )
         return records, stats
@@ -462,11 +497,13 @@ def Execute(
                                  max_workers=4, sanitize=True)
         assert stats.sanitizer.ok()
 
-    Pass ``capture_calls=True`` to record the source manifest and LLM
-    call log onto the stats (persisted by ``RunRegistry.record``), then
-    ``incremental=True`` to re-run against that base after the corpus
-    drifts — unchanged documents replay from the base call log and only
-    the delta is paid for, with byte-identical output::
+    Pass ``capture_calls=True`` to record the source manifest, LLM call
+    log and document journeys onto the stats (persisted by
+    ``RunRegistry.record``), then ``incremental=True`` to re-run against
+    that base after the corpus drifts — unchanged documents are spliced
+    from the base run's journeys (or, on the threaded schedules, replay
+    their calls from its call log) and only the delta is paid for, with
+    byte-identical output::
 
         records, stats = Execute(dataset, provenance=True,
                                  capture_calls=True)

@@ -33,9 +33,9 @@ class SequentialExecutor(PlanExecutor):
     OPEN_SPAN_REPORTS_OUTPUTS = False
 
     def __init__(self, context: Optional[ExecutionContext] = None,
-                 on_event=None):
+                 on_event=None, journeys=None):
         super().__init__(context or ExecutionContext(max_workers=1),
-                         on_event=on_event)
+                         on_event=on_event, journeys=journeys)
 
     def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
         return self._run(plan, {"workers": self.context.max_workers})
@@ -48,11 +48,11 @@ class ParallelExecutor(SequentialExecutor):
     LANE_PER_RECORD = True
 
     def __init__(self, context: Optional[ExecutionContext] = None,
-                 max_workers: int = 4, on_event=None):
+                 max_workers: int = 4, on_event=None, journeys=None):
         if context is None:
             context = ExecutionContext(max_workers=max_workers)
         if context.clock.lanes < context.max_workers:
             raise ValueError(
                 "context clock must have at least max_workers lanes"
             )
-        super().__init__(context, on_event=on_event)
+        super().__init__(context, on_event=on_event, journeys=journeys)

@@ -133,10 +133,12 @@ class _PinnedSpan:
     stats accumulate makes span durations reconcile with
     ``OperatorStats.time_seconds`` exactly.  With tracing off the span is
     the shared no-op span and only the delta is computed.  ``outputs`` is
-    the slot a metered call reports its output count in.
+    the slot a metered call reports its output count in; ``usages`` is
+    where the meter leaves the LLM usage the call was billed.
     """
 
-    __slots__ = ("_clock", "_active", "_before", "span", "busy", "outputs")
+    __slots__ = ("_clock", "_active", "_before", "span", "busy", "outputs",
+                 "usages")
 
     def __init__(self, context: ExecutionContext, name: str, kind: str,
                  **attributes):
@@ -146,6 +148,7 @@ class _PinnedSpan:
         )
         self.busy = 0.0
         self.outputs = 0
+        self.usages: Sequence = ()
 
     def __enter__(self) -> "_PinnedSpan":
         self.span = self._active.__enter__()
@@ -181,6 +184,10 @@ class _Meter:
             logical_describe=op.logical_op.describe(),
         )
         self._lock = threading.Lock()
+        #: The run's :class:`~repro.execution.incremental.JourneyLog` while
+        #: this meter's operator is in the streaming prefix of an inline
+        #: run that records (and splices) document journeys, else None.
+        self.journeys = None
 
     @contextmanager
     def _span_and_capture(self, span_name: str, inputs: int,
@@ -195,16 +202,21 @@ class _Meter:
                          op=self.op.op_label) as pin, \
                 self.context.ledger.capture() as bucket:
             yield pin
+        pin.usages = bucket
         pin.span.set_attribute("records_in", inputs)
         if report_outputs:
             pin.span.set_attribute("records_out", pin.outputs)
+        self._account(inputs, pin.outputs, pin.busy, bucket)
+
+    def _account(self, inputs: int, outputs: int, busy: float,
+                 usages: Sequence) -> None:
         with self._lock:
             stats = self.stats
             stats.records_in += inputs
-            stats.records_out += pin.outputs
-            stats.add_time(pin.busy)
-            stats.llm_calls += len(bucket)
-            for usage in bucket:
+            stats.records_out += outputs
+            stats.add_time(busy)
+            stats.llm_calls += len(usages)
+            for usage in usages:
                 stats.add_cost(usage.cost_usd)
                 stats.input_tokens += usage.input_tokens
                 stats.output_tokens += usage.output_tokens
@@ -217,9 +229,47 @@ class _Meter:
             self.op.open(self.context)
 
     def process(self, record: DataRecord) -> List[DataRecord]:
+        log = self.journeys
+        if log is not None:
+            visit = log.next_visit()
+            if visit is not None:
+                return self._splice(record, visit, log)
+            log.begin_visit()
         with self._span_and_capture("op.process", 1) as call:
             outputs = self.op.process(record)
             call.outputs = len(outputs)
+        if log is not None:
+            log.end_visit(self.op, record, outputs, call.usages)
+        return outputs
+
+    def _splice(self, record: DataRecord, visit: list,
+                log) -> List[DataRecord]:
+        """Serve one ``process`` call from the base run's journey.
+
+        Everything a cold call leaves behind is reproduced — the clock
+        advances (same amounts, same order, so lane times and this span's
+        pinned duration come out float-identical), the ledger rows and
+        their budget charge, the ``op.process`` / ``llm.call`` spans, the
+        stats, the provenance event, the output records derived from the
+        live ``record`` — and only the operator's own work is skipped.  A
+        quota breach raises out of the ledger at the same call, leaving
+        the visit unaccounted, exactly as it would mid-operator.
+        """
+        charges, derived = visit
+        op = self.op
+        with _PinnedSpan(self.context, "op.process", SpanKind.OPERATOR,
+                         op=op.op_label) as pin:
+            usages = log.replay_charges(charges, self.context)
+        outputs: List[DataRecord] = []
+        for values in derived:
+            outputs.append(
+                record if values is None
+                else record.derive(op.logical_op.output_schema, dict(values))
+            )
+        pin.span.set_attribute("records_in", 1)
+        pin.span.set_attribute("records_out", len(outputs))
+        self._account(1, len(outputs), pin.busy, usages)
+        log.replay_event(op, record, outputs, usages)
         return outputs
 
     async def aprocess(self, record: DataRecord) -> List[DataRecord]:
@@ -318,9 +368,15 @@ class PlanExecutor:
     #: worker thread has exited.
     _GUARDED_BY = {"_errors": ("_error_lock", "writes")}
 
-    def __init__(self, context: ExecutionContext, on_event=None):
+    def __init__(self, context: ExecutionContext, on_event=None,
+                 journeys=None):
         self.context = context
         self._on_event = on_event
+        #: Optional :class:`~repro.execution.incremental.JourneyLog` the
+        #: inline schedule records document journeys into and splices
+        #: unchanged documents from; the engine hands one to the
+        #: sequential/parallel names only.
+        self.journeys = journeys
         self._event_lock = threading.Lock()
         self._abort = threading.Event()
         self._errors: List[BaseException] = []
@@ -607,11 +663,25 @@ class PlanExecutor:
         """
         scan_meter, downstream = meters[0], meters[1:]
         sink: List[DataRecord] = []
-        for record in self._scan(plan, scan_meter):
-            sink.extend(self._run_chain(downstream, [record]))
-            self._emit_progress(scan_meter, len(sink))
-            if stop_limit is not None and stop_limit.exhausted:
-                break
+        log = self.journeys
+        if log is not None:
+            # Route the streaming prefix's meters through the journey log:
+            # per source document it either serves their visits from the
+            # base run's journey or records a new one.
+            log.attach(self.context, downstream[:len(log.prefix_ids)])
+        try:
+            for index, record in enumerate(self._scan(plan, scan_meter)):
+                if log is not None:
+                    log.begin_document(index)
+                sink.extend(self._run_chain(downstream, [record]))
+                if log is not None:
+                    log.end_document()
+                self._emit_progress(scan_meter, len(sink))
+                if stop_limit is not None and stop_limit.exhausted:
+                    break
+        finally:
+            if log is not None:
+                log.detach(self.context)
         sink.extend(
             self._close_and_flush(downstream, self.LANE_PER_RECORD)
         )

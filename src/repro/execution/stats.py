@@ -142,13 +142,13 @@ def _fill_run_metrics(
     # Per-call distributions.  Cost and token counts are batch-invariant
     # (identical per-record or batched); latency is not, so no latency
     # histogram — it would differ between batch sizes.
-    cost_hist = metrics.histogram("llm.call_cost_usd")
-    in_hist = metrics.histogram("llm.call_input_tokens")
-    out_hist = metrics.histogram("llm.call_output_tokens")
-    for usage in context.ledger.records:
-        cost_hist.observe(usage.cost_usd)
-        in_hist.observe(usage.input_tokens)
-        out_hist.observe(usage.output_tokens)
+    usages = context.ledger.records
+    metrics.histogram("llm.call_cost_usd").observe_many(
+        [usage.cost_usd for usage in usages])
+    metrics.histogram("llm.call_input_tokens").observe_many(
+        [usage.input_tokens for usage in usages])
+    metrics.histogram("llm.call_output_tokens").observe_many(
+        [usage.output_tokens for usage in usages])
     metrics.counter("run.records_out").inc(len(sink))
     metrics.gauge("run.elapsed_seconds").set(round(context.clock.elapsed, 9))
     for index, stats in enumerate(op_stats):
@@ -269,6 +269,11 @@ class ExecutionStats:
     #: calls were captured, else None.  Excluded like trace/provenance —
     #: persisted as ``calls.json`` by the RunRegistry.
     call_log: Optional[Any] = field(default=None, repr=False, compare=False)
+    #: The run's document-journey payload (``JourneyLog.to_payload()``)
+    #: when an inline schedule captured calls, else None.  Excluded like
+    #: the call log — persisted as ``journeys.json`` by the RunRegistry,
+    #: it lets a later incremental re-run splice unchanged documents.
+    journeys: Optional[Any] = field(default=None, repr=False, compare=False)
     #: The IncrementalReport when the run executed incrementally against a
     #: base run, else None.  Excluded from serialization and comparison.
     incremental: Optional[Any] = field(default=None, repr=False,

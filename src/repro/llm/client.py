@@ -81,6 +81,59 @@ class LLMResponse:
     model: str
 
 
+def meter_call(model: ModelCard, input_tokens: int, output_tokens: int,
+               operation: str, clock: Optional[VirtualClock],
+               ledger: Optional[UsageLedger], tracer,
+               amortize_overhead: bool = False) -> LLMUsage:
+    """Charge one call of ``model`` with the given token counts.
+
+    Prices it from the model card, advances ``clock`` by its latency,
+    records the :class:`LLMUsage` into ``ledger`` (which charges any
+    attached budget and may raise ``QuotaExceededError`` — after the
+    record landed) and emits the ``llm.call`` leaf span.  The one
+    accounting path of a fresh call, a replayed call and a call spliced
+    from a base run's journey, which is what keeps the three
+    byte-identical.
+    """
+    cost = model.cost_usd(input_tokens, output_tokens)
+    latency = model.latency_seconds(input_tokens, output_tokens)
+    if amortize_overhead:
+        # Later requests of a batched call ride the connection the first
+        # one already paid for; cost (tokens) is unaffected.
+        latency -= model.overhead_seconds
+    timestamp = clock.advance(latency) if clock is not None else 0.0
+    usage = LLMUsage(
+        model=model.name,
+        input_tokens=input_tokens,
+        output_tokens=output_tokens,
+        cost_usd=cost,
+        latency_seconds=latency,
+        operation=operation,
+        virtual_timestamp=timestamp,
+    )
+    if ledger is not None:
+        ledger.record(usage)
+    if tracer.enabled:
+        trace_call(tracer, clock, usage, cache_hit=False)
+    return usage
+
+
+def trace_call(tracer, clock: Optional[VirtualClock], usage: LLMUsage,
+               cache_hit: bool) -> None:
+    """Record the ``llm.call`` leaf span for one metered call."""
+    end = usage.virtual_timestamp
+    start = max(0.0, end - usage.latency_seconds)
+    lane = clock.current_lane if clock is not None else 0
+    tracer.record(
+        "llm.call", SpanKind.LLM, start, end, lane,
+        model=usage.model,
+        operation=usage.operation,
+        input_tokens=usage.input_tokens,
+        output_tokens=usage.output_tokens,
+        cache_hit=cache_hit,
+    )
+
+
 class LLMClient:
     """Interface of the simulated client (single implementation below).
 
@@ -156,20 +209,6 @@ class SimulatedLLMClient(LLMClient):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.replay = replay
 
-    def _trace_call(self, usage: LLMUsage, cache_hit: bool) -> None:
-        """Record the ``llm.call`` leaf span for one metered call."""
-        end = usage.virtual_timestamp
-        start = max(0.0, end - usage.latency_seconds)
-        lane = self.clock.current_lane if self.clock is not None else 0
-        self.tracer.record(
-            "llm.call", SpanKind.LLM, start, end, lane,
-            model=usage.model,
-            operation=usage.operation,
-            input_tokens=usage.input_tokens,
-            output_tokens=usage.output_tokens,
-            cache_hit=cache_hit,
-        )
-
     # ------------------------------------------------------------------
     # Accounting plumbing.
     # ------------------------------------------------------------------
@@ -183,30 +222,11 @@ class SimulatedLLMClient(LLMClient):
             raise ContextWindowExceeded(
                 self.model.name, input_tokens, self.model.context_window
             )
-        output_tokens = max(1, count_tokens(output_text))
-        cost = self.model.cost_usd(input_tokens, output_tokens)
-        latency = self.model.latency_seconds(input_tokens, output_tokens)
-        if amortize_overhead:
-            # Later requests of a batched call ride the connection the first
-            # one already paid for; cost (tokens) is unaffected.
-            latency -= self.model.overhead_seconds
-        timestamp = 0.0
-        if self.clock is not None:
-            timestamp = self.clock.advance(latency)
-        usage = LLMUsage(
-            model=self.model.name,
-            input_tokens=input_tokens,
-            output_tokens=output_tokens,
-            cost_usd=cost,
-            latency_seconds=latency,
-            operation=operation,
-            virtual_timestamp=timestamp,
+        return meter_call(
+            self.model, input_tokens, max(1, count_tokens(output_text)),
+            operation, self.clock, self.ledger, self.tracer,
+            amortize_overhead=amortize_overhead,
         )
-        if self.ledger is not None:
-            self.ledger.record(usage)
-        if self.tracer.enabled:
-            self._trace_call(usage, cache_hit=False)
-        return usage
 
     def _cache_hit_response(self, value: Any, operation: str) -> LLMResponse:
         """Build the metered response for a cache hit (near-free)."""
@@ -224,7 +244,7 @@ class SimulatedLLMClient(LLMClient):
         if self.ledger is not None:
             self.ledger.record(usage)
         if self.tracer.enabled:
-            self._trace_call(usage, cache_hit=True)
+            trace_call(self.tracer, self.clock, usage, cache_hit=True)
         return LLMResponse(
             value=value, text=json.dumps(value, default=str),
             usage=usage, model=self.model.name,
@@ -240,19 +260,14 @@ class SimulatedLLMClient(LLMClient):
         and the trace span are byte-identical to the call this one replays;
         only the prompt construction and answer derivation are skipped.
         The charge is then tallied as *reused* so incremental reporting can
-        subtract it from the run's bill.
+        subtract it from the run's bill, and the base entry is carried
+        into this run's own call log.
         """
         usage = self._meter_tokens(
             entry.input_tokens, text, operation,
             amortize_overhead=amortize_overhead,
         )
-        self.replay.note_reuse(
-            key, usage.cost_usd, usage.latency_seconds,
-            usage.input_tokens, usage.output_tokens,
-        )
-        self.replay.record(
-            key, entry.value, usage.input_tokens, usage.output_tokens
-        )
+        self.replay.reuse(key, usage)
         return LLMResponse(value=entry.value, text=text, usage=usage,
                            model=self.model.name)
 

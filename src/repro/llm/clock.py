@@ -20,6 +20,20 @@ from __future__ import annotations
 import threading
 
 
+class _ThreadState:
+    """One thread's view of a :class:`VirtualClock`."""
+
+    __slots__ = ("lane", "advanced", "tape")
+
+    def __init__(self):
+        #: The lane this thread's advances are charged to.
+        self.lane = 0
+        #: Total seconds this thread has advanced the clock by.
+        self.advanced = 0.0
+        #: See :meth:`VirtualClock.record_advances`.
+        self.tape = None
+
+
 class VirtualClock:
     """Tracks simulated elapsed seconds, optionally across parallel lanes.
 
@@ -38,15 +52,25 @@ class VirtualClock:
         self._lock = threading.RLock()
         self._local = threading.local()
 
-    # -- thread-local current lane ----------------------------------------
+    # -- thread-local state ---------------------------------------------------
+
+    @property
+    def _state(self) -> "_ThreadState":
+        """The calling thread's lane selection and advance accounting: one
+        thread-local read, however many of the three the caller needs."""
+        try:
+            return self._local.state
+        except AttributeError:
+            state = self._local.state = _ThreadState()
+            return state
 
     @property
     def _current_lane(self) -> int:
-        return getattr(self._local, "lane", 0)
+        return self._state.lane
 
     @_current_lane.setter
     def _current_lane(self, lane: int) -> None:
-        self._local.lane = lane
+        self._state.lane = lane
 
     @property
     def current_lane(self) -> int:
@@ -97,16 +121,31 @@ class VirtualClock:
         under any interleaving.  The pipelined executor meters per-operator
         time (and span durations) with it.
         """
-        return getattr(self._local, "advanced", 0.0)
+        return self._state.advanced
 
     def advance(self, seconds: float) -> float:
         """Add ``seconds`` to the current lane and return its new local time."""
         if seconds < 0:
             raise ValueError(f"cannot advance a clock by {seconds} seconds")
-        self._local.advanced = self.local_advanced + seconds
+        state = self._state
+        state.advanced += seconds
+        if state.tape is not None:
+            state.tape.append(seconds)
         with self._lock:
-            self._lane_times[self._current_lane] += seconds
-            return self._lane_times[self._current_lane]
+            times = self._lane_times
+            times[state.lane] += seconds
+            return times[state.lane]
+
+    def record_advances(self, tape) -> None:
+        """Append every amount the *calling thread* advances by to ``tape``
+        (a list) until called again with ``None``.
+
+        Journey capture (:mod:`repro.execution.incremental`) reads an
+        operator visit's individual charges from it: replaying the same
+        amounts in the same order is what keeps a spliced re-run's lane
+        times — float for float — equal to a cold run's.
+        """
+        self._state.tape = tape
 
     def pick_least_busy_lane(self) -> int:
         """Select (and return) the lane with the least accumulated time.

@@ -1,14 +1,18 @@
 """Persisted LLM call log: capture on a base run, replay on a re-run.
 
-Incremental execution (:mod:`repro.execution.incremental`) re-runs a plan
-through the *same* executor as a cold run, but serves LLM calls whose
-(model, task, document) identity already appears in a prior run's call log
-from that log instead of "calling the model".  A replayed call charges the
-clock and ledger exactly what the cold call would have charged — recomputed
-from the recorded token counts through the model card's pure pricing
-functions — so records, stats, traces, and provenance come out
-byte-identical to a cold run.  What replay *saves* is tallied separately:
-the re-run's own bill (its :class:`~repro.execution.incremental
+Incremental execution (:mod:`repro.execution.incremental`) serves LLM calls
+whose (model, task, document) identity already appears in a prior run's
+call log from that log instead of "calling the model".  Two tiers reuse a
+logged call: an operator that does run asks its client, which finds the
+call here (:meth:`ReplayLog.lookup`) — the *replayed call* tier, used by
+every schedule; and a document whose whole journey is spliced from the base
+run never reaches the operator, and its journey names the logged calls it
+made (the *spliced document* tier, inline schedules only).  Either way the
+call charges the clock and ledger exactly what the cold call would have
+charged — recomputed from the recorded token counts through the model
+card's pure pricing functions — so records, stats, traces, and provenance
+come out byte-identical to a cold run.  What reuse *saves* is tallied
+separately: the re-run's own bill (its :class:`~repro.execution.incremental
 .IncrementalReport`) counts only the fresh calls, the simulated analogue of
 serving unchanged derivations from a result store instead of the provider.
 
@@ -17,7 +21,8 @@ A :class:`ReplayLog` plays both roles:
 * **capture** — every fresh call records ``key -> (value, token counts)``;
   the registry persists the log as ``calls.json`` next to the run.
 * **replay** — a log primed from a prior run's ``calls.json`` answers
-  lookups; hits are tallied as *reused* spend.
+  lookups; each reused call (:meth:`ReplayLog.reuse`) is tallied as
+  *reused* spend and its base row carried into this run's log as it is.
 
 Keys extend the :class:`~repro.llm.cache.CallCache` identity (model, task
 kind, task signature, document fingerprint, context fraction) with the
@@ -28,8 +33,9 @@ entry with mismatched accounting.
 from __future__ import annotations
 
 import json
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["CallRecord", "ReplayLog", "ReuseSummary"]
@@ -52,6 +58,11 @@ class CallRecord:
     value: Any
     input_tokens: int
     output_tokens: int
+    #: The ``calls.json`` row this record was primed from, when it was:
+    #: already JSON-normal, so a re-run that reuses the call carries the
+    #: row into its own payload without re-normalizing it.
+    row: Optional[Dict[str, Any]] = field(default=None, compare=False,
+                                          repr=False)
 
 
 @dataclass
@@ -87,9 +98,11 @@ def _normalize_value(value: Any) -> Any:
 class ReplayLog:
     """Thread-safe LLM call log (see module docstring).
 
-    The primed entry table is frozen at construction and read lock-free by
-    executor worker threads (single dict lookups of immutable records);
-    capture and reuse tallies are compound mutations and take the lock.
+    The primed entry table is never mutated — one table, built once per
+    base snapshot, is shared by every re-run against it — and is read
+    lock-free by executor worker threads (single dict lookups of immutable
+    records); capture and reuse tallies are compound mutations and take
+    the lock.
     """
 
     _GUARDED_BY = {
@@ -98,15 +111,21 @@ class ReplayLog:
     }
 
     def __init__(self, entries: Optional[Dict[ReplayKey, CallRecord]] = None):
-        #: Frozen after construction — never mutated, so worker threads
-        #: read it without locking.
-        self._entries: Dict[ReplayKey, CallRecord] = dict(entries or {})
+        #: Shared and read-only (see :meth:`table_from_payload`), so
+        #: worker threads read it without locking.
+        self._entries: Dict[ReplayKey, CallRecord] = (
+            entries if entries is not None else {}
+        )
         self._captured: Dict[ReplayKey, CallRecord] = {}
-        #: (sortable key string, cost, seconds, in_tokens, out_tokens) per
-        #: replayed call; totals are summed in sorted order so float
-        #: accumulation is independent of thread arrival order.
-        self._reused: List[Tuple[str, float, float, int, int]] = []
+        #: (cost, seconds, in_tokens, out_tokens) per reused call, in
+        #: thread arrival order (the totals are exact sums, so the order
+        #: does not show).
+        self._reused: List[Tuple[float, float, int, int]] = []
         self._lock = threading.Lock()
+        #: When a list, every captured key (fresh or reused) is appended
+        #: to it — how journey capture on the inline schedule learns which
+        #: logged calls an operator visit made.  Single-threaded use only.
+        self.key_tape: Optional[List[ReplayKey]] = None
 
     # -- key construction ----------------------------------------------
 
@@ -145,33 +164,44 @@ class ReplayLog:
         """The prior run's record for ``key``, or None (fresh call)."""
         return self._entries.get(key)
 
-    def note_reuse(self, key: ReplayKey, cost_usd: float, seconds: float,
-                   input_tokens: int, output_tokens: int) -> None:
-        """Tally one replayed call's cold-equivalent accounting."""
-        sort_key = "".join(str(part) for part in key)
+    def reuse(self, key: ReplayKey, usage) -> None:
+        """One call of this run was served from the primed entry for
+        ``key`` (replayed by a client, or spliced with its document's
+        journey): tally ``usage`` — its cold-equivalent accounting — as
+        reused and carry the base entry into this run's log.
+
+        Raises ``KeyError`` when the base log has no such call (a journey
+        that names calls its run's ``calls.json`` lacks).
+        """
+        entry = self._entries[key]
         with self._lock:
-            self._reused.append(
-                (sort_key, cost_usd, seconds, input_tokens, output_tokens)
-            )
+            self._captured[key] = entry
+            self._reused.append((
+                usage.cost_usd, usage.latency_seconds,
+                usage.input_tokens, usage.output_tokens,
+            ))
+            if self.key_tape is not None:
+                self.key_tape.append(key)
 
     def reused_summary(self) -> ReuseSummary:
-        """Deterministic totals over every replayed call so far."""
+        """Deterministic totals over every reused call so far: the float
+        sums are exact (``math.fsum``), hence the same whichever order
+        worker threads reported the calls in."""
         with self._lock:
-            rows = sorted(self._reused)
-        summary = ReuseSummary()
-        for _, cost, seconds, in_tokens, out_tokens in rows:
-            summary.calls += 1
-            summary.cost_usd += cost
-            summary.seconds += seconds
-            summary.input_tokens += in_tokens
-            summary.output_tokens += out_tokens
-        return summary
+            rows = list(self._reused)
+        return ReuseSummary(
+            calls=len(rows),
+            cost_usd=math.fsum(row[0] for row in rows),
+            seconds=math.fsum(row[1] for row in rows),
+            input_tokens=sum(row[2] for row in rows),
+            output_tokens=sum(row[3] for row in rows),
+        )
 
     # -- capture --------------------------------------------------------
 
     def record(self, key: ReplayKey, value: Any, input_tokens: int,
                output_tokens: int) -> None:
-        """Capture one call of *this* run (fresh or replayed).
+        """Capture one fresh call of *this* run.
 
         Answers are pure functions of the key, so concurrent writers racing
         on the same key store equal records.
@@ -179,6 +209,8 @@ class ReplayLog:
         entry = CallRecord(value, input_tokens, output_tokens)
         with self._lock:
             self._captured[key] = entry
+            if self.key_tape is not None:
+                self.key_tape.append(key)
 
     def __len__(self) -> int:
         with self._lock:
@@ -187,13 +219,20 @@ class ReplayLog:
     # -- (de)serialization ----------------------------------------------
 
     def to_payload(self) -> List[Dict[str, Any]]:
-        """JSON-ready call log of this run, sorted for determinism."""
+        """JSON-ready call log of this run, sorted for determinism.
+
+        Reused calls contribute their base rows as they are; only fresh
+        captures are normalized.
+        """
         with self._lock:
             items = dict(self._captured)
         rows = []
-        for key in sorted(items, key=lambda k: tuple(str(p) for p in k)):
+        # Plain tuple order: every part but the context fraction is a
+        # string, and fractions in (0, 1] sort as numbers the way their
+        # decimal strings do.
+        for key in sorted(items):
             entry = items[key]
-            rows.append({
+            rows.append(entry.row if entry.row is not None else {
                 "key": list(key),
                 "value": _normalize_value(entry.value),
                 "input_tokens": entry.input_tokens,
@@ -201,9 +240,13 @@ class ReplayLog:
             })
         return rows
 
-    @classmethod
-    def from_payload(cls, payload) -> "ReplayLog":
-        """Prime a log from a persisted ``calls.json`` payload."""
+    @staticmethod
+    def table_from_payload(payload) -> Dict[ReplayKey, CallRecord]:
+        """The key -> record table of a persisted ``calls.json`` payload.
+
+        Build it once per base run (:meth:`repro.obs.registry.RunSnapshot
+        .replay_table` does) and hand it to each re-run's fresh log.
+        """
         entries: Dict[ReplayKey, CallRecord] = {}
         for row in payload or []:
             raw = row["key"]
@@ -213,5 +256,11 @@ class ReplayLog:
                 value=row["value"],
                 input_tokens=int(row["input_tokens"]),
                 output_tokens=int(row["output_tokens"]),
+                row=row,
             )
-        return cls(entries)
+        return entries
+
+    @classmethod
+    def from_payload(cls, payload) -> "ReplayLog":
+        """Prime a log from a persisted ``calls.json`` payload."""
+        return cls(cls.table_from_payload(payload))

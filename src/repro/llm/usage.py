@@ -9,8 +9,9 @@ dollar costs, and call counts.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -298,6 +299,13 @@ class _Capture:
                 break
 
 
+#: The full value tuple :meth:`UsageLedger._canonical` orders by.
+_CANONICAL_KEY = attrgetter(
+    "model", "operation", "virtual_timestamp", "input_tokens",
+    "output_tokens", "cost_usd", "latency_seconds",
+)
+
+
 class UsageLedger:
     """Collects :class:`LLMUsage` records and aggregates them.
 
@@ -313,10 +321,12 @@ class UsageLedger:
     appended to the capture list.
     """
 
-    _GUARDED_BY = {"_records": "_lock"}
+    _GUARDED_BY = {"_records": "_lock", "_aggregate_cache": "_lock"}
 
     def __init__(self, budget: Optional[BudgetMeter] = None):
         self._records: List[LLMUsage] = []
+        self._aggregate_cache: Tuple[List[LLMUsage], UsageTotals] = (
+            [], UsageTotals())
         self._lock = threading.Lock()
         self._local = threading.local()
         #: Optional shared :class:`BudgetMeter` every record also charges
@@ -361,30 +371,44 @@ class UsageLedger:
         with self._lock:
             return list(self._records)
 
-    def _canonical(self) -> List[LLMUsage]:
-        """Records in an order that depends only on their multiset.
+    def _aggregated(self) -> Tuple[List[LLMUsage], UsageTotals]:
+        """Records in an order that depends only on their multiset, and
+        their totals summed in that order.
 
         Concurrent executors append in thread-arrival order, so float
         aggregation over ``records`` would drift by an ulp run-to-run.
         Sorting by the full value tuple makes every aggregate a pure
         function of *which* calls happened, not when they landed.
+
+        The ledger only grows, so what was computed for ``n`` records
+        stands until there are more: a finished run's several aggregates
+        (totals twice, per-model rows, the incremental report) share one
+        sort and one summing pass.  Callers only read the returned pair.
         """
-        return sorted(
-            self.records,
-            key=lambda u: (u.model, u.operation, u.virtual_timestamp,
-                           u.input_tokens, u.output_tokens, u.cost_usd,
-                           u.latency_seconds),
-        )
+        with self._lock:
+            cached = self._aggregate_cache
+            if len(cached[0]) == len(self._records):
+                return cached
+            records = list(self._records)
+        ordered = sorted(records, key=_CANONICAL_KEY)
+        totals = UsageTotals()
+        for usage in ordered:
+            totals.add(usage)
+        cached = (ordered, totals)
+        with self._lock:
+            if len(ordered) == len(self._records):
+                self._aggregate_cache = cached
+        return cached
+
+    def _canonical(self) -> List[LLMUsage]:
+        return self._aggregated()[0]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
 
     def total(self) -> UsageTotals:
-        totals = UsageTotals()
-        for usage in self._canonical():
-            totals.add(usage)
-        return totals
+        return replace(self._aggregated()[1])
 
     def by_model(self) -> Dict[str, UsageTotals]:
         grouped: Dict[str, UsageTotals] = {}
@@ -413,6 +437,7 @@ class UsageLedger:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
+            self._aggregate_cache = ([], UsageTotals())
 
     def summary_lines(self) -> List[str]:
         """Human-readable per-model summary (used in chat stats output)."""

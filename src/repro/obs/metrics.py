@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class Counter:
@@ -110,12 +110,11 @@ class Histogram:
     retention stays proportional to run size.
     """
 
-    __slots__ = ("name", "best_effort", "_count", "_sum", "_min", "_max",
+    __slots__ = ("name", "best_effort", "_count", "_min", "_max",
                  "_samples", "_lock")
 
     _GUARDED_BY = {
         "_count": "_lock",
-        "_sum": "_lock",
         "_min": "_lock",
         "_max": "_lock",
         "_samples": "_lock",
@@ -125,21 +124,27 @@ class Histogram:
         self.name = name
         self.best_effort = best_effort
         self._count = 0
-        self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._samples: List[float] = []
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Observe every one of ``values`` under one lock hold (a run's
+        per-call distributions arrive all at once, at run end)."""
+        if not values:
+            return
+        low, high = min(values), max(values)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            self._samples.append(value)
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
+            self._count += len(values)
+            self._samples.extend(values)
+            if self._min is None or low < self._min:
+                self._min = low
+            if self._max is None or high > self._max:
+                self._max = high
 
     @property
     def count(self) -> int:
@@ -152,7 +157,7 @@ class Histogram:
             if not self._count:
                 return 0.0
             # fsum over the retained samples: exact and order-independent,
-            # where the running ``_sum`` carries arrival-order ulp jitter.
+            # where a running sum would carry arrival-order ulp jitter.
             return math.fsum(self._samples) / self._count
 
     @staticmethod

@@ -248,6 +248,20 @@ class ProvenanceRecorder:
                 "attrs": dict(attrs),
             })
 
+    # -- raw event access -----------------------------------------------
+
+    def event_count(self) -> int:
+        """Raw events recorded so far — a mark for :meth:`events_since`."""
+        with self._lock:
+            return len(self._events)
+
+    def events_since(self, mark: int) -> List[Dict[str, Any]]:
+        """The raw events recorded after ``mark`` (read-only views; ids
+        are runtime record ids).  Journey capture on the inline schedule
+        reads the event one operator visit reported from here."""
+        with self._lock:
+            return self._events[mark:]
+
     # -- finalization ---------------------------------------------------
 
     def finalize(self, outputs: Iterable[Any]) -> "ProvenanceGraph":

@@ -8,6 +8,9 @@ Every recorded run lands in its own directory under ``.repro/runs/``::
         records.json      # output records (schema-shaped dicts, sink order)
         provenance.json   # canonical ProvenanceGraph (when recorded)
         trace.json        # plain-JSON trace (when traced)
+        manifest.json     # per-document source manifest  } when the run
+        calls.json        # LLM call log                  } captured calls
+        journeys.json     # per-document journeys (inline schedules only)
 
 Run ids are sequential (``run-0001``, ``run-0002``, ...) rather than
 timestamps so a registry populated by a deterministic script is itself
@@ -169,6 +172,7 @@ class RunSnapshot:
         trace: Optional[Dict[str, Any]] = None,
         manifest: Optional[Dict[str, Any]] = None,
         calls: Optional[List[Dict[str, Any]]] = None,
+        journeys: Optional[Dict[str, Any]] = None,
     ):
         self.run_id = run_id
         self.meta = meta
@@ -182,6 +186,12 @@ class RunSnapshot:
         #: Captured LLM call log (``calls.json``) when the run captured
         #: one — what an incremental re-run replays from.
         self.calls = calls
+        #: Captured per-document journeys (``journeys.json``) when an
+        #: inline schedule captured calls — what an incremental re-run
+        #: splices unchanged documents from (see
+        #: :class:`repro.execution.incremental.JourneyLog`).
+        self.journeys = journeys
+        self._replay_table: Optional[Dict] = None
 
     @classmethod
     def from_execution(cls, run_id: str, records, stats) -> "RunSnapshot":
@@ -225,7 +235,22 @@ class RunSnapshot:
             trace=trace,
             manifest=getattr(stats, "source_manifest", None),
             calls=getattr(stats, "call_log", None),
+            journeys=getattr(stats, "journeys", None),
         )
+
+    def replay_table(self) -> Dict:
+        """``calls`` as the key -> record table a
+        :class:`~repro.llm.replay.ReplayLog` is primed with.
+
+        Built on first use and kept for the snapshot's life, so every
+        incremental re-run against this base shares one read-only table
+        instead of re-parsing the call log.
+        """
+        if self._replay_table is None:
+            from repro.llm.replay import ReplayLog
+
+            self._replay_table = ReplayLog.table_from_payload(self.calls)
+        return self._replay_table
 
     def handle(self) -> ResultHandle:
         """This run's result set as an addressable handle."""
@@ -297,10 +322,10 @@ class RunRegistry:
         run_dir = self.root / snapshot.run_id
         run_dir.mkdir(parents=True, exist_ok=True)
 
-        def dump(name: str, payload: Any) -> None:
+        def dump(name: str, payload: Any, indent: Optional[int] = 2) -> None:
             path = run_dir / name
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True,
+                json.dump(payload, handle, indent=indent, sort_keys=True,
                           default=str)
                 handle.write("\n")
 
@@ -315,6 +340,9 @@ class RunRegistry:
             dump("manifest.json", snapshot.manifest)
         if snapshot.calls is not None:
             dump("calls.json", snapshot.calls)
+        if snapshot.journeys is not None:
+            # Machine-read only, and mostly small nested lists: one line.
+            dump("journeys.json", snapshot.journeys, indent=None)
         return run_dir
 
     # -- retrieval ------------------------------------------------------
@@ -357,6 +385,7 @@ class RunRegistry:
             trace=read("trace.json"),
             manifest=read("manifest.json"),
             calls=read("calls.json"),
+            journeys=read("journeys.json"),
         )
 
     def handle(self, run_id: str) -> ResultHandle:

@@ -35,6 +35,33 @@ def shard_safe(op: PhysicalOperator) -> bool:
     )
 
 
+def record_local(op: PhysicalOperator) -> bool:
+    """Is ``op``'s work on one record a pure function of that record?
+
+    True for the stateless streaming operators that read nothing but the
+    record in hand (and its lineage): filters, converts other than the
+    exemplar-keeping code-synthesis one, projections.  Their outputs,
+    clock charges, LLM calls and provenance event for a document are then
+    the same in every run of the same operator, which is what lets an
+    incremental re-run splice them from the base run
+    (:mod:`repro.execution.incremental`).  Joins and unions read a second
+    dataset, limits and distinct keep arrival state, blocking operators
+    see everything: none of those qualify.
+    """
+    from repro.physical.converts import (
+        ChunkedConvert, LLMConvertBonded, NonLLMConvert,
+    )
+    from repro.physical.filters import (
+        EmbeddingFilter, LLMFilter, NonLLMFilter,
+    )
+    from repro.physical.structural import ProjectOp
+
+    return isinstance(op, (
+        NonLLMFilter, LLMFilter, EmbeddingFilter, NonLLMConvert,
+        LLMConvertBonded, ChunkedConvert, ProjectOp,
+    ))
+
+
 class PhysicalPlan:
     """A linear chain of physical operators, scan first.
 
@@ -95,6 +122,17 @@ class PhysicalPlan:
         prefix: List[PhysicalOperator] = []
         for op in self.downstream:
             if not shard_safe(op):
+                break
+            prefix.append(op)
+        return prefix
+
+    @property
+    def streaming_prefix(self) -> List[PhysicalOperator]:
+        """The maximal run of :func:`record_local` operators after the
+        scan: what a document journey covers."""
+        prefix: List[PhysicalOperator] = []
+        for op in self.downstream:
+            if not record_local(op):
                 break
             prefix.append(op)
         return prefix

@@ -100,6 +100,43 @@ class TestQuotaCheckpointOnEverySchedule:
         assert 0 < len(context.ledger) < full_calls
         assert budget.calls == len(context.ledger)
 
+    @pytest.mark.parametrize("name,workers", [
+        ("sequential", 1), ("parallel", 4)])
+    def test_budget_breached_mid_splice_aborts_at_the_cold_runs_call(
+            self, name, workers):
+        """An incremental re-run that serves documents from the base run's
+        journeys still charges every call: the cap is breached by the same
+        call as in a cold run, which leaves the same partial spend."""
+        import repro as pz
+        from repro.obs.registry import RunSnapshot
+
+        source = make_source(n=self.DOCS, dataset_id=f"core-splice-{name}")
+        flags = dict(policy="quality", executor=name, max_workers=workers)
+        records, stats = pz.Execute(
+            shape_filter_convert(source), capture_calls=True, **flags)
+        base = RunSnapshot.from_execution("base", records, stats)
+        cap = stats.total_cost_usd * 0.4
+
+        def aborted(**kwargs):
+            budget = BudgetMeter(max_cost_usd=cap)
+            with pytest.raises(QuotaExceededError, match="charge"):
+                pz.Execute(shape_filter_convert(source), budget=budget,
+                           **flags, **kwargs)
+            return (budget.calls, budget.spent_cost_usd,
+                    budget.spent_tokens)
+
+        cold = aborted()
+        assert 0 < cold[0] < sum(
+            op.llm_calls for op in stats.plan_stats.operator_stats)
+        # Nothing changed, so every document up to the breach is spliced.
+        assert aborted(incremental=True, base_run=base) == cold
+        # With headroom the same re-run finishes, spliced throughout.
+        _, rerun = pz.Execute(
+            shape_filter_convert(source), incremental=True, base_run=base,
+            budget=BudgetMeter(max_cost_usd=stats.total_cost_usd), **flags)
+        assert rerun.incremental.spliced_docs == self.DOCS
+        assert rerun.to_dict() == stats.to_dict()
+
     @pytest.mark.parametrize("name", EXECUTORS)
     def test_untouched_budget_lets_the_run_finish(self, name):
         source = make_source(n=6, dataset_id=f"core-quota-ok-{name}")

@@ -16,9 +16,10 @@ import json
 import pytest
 
 import repro as pz
+from repro.core.builtin_schemas import TextFile
 from repro.core.dataset import Dataset
 from repro.core.schemas import make_schema
-from repro.core.sources import global_source_registry
+from repro.core.sources import MemorySource, global_source_registry
 from repro.corpora.scale import (
     SCALE_FIELDS,
     SCALE_PREDICATE,
@@ -31,6 +32,7 @@ from repro.execution.incremental import (
     delta_impact,
     diff_manifests,
 )
+from repro.llm.oracle import global_oracle
 from repro.obs.export import to_plain_json
 from repro.obs.registry import ResultHandle, RunRegistry, RunSnapshot
 from repro.optimizer.cost_model import CostModel
@@ -501,3 +503,556 @@ class TestChat:
         assert [m["run_id"] for m in registry.list()] == ["run-0002"]
         assert len(workspace.run_history) == 1
         assert workspace.last_result is None
+
+
+# ----------------------------------------------------------------------
+# The document-granular splice: unchanged documents never walk the chain.
+# ----------------------------------------------------------------------
+
+def plain_signature(records, stats):
+    """:func:`signature` for runs that kept no trace and no provenance."""
+    return (
+        [record.to_json() for record in records],
+        json.dumps(stats.to_dict(), sort_keys=True, default=str),
+    )
+
+
+def captured(stats):
+    """What a run hands the next one as its base."""
+    return (stats.source_manifest, stats.call_log, stats.journeys)
+
+
+def note_source(keys, dataset_id, seed=41, texts=None):
+    """A keyed corpus of scale notes: document ``key`` holds note number
+    ``key`` of the seed (or ``texts[key]``), under filename ``doc-<key>``."""
+    from repro.corpora.scale import _note_text, _scale_truth
+
+    items = []
+    for key in keys:
+        number = (texts or {}).get(key, key)
+        relevant = number % 2 == 0
+        text = _note_text(number, seed, relevant)
+        global_oracle().register(
+            text, _scale_truth(number, seed, relevant, 0.0))
+        items.append({"filename": f"doc-{key}", "text_contents": text})
+    return MemorySource(items, dataset_id=dataset_id, schema=TextFile)
+
+
+SPLICING = [("sequential", 1), ("parallel", 1), ("parallel", 4)]
+
+DELTAS = {
+    "adds": dict(adds=3),
+    "edits": dict(edits=3),
+    "drops": dict(drops=3),
+    "all-three": dict(adds=2, edits=2, drops=2),
+    "zero": dict(),
+    "everything": dict(edits=24),
+}
+
+
+class TestSplice:
+    N = 24
+
+    def _round(self, dataset_id, delta, executor="sequential", workers=1,
+               observed=True, pipeline=build, base_kwargs=None, **kwargs):
+        """Base run, then cold and incremental runs over the drifted
+        corpus; returns (base snapshot, cold, incremental)."""
+        flags = dict(executor=executor, max_workers=workers,
+                     policy="quality", trace=observed, provenance=observed)
+        flags.update(kwargs)
+        base_flags = dict(flags, **(base_kwargs or {}))
+        base_source = generate_scale_source(
+            self.N, seed=43, dataset_id=dataset_id)
+        base = RunSnapshot.from_execution("base", *Execute(
+            pipeline(base_source), capture_calls=True, **base_flags))
+        mutated = mutate_scale_source(
+            self.N, seed=43, dataset_id=dataset_id, **delta)
+        cold = Execute(pipeline(mutated), capture_calls=True, **flags)
+        incr = Execute(pipeline(mutated), incremental=True, base_run=base,
+                       **flags)
+        return base, cold, incr
+
+    @pytest.mark.parametrize("observed", [True, False],
+                             ids=["observed", "plain"])
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    @pytest.mark.parametrize("executor,workers", SPLICING)
+    def test_byte_identical_and_every_unchanged_document_spliced(
+            self, executor, workers, delta, observed):
+        _, cold, incr = self._round(
+            f"splice-{executor}-{workers}-{delta}-{observed}",
+            DELTAS[delta], executor, workers, observed)
+        sign = signature if observed else plain_signature
+        assert sign(*cold) == sign(*incr)
+        report = incr[1].incremental
+        assert report.spliced_docs == len(report.delta.unchanged)
+        assert report.executed_docs == report.delta.fresh_docs
+        assert (report.replayed_calls + report.fresh_calls
+                == cold[1].to_dict()["plan"]["operators"][1]["llm_calls"]
+                + cold[1].to_dict()["plan"]["operators"][2]["llm_calls"])
+        # The re-run can itself be the base of the next one.
+        assert captured(incr[1]) == captured(cold[1])
+
+    def test_report_carries_the_documents_line(self):
+        _, _, incr = self._round("splice-report", DELTAS["all-three"])
+        report = incr[1].incremental
+        assert report.to_dict()["documents"] == {
+            "spliced": self.N - 4, "executed": 4}
+        assert (f"documents:         {self.N - 4} spliced / 4 executed"
+                in report.render())
+
+    def test_progress_events_are_the_cold_runs(self):
+        cold_events, incr_events = [], []
+        for events, kwargs in ((cold_events, {}), (incr_events, None)):
+            if kwargs is None:
+                kwargs = dict(incremental=True, base_run=base)
+            source = mutate_scale_source(
+                self.N, seed=43, edits=2, dataset_id="splice-events")
+            records, stats = run(build(source), capture_calls=True,
+                                 on_event=events.append, **kwargs)
+            base = RunSnapshot.from_execution("base", records, stats)
+        assert incr_events == cold_events
+        assert [e["index"] for e in incr_events
+                if e["type"] == "record_processed"] == \
+            list(range(1, self.N + 1))
+        assert stats.incremental.spliced_docs == self.N
+
+    @pytest.mark.parametrize("executor,workers", SPLICING)
+    def test_reordered_corpus(self, executor, workers):
+        """Every later document's timestamps shift; journeys still hold."""
+        flags = dict(executor=executor, max_workers=workers,
+                     policy="quality", trace=True, provenance=True)
+        dataset_id = f"splice-reorder-{executor}-{workers}"
+        keys = list(range(16))
+        base = RunSnapshot.from_execution("base", *Execute(
+            build(note_source(keys, dataset_id)), capture_calls=True,
+            **flags))
+        shuffled = keys[5:] + keys[:5][::-1]
+        cold = Execute(build(note_source(shuffled, dataset_id)), **flags)
+        incr = Execute(build(note_source(shuffled, dataset_id)),
+                       incremental=True, base_run=base, **flags)
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.delta.is_empty
+        assert incr[1].incremental.spliced_docs == len(keys)
+        assert incr[1].incremental.fresh_calls == 0
+
+    def test_identical_text_under_different_keys(self):
+        dataset_id = "splice-twins"
+        twins = {1: 0, 3: 0, 5: 2}  # documents 0, 1 and 3 share one text
+        keys = list(range(8))
+        base = RunSnapshot.from_execution("base", *run(
+            build(note_source(keys, dataset_id, texts=twins)),
+            capture_calls=True))
+        live = [key for key in keys if key != 1] + [9]
+        twins[9] = 0  # ... and so does the added one
+        cold = run(build(note_source(live, dataset_id, texts=twins)))
+        incr = run(build(note_source(live, dataset_id, texts=twins)),
+                   incremental=True, base_run=base)
+        assert signature(*cold) == signature(*incr)
+        report = incr[1].incremental
+        assert report.delta.to_dict() == {
+            "added": 1, "changed": 0, "dropped": 1, "unchanged": 7}
+        assert report.spliced_docs == 7
+        # The added twin walks the chain and replays its siblings' calls.
+        assert report.fresh_calls == 0
+
+    def test_one_to_many_convert_in_the_prefix(self):
+        from repro.core.logical import Cardinality
+        from repro.llm.oracle import DocumentTruth
+
+        Mention = make_schema(
+            "SpliceMention", "A dataset mention", {"name": "dataset name"})
+
+        def source(count, dataset_id):
+            items = []
+            for index in range(count):
+                text = (f"Survey {index}: compares datasets "
+                        f"A-{index}, B-{index} and C-{index}.")
+                global_oracle().register(text, DocumentTruth(
+                    predicates={"about datasets": True},
+                    fields={"name": f"A-{index}", "__instances__": [
+                        {"name": f"{letter}-{index}"}
+                        for letter in "ABC"[:1 + index % 3]]},
+                    difficulty=0.0))
+                items.append({"filename": f"survey-{index}",
+                              "text_contents": text})
+            return MemorySource(items, dataset_id=dataset_id,
+                                schema=TextFile)
+
+        def pipeline(src):
+            return (Dataset(src).filter("about datasets")
+                    .convert(Mention, cardinality=Cardinality.ONE_TO_MANY))
+
+        base = RunSnapshot.from_execution("base", *run(
+            pipeline(source(9, "splice-fanout")), capture_calls=True))
+        cold = run(pipeline(source(12, "splice-fanout")))
+        incr = run(pipeline(source(12, "splice-fanout")),
+                   incremental=True, base_run=base)
+        assert len(cold[0]) > 12  # the convert really fans out
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 9
+        assert [r.parent.filename for r in incr[0]] == \
+            [r.parent.filename for r in cold[0]]
+
+    @pytest.mark.parametrize("executor,workers", SPLICING)
+    def test_splice_stops_at_an_aggregate_barrier(self, executor, workers):
+        def pipeline(src):
+            return build(src).groupby(["stage"], [("count", None)])
+
+        _, cold, incr = self._round(
+            f"splice-barrier-{executor}-{workers}", DELTAS["all-three"],
+            executor, workers, pipeline=pipeline)
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == self.N - 4
+        assert captured(incr[1]) == captured(cold[1])
+        # The journeys cover the filter and the convert, not the group-by.
+        assert len(incr[1].journeys["prefix"]) == 2
+
+    @pytest.mark.parametrize("executor,workers", SPLICING)
+    def test_splice_stops_at_a_limit(self, executor, workers):
+        """Post-limit operators run as always, on spliced records too, and
+        the source is still abandoned once the limit is met."""
+        def pipeline(src):
+            return (build(src).limit(5)
+                    .filter("The cohort is enrolled in a registry"))
+
+        _, cold, incr = self._round(
+            f"splice-limit-{executor}-{workers}", dict(edits=2, drops=1),
+            executor, workers, pipeline=pipeline)
+        assert signature(*cold) == signature(*incr)
+        report = incr[1].incremental
+        scanned = incr[1].to_dict()["plan"]["operators"][0]["records_in"]
+        assert scanned < self.N - 1
+        assert 0 < report.spliced_docs <= scanned
+        assert report.spliced_docs + report.executed_docs == scanned
+        assert captured(incr[1]) == captured(cold[1])
+
+    @pytest.mark.parametrize("fallback", [
+        dict(executor="pipelined", max_workers=4),
+        dict(executor="sharded", max_workers=4),
+        dict(executor="async", max_workers=4),
+        dict(executor="pipelined", max_workers=4, batch_size=8),
+    ], ids=["pipelined", "sharded", "async", "batched"])
+    def test_other_schedules_fall_back_to_call_replay(self, fallback):
+        workers = fallback.pop("max_workers")
+        base, cold, incr = self._round(
+            f"splice-fallback-{'-'.join(map(str, fallback.values()))}",
+            DELTAS["all-three"], workers=workers, **fallback)
+        assert base.journeys is None and incr[1].journeys is None
+        assert signature(*cold) == signature(*incr)
+        report = incr[1].incremental
+        assert report.mode == "replay" and report.replayed_calls > 0
+        assert report.spliced_docs == 0
+        assert report.executed_docs == self.N
+
+    def test_attached_call_cache_falls_back(self):
+        from repro.llm.cache import CallCache
+
+        dataset_id = "splice-cache"
+        base_source = generate_scale_source(self.N, seed=43,
+                                            dataset_id=dataset_id)
+        base = RunSnapshot.from_execution("base", *run(
+            build(base_source), capture_calls=True))
+        assert base.journeys is not None
+        mutated = mutate_scale_source(self.N, seed=43, edits=2,
+                                      dataset_id=dataset_id)
+        cold = run(build(mutated), cache=CallCache())
+        incr = run(build(mutated), cache=CallCache(), incremental=True,
+                   base_run=base)
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 0
+        assert incr[1].journeys is None
+
+    def test_base_without_journeys_falls_back(self):
+        base, cold, _ = self._round("splice-legacy", DELTAS["all-three"])
+        legacy = RunSnapshot(base.run_id, base.meta, base.stats,
+                             base.records, graph=base.graph,
+                             trace=base.trace, manifest=base.manifest,
+                             calls=base.calls)
+        mutated = mutate_scale_source(self.N, seed=43,
+                                      dataset_id="splice-legacy",
+                                      **DELTAS["all-three"])
+        incr = run(build(mutated), incremental=True, base_run=legacy)
+        assert signature(*cold) == signature(*incr)
+        report = incr[1].incremental
+        assert report.spliced_docs == 0 and report.replayed_calls > 0
+        # ... and the re-run recorded journeys for whoever comes next.
+        assert captured(incr[1]) == captured(cold[1])
+
+    def test_base_under_another_policy_falls_back(self):
+        base, cold, incr = self._round(
+            "splice-policy", DELTAS["all-three"],
+            base_kwargs=dict(policy="cost"))
+        assert base.journeys["prefix"] != incr[1].journeys["prefix"]
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 0
+
+    def test_base_without_provenance_cannot_serve_a_run_with_it(self):
+        base, cold, incr = self._round(
+            "splice-unobserved-base", DELTAS["edits"],
+            base_kwargs=dict(trace=False, provenance=False))
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 0
+        # The other way round splices: events are simply not replayed.
+        base, cold, incr = self._round(
+            "splice-observed-base", DELTAS["edits"], observed=False,
+            base_kwargs=dict(trace=True, provenance=True))
+        assert plain_signature(*cold) == plain_signature(*incr)
+        assert incr[1].incremental.spliced_docs == self.N - 3
+        assert captured(incr[1]) == captured(cold[1])
+
+    def test_registry_reloaded_base_splices_like_the_in_memory_one(
+            self, tmp_path):
+        """Field order of a derived record shapes the document text a
+        later operator reads when the schema holds no text field, so it
+        must survive ``journeys.json`` (written with sorted keys)."""
+        Tags = make_schema(
+            "SpliceTags", "Stage and cohort, in that order",
+            {"stage": "The cancer stage", "cohort": "The cohort name"})
+
+        def pipeline(src):
+            return (Dataset(src).filter(SCALE_PREDICATE).convert(Tags)
+                    .limit(100).filter("The cohort is in stage II"))
+
+        base, cold, incr = self._round(
+            "splice-reload", DELTAS["all-three"], pipeline=pipeline)
+        converted = run(Dataset(generate_scale_source(
+            4, seed=43, dataset_id="splice-reload")).filter(
+            SCALE_PREDICATE).convert(Tags))[0][0]
+        assert list(converted._values) == ["stage", "cohort"]
+        assert converted.document_text().startswith("I\nSC-43-")
+        registry = RunRegistry(str(tmp_path / "runs"))
+        registry.save(base)
+        reloaded = registry.load(base.run_id)
+        assert reloaded.journeys == base.journeys
+        mutated = mutate_scale_source(self.N, seed=43,
+                                      dataset_id="splice-reload",
+                                      **DELTAS["all-three"])
+        again = run(pipeline(mutated), incremental=True, base_run=reloaded)
+        assert signature(*cold) == signature(*incr) == signature(*again)
+        assert (again[1].incremental.to_dict()
+                == incr[1].incremental.to_dict())
+        assert again[1].incremental.spliced_docs == self.N - 4
+        assert captured(again[1]) == captured(cold[1])
+
+    def test_a_rerun_is_the_base_of_the_next(self):
+        dataset_id = "splice-chain"
+        first = mutate_scale_source(self.N, seed=43, dataset_id=dataset_id)
+        second = mutate_scale_source(self.N, seed=43, edits=3,
+                                     dataset_id=dataset_id)
+        third = mutate_scale_source(self.N, seed=43, adds=2, edits=3,
+                                    drops=2, dataset_id=dataset_id)
+        base = None
+        for number, source in enumerate((first, second, third)):
+            cold = run(build(source), capture_calls=True)
+            incr = (run(build(source), incremental=True, base_run=base)
+                    if base is not None else cold)
+            assert signature(*cold) == signature(*incr)
+            assert captured(incr[1]) == captured(cold[1])
+            base = RunSnapshot.from_execution(f"run-{number}", *incr)
+        report = incr[1].incremental
+        assert report.spliced_docs == len(report.delta.unchanged) > 0
+        assert report.fresh_calls > 0
+
+    def test_udf_in_the_prefix_runs_for_the_delta_only(self):
+        seen = []
+
+        def is_note(record):
+            seen.append(record.filename)
+            return "Clinical note" in record.text_contents
+
+        def pipeline(src):
+            return Dataset(src).filter(is_note).filter(
+                SCALE_PREDICATE).convert(ScaleNote)
+
+        _, cold, incr = self._round(
+            "splice-udf", DELTAS["all-three"], pipeline=pipeline)
+        assert signature(*cold) == signature(*incr)
+        delta = incr[1].incremental.delta
+        # base + cold walked every document; the re-run only the delta.
+        assert len(seen) == 2 * self.N + len(delta.added + delta.changed)
+        assert seen[2 * self.N:] == sorted(
+            delta.added + delta.changed, key=seen[self.N:2 * self.N].index)
+
+    def test_an_edited_udf_is_not_spliced(self):
+        from repro.execution.incremental import prefix_identity
+
+        source = generate_scale_source(8, seed=43, dataset_id="splice-edit")
+
+        def keep(record):
+            return True
+        before = Dataset(source).filter(keep).filter(SCALE_PREDICATE)
+
+        def keep(record):  # noqa: F811 - the user refined the UDF
+            return "stage II" in record.text_contents
+        after = Dataset(source).filter(keep).filter(SCALE_PREDICATE)
+
+        base = RunSnapshot.from_execution("base", *run(
+            before, capture_calls=True))
+        cold = run(after)
+        incr = run(after, incremental=True, base_run=base)
+        assert len(cold[0]) < len(base.records)
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 0
+        assert incr[1].incremental.replayed_calls > 0
+        # Same name, same logical signature: only the body tells them apart.
+        assert base.journeys["prefix"][0].split("#")[0] == \
+            incr[1].journeys["prefix"][0].split("#")[0]
+        assert prefix_identity([]) == []
+
+    def test_a_udf_without_readable_code_is_never_spliced(self):
+        import functools
+        import operator
+
+        has_text = functools.partial(operator.attrgetter("text_contents"))
+
+        def pipeline(src):
+            return Dataset(src).filter(has_text).filter(SCALE_PREDICATE)
+
+        _, cold, incr = self._round("splice-opaque", DELTAS["edits"],
+                                    pipeline=pipeline)
+        assert signature(*cold) == signature(*incr)
+        assert incr[1].incremental.spliced_docs == 0
+        assert incr[1].incremental.replayed_calls > 0
+
+    def test_a_drifted_context_fraction_is_another_prefix(self):
+        """The optimizer sizes an LLMFilter's context fraction from the
+        corpus; the operator id does not carry it, the journeys must."""
+        from repro.core.logical import FilteredScan, FilterSpec
+        from repro.execution.incremental import prefix_identity
+        from repro.llm.models import default_registry
+        from repro.physical.filters import LLMFilter
+
+        logical = FilteredScan(TextFile, FilterSpec(predicate="relevant"))
+        model = default_registry().chat_models()[0]
+        whole = LLMFilter(logical, model)
+        truncated = LLMFilter(logical, model, context_fraction=0.4)
+        assert whole.full_op_id == truncated.full_op_id
+        assert prefix_identity([whole]) != prefix_identity([truncated])
+        assert prefix_identity([whole]) == prefix_identity(
+            [LLMFilter(logical, model)])
+
+
+class TestReplayTable:
+    def test_one_table_per_snapshot_and_identical_reports(self, tmp_path):
+        n, dataset_id = 30, "table-a"
+        base = RunSnapshot.from_execution("run-0001", *run(
+            build(generate_scale_source(n, seed=47, dataset_id=dataset_id)),
+            capture_calls=True))
+        table = base.replay_table()
+        assert len(table) == len(base.calls)
+        assert base.replay_table() is table
+        registry = RunRegistry(str(tmp_path / "runs"))
+        registry.save(base)
+        reloaded = registry.load("run-0001")
+
+        def rerun(snapshot):
+            mutated = mutate_scale_source(n, seed=47, edits=3,
+                                          dataset_id=dataset_id)
+            records, stats = run(build(mutated), incremental=True,
+                                 base_run=snapshot)
+            return signature(records, stats), stats.incremental.to_dict()
+
+        runs = [rerun(base), rerun(base), rerun(reloaded), rerun(reloaded)]
+        assert all(result == runs[0] for result in runs[1:])
+        # Re-runs read the shared table and leave it alone.
+        assert base.replay_table() is table
+        assert len(table) == len(base.calls)
+
+    def test_reused_rows_are_carried_over_as_they_are(self):
+        n, dataset_id = 20, "table-b"
+        base = RunSnapshot.from_execution("run-0001", *run(
+            build(generate_scale_source(n, seed=47, dataset_id=dataset_id)),
+            executor="pipelined", workers=4, capture_calls=True))
+        _, stats = run(build(generate_scale_source(
+            n, seed=47, dataset_id=dataset_id)), executor="pipelined",
+            workers=4, incremental=True, base_run=base)
+        assert stats.call_log == base.calls
+        by_key = {tuple(row["key"]): row for row in base.calls}
+        assert all(row is by_key[tuple(row["key"])]
+                   for row in stats.call_log)
+
+
+class _CountingGraph:
+    """A ProvenanceGraph stand-in that counts passes over ``events``."""
+
+    def __init__(self, roots, events, output_ids):
+        self._roots, self._events = roots, events
+        self.output_ids = output_ids
+        self.passes = 0
+
+    def roots(self):
+        return self._roots
+
+    @property
+    def events(self):
+        self.passes += 1
+        return iter(self._events)
+
+
+def _chain_graph(documents, fanout=2):
+    """Per document: root -> filter pass-through -> ``fanout`` children,
+    each child then converted once more; the last layer is the output."""
+    roots, events, outputs, manifest = [], [], [], []
+    next_id = documents
+    for doc in range(documents):
+        roots.append({"id": doc, "fp": f"fp-{doc}"})
+        manifest.append({"key": f"doc-{doc}", "fingerprint": f"text-{doc}",
+                         "record_fp": f"fp-{doc}"})
+        events.append({"parents": [doc], "children": [doc]})
+        children = list(range(next_id, next_id + fanout))
+        next_id += fanout
+        events.append({"parents": [doc], "children": children})
+        for child in children:
+            events.append({"parents": [child], "children": [next_id]})
+            outputs.append(next_id)
+            next_id += 1
+    return roots, events, outputs, {"entries": manifest}
+
+
+def _reference_impact(graph, stale_fps):
+    """The walk as it was: rescan the events for every popped node."""
+    events = list(graph.events)
+    frontier = [n["id"] for n in graph.roots() if n["fp"] in stale_fps]
+    reached = set(frontier)
+    while frontier:
+        node = frontier.pop()
+        for event in events:
+            if node in event["parents"]:
+                for child in event["children"]:
+                    if child not in reached:
+                        reached.add(child)
+                        frontier.append(child)
+    invalidated = len(set(graph.output_ids) & reached)
+    return {"invalidated_outputs": invalidated,
+            "reusable_outputs": len(graph.output_ids) - invalidated,
+            "touched_nodes": len(reached)}
+
+
+class TestDeltaImpactScaling:
+    def _delta(self, manifest, every):
+        from repro.execution.incremental import ManifestDelta
+
+        keys = [entry["key"] for entry in manifest["entries"]]
+        stale = keys[::every]
+        return ManifestDelta(changed=stale[::2], dropped=stale[1::2],
+                             unchanged=[k for k in keys if k not in stale])
+
+    def test_same_partition_as_the_rescanning_walk(self):
+        roots, events, outputs, manifest = _chain_graph(12)
+        delta = self._delta(manifest, every=3)
+        graph = _CountingGraph(roots, events, outputs)
+        stale = {f"fp-{key.split('-')[1]}"
+                 for key in delta.changed + delta.dropped}
+        assert delta_impact(graph, delta, manifest) == \
+            _reference_impact(_CountingGraph(roots, events, outputs), stale)
+
+    def test_events_are_read_once_whatever_the_delta(self):
+        roots, events, outputs, manifest = _chain_graph(500)
+        assert len(events) >= 2000
+        delta = self._delta(manifest, every=5)  # a 20 % delta
+        graph = _CountingGraph(roots, events, outputs)
+        impact = delta_impact(graph, delta, manifest)
+        assert graph.passes == 1
+        assert impact == {"invalidated_outputs": 200,
+                          "reusable_outputs": 800,
+                          "touched_nodes": 100 + 200 + 200}
