@@ -1,6 +1,6 @@
 # Convenience targets for the PalimpChat reproduction.
 
-.PHONY: install test bench bench-smoke bench-exec bench-scale bench-incremental bench-server perf lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
+.PHONY: install test bench bench-smoke bench-scale bench-incremental bench-server perf lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -20,12 +20,6 @@ perf:
 # keyword, so this is what keeps an engine refactor from breaking it.
 bench-smoke:
 	python3 bench/run.py --smoke
-
-# Executor benchmarks + regression gate: per-record vs threaded vs batched.
-bench-exec:
-	PYTHONPATH=src python scripts/perf_snapshot.py --quick \
-		--output /tmp/perf_current.json --label bench-exec
-	python scripts/check_perf_regression.py --current /tmp/perf_current.json
 
 # Scale-out benchmarks + scaling gate: sequential vs sharded (2/4/8) vs
 # async over the synthetic scale corpus; the gate checks the deterministic

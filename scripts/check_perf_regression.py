@@ -1,23 +1,21 @@
 #!/usr/bin/env python
 """Executor performance regression gate.
 
-Two gates, both on speedup *ratios* rather than absolute seconds (CI
+Three gates, on speedup *ratios* rather than absolute seconds (CI
 machines are slower and noisier than the machine that recorded the
 baseline, but relative advantages survive any machine):
 
-1. **Batching gate** — wall-clock of ``pipeline_per_record`` divided by
-   ``pipeline_batched`` must retain ``threshold`` x the baseline ratio.
-2. **Scaling gate** — *simulated* makespan of ``scale_sequential`` divided
+1. **Scaling gate** — *simulated* makespan of ``scale_sequential`` divided
    by ``scale_sharded4`` must retain ``scale_threshold`` x the baseline
    ratio.  Simulated time is deterministic (virtual clock), so this ratio
    is noise-free: a drop means the sharded executor genuinely stopped
    fanning the shardable prefix out.
-3. **Incremental gate** — the ``incr_delta1pct`` workload's recorded
+2. **Incremental gate** — the ``incr_delta1pct`` workload's recorded
    ``speedup_cost`` and ``speedup_llm_time`` (simulated, deterministic)
    must each be >= ``incremental_floor`` (default 5x): an incremental
    re-run after a ~1% corpus delta that is not at least 5x cheaper than
    a cold run means replay stopped reusing the base run's calls.
-4. **Serving gate** — ``server_turns_concurrent.turns_per_sec`` divided
+3. **Serving gate** — ``server_turns_concurrent.turns_per_sec`` divided
    by ``server_turns_sequential.turns_per_sec`` must retain
    ``server_threshold`` x the baseline ratio: concurrent tenants
    collapsing below the sequential baseline means the service layer
@@ -43,9 +41,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "BENCH_perf.json"
 
-#: The workloads the batching gate needs; runs without them are skipped.
-REQUIRED = ("pipeline_per_record", "pipeline_batched")
-
 #: The workloads the scaling gate needs.
 SCALE_REQUIRED = ("scale_sequential", "scale_sharded4")
 
@@ -56,7 +51,7 @@ INCR_REQUIRED = ("incr_delta1pct",)
 SERVER_REQUIRED = ("server_turns_sequential", "server_turns_concurrent")
 
 
-def latest_run_with(path: Path, names=REQUIRED) -> dict | None:
+def latest_run_with(path: Path, names) -> dict | None:
     """The most recent run in ``path`` containing every named workload."""
     try:
         payload = json.loads(path.read_text())
@@ -67,15 +62,6 @@ def latest_run_with(path: Path, names=REQUIRED) -> dict | None:
         if all(name in workloads for name in names):
             return run
     return None
-
-
-def speedup(run: dict) -> float:
-    workloads = run["workloads"]
-    per_record = workloads["pipeline_per_record"]["wall_seconds"]
-    batched = workloads["pipeline_batched"]["wall_seconds"]
-    if batched <= 0:
-        return float("inf")
-    return per_record / batched
 
 
 def scale_speedup(run: dict) -> float:
@@ -94,9 +80,6 @@ def main(argv=None) -> int:
                         help="committed benchmark history (BENCH_perf.json)")
     parser.add_argument("--current", type=Path, required=True,
                         help="snapshot file from a fresh perf_snapshot run")
-    parser.add_argument("--threshold", type=float, default=0.8,
-                        help="minimum fraction of the baseline speedup the "
-                             "current run must retain")
     parser.add_argument("--scale-threshold", type=float, default=0.8,
                         help="minimum fraction of the baseline sharded "
                              "(simulated) speedup the current run must "
@@ -110,45 +93,6 @@ def main(argv=None) -> int:
                              "sequential serving throughput ratio the "
                              "current run must retain")
     args = parser.parse_args(argv)
-
-    current = latest_run_with(args.current)
-    if current is None:
-        print(f"FAIL: {args.current} has no run with {REQUIRED} workloads")
-        return 1
-
-    baseline = latest_run_with(args.baseline)
-    if baseline is None:
-        print(
-            f"note: {args.baseline} has no executor benchmarks yet; "
-            "recording the first — gate passes vacuously"
-        )
-        return 0
-
-    base_speedup = speedup(baseline)
-    cur_speedup = speedup(current)
-    floor = args.threshold * base_speedup
-
-    def _row(label: str, run: dict) -> str:
-        workloads = run["workloads"]
-        parts = [f"{label:>9}:"]
-        for name in (
-            "pipeline_per_record", "pipeline_threaded", "pipeline_batched",
-        ):
-            seconds = workloads.get(name, {}).get("wall_seconds")
-            text = f"{seconds:.4f}s" if seconds is not None else "-"
-            parts.append(f"{name.split('pipeline_')[1]}={text}")
-        return "  ".join(parts)
-
-    print(_row("baseline", baseline),
-          f" speedup={base_speedup:.2f}x (rev {baseline.get('git_rev')})")
-    print(_row("current", current), f" speedup={cur_speedup:.2f}x")
-    print(f"gate: current speedup must be >= {floor:.2f}x "
-          f"({args.threshold:.0%} of baseline)")
-
-    if cur_speedup < floor:
-        print("FAIL: batched execution regressed against the per-record path")
-        return 1
-    print("OK: batching gate passed")
 
     return _scaling_gate(args)
 

@@ -21,7 +21,7 @@ from repro.agent.tools import Tool, ToolError, ToolRegistry
 from repro.llm.client import CompletionRequest, SimulatedLLMClient
 from repro.llm.clock import VirtualClock
 from repro.llm.models import ModelCard
-from repro.llm.prompts import build_agent_prompt
+from repro.llm.prompts import agent_prompt_parts
 from repro.llm.usage import UsageLedger
 from repro.obs.trace import NULL_TRACER, SpanKind
 
@@ -188,14 +188,15 @@ class ReActAgent:
     def _meter_step(self, user_message: str, trace: AgentTrace) -> None:
         if self._reasoning_client is None:
             return
-        prompt = build_agent_prompt(
+        preamble, prompt = agent_prompt_parts(
             self.system_prompt,
             self.registry.render_block(),
             trace.scratchpad(),
             user_message,
         )
         self._reasoning_client.complete(
-            CompletionRequest(prompt=prompt, operation="agent")
+            CompletionRequest(prompt=prompt, preamble=preamble,
+                              operation="agent")
         )
 
     def run(self, user_message: str,

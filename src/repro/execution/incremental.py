@@ -212,13 +212,19 @@ def prefix_identity(prefix) -> List[str]:
     ``full_op_id`` names the logical operator, the strategy and the model;
     added here is what else decides an operator's calls and outputs but is
     not in the id: the context fraction an ``LLMFilter`` truncates to (the
-    optimizer derives it from the corpus, so it can drift with it) and the
-    body of a UDF (the id only has its name; a callable without inspectable
-    code is marked :data:`OPAQUE_UDF` and never splices).
+    optimizer derives it from the corpus, so it can drift with it), the
+    description a convert puts in its prompt (the id has the field
+    descriptions, not the schema's) and the body of a UDF (the id only has
+    its name; a callable without inspectable code is marked
+    :data:`OPAQUE_UDF` and never splices).
     """
     identities = []
     for op in prefix:
         identity = f"{op.full_op_id}@{getattr(op, 'context_fraction', 1.0)!r}"
+        desc = getattr(op.logical_op, "desc", "")
+        if desc:
+            identity += "~" + hashlib.sha256(
+                desc.encode("utf-8")).hexdigest()[:12]
         udf = getattr(op, "_udf", None)
         if udf is not None:
             code = getattr(udf, "__code__", None)

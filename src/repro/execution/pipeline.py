@@ -44,10 +44,10 @@ any thread interleaving:
 
 Batching (``batch_size > 1``) bundles consecutive records into one
 ``process_batch`` call per operator.  The client guarantees batched answers
-and token/cost accounting are identical to per-record calls; what changes
-is real wall-clock work (prompt strings are never materialized; shared
-prefixes are tokenized once per batch) and simulated latency (calls after
-the first in a batch amortize the model's fixed per-call overhead).
+and token/cost accounting are identical to per-record calls — a per-record
+call is the batch-of-one case of the same client code — so what changes
+is simulated latency only: calls after the first in a batch amortize the
+model's fixed per-call overhead.
 
 Backpressure: all queues are bounded, so a slow downstream stage throttles
 the source instead of buffering the whole corpus in flight.

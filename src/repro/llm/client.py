@@ -13,15 +13,19 @@ to.  It exposes three request shapes that cover everything Palimpzest needs:
 Answers come from the ground-truth oracle when the document is a registered
 corpus member, falling back to the heuristic semantic engine otherwise; a
 seeded quality-dependent error process then corrupts a model-specific subset
-of answers.  Every call is metered: the prompt is actually constructed,
-tokens are counted, and cost/latency accrue to the attached ledger/clock.
+of answers.  Every call is metered: the tokens of the prompt
+(:mod:`repro.llm.prompts`) are counted piece by piece — the string itself
+is never built — and cost/latency accrue to the attached ledger/clock.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.llm import prompts, quality, semantics
 from repro.llm.cache import CallCache
@@ -29,8 +33,12 @@ from repro.llm.clock import VirtualClock
 from repro.llm.exceptions import ContextWindowExceeded, InvalidRequestError
 from repro.llm.models import ModelCard, ModelRegistry, default_registry
 from repro.llm.oracle import GroundTruthRegistry, fingerprint_text, global_oracle
-from repro.llm.replay import CallRecord, ReplayLog
-from repro.llm.tokenizer import count_tokens, truncate_to_tokens
+from repro.llm.replay import ReplayLog
+from repro.llm.tokenizer import (
+    count_tokens,
+    count_tokens_unmemoized,
+    truncate_to_tokens,
+)
 from repro.llm.usage import LLMUsage, UsageLedger
 from repro.obs.trace import NULL_TRACER, SpanKind
 
@@ -59,11 +67,18 @@ class ExtractionRequest:
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """Free-form completion of ``prompt`` (used by the chat agent)."""
+    """Free-form completion of ``preamble + prompt`` (used by the chat agent).
+
+    ``preamble`` is the leading part of the prompt that repeats from call
+    to call (the agent's system prompt and tool catalogue).  It is counted
+    on its own — a memo hit after the first call — and must end in
+    whitespace so that the two counts add up to the whole prompt's.
+    """
 
     prompt: str
     operation: str = "completion"
     max_output_tokens: int = 512
+    preamble: str = ""
 
 
 @dataclass
@@ -132,6 +147,32 @@ def trace_call(tracer, clock: Optional[VirtualClock], usage: LLMUsage,
         output_tokens=usage.output_tokens,
         cache_hit=cache_hit,
     )
+
+
+class _PromptFrame(NamedTuple):
+    """What a *prompt identity* — a filter's predicate; a convert's (fields,
+    schema description, cardinality) — fixes for every document asked
+    about: the one derivation behind the token count of the prompt's
+    constant pieces and the task signature of the call's
+    :class:`CallCache` and :class:`ReplayLog` keys, so a call is never
+    reused under a prompt that reads differently."""
+
+    signature: str
+    #: count(prefix) + count(suffix); add the visible document's count.
+    tokens: int
+
+    @classmethod
+    def of(cls, signature: str, parts: Tuple[str, str]) -> "_PromptFrame":
+        prefix, suffix = parts
+        return cls(signature, count_tokens(prefix) + count_tokens(suffix))
+
+
+def _verdict_text(value: bool) -> str:
+    return "TRUE" if value else "FALSE"
+
+
+def _payload_text(value: Any) -> str:
+    return json.dumps(value, default=str)
 
 
 class LLMClient:
@@ -208,22 +249,25 @@ class SimulatedLLMClient(LLMClient):
         self.cache = cache
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.replay = replay
+        #: Prompt identity -> frame, for every prompt this client was asked
+        #: (a client lives as long as one operator of one run, so a
+        #: handful).  Worker threads share it lock-free: single dict
+        #: get/set, and two threads racing on one identity store equal
+        #: frames.
+        self._frames: Dict[Any, _PromptFrame] = {}
 
     # ------------------------------------------------------------------
     # Accounting plumbing.
     # ------------------------------------------------------------------
 
-    def _meter(self, prompt: str, output_text: str, operation: str) -> LLMUsage:
-        return self._meter_tokens(count_tokens(prompt), output_text, operation)
-
-    def _meter_tokens(self, input_tokens: int, output_text: str,
+    def _meter_tokens(self, input_tokens: int, output_tokens: int,
                       operation: str, amortize_overhead: bool = False) -> LLMUsage:
         if input_tokens > self.model.context_window:
             raise ContextWindowExceeded(
                 self.model.name, input_tokens, self.model.context_window
             )
         return meter_call(
-            self.model, input_tokens, max(1, count_tokens(output_text)),
+            self.model, input_tokens, max(1, output_tokens),
             operation, self.clock, self.ledger, self.tracer,
             amortize_overhead=amortize_overhead,
         )
@@ -246,30 +290,9 @@ class SimulatedLLMClient(LLMClient):
         if self.tracer.enabled:
             trace_call(self.tracer, self.clock, usage, cache_hit=True)
         return LLMResponse(
-            value=value, text=json.dumps(value, default=str),
+            value=value, text=_payload_text(value),
             usage=usage, model=self.model.name,
         )
-
-    def _replayed_response(self, entry: CallRecord, text: str,
-                           operation: str, key,
-                           amortize_overhead: bool = False) -> LLMResponse:
-        """Serve one call from the replay log with cold-identical accounting.
-
-        The recorded token counts run through :meth:`_meter_tokens` — the
-        same path a cold call takes — so cost, latency, the ledger entry,
-        and the trace span are byte-identical to the call this one replays;
-        only the prompt construction and answer derivation are skipped.
-        The charge is then tallied as *reused* so incremental reporting can
-        subtract it from the run's bill, and the base entry is carried
-        into this run's own call log.
-        """
-        usage = self._meter_tokens(
-            entry.input_tokens, text, operation,
-            amortize_overhead=amortize_overhead,
-        )
-        self.replay.reuse(key, usage)
-        return LLMResponse(value=entry.value, text=text, usage=usage,
-                           model=self.model.name)
 
     def _apply_context_fraction(self, document: str, fraction: float) -> str:
         if fraction >= 1.0:
@@ -278,57 +301,169 @@ class SimulatedLLMClient(LLMClient):
         return truncate_to_tokens(document, budget)
 
     # ------------------------------------------------------------------
-    # Boolean judgments (semantic filter).
+    # Judge / extract: one priced-call path.
+    #
+    # ``judge(r)`` and ``extract(r)`` are ``run_batch([r])[0]`` by
+    # construction: every request, alone or in a batch, goes through
+    # :meth:`_priced_call`, and the only thing a batch changes is
+    # *simulated* — each request after the first priced one amortizes the
+    # model's fixed ``overhead_seconds``.  Answers are pure functions of
+    # (model, document, task), and prompt token counts are exactly
+    # additive over the (prefix, document, suffix) split, so the real work
+    # per request is the same on every schedule: one lookup of the
+    # prompt's frame, one count of the document.
     # ------------------------------------------------------------------
 
     def judge(self, request: BooleanRequest) -> LLMResponse:
-        if not request.predicate.strip():
-            raise InvalidRequestError("filter predicate must be non-empty")
+        return self._judge(request, overhead_paid=False)[0]
+
+    def extract(self, request: ExtractionRequest) -> LLMResponse:
+        return self._extract(request, overhead_paid=False)[0]
+
+    def run_batch(
+        self, requests: Sequence[Union[BooleanRequest, ExtractionRequest]]
+    ) -> List[LLMResponse]:
+        """Answer a batch of judge/extract requests in order.
+
+        Returns one :class:`LLMResponse` per request, in request order.
+        """
+        responses: List[LLMResponse] = []
+        overhead_paid = False
+        for request in requests:
+            if isinstance(request, BooleanRequest):
+                response, priced = self._judge(request, overhead_paid)
+            elif isinstance(request, ExtractionRequest):
+                response, priced = self._extract(request, overhead_paid)
+            else:
+                raise InvalidRequestError(
+                    f"run_batch cannot handle {type(request).__name__}"
+                )
+            overhead_paid = overhead_paid or priced
+            responses.append(response)
+        return responses
+
+    def judge_batch(self, requests: Sequence[BooleanRequest]) -> List[LLMResponse]:
+        """Batched :meth:`judge`; same answers, amortized overhead."""
+        return self.run_batch(requests)
+
+    def extract_batch(
+        self, requests: Sequence[ExtractionRequest]
+    ) -> List[LLMResponse]:
+        """Batched :meth:`extract`; same answers, amortized overhead."""
+        return self.run_batch(requests)
+
+    def _judge(self, request: BooleanRequest,
+               overhead_paid: bool) -> Tuple[LLMResponse, bool]:
+        frame = self._frames.get(request.predicate)
+        if frame is None:
+            if not request.predicate.strip():
+                raise InvalidRequestError("filter predicate must be non-empty")
+            frame = self._frames[request.predicate] = _PromptFrame.of(
+                request.predicate.lower(),
+                prompts.filter_prompt_parts(request.predicate),
+            )
+        return self._priced_call(
+            "judge", request, frame, self._judge_answer, _verdict_text,
+            overhead_paid,
+        )
+
+    def _extract(self, request: ExtractionRequest,
+                 overhead_paid: bool) -> Tuple[LLMResponse, bool]:
+        identity = (tuple(request.fields.items()), request.schema_description,
+                    request.one_to_many)
+        frame = self._frames.get(identity)
+        if frame is None:
+            if not request.fields:
+                raise InvalidRequestError(
+                    "extraction request must name >= 1 field"
+                )
+            parts = prompts.extract_prompt_parts(
+                request.fields, request.schema_description,
+                one_to_many=request.one_to_many,
+            )
+            # Field names and cardinality for the reader of a call log;
+            # the digest for everything else the prefix says (field order
+            # and descriptions, the schema description).
+            signature = "|".join(sorted(request.fields)) + (
+                "|1:N|" if request.one_to_many else "|1:1|"
+            ) + hashlib.sha256(parts[0].encode("utf-8")).hexdigest()[:16]
+            frame = self._frames[identity] = _PromptFrame.of(signature, parts)
+        return self._priced_call(
+            "extract", request, frame, self._extract_payload, _payload_text,
+            overhead_paid,
+        )
+
+    def _priced_call(
+        self, kind: str,
+        request: Union[BooleanRequest, ExtractionRequest],
+        frame: _PromptFrame,
+        answer: Callable[[Any, str, str], Any],
+        render: Callable[[Any], str],
+        overhead_paid: bool,
+    ) -> Tuple[LLMResponse, bool]:
+        """(response, priced?) for one judge/extract request.
+
+        Cache lookup, replay lookup, answer, meter, store — the one
+        sequence behind every entry point.  ``overhead_paid`` says an
+        earlier request of the same batch was priced, so this one rides
+        its connection.  A cache hit is not priced; a replayed call is (it
+        charges the cold accounting from the recorded token counts, and
+        only the answer derivation and the document count are skipped), so
+        it pays/amortizes overhead like a fresh one.
+        """
         fingerprint = fingerprint_text(request.document)
-        cache_key = None
+        cache_key = replay_key = None
         if self.cache is not None:
             cache_key = CallCache.make_key(
-                self.model.name, "judge", request.predicate.lower(),
-                fingerprint, request.context_fraction,
+                self.model.name, kind, frame.signature, fingerprint,
+                request.context_fraction,
             )
             hit, value = self.cache.lookup(cache_key)
             if hit:
-                return self._cache_hit_response(value, request.operation)
-        replay_key = None
+                return self._cache_hit_response(value, request.operation), False
         if self.replay is not None:
-            replay_key = ReplayLog.judge_key(
-                self.model.name, request, fingerprint
+            replay_key = ReplayLog.make_key(
+                self.model.name, kind, frame.signature, fingerprint,
+                request.context_fraction, request.operation,
             )
             entry = self.replay.lookup(replay_key)
             if entry is not None:
-                return self._replayed_response(
-                    entry, "TRUE" if entry.value else "FALSE",
-                    request.operation, replay_key,
+                usage = self._meter_tokens(
+                    entry.input_tokens, entry.output_tokens,
+                    request.operation, amortize_overhead=overhead_paid,
                 )
+                # Tallied as *reused* so incremental reporting can subtract
+                # it from the run's bill; the base entry is carried into
+                # this run's own call log.
+                self.replay.reuse(replay_key, usage)
+                return LLMResponse(value=entry.value, text=render(entry.value),
+                                   usage=usage, model=self.model.name), True
         visible = self._apply_context_fraction(
             request.document, request.context_fraction
         )
-        answer = self._judge_answer(request, fingerprint, visible)
-        prompt = prompts.build_filter_prompt(request.predicate, visible)
-        text = "TRUE" if answer else "FALSE"
-        usage = self._meter(prompt, text, request.operation)
+        value = answer(request, fingerprint, visible)
+        text = render(value)
+        usage = self._meter_tokens(
+            frame.tokens + count_tokens(visible),
+            count_tokens_unmemoized(text),
+            request.operation, amortize_overhead=overhead_paid,
+        )
         if cache_key is not None:
-            self.cache.store(cache_key, answer)
+            self.cache.store(cache_key, value)
         if replay_key is not None:
             self.replay.record(
-                replay_key, answer, usage.input_tokens, usage.output_tokens
+                replay_key, value, usage.input_tokens, usage.output_tokens
             )
-        return LLMResponse(value=answer, text=text, usage=usage,
-                           model=self.model.name)
+        return LLMResponse(value=value, text=text, usage=usage,
+                           model=self.model.name), True
+
+    # ------------------------------------------------------------------
+    # Answers: pure functions of (model, document, task, context fraction).
+    # ------------------------------------------------------------------
 
     def _judge_answer(self, request: BooleanRequest, fingerprint: str,
                       visible: str) -> bool:
-        """The model's (possibly corrupted) True/False answer.
-
-        Pure function of (model, document, predicate, context fraction) —
-        shared verbatim by the per-record and batched paths so batching can
-        never change an answer.
-        """
+        """The model's (possibly corrupted) True/False answer."""
         truth = self.oracle.predicate_truth(request.document, request.predicate)
         if truth is None:
             truth = semantics.answer_boolean(request.predicate, visible)
@@ -341,62 +476,9 @@ class SimulatedLLMClient(LLMClient):
         )
         return truth if correct else quality.corrupt_boolean(truth)
 
-    # ------------------------------------------------------------------
-    # Field extraction (semantic convert).
-    # ------------------------------------------------------------------
-
-    def extract(self, request: ExtractionRequest) -> LLMResponse:
-        if not request.fields:
-            raise InvalidRequestError("extraction request must name >= 1 field")
-        fingerprint = fingerprint_text(request.document)
-        cache_key = None
-        if self.cache is not None:
-            signature = "|".join(sorted(request.fields)) + (
-                "|1:N" if request.one_to_many else "|1:1"
-            )
-            cache_key = CallCache.make_key(
-                self.model.name, "extract", signature,
-                fingerprint, request.context_fraction,
-            )
-            hit, value = self.cache.lookup(cache_key)
-            if hit:
-                return self._cache_hit_response(value, request.operation)
-        replay_key = None
-        if self.replay is not None:
-            replay_key = ReplayLog.extract_key(
-                self.model.name, request, fingerprint
-            )
-            entry = self.replay.lookup(replay_key)
-            if entry is not None:
-                return self._replayed_response(
-                    entry, json.dumps(entry.value, default=str),
-                    request.operation, replay_key,
-                )
-        visible = self._apply_context_fraction(
-            request.document, request.context_fraction
-        )
-        payload = self._extract_payload(request, visible, fingerprint)
-        text = json.dumps(payload, default=str)
-        prompt = prompts.build_extract_prompt(
-            request.fields, visible, request.schema_description,
-            one_to_many=request.one_to_many,
-        )
-        usage = self._meter(prompt, text, request.operation)
-        if cache_key is not None:
-            self.cache.store(cache_key, payload)
-        if replay_key is not None:
-            self.replay.record(
-                replay_key, payload, usage.input_tokens, usage.output_tokens
-            )
-        return LLMResponse(value=payload, text=text, usage=usage,
-                           model=self.model.name)
-
-    def _extract_payload(self, request: ExtractionRequest, visible: str,
-                         fingerprint: str) -> Any:
-        """The typed extraction answer (dict, or list of dicts for 1:N).
-
-        Shared verbatim by the per-record and batched paths.
-        """
+    def _extract_payload(self, request: ExtractionRequest, fingerprint: str,
+                         visible: str) -> Any:
+        """The typed extraction answer (dict, or list of dicts for 1:N)."""
         if request.one_to_many:
             return self._extract_instances(request, visible, fingerprint)
         return self._extract_single(request, visible, fingerprint)
@@ -463,190 +545,24 @@ class SimulatedLLMClient(LLMClient):
         return [single] if any(v is not None for v in single.values()) else []
 
     # ------------------------------------------------------------------
-    # Batched calls.
-    #
-    # A batch produces byte-identical answers and token/cost accounting to
-    # issuing the requests one by one: answers are pure functions of
-    # (model, document, task), and the tokenizer never matches across
-    # whitespace so prompt token counts are exactly additive over the
-    # (prefix, document, suffix) split.  What a batch saves is *real* work
-    # — the prompt string is never materialized and the shared prefix /
-    # suffix are tokenized once per batch instead of once per record — and
-    # *simulated* per-call overhead: every request after the first priced
-    # one amortizes the model's fixed ``overhead_seconds``.
-    # ------------------------------------------------------------------
-
-    def run_batch(
-        self, requests: Sequence[Union[BooleanRequest, ExtractionRequest]]
-    ) -> List[LLMResponse]:
-        """Answer a batch of judge/extract requests in order.
-
-        Returns one :class:`LLMResponse` per request, in request order.
-        """
-        responses: List[LLMResponse] = []
-        filter_parts: Dict[str, Tuple[int, int]] = {}
-        extract_parts: Dict[Any, Tuple[int, int]] = {}
-        overhead_paid = False
-        for request in requests:
-            if isinstance(request, BooleanRequest):
-                response, priced = self._judge_batched(
-                    request, filter_parts, overhead_paid
-                )
-            elif isinstance(request, ExtractionRequest):
-                response, priced = self._extract_batched(
-                    request, extract_parts, overhead_paid
-                )
-            else:
-                raise InvalidRequestError(
-                    f"run_batch cannot handle {type(request).__name__}"
-                )
-            overhead_paid = overhead_paid or priced
-            responses.append(response)
-        return responses
-
-    def judge_batch(self, requests: Sequence[BooleanRequest]) -> List[LLMResponse]:
-        """Batched :meth:`judge`; same answers, amortized overhead."""
-        return self.run_batch(requests)
-
-    def extract_batch(
-        self, requests: Sequence[ExtractionRequest]
-    ) -> List[LLMResponse]:
-        """Batched :meth:`extract`; same answers, amortized overhead."""
-        return self.run_batch(requests)
-
-    def _judge_batched(
-        self, request: BooleanRequest,
-        parts_memo: Dict[str, Tuple[int, int]], overhead_paid: bool,
-    ) -> Tuple[LLMResponse, bool]:
-        """(response, priced?) for one request inside a batch."""
-        if not request.predicate.strip():
-            raise InvalidRequestError("filter predicate must be non-empty")
-        fingerprint = fingerprint_text(request.document)
-        cache_key = None
-        if self.cache is not None:
-            cache_key = CallCache.make_key(
-                self.model.name, "judge", request.predicate.lower(),
-                fingerprint, request.context_fraction,
-            )
-            hit, value = self.cache.lookup(cache_key)
-            if hit:
-                return self._cache_hit_response(value, request.operation), False
-        replay_key = None
-        if self.replay is not None:
-            replay_key = ReplayLog.judge_key(
-                self.model.name, request, fingerprint
-            )
-            entry = self.replay.lookup(replay_key)
-            if entry is not None:
-                # A replayed call is *priced* (it charges the cold
-                # accounting), so it pays/amortizes overhead like one.
-                response = self._replayed_response(
-                    entry, "TRUE" if entry.value else "FALSE",
-                    request.operation, replay_key,
-                    amortize_overhead=overhead_paid,
-                )
-                return response, True
-        visible = self._apply_context_fraction(
-            request.document, request.context_fraction
-        )
-        answer = self._judge_answer(request, fingerprint, visible)
-        text = "TRUE" if answer else "FALSE"
-        parts = parts_memo.get(request.predicate)
-        if parts is None:
-            prefix, suffix = prompts.filter_prompt_parts(request.predicate)
-            parts = (count_tokens(prefix), count_tokens(suffix))
-            parts_memo[request.predicate] = parts
-        input_tokens = parts[0] + count_tokens(visible) + parts[1]
-        usage = self._meter_tokens(
-            input_tokens, text, request.operation,
-            amortize_overhead=overhead_paid,
-        )
-        if cache_key is not None:
-            self.cache.store(cache_key, answer)
-        if replay_key is not None:
-            self.replay.record(
-                replay_key, answer, usage.input_tokens, usage.output_tokens
-            )
-        response = LLMResponse(value=answer, text=text, usage=usage,
-                               model=self.model.name)
-        return response, True
-
-    def _extract_batched(
-        self, request: ExtractionRequest,
-        parts_memo: Dict[Any, Tuple[int, int]], overhead_paid: bool,
-    ) -> Tuple[LLMResponse, bool]:
-        """(response, priced?) for one request inside a batch."""
-        if not request.fields:
-            raise InvalidRequestError("extraction request must name >= 1 field")
-        fingerprint = fingerprint_text(request.document)
-        cache_key = None
-        if self.cache is not None:
-            signature = "|".join(sorted(request.fields)) + (
-                "|1:N" if request.one_to_many else "|1:1"
-            )
-            cache_key = CallCache.make_key(
-                self.model.name, "extract", signature,
-                fingerprint, request.context_fraction,
-            )
-            hit, value = self.cache.lookup(cache_key)
-            if hit:
-                return self._cache_hit_response(value, request.operation), False
-        replay_key = None
-        if self.replay is not None:
-            replay_key = ReplayLog.extract_key(
-                self.model.name, request, fingerprint
-            )
-            entry = self.replay.lookup(replay_key)
-            if entry is not None:
-                response = self._replayed_response(
-                    entry, json.dumps(entry.value, default=str),
-                    request.operation, replay_key,
-                    amortize_overhead=overhead_paid,
-                )
-                return response, True
-        visible = self._apply_context_fraction(
-            request.document, request.context_fraction
-        )
-        payload = self._extract_payload(request, visible, fingerprint)
-        text = json.dumps(payload, default=str)
-        parts_key = (
-            tuple(request.fields.items()), request.schema_description,
-            request.one_to_many,
-        )
-        parts = parts_memo.get(parts_key)
-        if parts is None:
-            prefix, suffix = prompts.extract_prompt_parts(
-                request.fields, request.schema_description,
-                one_to_many=request.one_to_many,
-            )
-            parts = (count_tokens(prefix), count_tokens(suffix))
-            parts_memo[parts_key] = parts
-        input_tokens = parts[0] + count_tokens(visible) + parts[1]
-        usage = self._meter_tokens(
-            input_tokens, text, request.operation,
-            amortize_overhead=overhead_paid,
-        )
-        if cache_key is not None:
-            self.cache.store(cache_key, payload)
-        if replay_key is not None:
-            self.replay.record(
-                replay_key, payload, usage.input_tokens, usage.output_tokens
-            )
-        response = LLMResponse(value=payload, text=text, usage=usage,
-                               model=self.model.name)
-        return response, True
-
-    # ------------------------------------------------------------------
     # Free-form completions (chat agent reasoning).
     # ------------------------------------------------------------------
 
     def complete(self, request: CompletionRequest) -> LLMResponse:
         if not request.prompt.strip():
             raise InvalidRequestError("completion prompt must be non-empty")
+        preamble = request.preamble
+        if preamble and not preamble[-1].isspace():
+            raise InvalidRequestError(
+                "completion preamble must end in whitespace"
+            )
         # The deterministic agent brain supplies the semantic content of the
         # completion; the client only meters a plausible-size answer.
-        text = semantics.summarize(request.prompt, max_sentences=1)
+        text = semantics.summarize(preamble + request.prompt, max_sentences=1)
         text = truncate_to_tokens(text, request.max_output_tokens)
-        usage = self._meter(request.prompt, text or "OK", request.operation)
+        usage = self._meter_tokens(
+            count_tokens(preamble) + count_tokens_unmemoized(request.prompt),
+            count_tokens_unmemoized(text or "OK"), request.operation,
+        )
         return LLMResponse(value=text, text=text, usage=usage,
                            model=self.model.name)

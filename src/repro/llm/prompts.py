@@ -1,10 +1,17 @@
 """Prompt construction for simulated semantic operators.
 
-Even though no remote model ever sees these prompts, we build them anyway:
-token counts of the *actual prompt text* are what drive cost and latency
-accounting, so the simulation's economics respond to the same knobs a real
-deployment's would (context length, number of fields per call, instruction
-overhead).
+No remote model ever sees these prompts, but token counts of the *actual
+prompt text* are what drive cost and latency accounting, so the
+simulation's economics respond to the same knobs a real deployment's would
+(context length, number of fields per call, instruction overhead).
+
+Every prompt is a constant frame around the one piece that changes from
+call to call, and every joint between them is whitespace.  The tokenizer
+never matches across whitespace, so a prompt's token count is exactly the
+sum over its pieces: the client counts a frame once (``*_prompt_parts``)
+and only the changing piece per call, and never builds the prompt string.
+The ``build_*_prompt`` functions are the spec those sums are tested
+against.
 """
 
 from __future__ import annotations
@@ -32,10 +39,8 @@ def filter_prompt_parts(predicate: str) -> Tuple[str, str]:
     """(prefix, suffix) such that ``prefix + document + suffix`` equals
     :func:`build_filter_prompt` for any document.
 
-    Batched execution counts the prefix/suffix tokens once per batch and
-    only the document tokens per record; the tokenizer never matches across
-    whitespace, and both boundaries here are whitespace, so the split token
-    counts are exactly additive.
+    Both boundaries are whitespace, so the split token counts are exactly
+    additive (see the module docstring).
     """
     prefix = (
         f"{FILTER_SYSTEM_PROMPT}\n\n"
@@ -84,6 +89,23 @@ def build_extract_prompt(
         field_descriptions, schema_description, one_to_many=one_to_many
     )
     return f"{prefix}{document}{suffix}"
+
+
+def agent_prompt_parts(system: str, tools_block: str, scratchpad: str,
+                       user_message: str) -> Tuple[str, str]:
+    """(preamble, rest) such that ``preamble + rest`` equals
+    :func:`build_agent_prompt`.
+
+    The preamble — system prompt and tool catalogue, most of the prompt —
+    is the same string on every reasoning step of a session and ends in
+    whitespace (same additivity contract as :func:`filter_prompt_parts`).
+    """
+    preamble = f"{system}\n\nAvailable tools:\n{tools_block}\n\n"
+    rest = (
+        f"Conversation so far:\n{scratchpad}\n\nUser: {user_message}\n"
+        f"Thought:"
+    )
+    return preamble, rest
 
 
 def build_agent_prompt(system: str, tools_block: str, scratchpad: str,

@@ -27,7 +27,10 @@ A :class:`ReplayLog` plays both roles:
 Keys extend the :class:`~repro.llm.cache.CallCache` identity (model, task
 kind, task signature, document fingerprint, context fraction) with the
 operation label, so two operators asking the same question never share an
-entry with mismatched accounting.
+entry with mismatched accounting.  The task signature is the client's, one
+per prompt it asks (``llm/client.py`` ``_PromptFrame``): it covers
+everything the prompt says around the document, so an edited field or
+schema description misses the log and runs fresh.
 """
 
 from __future__ import annotations
@@ -135,23 +138,6 @@ class ReplayLog:
                  operation: str) -> ReplayKey:
         return (model, kind, task_signature, fingerprint,
                 round(context_fraction, 4), operation)
-
-    @staticmethod
-    def judge_key(model: str, request, fingerprint: str) -> ReplayKey:
-        return ReplayLog.make_key(
-            model, "judge", request.predicate.lower(), fingerprint,
-            request.context_fraction, request.operation,
-        )
-
-    @staticmethod
-    def extract_key(model: str, request, fingerprint: str) -> ReplayKey:
-        signature = "|".join(sorted(request.fields)) + (
-            "|1:N" if request.one_to_many else "|1:1"
-        )
-        return ReplayLog.make_key(
-            model, "extract", signature, fingerprint,
-            request.context_fraction, request.operation,
-        )
 
     # -- replay ---------------------------------------------------------
 

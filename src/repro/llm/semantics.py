@@ -162,5 +162,7 @@ def extract_all_urls(text: str) -> List[str]:
 
 def summarize(text: str, max_sentences: int = 2) -> str:
     """A deterministic extractive 'summary': the first N sentences."""
-    sentences = re.split(r"(?<=[.!?])\s+", text.strip())
+    # Split no further than the sentences kept (callers pass whole prompts).
+    sentences = re.split(r"(?<=[.!?])\s+", text.strip(),
+                         maxsplit=max(0, max_sentences))
     return " ".join(sentences[:max_sentences])

@@ -21,6 +21,16 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 # words into multiple tokens).
 _SUBWORD_CHARS = 4
 
+# One match per *token*, so a count is ``len(findall)`` with no Python-level
+# loop: a word starting with ``_`` whole (the counting rule charges a long
+# word by its chunks only when it starts alphanumeric), any other word in
+# chunks of at most ``_SUBWORD_CHARS``, any other non-space character.
+_COUNT_RE = re.compile(
+    r"(?<![A-Za-z0-9_])_[A-Za-z0-9_]*"
+    r"|[A-Za-z0-9_]{1,%d}"
+    r"|[^\sA-Za-z0-9_]" % _SUBWORD_CHARS
+)
+
 #: Memo of text -> token count: a record's document is counted by every
 #: (model x operator x strategy) call that sees it, but the count is a pure
 #: function of the text.
@@ -28,15 +38,7 @@ _count_memo = register_memo(TextMemo("count_tokens"))
 
 
 def _count_tokens_uncached(text: str) -> int:
-    total = 0
-    for match in _TOKEN_RE.finditer(text):
-        piece = match.group(0)
-        if len(piece) <= _SUBWORD_CHARS or not piece[0].isalnum():
-            total += 1
-        else:
-            # Long alphanumeric word: split into subword chunks.
-            total += (len(piece) + _SUBWORD_CHARS - 1) // _SUBWORD_CHARS
-    return total
+    return len(_COUNT_RE.findall(text))
 
 
 def count_tokens(text: str) -> int:
@@ -50,6 +52,13 @@ def count_tokens(text: str) -> int:
     if not text:
         return 0
     return _count_memo.get_or_compute(text, _count_tokens_uncached)
+
+
+def count_tokens_unmemoized(text: str) -> int:
+    """:func:`count_tokens` for a text nobody will ask about again — a
+    completion the model just produced, the per-step tail of an agent
+    prompt: the same integer, and no memo entry pinning the string."""
+    return _count_tokens_uncached(text)
 
 
 def split_into_token_chunks(text: str, max_tokens: int) -> list:

@@ -54,6 +54,66 @@ class TestScenarioFlow:
         assert session.agent_cost_usd() == 0.0
 
 
+class TestAgentStepsChargeTheWholePrompt:
+    """Reasoning steps count the constant head of the agent prompt (system
+    prompt + tool catalogue) once and the rest per step; what lands in the
+    ledger is still the count of the whole prompt of every step."""
+
+    #: The paper's demo conversation (``bench/serve.py`` drives the same).
+    SCRIPT = [
+        "Load the sigmod-demo dataset",
+        "Keep only the papers about colorectal cancer and extract "
+        "whatever public dataset is used by the study",
+        "Maximize quality and run the pipeline",
+        "How much did it cost?",
+        "why is record 2 in the output?",
+        "what took so long?",
+        "show me the generated code",
+    ]
+
+    def test_demo_script_ledger_equals_whole_prompt_counts(
+            self, session, monkeypatch):
+        from repro.llm import semantics
+        from repro.llm.client import SimulatedLLMClient
+        from repro.llm.tokenizer import (
+            _count_tokens_uncached,
+            truncate_to_tokens,
+        )
+
+        prompts = []
+        complete = SimulatedLLMClient.complete
+
+        def recording(client, request):
+            prompts.append(request.preamble + request.prompt)
+            return complete(client, request)
+
+        monkeypatch.setattr(SimulatedLLMClient, "complete", recording)
+        for message in self.SCRIPT:
+            session.chat(message)
+
+        rows = session.agent_ledger.records
+        assert len(rows) == len(prompts) > len(self.SCRIPT)
+        block = session.registry.render_block()
+        assert all(
+            prompt.startswith(f"{session.agent.system_prompt}\n\n"
+                              f"Available tools:\n{block}\n\n"
+                              "Conversation so far:\n")
+            and prompt.endswith("\nThought:") for prompt in prompts)
+        assert [row.input_tokens for row in rows] == [
+            _count_tokens_uncached(prompt) for prompt in prompts]
+        completions = [
+            truncate_to_tokens(semantics.summarize(prompt, 1), 512)
+            for prompt in prompts]
+        assert [row.output_tokens for row in rows] == [
+            _count_tokens_uncached(text) for text in completions]
+        model = session.agent._reasoning_client.model
+        total = session.agent_ledger.total()
+        assert total.input_tokens == sum(map(_count_tokens_uncached, prompts))
+        assert total.cost_usd == pytest.approx(sum(
+            model.cost_usd(row.input_tokens, row.output_tokens)
+            for row in rows))
+
+
 class TestArtifacts:
     def test_generated_code_runs(self, session):
         session.chat("Load the papers from the sigmod-demo dataset")

@@ -3,7 +3,9 @@
 * the cooperative quota checkpoint is polled by every executor name;
 * an executor instance never keeps one plan's optimizer stamps for the
   next plan;
-* ``ExecutionOptions`` is the only place the four settings are validated.
+* ``ExecutionOptions`` is the only place the four settings are validated;
+* no schedule builds or tokenizes a whole prompt: a document is counted
+  once, whichever executor name runs the plan.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ import pytest
 
 from repro.execution import (
     AsyncExecutor,
+    Execute,
     ExecutionOptions,
     ParallelExecutor,
     PipelinedExecutor,
     SequentialExecutor,
     ShardedExecutor,
 )
+from repro.llm import prompts
+from repro.llm.memo import clear_memos, memo_stats
 from repro.llm.usage import BudgetMeter, QuotaExceededError
+from repro.optimizer.policies import MaxQuality
 from repro.obs.trace import Tracer
 from repro.physical.context import ExecutionContext
 from repro.physical.options import EXECUTORS, SCALE_OUT_EXECUTORS
@@ -271,3 +277,49 @@ class TestExecutionOptions:
     def test_executor_constructors_validate_through_it(self, build):
         with pytest.raises(ValueError, match="must be >= 1"):
             build()
+
+
+# ----------------------------------------------------------------------
+# One priced-call path: per-record calls count a prompt by its pieces, as
+# bundled calls always did, so the cold tokenizer work of a run is one
+# count per document on every schedule.
+# ----------------------------------------------------------------------
+
+class TestNoScheduleTokenizesWholePrompts:
+    DOCS = 48
+    #: Prompt frames (filter and extract prefix/suffix) and the like:
+    #: independent of the corpus size.
+    CONSTANT = 8
+
+    @staticmethod
+    def _kwargs(name):
+        return {} if name == "sequential" else {"max_workers": 2}
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_cold_run_counts_each_document_once(self, name):
+        source = make_source(n=self.DOCS, dataset_id=f"core-count-{name}")
+        clear_memos()
+        records, _ = Execute(shape_filter_convert(source),
+                             policy=MaxQuality(), executor=name,
+                             **self._kwargs(name))
+        assert len(records) > self.DOCS // 2
+        misses = memo_stats()["count_tokens"]["misses"]
+        assert self.DOCS <= misses <= (
+            self.DOCS + len(records) + self.CONSTANT)
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_prompt_builders_are_never_called(self, name, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a whole prompt string was built")
+
+        monkeypatch.setattr(prompts, "build_filter_prompt", built)
+        monkeypatch.setattr(prompts, "build_extract_prompt", built)
+        source = make_source(n=12, dataset_id=f"core-noprompt-{name}")
+        expected, _ = Execute(shape_filter_convert(source),
+                              policy=MaxQuality())
+        records, _ = Execute(shape_filter_convert(source),
+                             policy=MaxQuality(), executor=name,
+                             **self._kwargs(name))
+        assert [r.to_dict() for r in records] == [
+            r.to_dict() for r in expected
+        ]

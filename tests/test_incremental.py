@@ -932,6 +932,64 @@ class TestSplice:
             [LLMFilter(logical, model)])
 
 
+class TestEditedDescriptionsRunFresh:
+    """What the convert's prompt says besides the field names — field and
+    schema descriptions — is part of its calls' identity: after an edit
+    the re-run pays for the convert again, like the cold run it must
+    equal, and still replays the untouched filter."""
+
+    N = 20
+    EDITS = {
+        "field": dict(field_descriptions=[
+            "Cohort identifier as printed in the note header",
+            SCALE_FIELDS["stage"]]),
+        "schema": dict(description="One oncology registry note, summarized"),
+    }
+
+    @staticmethod
+    def _edited(description=ScaleNote.__doc__,
+                field_descriptions=tuple(SCALE_FIELDS.values())):
+        schema = make_schema("ScaleNote", description, list(SCALE_FIELDS),
+                             field_descriptions=list(field_descriptions))
+        return lambda source: (
+            Dataset(source).filter(SCALE_PREDICATE).convert(schema))
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("executor,workers",
+                             [("sequential", 1), ("pipelined", 4)])
+    def test_incremental_equals_cold(self, executor, workers, edit):
+        dataset_id = f"edited-{edit}-{executor}"
+        source = generate_scale_source(self.N, seed=47,
+                                       dataset_id=dataset_id)
+        base = RunSnapshot.from_execution("base", *run(
+            build(source), executor, workers, capture_calls=True))
+        edited = self._edited(**self.EDITS[edit])
+        cold = run(edited(source), executor, workers)
+        incr = run(edited(source), executor, workers, incremental=True,
+                   base_run=base)
+        assert signature(*cold) == signature(*incr)
+        _, judge, convert = cold[1].to_dict()["plan"]["operators"]
+        assert convert["llm_calls"] == self.N  # one per field, N/2 pass
+        # The quality plan asks one call per field: editing one field's
+        # description leaves the other field's prompt as it was.
+        stale = convert["llm_calls"] // (2 if edit == "field" else 1)
+        report = incr[1].incremental
+        assert report.mode == "replay" and report.spliced_docs == 0
+        assert report.fresh_calls == stale
+        assert report.replayed_calls == (
+            judge["llm_calls"] + convert["llm_calls"] - stale)
+
+    def test_unedited_pipeline_still_reuses_everything(self):
+        source = generate_scale_source(self.N, seed=47,
+                                       dataset_id="edited-none")
+        base = RunSnapshot.from_execution("base", *run(
+            build(source), capture_calls=True))
+        _, stats = run(self._edited()(source), incremental=True,
+                       base_run=base)
+        assert stats.incremental.fresh_calls == 0
+        assert stats.incremental.spliced_docs == self.N
+
+
 class TestReplayTable:
     def test_one_table_per_snapshot_and_identical_reports(self, tmp_path):
         n, dataset_id = 30, "table-a"

@@ -1,5 +1,8 @@
 """The text memoization layer: correctness, single-computation, eviction."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.builtin_schemas import TextFile
@@ -39,6 +42,82 @@ class TestTextMemoUnit:
             memo.get_or_compute(text, len)
         assert len(memo) == 2
         assert memo.evictions == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 64])
+    def test_never_holds_more_than_the_cap(self, cap):
+        memo = TextMemo("t", max_entries=cap)
+        for index in range(5 * cap + 3):
+            memo.get_or_compute(f"text-{index}", len)
+            assert len(memo) <= cap
+            assert memo.stats()["entries"] == len(memo)
+        stats = memo.stats()
+        assert stats["misses"] == 5 * cap + 3
+        assert stats["evictions"] == stats["misses"] - stats["entries"]
+
+    def test_entry_survives_one_rotation_and_not_two(self):
+        # Two generations of 4: an entry is found after the rotation that
+        # retires it (a hit, no recompute) and gone after the next one.
+        memo = TextMemo("t", max_entries=8)
+        computed = []
+
+        def compute(text):
+            computed.append(text)
+            return len(text)
+
+        memo.get_or_compute("kept", compute)
+        for index in range(4):
+            memo.get_or_compute(f"a{index}", compute)
+        assert memo.evictions == 0
+        assert memo.get_or_compute("kept", compute) == 4
+        assert computed.count("kept") == 1 and memo.hits == 1
+        for index in range(4):
+            memo.get_or_compute(f"b{index}", compute)
+        assert memo.evictions == 4
+        memo.get_or_compute("kept", compute)
+        assert computed.count("kept") == 2
+
+    def test_a_hit_does_not_refresh(self):
+        memo = TextMemo("t", max_entries=4)
+        memo.get_or_compute("a", len)
+        memo.get_or_compute("b", len)
+        memo.get_or_compute("a", len)  # hit: no move to the young side
+        for text in ("c", "d", "e"):
+            memo.get_or_compute(text, len)
+        assert memo.misses == 5
+        memo.get_or_compute("a", len)
+        assert memo.misses == 6
+
+    def test_stats_keys(self):
+        assert sorted(TextMemo("t").stats()) == [
+            "entries", "evictions", "hits", "misses",
+        ]
+
+    def test_bound_and_values_hold_under_threads(self):
+        memo = TextMemo("t", max_entries=16)
+        wrong = []
+        over = []
+
+        def worker(offset):
+            for index in range(3_000):
+                text = f"w{(index * 7 + offset) % 97}"
+                if memo.get_or_compute(text, len) != len(text):
+                    wrong.append(text)
+                if len(memo) > 16:
+                    over.append(len(memo))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and over == []
 
     def test_invalid_max_entries(self):
         with pytest.raises(ValueError):

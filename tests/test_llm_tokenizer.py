@@ -1,12 +1,40 @@
 """Tokenizer: counting, truncation, and chunking."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm.tokenizer import (
     _SUBWORD_CHARS,
+    _count_tokens_uncached,
     count_tokens,
+    count_tokens_unmemoized,
     split_into_token_chunks,
     truncate_to_tokens,
+)
+
+_PIECE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
+
+
+def reference_count(text: str) -> int:
+    """The token rule spelled out piece by piece: the loop the tokenizer's
+    single ``findall`` replaced, kept here as its reference."""
+    total = 0
+    for match in _PIECE.finditer(text):
+        piece = match.group(0)
+        if len(piece) <= _SUBWORD_CHARS or not piece[0].isalnum():
+            total += 1
+        else:
+            total += (len(piece) + _SUBWORD_CHARS - 1) // _SUBWORD_CHARS
+    return total
+
+
+#: Dense in the characters the rule branches on.
+token_text = st.text(
+    alphabet=st.sampled_from(list("abXY09__  \t\n.,;-!?'\"()é漢字")),
+    max_size=80,
 )
 
 
@@ -47,6 +75,41 @@ class TestCountTokens:
         tokens = count_tokens(text)
         # BPE-like: tokens should be ~1.0-2.0x word count for English prose.
         assert words <= tokens <= 2 * words
+
+
+class TestFastCountMatchesReference:
+    @pytest.mark.parametrize("word, tokens", [
+        ("_abc_defgh", 1),   # leading underscore: one token whatever follows
+        ("ab_cdefgh", 3),    # underscore inside a word is a word character
+        ("abcd_efgh", 3),
+        ("__init__", 1),
+        ("x__", 1),
+        ("abcde_", 2),
+        ("é_abcdefgh", 2),   # a non-ASCII letter is punctuation to the rule
+        ("ééé", 3),
+    ])
+    def test_edge_words(self, word, tokens):
+        assert reference_count(word) == tokens
+        assert _count_tokens_uncached(word) == tokens
+
+    @given(token_text)
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_texts(self, text):
+        assert _count_tokens_uncached(text) == reference_count(text)
+        assert count_tokens(text) == reference_count(text)
+        assert count_tokens_unmemoized(text) == reference_count(text)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_unicode(self, text):
+        assert _count_tokens_uncached(text) == reference_count(text)
+
+    def test_scale_corpus_documents(self):
+        from repro.corpora.scale import _note_text
+
+        for index in range(300):
+            text = _note_text(index, 7, index % 2 == 0)
+            assert _count_tokens_uncached(text) == reference_count(text)
 
 
 class TestTruncateToTokens:

@@ -329,3 +329,93 @@ class TestCacheProperties:
         for task in tasks:
             cache.store(CallCache.make_key("m", "judge", task, "fp"), 1)
         assert len(cache) <= capacity
+
+
+class TestPromptAdditivity:
+    """A prompt's token count is the sum over its pieces, whatever the
+    pieces say — the contract that lets the client count a prompt it never
+    builds (``llm/prompts.py``)."""
+
+    #: Dense in what could glue tokens across a joint: no spaces at the
+    #: ends, underscore runs, non-ASCII letters, bare newlines.
+    piece = st.text(
+        alphabet=st.sampled_from(list("abcXYZ019__ \n\t.,:;-!?{}[]\"'é漢")),
+        max_size=120,
+    )
+    fields = st.dictionaries(
+        st.text(alphabet="abc_XY09", min_size=1, max_size=8), piece,
+        min_size=1, max_size=4,
+    )
+
+    @staticmethod
+    def _sum(*pieces):
+        return sum(count_tokens(piece) for piece in pieces)
+
+    @given(piece, piece)
+    @settings(max_examples=150, deadline=None)
+    def test_filter_prompt(self, predicate, document):
+        from repro.llm.prompts import build_filter_prompt, filter_prompt_parts
+
+        prefix, suffix = filter_prompt_parts(predicate)
+        whole = build_filter_prompt(predicate, document)
+        assert prefix + document + suffix == whole
+        assert self._sum(prefix, document, suffix) == count_tokens(whole)
+
+    @given(fields, piece, piece, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_extract_prompt(self, fields, schema_description, document,
+                            one_to_many):
+        from repro.llm.prompts import (
+            build_extract_prompt,
+            extract_prompt_parts,
+        )
+
+        prefix, suffix = extract_prompt_parts(
+            fields, schema_description, one_to_many=one_to_many
+        )
+        whole = build_extract_prompt(
+            fields, document, schema_description, one_to_many=one_to_many
+        )
+        assert prefix + document + suffix == whole
+        assert self._sum(prefix, document, suffix) == count_tokens(whole)
+
+    @given(piece, piece, piece, piece)
+    @settings(max_examples=150, deadline=None)
+    def test_agent_prompt(self, system, tools_block, scratchpad, message):
+        from repro.llm.prompts import agent_prompt_parts, build_agent_prompt
+
+        preamble, rest = agent_prompt_parts(
+            system, tools_block, scratchpad, message
+        )
+        whole = build_agent_prompt(system, tools_block, scratchpad, message)
+        assert preamble + rest == whole
+        assert preamble[-1].isspace()
+        assert self._sum(preamble, rest) == count_tokens(whole)
+
+    @given(piece.filter(str.strip), fields, piece, st.booleans(),
+           st.sampled_from([1.0, 0.7, 0.3]))
+    @settings(max_examples=100, deadline=None)
+    def test_client_charges_the_whole_prompt(self, predicate, fields,
+                                             document, one_to_many, fraction):
+        """What ``judge``/``extract`` meter is the count of the prompt the
+        spec builds around the *visible* (possibly truncated) document."""
+        from repro.llm.client import (
+            BooleanRequest,
+            ExtractionRequest,
+            SimulatedLLMClient,
+        )
+        from repro.llm.oracle import GroundTruthRegistry
+        from repro.llm.prompts import build_extract_prompt, build_filter_prompt
+
+        client = SimulatedLLMClient("gpt-4o", oracle=GroundTruthRegistry())
+        visible = client._apply_context_fraction(document, fraction)
+        judged = client.judge(BooleanRequest(
+            predicate, document, context_fraction=fraction))
+        assert judged.usage.input_tokens == count_tokens(
+            build_filter_prompt(predicate, visible))
+        extracted = client.extract(ExtractionRequest(
+            fields, document, "a schema", one_to_many=one_to_many,
+            context_fraction=fraction))
+        assert extracted.usage.input_tokens == count_tokens(
+            build_extract_prompt(fields, visible, "a schema",
+                                 one_to_many=one_to_many))
