@@ -1,6 +1,6 @@
 # Convenience targets for the PalimpChat reproduction.
 
-.PHONY: install test bench bench-smoke bench-scale bench-incremental bench-server perf lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
+.PHONY: install test experiments bench-smoke lint lint-concurrency serve server-smoke telemetry trace runs examples all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -8,11 +8,10 @@ install:
 test:
 	python -m pytest tests/
 
-bench:
-	python -m pytest benchmarks/ --benchmark-only
-
-perf:
-	PYTHONPATH=src python scripts/perf_snapshot.py
+# One pytest-benchmark module per paper artifact (E1-E13), in simulated
+# units; scripts/collect_results.py prints what feeds EXPERIMENTS.md.
+experiments:
+	python -m pytest experiments/ --benchmark-only
 
 # The wall-clock benchmark (BENCHMARK.json) at reduced size, both modes,
 # plus its metric-name check (~20 s).  bench/ reaches into the engine by
@@ -20,31 +19,6 @@ perf:
 # keyword, so this is what keeps an engine refactor from breaking it.
 bench-smoke:
 	python3 bench/run.py --smoke
-
-# Scale-out benchmarks + scaling gate: sequential vs sharded (2/4/8) vs
-# async over the synthetic scale corpus; the gate checks the deterministic
-# simulated speedup ratio of sharded(4) over sequential.
-bench-scale:
-	PYTHONPATH=src python scripts/perf_snapshot.py --quick \
-		--output /tmp/perf_scale.json --label bench-scale
-	python scripts/check_perf_regression.py --current /tmp/perf_scale.json
-
-# Incremental-execution benchmarks + gate: a cold run vs an incremental
-# re-run after a ~1% corpus delta; the gate checks the deterministic
-# simulated cost and LLM-time speedups stay >= 5x.
-bench-incremental:
-	PYTHONPATH=src python scripts/perf_snapshot.py --quick \
-		--output /tmp/perf_incremental.json --label bench-incremental
-	python scripts/check_perf_regression.py \
-		--current /tmp/perf_incremental.json
-
-# Serving benchmarks + gate: sequential turns vs N tenants driving the
-# server concurrently; the gate checks concurrent throughput doesn't
-# regress below the sequential baseline ratio.
-bench-server:
-	PYTHONPATH=src python scripts/perf_snapshot.py --quick \
-		--output /tmp/perf_server.json --label bench-server
-	python scripts/check_perf_regression.py --current /tmp/perf_server.json
 
 # The multi-tenant chat service (stdlib HTTP; see docs/server.md).
 serve:
@@ -99,7 +73,7 @@ examples:
 	python examples/dataset_catalog_join.py
 	python examples/advanced_features.py
 
-all: lint test bench
+all: lint test experiments
 
 clean:
 	rm -rf .pytest_cache src/repro.egg-info

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Regenerate every experiment's measured numbers.
 
-Runs the benchmark suite with ``--benchmark-json`` and prints each
-benchmark's reproduced quantities (the ``extra_info`` each bench attaches) —
-the raw material behind EXPERIMENTS.md.
+Runs the ``experiments/`` suite with ``--benchmark-json`` and prints each
+experiment's reproduced quantities (the ``extra_info`` each bench attaches)
+— the raw material behind EXPERIMENTS.md.
 
 Usage:  python scripts/collect_results.py [pytest-args...]
 """
@@ -24,13 +24,15 @@ def main(argv=None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     json_path = Path(tempfile.mkdtemp()) / "bench.json"
     exit_code = pytest.main([
-        str(REPO_ROOT / "benchmarks"),
+        str(REPO_ROOT / "experiments"),
         "--benchmark-only",
         f"--benchmark-json={json_path}",
         "-q",
         *argv,
     ])
-    if not json_path.exists():
+    # pytest-benchmark creates the file up front: a run that exits before
+    # any bench (--help, a collection error) leaves it empty, not missing.
+    if not json_path.exists() or not json_path.stat().st_size:
         print("no benchmark JSON produced", file=sys.stderr)
         return exit_code or 1
 

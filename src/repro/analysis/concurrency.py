@@ -664,14 +664,6 @@ def _check_worker_writes(tree: ast.Module, guards, classes, source_lines,
 # ---------------------------------------------------------------------------
 
 
-def _seeded_random_call(node: ast.Call) -> bool:
-    """``random.Random(seed)`` / ``Random(seed)`` with an explicit seed."""
-    _, name = _call_name(node)
-    return name in ("Random", "SystemRandom") and bool(
-        node.args or node.keywords
-    ) and name != "SystemRandom"
-
-
 def _random_module_names(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
     """(module aliases of ``random``, names imported *from* random)."""
     aliases: Set[str] = set()

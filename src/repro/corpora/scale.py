@@ -5,8 +5,8 @@ scenarios — a dozen documents.  Measuring the sharded and async executors'
 scaling curves needs sources three to four orders of magnitude larger, so
 this module generates a deterministic in-memory corpus of 10k–100k short
 "clinical notes": no disk writes, oracle truth registered per note, every
-note distinct.  ``scripts/perf_snapshot.py`` runs its ``scale_*`` workloads
-over it and records the curves into ``BENCH_perf.json``.
+note distinct.  The library workloads of ``bench/`` (``batch_plain``,
+``batch_recorded``, ``incr_rerun``) run over it.
 
 Determinism: note text is a pure function of ``(index, seed)``, so a given
 ``(n_docs, seed)`` pair always produces byte-identical documents,

@@ -1,34 +1,27 @@
-"""Asyncio-based scale-out execution for high-fan-out LLM stages.
+"""Scale-out execution that models high-fan-out LLM stages on one thread.
 
 :class:`AsyncExecutor` keeps the sharded executor's scatter/gather
 skeleton — shardable prefix runs data-parallel, suffix runs post-gather in
-global order — but drives the prefix with asyncio tasks awaiting the
-client's coroutine API
-(:meth:`SimulatedLLMClient.ajudge` / ``aextract`` / ``acomplete``), gathered
-with bounded concurrency (a semaphore of ``fanout`` permits), instead of
-per-shard worker *threads*.  Each scanned record becomes one task charging
-virtual lane ``1 + index % fanout``, so the simulated makespan shows the
-same data-parallel speedup as the threaded executor.
+global order — but *models* the prefix's ``fanout`` in-flight calls
+instead of running them on per-shard worker threads: scanned record
+``index`` walks the prefix on virtual lane ``1 + index % fanout``, one
+record at a time on the calling thread, so the simulated makespan shows
+the same data-parallel speedup as the threaded executor.
 
-Determinism and accounting rest on one invariant: **no coroutine in the
-simulated stack ever suspends**.  The client answers from a virtual clock,
-so an ``await`` of ``ajudge`` runs the whole call — clock advance, ledger
-entry, trace span — atomically on the event-loop thread.  Task bodies
-therefore execute as indivisible units in task-creation (arrival) order,
-which makes the core meter's thread-local lane/capture attribution exact,
-with no context-variable migration.  A client that really awaited the
-network would need context-local attribution and a merge discipline for
-interleaved captures.
+Nothing is awaited because there is nothing to wait for: the simulated
+client answers from a virtual clock, so a call — clock advance, ledger
+entry, trace span — is over when it returns.  Concurrency here is a
+property of the lane map, not of the host; an operator error or a quota
+breach propagates from the loop as it does from the inline schedule.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.records import DataRecord
 from repro.core.sources import SHARD_ROUND_ROBIN
-from repro.execution.pipeline import _Meter, _PinnedSpan
+from repro.execution.pipeline import _Meter
 from repro.execution.sharded import ShardedExecutor, _ScatterRun
 from repro.obs.trace import SpanKind
 from repro.physical.context import ExecutionContext
@@ -36,16 +29,16 @@ from repro.physical.plan import PhysicalPlan
 
 
 class AsyncExecutor(ShardedExecutor):
-    """Bounded-concurrency asyncio execution of the shardable prefix.
+    """Bounded-fanout execution of the shardable prefix on virtual lanes.
 
     Args:
         context: execution context; created with ``fanout`` lanes when
             omitted.
-        fanout: maximum in-flight records (and virtual lanes).  ``None``
+        fanout: modelled in-flight records (= virtual lanes).  ``None``
             honors the plan's optimizer-stamped ``shards``, falling back
             to 2.
-        batch_size: accepted for interface symmetry; the async path always
-            issues per-record calls (its concurrency replaces batching).
+        batch_size: accepted for interface symmetry; this schedule always
+            issues per-record calls (its fan-out replaces batching).
         on_event: optional progress callback.
     """
 
@@ -67,66 +60,23 @@ class AsyncExecutor(ShardedExecutor):
 
     def _scatter_gather(self, plan: PhysicalPlan, scan_meter: _Meter,
                         run: _ScatterRun) -> List[DataRecord]:
-        loop = asyncio.new_event_loop()
-        try:
-            return loop.run_until_complete(
-                self._drive(plan, scan_meter, run)
-            )
-        finally:
-            loop.close()
-
-    async def _drive(self, plan: PhysicalPlan, scan_meter: _Meter,
-                     run: _ScatterRun) -> List[DataRecord]:
         clock = self.context.clock
-        semaphore = asyncio.Semaphore(run.degree)
-        results: Dict[int, List[DataRecord]] = {}
-        tasks: List["asyncio.Task"] = []
+        bundles: List[List[DataRecord]] = []
         clock.use_lane(0)
-        try:
-            for record in self._scan(plan, scan_meter):
-                if self._abort.is_set():
-                    break
-                # Blocks once ``fanout`` tasks are in flight; the loop then
-                # runs pending tasks (in creation order, each atomic) until
-                # a permit frees up.
-                await semaphore.acquire()
-                tasks.append(asyncio.ensure_future(self._one_record(
-                    run, len(tasks), record, results, semaphore,
-                )))
-                # Tasks that ran during the acquire switched the loop
-                # thread's lane; the next scan pull must charge lane 0.
-                clock.use_lane(0)
-                self._emit_progress(scan_meter, len(results))
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            self._fail(exc)
-        if tasks:
-            await asyncio.gather(*tasks)
-        if self._errors:
-            raise self._errors[0]
-
-        # All tasks are done, so lane 1's time is final: close the prefix
-        # there, then gather in global order.
-        results[len(tasks)] = self._close_prefix(run)
-        self._gather(
-            run, (results.get(seq, []) for seq in range(len(tasks) + 1))
-        )
-        return self._finish(run)
-
-    async def _one_record(self, run: _ScatterRun, index: int,
-                          record: DataRecord,
-                          results: Dict[int, List[DataRecord]],
-                          semaphore: "asyncio.Semaphore") -> None:
-        lane = index % run.degree
-        try:
-            self.context.clock.use_lane(1 + lane)
+        for index, record in enumerate(self._scan(plan, scan_meter)):
+            lane = index % run.degree
+            clock.use_lane(1 + lane)
             with self.context.tracer.attach(run.lane_spans[lane]):
-                with _PinnedSpan(self.context, "async.bundle",
-                                 SpanKind.BUNDLE, seq=index, records=1):
-                    outputs = await self._arun_chain(run.prefix, record)
+                outputs = self._bundle(
+                    "async.bundle", index, run.prefix, [record], False
+                )[0]
                 self._charge_fold(run, outputs)
-            results[index] = outputs
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self._fail(exc)
-            results[index] = []
-        finally:
-            semaphore.release()
+            bundles.append(outputs)
+            # The next scan pull must charge lane 0.
+            clock.use_lane(0)
+            self._emit_progress(scan_meter, len(bundles))
+        # Every lane has stopped charging, so lane 1's time is final: close
+        # the prefix there, then gather in global order.
+        bundles.append(self._close_prefix(run))
+        self._gather(run, bundles)
+        return self._finish(run)

@@ -272,19 +272,6 @@ class _Meter:
         log.replay_event(op, record, outputs, usages)
         return outputs
 
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        """Awaitable :meth:`process` with identical accounting.
-
-        The awaited operator must not suspend between the accounting
-        boundaries (the simulated client's coroutines never do), so the
-        thread-local capture/advance attribution stays exact even with
-        many asyncio tasks sharing the event-loop thread.
-        """
-        with self._span_and_capture("op.process", 1) as call:
-            outputs = await self.op.aprocess(record)
-            call.outputs = len(outputs)
-        return outputs
-
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:
@@ -484,19 +471,6 @@ class PlanExecutor:
                 sink.extend(done.value)
         return sink
 
-    async def _arun_chain(self, meters: List[_Meter],
-                          record: DataRecord) -> List[DataRecord]:
-        """:meth:`_run_chain` for one record over the coroutine API."""
-        walk = _depth_first(meters, record)
-        outputs = None
-        try:
-            while True:
-                meter, current = walk.send(outputs)
-                self.context.checkpoint()
-                outputs = await meter.aprocess(current)
-        except StopIteration as done:
-            return done.value
-
     def _run_chain_grouped(
         self, meters: List[_Meter], records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:
@@ -608,9 +582,10 @@ class PlanExecutor:
     ) -> Tuple[List[DataRecord], PlanStats]:
         """What every ``execute`` does around its schedule.
 
-        ``concurrent(meters)`` is the schedule's threaded/async strategy;
-        ``None`` — or a plan it cannot speed up without changing the
-        run's LLM calls — runs the inline schedule instead.
+        ``concurrent(meters)`` is the schedule's own way to drive the
+        chain (stage threads, shard threads, virtual lanes); ``None`` — or
+        a plan it cannot speed up without changing the run's LLM calls —
+        runs the inline schedule instead.
         """
         self._abort.clear()
         with self._error_lock:

@@ -9,13 +9,13 @@ worker thread.  Everything after the prefix (the *suffix*: limits, distinct,
 blocking aggregates, sorts, retrieves, UDF joins, ...) runs post-gather in
 global arrival order, so order-sensitive semantics are untouched.
 
-This module also holds the scatter/gather *skeleton* the asyncio schedule
+This module also holds the scatter/gather *skeleton* the async schedule
 (:class:`~repro.execution.asyncexec.AsyncExecutor`) shares: span set-up
 (:meth:`ShardedExecutor._begin`), prefix close on lane 1
 (:meth:`~ShardedExecutor._close_prefix`), gather feed/close
 (:meth:`~ShardedExecutor._gather`), and span finish
 (:meth:`~ShardedExecutor._finish`).  The two differ only in how the prefix
-is driven: threads and queues here, semaphore-bounded tasks there.
+is driven: threads and queues here, one loop over virtual lanes there.
 
 Equivalence contract (the core's, extended here): output records,
 per-operator ``ExecutionStats``, traces, and provenance graphs are identical
@@ -79,7 +79,7 @@ from repro.physical.plan import PhysicalPlan, shard_safe
 
 
 class _ScatterRun:
-    """One scatter/gather execution's state, shared by its threads/tasks."""
+    """One scatter/gather execution's state, shared by its threads."""
 
     #: ``total`` is writes-only: the closing worker reads it after every
     #: shard worker has exited (the last-one-out check is itself locked).

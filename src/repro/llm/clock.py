@@ -82,11 +82,6 @@ class VirtualClock:
         with self._lock:
             return len(self._lane_times)
 
-    def lane_time(self, lane: int) -> float:
-        """Local time accumulated by ``lane``, in seconds."""
-        with self._lock:
-            return self._lane_times[lane]
-
     def lane_times(self) -> list:
         """A snapshot copy of every lane's accumulated time."""
         with self._lock:

@@ -116,15 +116,8 @@ class GroundTruthRegistry:
             self._truths[fp] = truth
         return fp
 
-    def register_fingerprint(self, fingerprint: str, truth: DocumentTruth) -> None:
-        with self._lock:
-            self._truths[fingerprint] = truth
-
     def lookup(self, text: str) -> Optional[DocumentTruth]:
         return self._truths.get(fingerprint_text(text))
-
-    def lookup_fingerprint(self, fingerprint: str) -> Optional[DocumentTruth]:
-        return self._truths.get(fingerprint)
 
     def predicate_truth(self, text: str, predicate: str) -> Optional[bool]:
         """True/False if the oracle knows this predicate for this text."""

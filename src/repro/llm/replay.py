@@ -78,15 +78,6 @@ class ReuseSummary:
     input_tokens: int = 0
     output_tokens: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "calls": self.calls,
-            "cost_usd": round(self.cost_usd, 6),
-            "seconds": round(self.seconds, 3),
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-        }
-
 
 def _normalize_value(value: Any) -> Any:
     """JSON round-trip, matching what a disk-persisted log would return.

@@ -574,10 +574,6 @@ class SloEvaluator:
             statuses.append(status)
         return statuses
 
-    def alerts(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
-        """The firing (not-ok) subset of :meth:`evaluate`."""
-        return [row for row in self.evaluate(now) if not row["ok"]]
-
 
 # ---------------------------------------------------------------------------
 # The facade

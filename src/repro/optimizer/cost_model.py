@@ -71,15 +71,6 @@ class IncrementalPricing:
             "use_incremental": self.use_incremental,
         }
 
-    def describe(self) -> str:
-        choice = "incremental" if self.use_incremental else "cold"
-        return (
-            f"cold ${self.cold_cost_usd:.4f}/{self.cold_seconds:.1f}s vs "
-            f"incremental ${self.incremental_cost_usd:.4f}/"
-            f"{self.incremental_seconds:.1f}s "
-            f"(fresh {self.fresh_fraction:.1%}) -> {choice}"
-        )
-
 
 @dataclass(frozen=True)
 class PlanEstimate:

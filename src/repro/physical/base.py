@@ -21,13 +21,6 @@ class StreamEstimate:
     cardinality: float
     avg_document_tokens: float
 
-    def scaled(self, selectivity: float = 1.0,
-               fanout: float = 1.0) -> "StreamEstimate":
-        return StreamEstimate(
-            cardinality=self.cardinality * selectivity * fanout,
-            avg_document_tokens=self.avg_document_tokens,
-        )
-
 
 @dataclass(frozen=True)
 class OperatorCostEstimates:
@@ -43,12 +36,6 @@ class OperatorCostEstimates:
     time_per_record: float
     cost_per_record: float
     quality: float
-
-    def total_time(self, input_cardinality: float) -> float:
-        return self.time_per_record * input_cardinality
-
-    def total_cost(self, input_cardinality: float) -> float:
-        return self.cost_per_record * input_cardinality
 
 
 class PhysicalOperator:
@@ -112,17 +99,6 @@ class PhysicalOperator:
     def process(self, record: DataRecord) -> List[DataRecord]:
         raise NotImplementedError
 
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        """Asynchronous twin of :meth:`process` for the async executor.
-
-        Contract: identical outputs, clock charges, and ledger entries as
-        :meth:`process`.  The default simply delegates; LLM-bound operators
-        override it to await the client's coroutine API.  Overrides must
-        never suspend mid-record — the executor relies on each record's
-        accounting being atomic on the event-loop thread.
-        """
-        return self.process(record)
-
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:
@@ -131,8 +107,10 @@ class PhysicalOperator:
         Contract: the outputs (and any LLM answers behind them) must be
         identical to calling :meth:`process` once per record, in order.
         The default does exactly that; LLM-bound operators override it to
-        batch their client calls, which amortizes prompt construction,
-        prefix token counting, and per-call overhead across the batch.
+        batch their client calls, which saves *simulated* time only: calls
+        after the first in a batch skip the model's fixed per-call
+        overhead.  Wall-clock cost per record is the same either way (the
+        client prices every call by prompt pieces, batched or not).
         """
         return [self.process(record) for record in records]
 

@@ -77,20 +77,6 @@ class ExecutionContext:
                 spent_tokens=budget.spent_tokens,
             )
 
-    def child(self) -> "ExecutionContext":
-        """A fresh context sharing oracle/models but with its own meters.
-
-        Used for sentinel (sample) runs whose cost is reported separately;
-        the tracer and provenance recorder are NOT inherited — sentinel
-        traffic would otherwise pollute the main run's trace and graph.
-        """
-        return ExecutionContext(
-            max_workers=self.max_workers,
-            oracle=self.oracle,
-            models=self.models,
-            cache=self.cache,
-        )
-
     def __repr__(self) -> str:
         return (
             f"ExecutionContext(max_workers={self.max_workers}, "

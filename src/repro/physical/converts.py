@@ -179,12 +179,6 @@ class LLMConvertBonded(_ConvertBase):
         return self._build_outputs(record, response.value,
                                    llm=[response.usage])
 
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        assert self._client is not None, "operator not opened"
-        response = await self._client.aextract(self._request_for(record))
-        return self._build_outputs(record, response.value,
-                                   llm=[response.usage])
-
     def process_batch(
         self, records: Sequence[DataRecord]
     ) -> List[List[DataRecord]]:
@@ -281,12 +275,6 @@ class LLMConvertConventional(LLMConvertBonded):
             merged.update(response.value)
             usages.append(response.usage)
         return self._build_outputs(record, merged, llm=usages)
-
-    async def aprocess(self, record: DataRecord) -> List[DataRecord]:
-        # Several dependent calls per record; the bonded parent's
-        # single-call coroutine would be wrong here.  The sync path runs
-        # atomically on the loop thread, which is all the executor needs.
-        return self.process(record)
 
     def process_batch(
         self, records: Sequence[DataRecord]

@@ -34,7 +34,8 @@ class ExecutionOptions:
             (record-level parallelism on virtual-clock lanes), "pipelined"
             (real worker threads with bounded queues), "sharded"
             (scatter/gather over deterministic source shards), or "async"
-            (asyncio fan-out over the client's coroutine API).  ``None``
+            (the same scatter/gather modelled on virtual-clock lanes, one
+            record at a time on the calling thread).  ``None``
             infers it: parallel when ``max_workers > 1``, sequential
             otherwise.
         max_workers: record-level parallelism for LLM operators.

@@ -117,16 +117,6 @@ class PhysicalPlan:
                             shards=shards)
 
     @property
-    def shardable_prefix(self) -> List[PhysicalOperator]:
-        """The maximal run of shard-safe operators after the scan."""
-        prefix: List[PhysicalOperator] = []
-        for op in self.downstream:
-            if not shard_safe(op):
-                break
-            prefix.append(op)
-        return prefix
-
-    @property
     def streaming_prefix(self) -> List[PhysicalOperator]:
         """The maximal run of :func:`record_local` operators after the
         scan: what a document journey covers."""

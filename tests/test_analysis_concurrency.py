@@ -474,6 +474,23 @@ class TestIntegration:
         )
         assert "CC504" in codes(result)
 
+    def test_lint_program_runs_the_tenancy_rule(self):
+        # SV601 rides the same entry point; the shipped handlers only
+        # ever show it clean code, so show it the leak it exists for.
+        handler = "def handle_list(self, store, tenant):\n"
+        acquire = "    with store.acquire(tenant) as state:\n"
+
+        def sv(body):
+            result = lint_program(handler + body, filename="handlers.py")
+            return [d for d in result.diagnostics if d.code == "SV601"]
+
+        (leak,) = sv("    return list(store.sessions)\n")
+        assert leak.location == "handlers.py:2"
+        assert "'.sessions'" in leak.message
+        assert sv("    return list(store.sessions)"
+                  "  # tenancy: ok(admin listing)\n") == []
+        assert sv(acquire + "        return list(state.sessions)\n") == []
+
     def test_syntax_error_returns_empty(self):
         assert codes(lint("def broken(:")) == []
 

@@ -143,6 +143,24 @@ class TestQuotaCheckpointOnEverySchedule:
         assert rerun.incremental.spliced_docs == self.DOCS
         assert rerun.to_dict() == stats.to_dict()
 
+    def test_cap_breached_by_a_charge_stops_async_at_the_sequential_call(
+            self):
+        """The async schedule has no error plumbing of its own: a breach
+        raises out of its loop as out of the inline schedule, after the
+        same call, leaving the same partial spend."""
+        source = make_source(n=self.DOCS, dataset_id="core-quota-charge")
+        _, cold = Execute(shape_filter_convert(source), policy="quality")
+
+        def aborted(**flags):
+            budget = BudgetMeter(max_cost_usd=0.4 * cold.total_cost_usd)
+            with pytest.raises(QuotaExceededError, match="charge"):
+                Execute(shape_filter_convert(source), policy="quality",
+                        budget=budget, **flags)
+            return budget.calls, round(budget.spent_cost_usd, 6)
+
+        assert (aborted(executor="async", shards=4)
+                == aborted(executor="sequential") == (49, 0.016492))
+
     @pytest.mark.parametrize("name", EXECUTORS)
     def test_untouched_budget_lets_the_run_finish(self, name):
         source = make_source(n=6, dataset_id=f"core-quota-ok-{name}")

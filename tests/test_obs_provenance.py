@@ -326,6 +326,21 @@ class TestRunDiff:
         assert "per-operator deltas" in text
         assert "- disappeared:" in text
 
+    def test_cli_json_format_prints_the_diff_payload(self, tmp_path, capsys):
+        from repro.cli import main
+
+        registry = RunRegistry(tmp_path / "runs")
+        source = make_source(4, "prov-diff-cli")
+        for dataset in (Dataset(source).convert(Clinical),
+                        Dataset(source).convert(Clinical).limit(2)):
+            records, stats = Execute(dataset, provenance=True, lint=False)
+            registry.record(records, stats)
+        assert main(["runs", "diff", "--format", "json",
+                     "--runs-dir", str(tmp_path / "runs")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == registry.diff("run-0001", "run-0002").to_dict()
+        assert printed["totals"]["records_out"] == -2
+
     def test_membership_keys_survive_disk_round_trip(self, tmp_path):
         registry = RunRegistry(tmp_path / "runs")
         source = make_source(3, "prov-diff-disk")
