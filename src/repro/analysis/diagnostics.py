@@ -253,7 +253,6 @@ class LintResult:
                 "infos": len(self.infos),
                 "families": families,
             },
-            indent=2,
         )
 
     def __iter__(self) -> Iterator[Diagnostic]:

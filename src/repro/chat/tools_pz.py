@@ -40,11 +40,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         from repro.obs.registry import RunRegistry, RunSnapshot
 
         if workspace.runs_dir is not None:
-            registry = RunRegistry(workspace.runs_dir)
-            snapshot = RunSnapshot.from_execution(
-                registry.next_run_id(), records, stats
-            )
-            registry.save(snapshot)
+            snapshot = RunRegistry(workspace.runs_dir).record(records, stats)
         else:
             snapshot = RunSnapshot.from_execution(
                 f"run-{len(workspace.run_history) + 1}", records, stats

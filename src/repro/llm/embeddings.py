@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.llm.clock import VirtualClock
 from repro.llm.models import ModelCard, default_registry
 from repro.llm.tokenizer import count_tokens
 from repro.llm.usage import LLMUsage, UsageLedger
+
+if TYPE_CHECKING:  # numpy loads on the first embedding, not on import
+    import numpy as np
 
 DEFAULT_DIM = 1024
 
@@ -33,6 +34,8 @@ def _hash_word(word: str) -> int:
 
 def embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Embed ``text`` into a unit vector of dimension ``dim``."""
+    import numpy as np
+
     if dim <= 0:
         raise ValueError(f"embedding dimension must be positive, got {dim}")
     vector = np.zeros(dim, dtype=np.float64)
@@ -49,6 +52,8 @@ def embed_text(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two vectors (0.0 if either is zero)."""
+    import numpy as np
+
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0

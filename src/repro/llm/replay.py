@@ -79,13 +79,28 @@ class ReuseSummary:
     output_tokens: int = 0
 
 
+#: Types a JSON round-trip returns unchanged (exact types: a ``str`` or
+#: ``int`` subclass comes back as its base type, a float may be NaN).
+_JSON_SCALARS = frozenset((type(None), bool, int, str))
+
+
 def _normalize_value(value: Any) -> Any:
     """JSON round-trip, matching what a disk-persisted log would return.
 
     Priming from memory and priming from ``calls.json`` must hand the
     operators identical payloads, so values are normalized at capture
-    serialization time rather than lazily on load.
+    serialization time rather than lazily on load.  What the round-trip
+    would return unchanged — a JSON scalar (judge answers) or a flat dict
+    of ``str`` keys to scalars (extract answers) — skips it; anything
+    else pays for it.
     """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return value
+    if kind is dict and all(
+            type(key) is str and type(item) in _JSON_SCALARS
+            for key, item in value.items()):
+        return dict(value)
     return json.loads(json.dumps(value, default=str))
 
 

@@ -13,9 +13,9 @@ structure without reconstructing it from timestamps.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
+from repro.obs.persist import write_json
 from repro.obs.trace import Trace
 
 _MICROS = 1_000_000
@@ -83,13 +83,9 @@ def to_plain_json(trace: Trace,
 
 def write_chrome_trace(trace: Trace, path: str,
                        metrics: Optional[Dict[str, Any]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_chrome_trace(trace, metrics=metrics), handle, indent=2)
-        handle.write("\n")
+    write_json(path, to_chrome_trace(trace, metrics=metrics))
 
 
 def write_plain_json(trace: Trace, path: str,
                      metrics: Optional[Dict[str, Any]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_plain_json(trace, metrics=metrics), handle, indent=2)
-        handle.write("\n")
+    write_json(path, to_plain_json(trace, metrics=metrics))

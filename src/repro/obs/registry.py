@@ -14,7 +14,11 @@ Every recorded run lands in its own directory under ``.repro/runs/``::
 
 Run ids are sequential (``run-0001``, ``run-0002``, ...) rather than
 timestamps so a registry populated by a deterministic script is itself
-deterministic.
+deterministic.  :meth:`RunRegistry.record` reserves its id by creating the
+directory, so concurrent recorders never share one.  Files are compact,
+sorted-key JSON from :func:`repro.obs.persist.write_json`, and
+``meta.json`` is written last: a directory without it is a run still being
+written (or an abandoned one), and :meth:`RunRegistry.list` skips it.
 
 :func:`diff_runs` compares two snapshots and names three kinds of delta:
 
@@ -38,6 +42,7 @@ import shutil
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.persist import write_json
 from repro.obs.provenance import ProvenanceGraph, render_why, render_why_not
 
 __all__ = [
@@ -302,6 +307,7 @@ class RunRegistry:
     # -- recording ------------------------------------------------------
 
     def next_run_id(self) -> str:
+        """The id after the highest one under the root (not reserved)."""
         highest = 0
         if self.root.is_dir():
             for entry in self.root.iterdir():
@@ -310,39 +316,51 @@ class RunRegistry:
                     highest = max(highest, int(match.group(1)))
         return f"run-{highest + 1:04d}"
 
+    def _reserve_run_id(self) -> str:
+        """Claim a fresh run id by creating its directory.
+
+        ``mkdir`` either creates the directory or fails, so two writers
+        racing on :meth:`next_run_id` (two sessions of one tenant
+        executing at once) end up with distinct ids: the loser bumps.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        number = int(_RUN_ID_RE.match(self.next_run_id()).group(1))
+        while True:
+            run_id = f"run-{number:04d}"
+            try:
+                (self.root / run_id).mkdir()
+            except FileExistsError:
+                number += 1
+            else:
+                return run_id
+
     def record(self, records, stats,
                run_id: Optional[str] = None) -> RunSnapshot:
         """Persist one execution; returns the stored snapshot."""
-        run_id = run_id or self.next_run_id()
+        run_id = run_id or self._reserve_run_id()
         snapshot = RunSnapshot.from_execution(run_id, records, stats)
         self.save(snapshot)
         return snapshot
 
     def save(self, snapshot: RunSnapshot) -> Path:
+        """Write every file of ``snapshot``; ``meta.json`` goes last, so
+        a run is listed (and loadable) only once it is complete."""
         run_dir = self.root / snapshot.run_id
         run_dir.mkdir(parents=True, exist_ok=True)
-
-        def dump(name: str, payload: Any, indent: Optional[int] = 2) -> None:
-            path = run_dir / name
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=indent, sort_keys=True,
-                          default=str)
-                handle.write("\n")
-
-        dump("meta.json", snapshot.meta)
-        dump("stats.json", snapshot.stats)
-        dump("records.json", snapshot.records)
-        if snapshot.graph is not None:
-            dump("provenance.json", snapshot.graph.to_dict())
-        if snapshot.trace is not None:
-            dump("trace.json", snapshot.trace)
-        if snapshot.manifest is not None:
-            dump("manifest.json", snapshot.manifest)
-        if snapshot.calls is not None:
-            dump("calls.json", snapshot.calls)
-        if snapshot.journeys is not None:
-            # Machine-read only, and mostly small nested lists: one line.
-            dump("journeys.json", snapshot.journeys, indent=None)
+        files = [
+            ("stats.json", snapshot.stats),
+            ("records.json", snapshot.records),
+            ("provenance.json", (snapshot.graph.to_dict()
+                                 if snapshot.graph is not None else None)),
+            ("trace.json", snapshot.trace),
+            ("manifest.json", snapshot.manifest),
+            ("calls.json", snapshot.calls),
+            ("journeys.json", snapshot.journeys),
+            ("meta.json", snapshot.meta),
+        ]
+        for name, payload in files:
+            if payload is not None:
+                write_json(run_dir / name, payload)
         return run_dir
 
     # -- retrieval ------------------------------------------------------

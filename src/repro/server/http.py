@@ -481,10 +481,16 @@ def serve(
     return ReproServer((host, port), store, quiet=quiet)
 
 
+#: ``serve_forever`` checks for ``shutdown()`` this often; the default
+#: 0.5 s is what every in-process server would wait on stop.
+_THREAD_POLL_INTERVAL_S = 0.02
+
+
 def run_in_thread(server: ReproServer) -> threading.Thread:
     """Start ``serve_forever`` on a daemon thread (tests/smoke)."""
     thread = threading.Thread(
         target=server.serve_forever,
+        kwargs={"poll_interval": _THREAD_POLL_INTERVAL_S},
         name="repro-serve",
         daemon=True,
     )

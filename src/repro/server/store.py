@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.llm.usage import BudgetMeter, QuotaExceededError
+from repro.obs.persist import write_json
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -835,20 +836,14 @@ class SessionStore:
             },
         }
         tenant.root.mkdir(parents=True, exist_ok=True)
-        with open(tenant.root / "tenant.json", "w",
-                  encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(tenant.root / "tenant.json", meta)
 
     def _persist_session(self, tenant: TenantState,
                          session: ServerSession) -> None:
         sessions_dir = tenant.sessions_dir()
         sessions_dir.mkdir(parents=True, exist_ok=True)
-        path = sessions_dir / f"{session.session_id}.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(session.to_payload(), handle, indent=2,
-                      sort_keys=True, default=str)
-            handle.write("\n")
+        write_json(sessions_dir / f"{session.session_id}.json",
+                   session.to_payload())
 
     # -- admin ----------------------------------------------------------
 

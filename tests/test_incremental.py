@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro as pz
 from repro.core.builtin_schemas import TextFile
@@ -33,6 +35,7 @@ from repro.execution.incremental import (
     diff_manifests,
 )
 from repro.llm.oracle import global_oracle
+from repro.llm.replay import _normalize_value
 from repro.obs.export import to_plain_json
 from repro.obs.registry import ResultHandle, RunRegistry, RunSnapshot
 from repro.optimizer.cost_model import CostModel
@@ -333,6 +336,19 @@ class TestResultHandles:
         assert lazy._records is None
         assert lazy.slice(0, 1) == stored.records[:1]
         assert lazy._records is not None
+
+    def test_same_execution_records_byte_identical_directories(
+            self, tmp_path):
+        source = generate_scale_source(12, seed=41, dataset_id="handle-c")
+        records, stats = run(build(source), capture_calls=True)
+        trees = []
+        for name in ("a", "b"):
+            registry = RunRegistry(str(tmp_path / name))
+            run_dir = registry.root / registry.record(records, stats).run_id
+            trees.append({path.name: path.read_bytes()
+                          for path in run_dir.iterdir()})
+        assert len(trees[0]) == 8
+        assert trees[0] == trees[1]
 
     def test_unknown_run_raises(self, tmp_path):
         registry = RunRegistry(str(tmp_path / "runs"))
@@ -990,6 +1006,31 @@ class TestEditedDescriptionsRunFresh:
         assert stats.incremental.spliced_docs == self.N
 
 
+class _Opaque:
+    """A value JSON cannot encode (captured as ``str(value)``)."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def __str__(self):
+        return f"<opaque {self.label}>"
+
+
+_JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(), st.booleans(),
+                       st.none(), st.floats(allow_nan=False))
+_CALL_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=8),
+              st.builds(_Opaque, st.text(max_size=4))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestReplayTable:
     def test_one_table_per_snapshot_and_identical_reports(self, tmp_path):
         n, dataset_id = 30, "table-a"
@@ -1028,6 +1069,12 @@ class TestReplayTable:
         by_key = {tuple(row["key"]): row for row in base.calls}
         assert all(row is by_key[tuple(row["key"])]
                    for row in stats.call_log)
+
+    @given(value=_CALL_VALUES)
+    def test_normalize_matches_a_json_round_trip(self, value):
+        # Values that skip the round-trip must come out as it would.
+        assert _normalize_value(value) == json.loads(
+            json.dumps(value, default=str))
 
 
 class _CountingGraph:

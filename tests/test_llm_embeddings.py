@@ -1,5 +1,10 @@
 """Hash embeddings: geometry and metering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,16 @@ class TestEmbeddingModel:
     def test_default_model_is_embedding_card(self):
         model = EmbeddingModel()
         assert model.model.is_embedding_model
+
+    def test_importing_the_package_does_not_load_numpy(self):
+        # numpy loads with the first embedding, so a program that never
+        # embeds (a plain Execute, a chat server) never pays for it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.server, repro.cli; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert probe.stdout.strip() == "False"

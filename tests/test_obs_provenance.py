@@ -7,6 +7,8 @@ round-trips, and the persistent run registry with its three-way diff.
 
 import json
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -279,6 +281,98 @@ class TestRunRegistry:
         registry = RunRegistry(tmp_path / "runs")
         with pytest.raises(FileNotFoundError, match="known runs"):
             registry.load("run-9999")
+
+    def test_indented_run_directories_still_load(self, tmp_path, capsys):
+        # Earlier versions wrote every run file with indent=2; such a
+        # registry must keep loading, slicing, diffing and showing.
+        from repro.cli import main
+
+        registry = RunRegistry(tmp_path / "runs")
+        source = make_source(4, "prov-reg-indent")
+        for dataset in (Dataset(source).convert(Clinical),
+                        Dataset(source).convert(Clinical).limit(2)):
+            records, stats = Execute(dataset, provenance=True, trace=True,
+                                     capture_calls=True, lint=False)
+            registry.record(records, stats)
+        ids = ["run-0001", "run-0002"]
+        before = {run_id: registry.load(run_id) for run_id in ids}
+        diff = registry.diff(*ids).to_dict()
+        show = ["runs", "show", "--runs-dir", str(tmp_path / "runs")]
+        assert main(show) == 0
+        shown = capsys.readouterr().out
+
+        for path in sorted((tmp_path / "runs").glob("run-*/*.json")):
+            payload = json.loads(path.read_text())
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        assert "\n  " in (tmp_path / "runs" / "run-0001"
+                          / "records.json").read_text()
+
+        for run_id, old in before.items():
+            loaded = registry.load(run_id)
+            for name in ("meta", "stats", "records", "trace", "manifest",
+                         "calls", "journeys"):
+                assert getattr(loaded, name) == getattr(old, name), name
+            assert loaded.graph.to_json() == old.graph.to_json()
+            assert registry.handle(run_id).slice(0, 2) == old.records[:2]
+        assert [m["run_id"] for m in registry.list()] == ids
+        assert registry.diff(*ids).to_dict() == diff
+        assert main(show) == 0
+        assert capsys.readouterr().out == shown
+
+    def test_meta_json_is_written_last(self, tmp_path, monkeypatch):
+        import repro.obs.registry as registry_module
+
+        written = []
+        write_json = registry_module.write_json
+
+        def spy(path, payload):
+            written.append(path.name)
+            write_json(path, payload)
+
+        monkeypatch.setattr(registry_module, "write_json", spy)
+        registry = RunRegistry(tmp_path / "runs")
+        records, stats = Execute(
+            Dataset(make_source(3, "prov-reg-meta")).convert(Clinical),
+            provenance=True, trace=True, capture_calls=True, lint=False)
+        registry.record(records, stats)
+        assert len(written) == 8
+        assert written[-1] == "meta.json"
+        # A run directory without meta.json is not a run yet, but its
+        # id is taken.
+        (tmp_path / "runs" / "run-0002").mkdir()
+        assert registry.latest() == "run-0001"
+        with pytest.raises(FileNotFoundError):
+            registry.handle("run-0002")
+        assert registry.record(records, stats).run_id == "run-0003"
+
+    def test_concurrent_records_take_distinct_ids(self, tmp_path):
+        # Two sessions of one tenant recording at once: both scan the
+        # directory before either has created its run.
+        registry = RunRegistry(tmp_path / "runs")
+        executions = [
+            Execute(Dataset(make_source(n, f"prov-reg-race-{n}"))
+                    .convert(Clinical), provenance=True, lint=False)
+            for n in (3, 5)
+        ]
+        barrier = threading.Barrier(2, timeout=10)
+        scan = registry.next_run_id
+
+        def next_run_id():
+            run_id = scan()
+            barrier.wait()
+            return run_id
+
+        registry.next_run_id = next_run_id
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            stored = list(pool.map(
+                lambda execution: registry.record(*execution), executions))
+        assert sorted(s.run_id for s in stored) == ["run-0001", "run-0002"]
+        assert [m["run_id"] for m in registry.list()] == [
+            "run-0001", "run-0002"]
+        for snapshot in stored:
+            assert registry.load(snapshot.run_id).records == snapshot.records
 
 
 class TestRunDiff:

@@ -350,6 +350,37 @@ class TestRestartResume:
             run_ids = [r["run_id"] for r in tenant.registry().list()]
         assert run_ids == ["run-0001", "run-0002"]
 
+    def test_indented_session_files_resume(self, sigmod_demo, tmp_path):
+        # Session and tenant files written with indent=2, as earlier
+        # versions did, resume to the payload they hold.
+        root = tmp_path / "persist"
+        store = SessionStore(root=str(root))
+        store.ensure_session("acme")
+        for message in SCRIPT:
+            store.run_turn("acme", "s-0001", message)
+        store.close()
+        originals = {}
+        for path in (root / "acme" / "tenant.json",
+                     root / "acme" / "sessions" / "s-0001.json"):
+            originals[path.name] = json.loads(path.read_text())
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(originals[path.name], handle, indent=2,
+                          sort_keys=True)
+                handle.write("\n")
+
+        reborn = SessionStore(root=str(root))
+        row = reborn.ensure_session("acme", session_id="s-0001")
+        assert row["resumed"] is True
+        with reborn.acquire("acme") as tenant:
+            usage = tenant.usage()
+            payload = tenant.get_session("s-0001").to_payload()
+        reborn.close()
+        assert json.loads(json.dumps(payload, default=str)) == \
+            originals["s-0001.json"]
+        ledger = originals["tenant.json"]["usage"]
+        assert usage["spent_cost_usd"] == ledger["cost_usd"]
+        assert usage["spent_tokens"] == ledger["tokens"]
+
 
 class TestWorkspaceRootPin:
     def test_snapshot_restore_threads_the_root(self, tmp_path):
