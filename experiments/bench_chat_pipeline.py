@@ -49,7 +49,7 @@ def test_e4_chat_decomposition(benchmark, sigmod_registered):
     assert sequences[3] == ["get_execution_stats"]
 
     # The chat-run pipeline reproduces the E1 result.
-    assert len(session.last_records) == 6
+    assert len(session.last_run.records) == 6
     # The agent's own reasoning was metered (it is an LLM too).
     assert session.agent_cost_usd() > 0
 

@@ -47,7 +47,7 @@ def test_e6_generated_code_matches_fig6(benchmark, sigmod_registered):
 
 def test_e6_reexecution_equivalence(benchmark, sigmod_registered):
     session = build_session()
-    chat_names = sorted(r.name for r in session.last_records)
+    chat_names = sorted(r["name"] for r in session.last_run.records)
 
     def run():
         return exec_program(session.generated_code())

@@ -18,7 +18,9 @@ the tenancy invariants:
 * every response carries a distinct ``X-Request-Id`` header and a
   turn's row records the id of the request that ran it (the telemetry
   correlation contract — see ``scripts/validate_metrics.py`` for the
-  deeper log/metrics checks).
+  deeper log/metrics checks);
+* resume is lossless: after the server restarts on the same root, a
+  resumed session answers questions about its runs with the same text.
 
 Run it from the repo root::
 
@@ -59,6 +61,38 @@ TURNS = [
     "Keep only papers about machine learning",
     "run the pipeline",
 ]
+
+#: Questions a session answers from its recorded runs.
+RUN_QUESTIONS = ["How much did it cost?", "what took so long?"]
+
+
+def ask(base, tenant, sid, questions):
+    """Each question's reply text (every turn must succeed)."""
+    replies = []
+    for message in questions:
+        status, row = call(base, "POST",
+                           f"/tenants/{tenant}/sessions/{sid}/turns",
+                           {"message": message})
+        assert status == 200 and row["status"] == "ok", (status, row)
+        assert "tool error" not in row["reply"], row["reply"]
+        replies.append(row["reply"])
+    return replies
+
+
+def start(root, data_dir):
+    """Serve on an ephemeral port; returns (server, base url)."""
+    from repro.server import run_in_thread, serve
+
+    server = serve(port=0, root=root, data_dir=data_dir, max_cost_usd=5.0)
+    host, port = server.server_address
+    run_in_thread(server)
+    return server, f"http://{host}:{port}"
+
+
+def stop(server):
+    server.shutdown()
+    server.server_close()
+    server.store.close()
 
 
 def drive_tenant(base, tenant):
@@ -116,15 +150,9 @@ def main() -> int:
                         help="tenant state root (default: a temp dir)")
     args = parser.parse_args()
 
-    from repro.server import run_in_thread, serve
-
     scratch = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     root = args.root or f"{scratch}/tenants"
-    server = serve(port=0, root=root, data_dir=f"{scratch}/data",
-                   max_cost_usd=5.0)
-    host, port = server.server_address
-    base = f"http://{host}:{port}"
-    run_in_thread(server)
+    server, base = start(root, f"{scratch}/data")
     print(f"server_smoke: serving {base} (tenants under {root})")
 
     status, health = call(base, "GET", "/healthz")
@@ -214,7 +242,20 @@ def main() -> int:
     print(f"  correlation: turn {row['turn_id']} carries {rid}; "
           f"{len(seen_ids)} distinct request ids across probes")
 
-    server.shutdown()
+    # -- restart: a resumed session still answers from its runs.
+    sid = a["session_id"]
+    before = ask(base, "acme", sid, RUN_QUESTIONS)
+    stop(server)
+    server, base = start(root, f"{scratch}/data")
+    status, row = call(base, "POST", "/tenants/acme/sessions",
+                       {"session_id": sid})
+    assert status == 200 and row["resumed"], (status, row)
+    after = ask(base, "acme", sid, RUN_QUESTIONS)
+    assert after == before, (before, after)
+    print(f"  restart: resumed acme/{sid} answered {len(after)} questions "
+          "about its run with the same text")
+
+    stop(server)
     print("server_smoke: OK")
     return 0
 

@@ -50,7 +50,7 @@ class PalimpChatSession:
             message with the agent's steps, intent routing, and tool
             invocations nested beneath (``session_trace()`` finalizes it).
             Pipeline executions additionally record their own run trace
-            into ``workspace.last_trace`` regardless of this flag.
+            (``last_run.trace``) regardless of this flag.
         on_event: session lifecycle hook — a callable receiving event
             dicts as the session works: ``turn_start`` / ``turn_end``
             around every :meth:`chat` call, with execution progress
@@ -230,24 +230,8 @@ class PalimpChatSession:
         return self.tracer.finish()
 
     @property
-    def last_trace(self):
-        """Execution trace of the last pipeline run via chat (or None)."""
-        return self.workspace.last_trace
-
-    @property
-    def last_records(self):
-        return self.workspace.last_records
-
-    @property
-    def last_stats(self):
-        return self.workspace.last_stats
-
-    @property
-    def last_provenance(self):
-        """ProvenanceGraph of the last pipeline run via chat (or None)."""
-        return self.workspace.last_provenance
-
-    @property
-    def run_history(self):
-        """RunSnapshots of every pipeline execution in this session."""
-        return self.workspace.run_history
+    def last_run(self):
+        """:class:`~repro.obs.registry.RunSnapshot` of the current result
+        (the last pipeline run via chat), or None."""
+        run_id = self.workspace.current_run_id
+        return None if run_id is None else self.workspace.runs.get(run_id)

@@ -11,16 +11,18 @@ reproduces the paper's Fig. 2 example — including the dynamic
 from __future__ import annotations
 
 import dataclasses
-from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
-from repro.agent.tools import AgentRef, Tool, ToolError, ToolRegistry, tool
+from repro.agent.tools import AgentRef, ToolError, ToolRegistry, tool
 from repro.chat.workspace import PipelineWorkspace
 from repro.core.cardinality import Cardinality
 from repro.core.dataset import Dataset
 from repro.core.schemas import make_schema
 from repro.core.sources import global_source_registry
-from repro.execution.execute import Execute
+from repro.execution.execute import Execute, ExecutionEngine
+from repro.execution.stats import render_summary
+from repro.obs import Trace, aggregate_ops, analyze_critical_path
+from repro.obs.registry import diff_runs
 from repro.physical.options import ExecutionOptions
 from repro.optimizer.policies import parse_policy
 
@@ -28,52 +30,42 @@ from repro.optimizer.policies import parse_policy
 def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
     """Construct the tool registry bound to ``workspace``."""
 
-    def _snapshot_run(records, stats):
-        """Record one execution and publish its result as a handle.
+    def _resolve(run_id: str = "", read=None):
+        """``read(run_id)`` on the run store (default: the run's snapshot);
+        an empty id names the current result."""
+        run_id = run_id or workspace.current_run_id
+        if run_id is None:
+            raise ToolError("nothing has been executed yet")
+        try:
+            return (read or workspace.runs.get)(run_id)
+        except KeyError:
+            raise ToolError(
+                f"no result {run_id!r} in this session; "
+                f"known results: {workspace.run_ids or '<none>'}"
+            ) from None
 
-        The snapshot joins the in-session ``run_history`` (and the
-        persistent registry when ``workspace.runs_dir`` is set), and
-        ``workspace.last_result`` becomes its :class:`ResultHandle` —
-        the result *id* is what tool messages carry; ``show_records``
-        slices the records on demand.
-        """
-        from repro.obs.registry import RunRegistry, RunSnapshot
+    def _pipeline():
+        if workspace.current is None:
+            raise ToolError("no dataset loaded yet; call load_dataset first")
+        return workspace.current
 
-        if workspace.runs_dir is not None:
-            snapshot = RunRegistry(workspace.runs_dir).record(records, stats)
-        else:
-            snapshot = RunSnapshot.from_execution(
-                f"run-{len(workspace.run_history) + 1}", records, stats
-            )
-        workspace.run_history.append(snapshot)
-        workspace.last_result = snapshot.handle()
-        return snapshot
-
-    def _find_handle(result_id: str):
-        """Resolve a result id to a handle: last result, session history,
-        then the persistent registry (when attached)."""
-        if not result_id:
-            if workspace.last_result is None:
-                raise ToolError("nothing has been executed yet")
-            return workspace.last_result
-        if (workspace.last_result is not None
-                and workspace.last_result.result_id == result_id):
-            return workspace.last_result
-        for snapshot in reversed(workspace.run_history):
-            if snapshot.run_id == result_id:
-                return snapshot.handle()
-        if workspace.runs_dir is not None:
-            from repro.obs.registry import RunRegistry
-
-            try:
-                return RunRegistry(workspace.runs_dir).handle(result_id)
-            except FileNotFoundError:
-                pass
-        known = [s.run_id for s in workspace.run_history]
-        raise ToolError(
-            f"no result {result_id!r} in this session; "
-            f"known results: {known or '<none>'}"
+    def _execute(**modes):
+        """Run the pipeline as the workspace is set up; record the run."""
+        records, stats = Execute(
+            workspace.current,
+            policy=workspace.policy,
+            sample_size=workspace.sample_size,
+            **workspace.options.kwargs(),
+            trace=True,  # so explain_execution can answer "what took so long"
+            provenance=True,  # so explain_record can answer "why is X here"
+            budget=workspace.budget,
+            on_event=workspace.on_progress,
+            telemetry=workspace.telemetry,
+            **modes,
         )
+        snapshot = workspace.runs.record(records, stats)
+        workspace.run_ids.append(snapshot.run_id)
+        return records, stats, snapshot
 
     @tool()
     def load_dataset(source: str, agent: AgentRef = None) -> str:
@@ -163,9 +155,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             filter_dataset(predicate="The papers are about colorectal cancer")
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
-        workspace.current = workspace.current.filter(predicate)
+        workspace.current = _pipeline().filter(predicate)
         workspace.log_step("filter", predicate=predicate)
         return f"Added filter: {predicate!r}."
 
@@ -188,11 +178,9 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             convert_dataset(schema_name="ClinicalData", cardinality="one_to_many")
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
-        schema = workspace.get_schema(schema_name)
-        workspace.current = workspace.current.convert(
-            schema, cardinality=Cardinality.parse(cardinality)
+        workspace.current = _pipeline().convert(
+            workspace.get_schema(schema_name),
+            cardinality=Cardinality.parse(cardinality),
         )
         workspace.log_step(
             "convert", schema=schema_name, cardinality=cardinality
@@ -231,8 +219,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             execute_pipeline()
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
+        _pipeline()
         if workspace.budget is not None:
             # Pre-turn budget gate: a fully consumed quota rejects the
             # execution before any optimization or LLM work is spent.
@@ -247,24 +234,10 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
                 "the pipeline fails static analysis; nothing was "
                 "executed.\n" + lint_result.sorted().render()
             )
-        records, stats = Execute(
-            workspace.current,
-            policy=workspace.policy,
-            sample_size=workspace.sample_size,
-            **workspace.options.kwargs(),
+        records, stats, snapshot = _execute(
             lint=False,  # already linted above, with a friendlier message
-            trace=True,  # so explain_execution can answer "what took so long"
-            provenance=True,  # so explain_record can answer "why is X here"
             capture_calls=True,  # so rerun_pipeline can replay unchanged docs
-            budget=workspace.budget,
-            on_event=workspace.on_progress,
-            telemetry=workspace.telemetry,
         )
-        workspace.last_records = records
-        workspace.last_stats = stats
-        workspace.last_trace = stats.trace
-        workspace.last_provenance = stats.provenance
-        snapshot = _snapshot_run(records, stats)
         workspace.log_step(
             "execute",
             policy=workspace.policy.describe(),
@@ -273,7 +246,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             cost_usd=round(stats.total_cost_usd, 4),
             time_seconds=round(stats.total_time_seconds, 1),
         )
-        handle = workspace.last_result
+        handle = snapshot.handle()
         return (
             f"Executed pipeline: {handle.describe()} — "
             f"{handle.count} records produced in "
@@ -299,10 +272,13 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             rerun_pipeline()
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
+        _pipeline()
         base = None
-        for snapshot in reversed(workspace.run_history):
+        for run_id in reversed(workspace.run_ids):
+            try:
+                snapshot = workspace.runs.base(run_id)
+            except KeyError:
+                continue
             if snapshot.calls is not None and snapshot.manifest is not None:
                 base = snapshot
                 break
@@ -316,24 +292,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         # See the updated corpus: if a new source was registered under
         # the same dataset id, swap it into the pipeline's root scan.
         workspace.current.refresh_source()
-        records, stats = Execute(
-            workspace.current,
-            policy=workspace.policy,
-            sample_size=workspace.sample_size,
-            **workspace.options.kwargs(),
-            trace=True,
-            provenance=True,
-            incremental=True,
-            base_run=base,
-            budget=workspace.budget,
-            on_event=workspace.on_progress,
-            telemetry=workspace.telemetry,
-        )
-        workspace.last_records = records
-        workspace.last_stats = stats
-        workspace.last_trace = stats.trace
-        workspace.last_provenance = stats.provenance
-        snapshot = _snapshot_run(records, stats)
+        records, stats, snapshot = _execute(incremental=True, base_run=base)
         report = stats.incremental
         workspace.log_step(
             "rerun",
@@ -342,7 +301,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             records=len(records),
             mode=report.mode if report is not None else "cold",
         )
-        handle = workspace.last_result
+        handle = snapshot.handle()
         lines = [
             f"Re-ran pipeline from {base.run_id}: {handle.describe()}."
         ]
@@ -360,9 +319,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             get_execution_stats()
         """
-        if workspace.last_stats is None:
-            raise ToolError("nothing has been executed yet")
-        return workspace.last_stats.summary()
+        return render_summary(_resolve().stats)
 
     @tool()
     def explain_execution(agent: AgentRef = None) -> str:
@@ -377,20 +334,18 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             explain_execution()
         """
-        if workspace.last_stats is None:
-            raise ToolError("nothing has been executed yet")
-        if workspace.last_trace is None:
+        snapshot = _resolve()
+        if snapshot.trace is None:
             raise ToolError(
                 "the last run was not traced; execute the pipeline again "
                 "to record a trace"
             )
-        from repro.obs import aggregate_ops, analyze_critical_path
-
-        stats = workspace.last_stats
-        report = analyze_critical_path(workspace.last_trace)
+        stats = snapshot.stats
+        trace = Trace.from_dict(snapshot.trace)
+        report = analyze_critical_path(trace)
         lines = [report.render()]
         ops = sorted(
-            aggregate_ops(workspace.last_trace).items(),
+            aggregate_ops(trace).items(),
             key=lambda item: -item[1]["busy_seconds"],
         )
         if ops:
@@ -401,11 +356,11 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
                     f"  {name:<42} {agg['busy_seconds']:>9.1f}s busy  "
                     f"{agg['records_in']:>4} in / {agg['records_out']:>4} out"
                 )
-        calls = stats.metrics.get("llm.calls")
+        calls = stats["metrics"].get("llm.calls")
         if calls is not None:
             cache_note = (
-                f"; {stats.cache_hits} answered from the call cache"
-                if stats.cache_hits else ""
+                f"; {stats['cache_hits']} answered from the call cache"
+                if stats["cache_hits"] else ""
             )
             lines.append("")
             lines.append(f"LLM calls: {calls}{cache_note}.")
@@ -436,7 +391,8 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             explain_record(record_id=3)
             explain_record(source="paper_007")
         """
-        graph = workspace.last_provenance
+        run_id = workspace.current_run_id
+        graph = None if run_id is None else _resolve(run_id).graph
         if graph is None:
             raise ToolError(
                 "no provenance recorded yet; execute the pipeline first"
@@ -474,15 +430,14 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             compare_runs()
         """
-        history = workspace.run_history
-        if len(history) < 2:
+        run_ids = workspace.run_ids
+        if len(run_ids) < 2:
             raise ToolError(
                 "need at least two executions to compare; "
-                f"this session has {len(history)}"
+                f"this session has {len(run_ids)}"
             )
-        from repro.obs.registry import diff_runs
-
-        return diff_runs(history[-2], history[-1]).render()
+        return diff_runs(
+            _resolve(run_ids[-2]), _resolve(run_ids[-1])).render()
 
     @tool()
     def show_records(
@@ -507,7 +462,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             show_records(limit=5)
             show_records(result_id="run-0002", offset=10, limit=10)
         """
-        handle = _find_handle(str(result_id))
+        handle = _resolve(str(result_id), workspace.runs.handle)
         if handle.count == 0:
             return f"Result {handle.result_id} has no records."
         offset = max(0, int(offset))
@@ -651,15 +606,11 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             explain_plans()
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
-        from repro.execution.execute import ExecutionEngine
-
         engine = ExecutionEngine(
             policy=workspace.policy,
             max_workers=workspace.options.max_workers,
         )
-        return engine.explain(workspace.current)
+        return engine.explain(_pipeline())
 
     @tool()
     def lint_pipeline(agent: AgentRef = None) -> str:
@@ -672,11 +623,9 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             lint_pipeline()
         """
-        if workspace.current is None:
-            raise ToolError("no dataset loaded yet; call load_dataset first")
         from repro.analysis import lint_plan
 
-        lint_result = lint_plan(workspace.current)
+        lint_result = lint_plan(_pipeline())
         if not lint_result.diagnostics:
             return "Pipeline lint: no findings; the pipeline looks sound."
         return (

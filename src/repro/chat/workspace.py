@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Type
 
 from repro.core.cardinality import Cardinality
 from repro.core.dataset import Dataset
-from repro.core.records import DataRecord
-from repro.core.schemas import Schema
-from repro.execution.stats import ExecutionStats
-from repro.optimizer.policies import MaxQuality, Policy
+from repro.core.schemas import Schema, make_schema
+from repro.obs.registry import RunStore
+from repro.optimizer.policies import MaxQuality, Policy, parse_policy
 from repro.physical.options import ExecutionOptions
 
+#: Step kinds that recorded a run; their ``result_id`` names it.
+_RUN_STEPS = ("execute", "rerun")
 
-@dataclass
+#: What a Beaker-style snapshot captures.  The run store and root are
+#: part of it: a restore keeps pointing at the same runs.
+_SNAPSHOT = ("current", "schemas", "policy", "options", "sample_size",
+             "steps", "root", "runs", "keep_runs")
+
+
+@dataclass(frozen=True)
 class PipelineStep:
-    """One logical step the conversation added (used for codegen/replay)."""
+    """One logical step the conversation added (used for codegen/replay).
+
+    Steps are append-only and never change once logged, so snapshots of
+    the step log share them.
+    """
 
     kind: str  # "load" | "filter" | "schema" | "convert" | "policy" | ...
     params: Dict[str, Any] = field(default_factory=dict)
@@ -32,9 +42,9 @@ class PipelineWorkspace:
     """Mutable state shared by the PalimpChat tools.
 
     Tracks the dataset pipeline under construction, the dynamically created
-    schemas, the optimization policy, and the latest execution results.
-    Snapshots support the Beaker-style "restore previous notebook state"
-    feature.
+    schemas, the optimization policy, and the ids of the runs it made (the
+    runs themselves live in :attr:`runs`).  Snapshots support the
+    Beaker-style "restore previous notebook state" feature.
     """
 
     def __init__(self):
@@ -46,33 +56,19 @@ class PipelineWorkspace:
         self.options = ExecutionOptions()
         self.sample_size: int = 0
         self.steps: List[PipelineStep] = []
-        self.last_records: Optional[List[DataRecord]] = None
-        self.last_stats: Optional[ExecutionStats] = None
-        #: Finalized repro.obs Trace of the last execution (None until a
-        #: pipeline has run); explain_execution answers from it.
-        self.last_trace: Optional[Any] = None
-        #: Canonical ProvenanceGraph of the last execution (None until a
-        #: pipeline has run); explain_record answers from it.
-        self.last_provenance: Optional[Any] = None
-        #: In-memory RunSnapshots of every execution this session, in
-        #: order; compare_runs diffs the last two.  Survives reset() —
-        #: the runs happened even if the pipeline is discarded.
-        self.run_history: List[Any] = []
-        #: ResultHandle of the last execution — the addressable reference
-        #: (result id + schema + count + fingerprint) chat tools pass
-        #: around instead of inlining record payloads.
-        self.last_result: Optional[Any] = None
-        #: Optional on-disk RunRegistry directory; when set, executions
-        #: are also persisted there and reset() prunes it to keep_runs.
-        self.runs_dir: Optional[str] = None
-        #: Retention applied on reset(): how many runs (in memory, and on
-        #: disk when runs_dir is set) survive a workspace reset.
+        #: Ids of every run this session made, in order; compare_runs
+        #: diffs the last two.  Survives reset() — the runs happened even
+        #: if the pipeline is discarded.
+        self.run_ids: List[str] = []
+        #: Where the runs live (see ``runs_dir``).
+        self.runs = RunStore()
+        #: Retention applied on reset(): how many of this session's runs
+        #: survive a workspace reset.
         self.keep_runs: int = 8
         #: State root this workspace lives under (e.g. a tenant's
         #: ``.repro/tenants/<id>/``); ``attach_root`` derives runs_dir
-        #: from it.  None = no dedicated root (the historical global
-        #: ``.repro/`` behaviour).  Two workspaces with different roots
-        #: never share registries.
+        #: from it.  None = runs stay in memory.  Two workspaces with
+        #: different roots never share registries.
         self.root: Optional[str] = None
         #: Shared :class:`~repro.llm.usage.BudgetMeter` (tenant quota)
         #: executions charge; None = unmetered.
@@ -98,6 +94,27 @@ class PipelineWorkspace:
 
     def steps_of_kind(self, kind: str) -> List[PipelineStep]:
         return [s for s in self.steps if s.kind == kind]
+
+    # -- runs ----------------------------------------------------------------
+
+    @property
+    def runs_dir(self) -> Optional[str]:
+        """Where runs are recorded (None = in memory); setting it attaches
+        a fresh :class:`~repro.obs.registry.RunStore` there."""
+        return self.runs.runs_dir
+
+    @runs_dir.setter
+    def runs_dir(self, runs_dir: Optional[str]) -> None:
+        self.runs = RunStore(runs_dir)
+
+    @property
+    def current_run_id(self) -> Optional[str]:
+        """The run of the last ``execute``/``rerun`` step (the current
+        result), or None when the pipeline has not run."""
+        for step in reversed(self.steps):
+            if step.kind in _RUN_STEPS:
+                return step.params["result_id"]
+        return None
 
     # -- schema registry -------------------------------------------------
 
@@ -135,43 +152,19 @@ class PipelineWorkspace:
     # -- snapshots (Beaker-style state restore) ---------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Capture enough state to restore this point of the conversation.
-
-        The registry attachment (``root``/``runs_dir``/``keep_runs``) is
-        part of the snapshot: restoring a snapshot into a fresh workspace
-        must keep pointing at the *same* per-tenant store, not fall back
-        to the global ``.repro/`` root.
-        """
-        return {
-            "current": self.current,          # Datasets are immutable chains
-            "schemas": dict(self.schemas),
-            "policy": self.policy,
-            "options": self.options,          # frozen
-            "sample_size": self.sample_size,
-            "steps": copy.deepcopy(self.steps),
-            "root": self.root,
-            "runs_dir": self.runs_dir,
-            "keep_runs": self.keep_runs,
-        }
+        """Capture enough state to restore this point of the conversation
+        (Datasets are immutable chains, options frozen, steps frozen)."""
+        state = {name: getattr(self, name) for name in _SNAPSHOT}
+        state.update(schemas=dict(self.schemas), steps=list(self.steps))
+        return state
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
-        self.current = snapshot["current"]
-        self.schemas = dict(snapshot["schemas"])
-        self.policy = snapshot["policy"]
-        self.options = snapshot["options"]
-        self.sample_size = snapshot["sample_size"]
-        self.steps = copy.deepcopy(snapshot["steps"])
-        if "root" in snapshot:
-            self.root = snapshot["root"]
-        if "runs_dir" in snapshot:
-            self.runs_dir = snapshot["runs_dir"]
-        if "keep_runs" in snapshot:
-            self.keep_runs = snapshot["keep_runs"]
-        self.last_records = None
-        self.last_stats = None
-        self.last_trace = None
-        self.last_provenance = None
-        self.last_result = None
+        """Rewind to ``snapshot``; the current result becomes the run
+        that was current then."""
+        for name in _SNAPSHOT:
+            setattr(self, name, snapshot[name])
+        self.schemas = dict(self.schemas)
+        self.steps = list(self.steps)
 
     # -- disk persistence (service-layer session store) -------------------
 
@@ -188,6 +181,7 @@ class PipelineWorkspace:
                 {"kind": step.kind, "params": dict(step.params)}
                 for step in self.steps
             ],
+            "run_ids": list(self.run_ids),
             "policy": self.policy.describe(),
             "max_workers": self.options.max_workers,
             "executor": self.options.executor,
@@ -204,12 +198,8 @@ class PipelineWorkspace:
         the execution-mode settings) are replayed to reconstruct the
         live ``current`` dataset and schema registry; ``execute`` /
         ``rerun`` steps are kept in the log (codegen still shows them)
-        but not re-run — their results live in the run registry.
+        but not re-run — their results live in the run store.
         """
-        from repro.core.cardinality import Cardinality
-        from repro.core.schemas import make_schema
-        from repro.optimizer.policies import parse_policy
-
         self.options = ExecutionOptions.normalized(
             payload.get("executor"), int(payload.get("max_workers", 1)),
             int(payload.get("batch_size", 1)), payload.get("shards"),
@@ -252,6 +242,9 @@ class PipelineWorkspace:
                 )
             # execute/rerun and unknown kinds: log-only (below).
             self.steps.append(PipelineStep(kind=kind, params=params))
+        self.run_ids = list(payload.get("run_ids", [
+            s.params["result_id"] for s in self.steps if s.kind in _RUN_STEPS
+        ]))
         if "policy" in payload and not any(
                 s.kind == "policy" for s in self.steps):
             try:
@@ -267,28 +260,22 @@ class PipelineWorkspace:
         self.schemas = {}
         self.policy = MaxQuality()
         self.steps = []
-        self.last_records = None
-        self.last_stats = None
-        self.last_trace = None
-        self.last_provenance = None
-        self.last_result = None
         self.prune_runs()
 
     def prune_runs(self) -> List[str]:
-        """Apply the ``keep_runs`` retention to session and disk history.
+        """Apply the ``keep_runs`` retention to this session's own runs.
 
-        Trims ``run_history`` to the newest ``keep_runs`` snapshots and,
-        when a ``runs_dir`` is attached, prunes the persistent
-        :class:`~repro.obs.registry.RunRegistry` the same way.  Returns
-        the run ids pruned from disk (empty when none / no registry).
+        Drops all but the newest ``keep_runs`` of :attr:`run_ids` from the
+        run store (and from disk when a ``runs_dir`` is attached); runs
+        other sessions recorded in a shared registry are never touched.
+        Returns the pruned run ids, oldest first.
         """
-        if self.keep_runs is not None and len(self.run_history) > self.keep_runs:
-            del self.run_history[: len(self.run_history) - self.keep_runs]
-        if self.runs_dir is None:
+        if self.keep_runs is None:
             return []
-        from repro.obs.registry import RunRegistry
-
-        return RunRegistry(self.runs_dir).prune(keep_last=self.keep_runs)
+        doomed = self.run_ids[:max(0, len(self.run_ids) - self.keep_runs)]
+        del self.run_ids[:len(doomed)]
+        self.runs.drop(doomed)
+        return doomed
 
     def describe_pipeline(self) -> str:
         if self.current is None:

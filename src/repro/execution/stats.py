@@ -317,45 +317,44 @@ class ExecutionStats:
 
     def summary(self) -> str:
         """Human-readable execution summary (what the chat displays)."""
-        lines = [
-            "=== Execution summary ===",
-            f"policy:            {self.policy or '<none>'}",
-            f"plans considered:  {self.plans_considered}",
-            f"executed plan:     {self.plan_stats.plan_describe}",
-            f"executor:          {self.executor} "
-            f"(shards={self.shards}, batch_size={self.batch_size})",
-            f"records produced:  {self.plan_stats.records_out}",
-            f"total runtime:     {self.total_time_seconds:.1f} s",
-            f"total cost:        ${self.total_cost_usd:.4f}",
-        ]
-        if self.cache_hits or self.cache_misses or self.cache_evictions:
-            lines.append(
-                f"call cache:        {self.cache_hits} hits / "
-                f"{self.cache_misses} misses / "
-                f"{self.cache_evictions} evictions"
-            )
-        lines.extend([
-            "",
-            "per-operator breakdown:",
-        ])
-        header = (
-            f"  {'operator':<38} {'in':>5} {'out':>5} "
-            f"{'time(s)':>9} {'cost($)':>9} {'calls':>6}"
+        return render_summary(self.to_dict())
+
+
+def render_summary(stats: Dict[str, Any]) -> str:
+    """The execution summary of :meth:`ExecutionStats.to_dict` output, so
+    a live run and one reloaded from ``stats.json`` render the same."""
+    plan = stats["plan"]
+    lines = [
+        "=== Execution summary ===",
+        f"policy:            {stats['policy'] or '<none>'}",
+        f"plans considered:  {stats['plans_considered']}",
+        f"executed plan:     {plan['plan']}",
+        f"executor:          {stats['executor']} "
+        f"(shards={stats['shards']}, batch_size={stats['batch_size']})",
+        f"records produced:  {plan['records_out']}",
+        f"total runtime:     {stats['total_time_seconds']:.1f} s",
+        f"total cost:        ${stats['total_cost_usd']:.4f}",
+    ]
+    hits, misses, evictions = (stats["cache_hits"], stats["cache_misses"],
+                               stats["cache_evictions"])
+    if hits or misses or evictions:
+        lines.append(f"call cache:        {hits} hits / {misses} misses / "
+                     f"{evictions} evictions")
+    lines += ["", "per-operator breakdown:",
+              f"  {'operator':<38} {'in':>5} {'out':>5} "
+              f"{'time(s)':>9} {'cost($)':>9} {'calls':>6}"]
+    for op in plan["operators"]:
+        lines.append(
+            f"  {op['operator']:<38} {op['records_in']:>5} "
+            f"{op['records_out']:>5} {op['time_seconds']:>9.1f} "
+            f"{op['cost_usd']:>9.4f} {op['llm_calls']:>6}"
         )
-        lines.append(header)
-        for op in self.plan_stats.operator_stats:
+    if plan["models"]:
+        lines += ["", "LLM invocations by model:"]
+        for row in plan["models"]:
             lines.append(
-                f"  {op.op_label:<38} {op.records_in:>5} {op.records_out:>5} "
-                f"{op.time_seconds:>9.1f} {op.cost_usd:>9.4f} "
-                f"{op.llm_calls:>6}"
+                f"  {row['model']:<28} {row['calls']:>4} calls  "
+                f"{row['input_tokens']:>8} in / {row['output_tokens']:>6} "
+                f"out tokens  ${row['cost_usd']:.4f}"
             )
-        if self.plan_stats.model_usage:
-            lines.append("")
-            lines.append("LLM invocations by model:")
-            for row in self.plan_stats.model_usage:
-                lines.append(
-                    f"  {row.model:<28} {row.calls:>4} calls  "
-                    f"{row.input_tokens:>8} in / {row.output_tokens:>6} out "
-                    f"tokens  ${row.cost_usd:.4f}"
-                )
-        return "\n".join(lines)
+    return "\n".join(lines)

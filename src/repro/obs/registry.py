@@ -39,6 +39,8 @@ import hashlib
 import json
 import re
 import shutil
+import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,6 +51,7 @@ __all__ = [
     "ResultHandle",
     "RunSnapshot",
     "RunRegistry",
+    "RunStore",
     "RunDiff",
     "diff_runs",
     "DEFAULT_RUNS_DIR",
@@ -56,6 +59,8 @@ __all__ = [
 
 DEFAULT_RUNS_DIR = ".repro/runs"
 _RUN_ID_RE = re.compile(r"^run-(\d+)$")
+#: Snapshots a registry-backed :class:`RunStore` keeps in memory.
+_CACHED_RUNS = 2
 
 
 def _record_key(payload: Dict[str, Any]) -> str:
@@ -71,6 +76,21 @@ def _record_fp(payload: Dict[str, Any]) -> str:
     """Same 16-hex fingerprint provenance nodes carry (``node["fp"]``)."""
     return hashlib.sha256(
         _record_key(payload).encode("utf-8")).hexdigest()[:16]
+
+
+def _read_json(path: Path) -> Any:
+    """The JSON document at ``path``, or None when there is no file."""
+    if not path.is_file():
+        return None
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _tree_bytes(root: Path) -> int:
+    """Bytes of every file under ``root`` (0 when it does not exist)."""
+    if not root.is_dir():
+        return 0
+    return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
 
 
 def _result_fp(payloads: List[Dict[str, Any]]) -> str:
@@ -106,19 +126,6 @@ class ResultHandle:
         self.fingerprint = fingerprint
         self._loader = loader
         self._records: Optional[List[Dict[str, Any]]] = None
-
-    @classmethod
-    def from_snapshot(cls, snapshot: "RunSnapshot") -> "ResultHandle":
-        records = snapshot.records
-        return cls(
-            result_id=snapshot.run_id,
-            schema=str(snapshot.meta.get("schema", "")),
-            count=len(records),
-            fingerprint=str(
-                snapshot.meta.get("result_fp") or _result_fp(records)
-            ),
-            loader=lambda: records,
-        )
 
     def records(self) -> List[Dict[str, Any]]:
         """The full result set (loaded lazily, cached)."""
@@ -259,7 +266,11 @@ class RunSnapshot:
 
     def handle(self) -> ResultHandle:
         """This run's result set as an addressable handle."""
-        return ResultHandle.from_snapshot(self)
+        records = self.records
+        return ResultHandle(
+            self.run_id, str(self.meta.get("schema", "")), len(records),
+            str(self.meta.get("result_fp") or _result_fp(records)),
+            loader=lambda: records)
 
     # -- lookups --------------------------------------------------------
 
@@ -373,24 +384,24 @@ class RunRegistry:
         for entry in sorted(self.root.iterdir(), key=lambda p: p.name):
             meta_path = entry / "meta.json"
             if _RUN_ID_RE.match(entry.name) and meta_path.is_file():
-                with open(meta_path, encoding="utf-8") as handle:
-                    rows.append(json.load(handle))
+                rows.append(_read_json(meta_path))
         return rows
 
-    def load(self, run_id: str) -> RunSnapshot:
+    def _run_dir(self, run_id: str) -> Path:
+        """``run_id``'s directory; FileNotFoundError unless complete."""
         run_dir = self.root / run_id
         if not (run_dir / "meta.json").is_file():
             known = ", ".join(m["run_id"] for m in self.list()) or "<none>"
             raise FileNotFoundError(
                 f"no recorded run {run_id!r} under {self.root}; "
                 f"known runs: {known}")
+        return run_dir
+
+    def load(self, run_id: str) -> RunSnapshot:
+        run_dir = self._run_dir(run_id)
 
         def read(name: str) -> Any:
-            path = run_dir / name
-            if not path.is_file():
-                return None
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+            return _read_json(run_dir / name)
 
         graph_payload = read("provenance.json")
         return RunSnapshot(
@@ -410,31 +421,18 @@ class RunRegistry:
         """A :class:`ResultHandle` over a stored run, loading records
         lazily — metadata comes from ``meta.json`` alone, so producing
         the handle never touches ``records.json``."""
-        run_dir = self.root / run_id
-        meta_path = run_dir / "meta.json"
-        if not meta_path.is_file():
-            known = ", ".join(m["run_id"] for m in self.list()) or "<none>"
-            raise FileNotFoundError(
-                f"no recorded run {run_id!r} under {self.root}; "
-                f"known runs: {known}")
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
+        run_dir = self._run_dir(run_id)
+        meta = _read_json(run_dir / "meta.json")
 
         def load_records() -> List[Dict[str, Any]]:
-            path = run_dir / "records.json"
-            if not path.is_file():
-                return []
-            with open(path, encoding="utf-8") as records_handle:
-                return json.load(records_handle)
+            return _read_json(run_dir / "records.json") or []
 
-        fingerprint = meta.get("result_fp")
-        if not fingerprint:
-            fingerprint = _result_fp(load_records())
         return ResultHandle(
             result_id=run_id,
             schema=str(meta.get("schema", "")),
             count=int(meta.get("records_out", 0)),
-            fingerprint=str(fingerprint),
+            fingerprint=str(meta.get("result_fp")
+                            or _result_fp(load_records())),
             loader=load_records,
         )
 
@@ -452,12 +450,7 @@ class RunRegistry:
 
     def size_bytes(self) -> int:
         """Total bytes stored under the registry root."""
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            path.stat().st_size
-            for path in self.root.rglob("*") if path.is_file()
-        )
+        return _tree_bytes(self.root)
 
     def prune(self, keep_last: Optional[int] = None,
               max_bytes: Optional[int] = None) -> List[str]:
@@ -481,24 +474,104 @@ class RunRegistry:
             ids = ids[cut:]
         if max_bytes is not None:
             remaining = self.size_bytes() - sum(
-                self._run_size(run_id) for run_id in doomed
+                _tree_bytes(self.root / run_id) for run_id in doomed
             )
             while len(ids) > 1 and remaining > max_bytes:
                 run_id = ids.pop(0)
-                remaining -= self._run_size(run_id)
+                remaining -= _tree_bytes(self.root / run_id)
                 doomed.append(run_id)
-        for run_id in doomed:
-            shutil.rmtree(self.root / run_id, ignore_errors=True)
+        self.delete(doomed)
         return doomed
 
-    def _run_size(self, run_id: str) -> int:
-        run_dir = self.root / run_id
-        if not run_dir.is_dir():
-            return 0
-        return sum(
-            path.stat().st_size
-            for path in run_dir.rglob("*") if path.is_file()
-        )
+    def delete(self, run_ids: List[str]) -> None:
+        """Remove the named runs' directories (missing ones are skipped,
+        and so is anything that is not a run id)."""
+        for run_id in run_ids:
+            if _RUN_ID_RE.match(run_id):
+                shutil.rmtree(self.root / run_id, ignore_errors=True)
+
+
+class RunStore:
+    """Recorded runs by id: a small LRU of snapshots over a registry.
+
+    With a ``runs_dir`` every run is written to a :class:`RunRegistry`;
+    only the most recently used snapshots stay in memory, without their
+    replay parts (manifest, calls, journeys: :meth:`base` reads those),
+    and a miss reloads from disk, so a run made before a restart answers
+    like a hot one.  Without a ``runs_dir`` the snapshots are the only
+    copy, kept until :meth:`drop` under ``run-N`` ids from a counter that
+    never goes back.
+    """
+
+    _GUARDED_BY = {"_snapshots": "_lock", "_recorded": "_lock"}
+
+    def __init__(self, runs_dir: Optional[str] = None):
+        self.runs_dir = runs_dir
+        self._snapshots: "OrderedDict[str, RunSnapshot]" = OrderedDict()
+        self._recorded = 0
+        self._lock = threading.Lock()
+
+    def record(self, records, stats) -> RunSnapshot:
+        """Record one execution; returns its full snapshot."""
+        if self.runs_dir is not None:
+            snapshot = RunRegistry(self.runs_dir).record(records, stats)
+        else:
+            with self._lock:
+                self._recorded += 1
+                run_id = f"run-{self._recorded}"
+            snapshot = RunSnapshot.from_execution(run_id, records, stats)
+        self._keep(snapshot)
+        return snapshot
+
+    def get(self, run_id: str) -> RunSnapshot:
+        """``run_id`` as the chat tools read it; KeyError when unknown."""
+        with self._lock:
+            if run_id in self._snapshots:
+                self._snapshots.move_to_end(run_id)
+                return self._snapshots[run_id]
+        return self._keep(self._read(RunRegistry.load, run_id))
+
+    def base(self, run_id: str) -> RunSnapshot:
+        """``run_id`` with its replay parts, for an incremental re-run."""
+        if self.runs_dir is None:
+            return self.get(run_id)
+        return self._read(RunRegistry.load, run_id)
+
+    def handle(self, run_id: str) -> ResultHandle:
+        """``run_id``'s result handle; KeyError when unknown."""
+        with self._lock:
+            cached = run_id in self._snapshots
+        if cached:
+            return self.get(run_id).handle()
+        return self._read(RunRegistry.handle, run_id)
+
+    def drop(self, run_ids: List[str]) -> None:
+        """Forget ``run_ids``, deleting them from disk when attached."""
+        with self._lock:
+            for run_id in run_ids:
+                self._snapshots.pop(run_id, None)
+        if self.runs_dir is not None:
+            RunRegistry(self.runs_dir).delete(run_ids)
+
+    def _keep(self, snapshot: RunSnapshot) -> RunSnapshot:
+        if self.runs_dir is not None:
+            snapshot = RunSnapshot(
+                snapshot.run_id, snapshot.meta, snapshot.stats,
+                snapshot.records, snapshot.graph, snapshot.trace)
+        with self._lock:
+            self._snapshots[snapshot.run_id] = snapshot
+            while (self.runs_dir is not None
+                   and len(self._snapshots) > _CACHED_RUNS):
+                self._snapshots.popitem(last=False)
+        return snapshot
+
+    def _read(self, read: Callable, run_id: str):
+        if self.runs_dir is None:
+            raise KeyError(f"no result {run_id!r}")
+        try:
+            return read(RunRegistry(self.runs_dir), run_id)
+        except FileNotFoundError as exc:
+            raise KeyError(str(exc)) from None
 
 
 class RunDiff:

@@ -138,6 +138,8 @@ class Trace:
 
     def __init__(self, roots: List[Span]):
         self.roots = _canonical_order(list(roots))
+        #: The makespan a loaded trace recorded (see :meth:`from_dict`).
+        self._makespan: Optional[float] = None
         self._spans: List[Span] = []
         counter = 0
         stack = [(root, 0) for root in reversed(self.roots)]
@@ -174,11 +176,33 @@ class Trace:
     @property
     def makespan(self) -> float:
         """Latest end time across all spans (virtual seconds)."""
+        if self._makespan is not None:
+            return self._makespan
         return max((span.end or 0.0) for span in self._spans) if self._spans \
             else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {"spans": [span.to_dict() for span in self._spans]}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "Trace":
+        """Rebuild a trace from :meth:`to_dict` output or its plain-JSON
+        export (:func:`repro.obs.export.to_plain_json`).  Span ends are
+        rebuilt from rounded starts and durations, so the makespan comes
+        from the export when it records one."""
+        by_id: Dict[int, Span] = {}
+        roots: List[Span] = []
+        for row in payload["spans"]:
+            start = row["start"]
+            span = Span(row["name"], kind=row["kind"], start=start,
+                        end=start + row["duration"], lane=row["lane"],
+                        attributes=dict(row["attributes"]))
+            by_id[row["id"]] = span
+            parent = by_id.get(row["parent_id"])
+            (roots if parent is None else parent.children).append(span)
+        trace = cls(roots)
+        trace._makespan = payload.get("makespan_seconds")
+        return trace
 
     def signature(self) -> str:
         """A canonical one-line-per-span serialization (determinism tests

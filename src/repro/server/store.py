@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.llm.usage import BudgetMeter, QuotaExceededError
 from repro.obs.persist import write_json
+from repro.obs.registry import RunRegistry, RunStore
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -347,14 +348,15 @@ class TenantState:
         self.budget = budget
         self.lock = threading.RLock()
         self.sessions: Dict[str, ServerSession] = {}
+        #: The run store every session of the tenant shares: its runs
+        #: live in ``<root>/runs``, the recently used ones in memory.
+        self.runs = RunStore(str(root / "runs"))
 
     # All methods below assume ``lock`` is held (acquire() guarantees
     # it for handlers; SessionStore internals re-enter the RLock).
 
     def registry(self):
         """The tenant's private run registry (``<root>/runs``)."""
-        from repro.obs.registry import RunRegistry
-
         return RunRegistry(str(self.root / "runs"))
 
     def get_session(self, session_id: str) -> ServerSession:
@@ -543,6 +545,7 @@ class SessionStore:
 
         chat = PalimpChatSession(agent_model=self.agent_model)
         chat.workspace.attach_root(tenant.root)
+        chat.workspace.runs = tenant.runs
         chat.workspace.budget = tenant.budget
         # Wall-clock ops hook only — the engine times optimize/execute
         # phases into OpsMetrics; deterministic artifacts are untouched.
@@ -727,7 +730,7 @@ class SessionStore:
             with session.turn_lock:
                 chat = session.chat
                 chat.on_event = tee_event  # guarded-by: ok(chat is only driven while holding session.turn_lock)
-                ran_before = len(chat.workspace.run_history)
+                ran_before = len(chat.workspace.run_ids)
                 try:
                     response = chat.chat(turn.message)
                 except QuotaExceededError as exc:
@@ -752,16 +755,13 @@ class SessionStore:
                 # Span-derived tail: when this turn executed a pipeline,
                 # summarize its tracer spans into the event stream so late
                 # (and post-restart) readers see where the time went.
-                if len(chat.workspace.run_history) > ran_before:
-                    trace = chat.workspace.last_trace
-                    if trace is not None:
-                        from repro.obs.export import to_plain_json
-
-                        tail = progress_events_from_trace(
-                            to_plain_json(trace))
-                        for event in tail:
-                            event["request_id"] = request_id
-                        buffer.extend(tail)
+                run_ids = chat.workspace.run_ids
+                if len(run_ids) > ran_before:
+                    tail = progress_events_from_trace(
+                        chat.workspace.runs.get(run_ids[-1]).trace)
+                    for event in tail:
+                        event["request_id"] = request_id
+                    buffer.extend(tail)
             elapsed = wall_perf() - started
             usage = {
                 "cost_usd": round(budget.spent_cost_usd - spent_cost, 6),

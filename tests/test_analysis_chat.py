@@ -23,8 +23,8 @@ class TestExecuteSurfacesLint:
         session = PalimpChatSession()
         session.workspace.current = broken_dataset()
         session.chat("run the pipeline")
-        assert session.workspace.last_records is None
-        assert session.workspace.last_stats is None
+        assert session.last_run is None
+        assert session.workspace.run_ids == []
 
 
 class TestLintTool:

@@ -1,5 +1,6 @@
 """The Beaker-like notebook: cells, snapshots, restore, export."""
 
+import dataclasses
 import json
 
 import pytest
@@ -55,13 +56,34 @@ class TestSnapshots:
         with pytest.raises(IndexError):
             nb.restore_state(0, PipelineWorkspace())
 
-    def test_restore_clears_results(self):
+    def test_restore_rewinds_current_result(self):
         nb = Notebook()
         ws = PipelineWorkspace()
+        empty = nb.snapshot_state(ws)
+        ws.log_step("execute", result_id="run-1")
+        first = nb.snapshot_state(ws)
+        ws.log_step("execute", result_id="run-2")
+        nb.snapshot_state(ws)
+        assert ws.current_run_id == "run-2"
+        nb.restore_state(first, ws)
+        assert ws.current_run_id == "run-1"
+        nb.restore_state(empty, ws)
+        assert ws.current_run_id is None
+
+    def test_snapshot_is_unchanged_by_later_steps(self):
+        nb = Notebook()
+        ws = PipelineWorkspace()
+        ws.log_step("load", source="a")
+        ws.log_step("filter", predicate="x")
         index = nb.snapshot_state(ws)
-        ws.last_records = ["sentinel"]
+        frozen = [step.describe() for step in ws.steps]
+        ws.log_step("filter", predicate="y")
         nb.restore_state(index, ws)
-        assert ws.last_records is None
+        ws.log_step("policy", target="cost")
+        nb.restore_state(index, ws)
+        assert [step.describe() for step in ws.steps] == frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ws.steps[0].kind = "filter"
 
 
 class TestExport:

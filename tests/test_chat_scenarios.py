@@ -41,8 +41,8 @@ class TestLegalChat:
 
         run = session.chat("run the pipeline")
         assert "execute_pipeline" in run.tool_sequence
-        assert 4 <= len(session.last_records) <= 8
-        buyers = {r.get("buyer") for r in session.last_records}
+        assert 4 <= len(session.last_run.records) <= 8
+        buyers = {r.get("buyer") for r in session.last_run.records}
         assert "Harbor Holdings LLC" in buyers
 
     def test_policy_switch_mid_conversation(self, legal_registered):
@@ -52,9 +52,9 @@ class TestLegalChat:
             "Keep only documents about the Project Harbor merger"
         )
         session.chat("Minimize the cost and run the pipeline")
-        first_cost = session.last_stats.total_cost_usd
+        first_cost = session.last_run.stats["total_cost_usd"]
         session.chat("Maximize quality and run the pipeline")
-        second_cost = session.last_stats.total_cost_usd
+        second_cost = session.last_run.stats["total_cost_usd"]
         assert second_cost > first_cost * 10
 
 
@@ -70,8 +70,8 @@ class TestRealEstateChat:
             "filter_dataset", "create_schema", "convert_dataset"
         ]
         session.chat("run the pipeline and show the results")
-        assert session.last_records is not None
-        assert 7 <= len(session.last_records) <= 11
+        assert session.last_run is not None
+        assert 7 <= len(session.last_run.records) <= 11
 
     def test_code_export_for_realestate(self, realestate_registered):
         session = PalimpChatSession()
@@ -83,4 +83,4 @@ class TestRealEstateChat:
         from repro.chat.codegen import exec_program
 
         namespace = exec_program(code)
-        assert len(namespace["records"]) == len(session.last_records)
+        assert len(namespace["records"]) == len(session.last_run.records)

@@ -38,8 +38,8 @@ class TestScenarioFlow:
         )
         reply = session.chat("Maximize quality and run the pipeline")
         assert "execute_pipeline" in reply.tool_sequence
-        assert session.last_records is not None
-        assert len(session.last_records) == 6
+        assert session.last_run is not None
+        assert len(session.last_run.records) == 6
         stats_reply = session.chat("How much did it cost?")
         assert "get_execution_stats" in stats_reply.tool_sequence
         assert "total cost" in stats_reply.text
@@ -161,9 +161,9 @@ class TestParallelismThroughChat:
         session.chat("Load the papers from the sigmod-demo dataset")
         session.chat("Keep only the papers about colorectal cancer")
         session.chat("run the pipeline")
-        sequential_time = session.last_stats.total_time_seconds
+        sequential_time = session.last_run.stats["total_time_seconds"]
         session.chat("use 4 workers and run the pipeline")
-        parallel_time = session.last_stats.total_time_seconds
+        parallel_time = session.last_run.stats["total_time_seconds"]
         assert session.workspace.max_workers == 4
         assert parallel_time < sequential_time / 2
 

@@ -1,5 +1,7 @@
 """The Palimpzest tool suite bound to a workspace."""
 
+import re
+
 import pytest
 
 from repro.agent.tools import ToolError
@@ -138,7 +140,7 @@ class TestExecution:
         invoke(tools, "filter_dataset", predicate="about colorectal cancer")
         message = invoke(tools, "execute_pipeline")
         assert "records produced" in message
-        assert workspace.last_records is not None
+        assert workspace.runs.get(workspace.current_run_id).records is not None
         stats_text = invoke(tools, "get_execution_stats")
         assert "total cost" in stats_text
         listing = invoke(tools, "show_records", limit=3)
@@ -157,3 +159,22 @@ class TestUtilities:
 
     def test_generate_code_empty(self, tools):
         assert "No pipeline" in invoke(tools, "generate_code")
+
+
+class TestRunIds:
+    def test_rootless_ids_never_repeat_after_a_reset(
+            self, tools, workspace, sigmod_demo):
+        workspace.keep_runs = 1
+        ids = []
+        for executions in (2, 1):
+            invoke(tools, "load_dataset", source="sigmod-demo")
+            for _ in range(executions):
+                message = invoke(tools, "execute_pipeline")
+                ids.append(re.search(r"result (run-\d+):", message)[1])
+            invoke(tools, "reset_pipeline")
+        assert ids == ["run-1", "run-2", "run-3"]
+        # The reset kept the newest run of the session, and only it.
+        assert workspace.run_ids == ["run-3"]
+        assert "run-3" in invoke(tools, "show_records", result_id="run-3")
+        with pytest.raises(ToolError, match="known results"):
+            invoke(tools, "show_records", result_id="run-2")

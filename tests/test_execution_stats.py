@@ -1,8 +1,15 @@
 """Statistics objects: aggregation and rendering."""
 
+import json
+
 import pytest
 
-from repro.execution.stats import ExecutionStats, OperatorStats, PlanStats
+from repro.execution.stats import (
+    ExecutionStats,
+    OperatorStats,
+    PlanStats,
+    render_summary,
+)
 
 
 @pytest.fixture()
@@ -99,3 +106,30 @@ class TestModelUsage:
         assert "gpt-4o" in summary
         data = stats.to_dict()
         assert data["plan"]["models"][0]["model"] == "gpt-4o"
+
+
+class TestSummaryFromDisk:
+    """``get_execution_stats`` renders a run's persisted ``stats.json``;
+    it must read exactly like the live object's summary."""
+
+    def test_reloaded_stats_render_the_live_summary(self, sigmod_demo,
+                                                    tmp_path):
+        from repro.core.dataset import Dataset
+        from repro.execution.execute import Execute
+        from repro.obs.registry import RunRegistry
+
+        records, stats = Execute(
+            Dataset(source="sigmod-demo").filter(
+                "The papers are about colorectal cancer"),
+            executor="pipelined", max_workers=2, batch_size=4)
+        registry = RunRegistry(str(tmp_path / "runs"))
+        run_id = registry.record(records, stats).run_id
+        assert render_summary(registry.load(run_id).stats) == \
+            stats.summary()
+
+    def test_cache_line_survives_json(self, plan_stats):
+        stats = ExecutionStats(plan_stats=plan_stats, policy="max-quality",
+                               cache_hits=3, cache_misses=7)
+        reloaded = json.loads(json.dumps(stats.to_dict()))
+        assert "3 hits / 7 misses" in render_summary(reloaded)
+        assert render_summary(reloaded) == stats.summary()

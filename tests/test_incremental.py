@@ -455,8 +455,8 @@ class TestChat:
         call("filter_dataset", predicate=SCALE_PREDICATE)
         message = call("execute_pipeline")
         assert "result run-1" in message
-        assert workspace.last_result is not None
-        assert workspace.last_result.result_id == "run-1"
+        assert workspace.current_run_id is not None
+        assert workspace.current_run_id == "run-1"
         # The message references the handle, not inlined records.
         assert "text_contents" not in message
 
@@ -517,8 +517,8 @@ class TestChat:
         assert len(registry.list()) == 2
         call("reset_pipeline")
         assert [m["run_id"] for m in registry.list()] == ["run-0002"]
-        assert len(workspace.run_history) == 1
-        assert workspace.last_result is None
+        assert len(workspace.run_ids) == 1
+        assert workspace.current_run_id is None
 
 
 # ----------------------------------------------------------------------

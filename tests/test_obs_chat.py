@@ -5,7 +5,7 @@ import pytest
 from repro.chat.intent import plan_requests
 from repro.chat.session import PalimpChatSession
 from repro.chat.workspace import PipelineWorkspace
-from repro.obs.trace import SpanKind
+from repro.obs.trace import SpanKind, Trace
 
 
 @pytest.fixture()
@@ -58,8 +58,9 @@ class TestExplainExecutionTool:
 
     def test_last_trace_stored_on_workspace(self, session):
         run_pipeline(session)
-        assert session.last_trace is not None
-        assert session.last_trace.first("plan.run") is not None
+        assert session.last_run.trace is not None
+        trace = Trace.from_dict(session.last_run.trace)
+        assert trace.first("plan.run") is not None
 
 
 class TestProvenanceIntents:
@@ -98,7 +99,7 @@ class TestProvenanceIntents:
 class TestProvenanceTools:
     def test_why_after_a_run(self, session):
         run_pipeline(session)
-        assert session.last_provenance is not None
+        assert session.last_run.graph is not None
         reply = session.chat("Why is record 1 in the output?")
         assert reply.tool_sequence == ["explain_record"]
         assert "record #1" in reply.text
@@ -132,7 +133,7 @@ class TestProvenanceTools:
     def test_compare_after_two_runs(self, session):
         run_pipeline(session)
         session.chat("Run the pipeline again")
-        assert len(session.run_history) == 2
+        assert len(session.workspace.run_ids) == 2
         reply = session.chat("What changed since the last run?")
         assert "compare_runs" in reply.tool_sequence
         assert "Run diff" in reply.text
@@ -141,8 +142,8 @@ class TestProvenanceTools:
     def test_run_history_survives_reset(self, session):
         run_pipeline(session)
         session.chat("Start over")
-        assert session.last_provenance is None
-        assert len(session.run_history) == 1
+        assert session.last_run is None
+        assert len(session.workspace.run_ids) == 1
 
 
 class TestSessionTrace:

@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.execution.execute import Execute
 from repro.obs.export import (
     to_chrome_trace,
@@ -12,7 +14,8 @@ from repro.obs.export import (
     write_chrome_trace,
     write_plain_json,
 )
-from repro.obs.trace import SpanKind, Tracer
+from repro.obs.trace import SpanKind, Trace, Tracer
+from repro.physical.options import EXECUTORS
 
 sys.path.insert(0, "tests")
 from test_execution_pipeline import make_source, shape_filter_convert
@@ -118,3 +121,35 @@ class TestRealRunExport:
         payload = json.loads(path.read_text())
         assert validate_trace.validate_chrome_trace(payload) == []
         assert payload["otherData"]["metrics"] == stats.metrics
+
+
+def demo_pipeline():
+    """The paper's demo plan: filter the papers, extract their datasets."""
+    from repro.core.cardinality import Cardinality
+    from repro.core.dataset import Dataset
+    from repro.core.schemas import make_schema
+
+    schema = make_schema(
+        "ClinicalData", "A public dataset used by the study",
+        ["name", "description", "url"],
+        field_descriptions=["the name", "a description", "the url"],
+    )
+    return Dataset(source="sigmod-demo").filter(
+        "The papers are about colorectal cancer"
+    ).convert(schema, cardinality=Cardinality.ONE_TO_MANY)
+
+
+class TestTraceFromDict:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_plain_json_round_trips(self, sigmod_demo, executor):
+        _, stats = Execute(demo_pipeline(), executor=executor,
+                           max_workers=2, trace=True)
+        payload = to_plain_json(stats.trace, metrics=stats.metrics)
+        rebuilt = Trace.from_dict(payload)
+        assert to_plain_json(rebuilt, metrics=stats.metrics) == payload
+        assert rebuilt.signature() == Trace.from_dict(
+            json.loads(json.dumps(payload))).signature()
+
+    def test_reads_to_dict_output(self):
+        trace = small_trace()
+        assert Trace.from_dict(trace.to_dict()).to_dict() == trace.to_dict()

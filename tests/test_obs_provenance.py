@@ -28,6 +28,7 @@ from repro.obs import (
     render_why,
     render_why_not,
 )
+from repro.obs.registry import RunStore
 
 sys.path.insert(0, "tests")
 from test_execution_pipeline import Clinical, make_source
@@ -373,6 +374,66 @@ class TestRunRegistry:
             "run-0001", "run-0002"]
         for snapshot in stored:
             assert registry.load(snapshot.run_id).records == snapshot.records
+
+
+class TestRunStore:
+    @pytest.fixture(scope="class")
+    def execution(self):
+        return Execute(Dataset(make_source(3, "run-store")).convert(Clinical),
+                       provenance=True, trace=True, capture_calls=True,
+                       lint=False)
+
+    def test_recent_runs_answer_without_the_disk(self, execution, tmp_path,
+                                                 monkeypatch):
+        store = RunStore(str(tmp_path / "runs"))
+        ids = [store.record(*execution).run_id for _ in range(3)]
+        loads = []
+        load = RunRegistry.load
+
+        def counting_load(registry, run_id):
+            loads.append(run_id)
+            return load(registry, run_id)
+
+        monkeypatch.setattr(RunRegistry, "load", counting_load)
+        hot = store.get(ids[-1])
+        assert store.handle(ids[-2]).records() == hot.records
+        assert loads == []
+        # The cache leaves the replay parts on disk; base() reads them.
+        assert hot.calls is None and hot.journeys is None
+        assert store.base(ids[-1]).calls is not None
+        assert loads == [ids[-1]]
+        # An evicted run reloads and answers exactly like a hot one.
+        cold = store.get(ids[0])
+        assert loads[-1] == ids[0]
+        assert (cold.stats, cold.records, cold.trace) == \
+            (hot.stats, hot.records, hot.trace)
+        assert cold.graph.to_json() == hot.graph.to_json()
+
+    def test_drop_deletes_only_the_named_runs(self, execution, tmp_path):
+        store = RunStore(str(tmp_path / "runs"))
+        ids = [store.record(*execution).run_id for _ in range(3)]
+        store.drop(ids[:2])
+        listed = RunRegistry(tmp_path / "runs").list()
+        assert [m["run_id"] for m in listed] == ids[2:]
+        with pytest.raises(KeyError, match="known runs"):
+            store.get(ids[0])
+
+    def test_rootless_ids_are_unique_under_concurrency(self, execution):
+        store = RunStore()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(store.record, *execution)
+                           for _ in range(40)]
+                ids = [future.result(timeout=60).run_id
+                       for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ids) == sorted(f"run-{n}" for n in range(1, 41))
+        assert all(store.get(run_id).run_id == run_id for run_id in ids)
+        with pytest.raises(KeyError):
+            store.get("run-41")
 
 
 class TestRunDiff:

@@ -27,6 +27,26 @@ SCRIPT = [
     "run the pipeline",
 ]
 
+#: The paper's 7-turn demo conversation (``bench/serve.py`` drives it too).
+DEMO_SCRIPT = [
+    "Load the sigmod-demo dataset",
+    "Keep only the papers about colorectal cancer and extract whatever "
+    "public dataset is used by the study",
+    "Maximize quality and run the pipeline",
+    "How much did it cost?",
+    "why is record 3 in the output?",
+    "what took so long?",
+    "show me the generated code",
+]
+
+#: Questions a session answers from its recorded runs.
+RUN_QUESTIONS = [
+    "How much did it cost?",
+    "why is record 3 in the output?",
+    "what took so long?",
+    "what changed since the last run?",
+]
+
 #: Run artifacts that must be byte-identical across tenants and solo.
 ARTIFACTS = ("records.json", "stats.json", "provenance.json")
 
@@ -380,6 +400,46 @@ class TestRestartResume:
         ledger = originals["tenant.json"]["usage"]
         assert usage["spent_cost_usd"] == ledger["cost_usd"]
         assert usage["spent_tokens"] == ledger["tokens"]
+
+    def test_resume_answers_about_runs_like_before(self, sigmod_demo,
+                                                   tmp_path):
+        # The paper's demo conversation, then a second execution; every
+        # question about the runs reads the same after a restart.
+        root = str(tmp_path / "persist")
+        store = SessionStore(root=root, telemetry=False)
+        sid = store.ensure_session("acme")["session_id"]
+        for message in DEMO_SCRIPT + ["run the pipeline"]:
+            assert store.run_turn("acme", sid, message).status == "ok"
+        before = [store.run_turn("acme", sid, q).reply for q in RUN_QUESTIONS]
+        store.close()
+
+        reborn = SessionStore(root=root, telemetry=False)
+        assert reborn.ensure_session("acme", session_id=sid)["resumed"]
+        after = [reborn.run_turn("acme", sid, q).reply for q in RUN_QUESTIONS]
+        reborn.close()
+        assert not any("tool error" in reply for reply in before + after)
+        assert after == before
+
+
+class TestSharedTenantRuns:
+    def test_reset_prunes_only_the_sessions_own_runs(self, make_store):
+        store = make_store(telemetry=False)
+        first = store.ensure_session("acme")["session_id"]
+        for message in SCRIPT:
+            store.run_turn("acme", first, message)  # run-0001
+        second = store.ensure_session("acme")["session_id"]
+        for message in SCRIPT[:2] + ["run the pipeline"] * 9:
+            store.run_turn("acme", second, message)  # run-0002..run-0010
+        store.run_turn("acme", second, "Start over")
+        with store.acquire("acme") as tenant:
+            listed = [m["run_id"] for m in tenant.registry().list()]
+        # The second session kept its newest keep_runs (8) runs; the
+        # first session's run was never its to prune.
+        assert listed == ["run-0001"] + [f"run-{n:04d}" for n in range(3, 11)]
+        turn = store.run_turn("acme", first, "show me the records")
+        store.close()
+        assert turn.status == "ok" and "tool error" not in turn.reply
+        assert "result run-0001:" in turn.reply
 
 
 class TestWorkspaceRootPin:
