@@ -127,8 +127,8 @@ register_rule(
 #: Attribute names whose enclosing statement is allowed to observe
 #: scheduling state: they feed *best-effort* metrics (the explicitly
 #: nondeterministic class of repro.obs.metrics, excluded from
-#: deterministic snapshots).  This is the allowlist the pipelined
-#: executor's queue-depth gauge and poll counter live on.
+#: deterministic snapshots), such as a queue-depth gauge or a poll
+#: counter.
 BEST_EFFORT_RECEIVERS = frozenset({"depth_gauge", "poll_counter"})
 
 #: ``module.attr`` call targets that read the wall clock or the

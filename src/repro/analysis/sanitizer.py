@@ -19,18 +19,13 @@ actually happens at runtime.  Under ``sanitize()``:
   write surface in :attr:`SanitizerReport.unexercised`, so a test knows
   whether it actually exercised the annotation.
 
-Usage — directly::
+Usage::
 
     with sanitize() as report:
         records, stats = Execute(dataset, executor="pipelined",
                                  max_workers=4)
     assert not report.violations
     assert not report.cycles()
-
-or through the engine, which attaches the report to the stats::
-
-    records, stats = Execute(dataset, executor="sharded", sanitize=True)
-    print(stats.sanitizer.render())
 
 The sanitizer observes, it never blocks: wrapped locks delegate to the
 real primitive, so sanitized runs produce byte-identical records, stats,

@@ -103,17 +103,10 @@ class ExecutionEngine:
             never charge the budget.
         on_event: progress callback receiving executor event dicts
             (``plan_start`` / ``record_processed`` / ``operator_flush`` /
-            ``plan_end``) as the run advances, under every executor.  The
-            threaded executors call it from worker threads (never
-            concurrently), and their ``outputs_so_far`` is best-effort.
-        sanitize: run the plan under the lock sanitizer
-            (:mod:`repro.analysis.sanitizer`): every lock created during
-            the run is observed, the cross-thread lock-order graph is
-            recorded, and guarded-attribute writes are checked against
-            the ``_GUARDED_BY`` declarations.  The
-            :class:`~repro.analysis.sanitizer.SanitizerReport` is
-            attached to ``ExecutionStats.sanitizer``.  Observation only:
-            sanitized runs produce byte-identical records/stats/traces.
+            ``plan_end``) as the run advances, under every executor.
+            Every event arrives on the thread that called ``execute``, in
+            run order, and ``outputs_so_far`` counts the outputs produced
+            so far.
         candidate_options: plan-space ablation switches (forwarded to the
             optimizer).
     """
@@ -131,7 +124,6 @@ class ExecutionEngine:
         shards: Optional[int] = None,
         trace: Union[bool, Tracer] = False,
         provenance: Union[bool, ProvenanceRecorder] = False,
-        sanitize: bool = False,
         capture_calls: bool = False,
         incremental: bool = False,
         base_run=None,
@@ -155,7 +147,6 @@ class ExecutionEngine:
         self.lint = lint
         self.trace = trace
         self.provenance = provenance
-        self.sanitize = sanitize
         self.capture_calls = capture_calls or incremental
         self.incremental = incremental
         self.base_run = base_run
@@ -234,20 +225,6 @@ class ExecutionEngine:
         lines.append(f"chosen: {report.chosen.plan.describe()}")
         return "\n".join(lines)
 
-    def execute(
-        self, dataset: Dataset
-    ) -> Tuple[List[DataRecord], ExecutionStats]:
-        if self.sanitize:
-            # Open the window before the context exists so the run's own
-            # locks (clock, ledger, meters, stages) are created wrapped.
-            from repro.analysis.sanitizer import sanitize as sanitize_ctx
-
-            with sanitize_ctx() as report:
-                records, stats = self._execute(dataset)
-            stats.sanitizer = report
-            return records, stats
-        return self._execute(dataset)
-
     def _resolve_base_snapshot(self):
         """The base RunSnapshot an incremental run diffs against."""
         from repro.obs.registry import (
@@ -294,7 +271,7 @@ class ExecutionEngine:
             )
         return SequentialExecutor(journeys=journeys, **common)
 
-    def _execute(
+    def execute(
         self, dataset: Dataset
     ) -> Tuple[List[DataRecord], ExecutionStats]:
         tracer, traced = self._observer(self.trace, Tracer, NULL_TRACER)
@@ -444,7 +421,6 @@ def Execute(
     shards: Optional[int] = None,
     trace: Union[bool, Tracer] = False,
     provenance: Union[bool, ProvenanceRecorder] = False,
-    sanitize: bool = False,
     capture_calls: bool = False,
     incremental: bool = False,
     base_run=None,
@@ -464,8 +440,8 @@ def Execute(
     ``executor``, ``max_workers``, ``batch_size`` and ``shards`` choose how
     the plan is run; :class:`~repro.physical.options.ExecutionOptions`
     documents and validates the four.  Pass ``executor="pipelined"``
-    (optionally with ``batch_size``) to run the plan on the
-    thread-pipelined executor::
+    (optionally with ``batch_size``) to run the plan on the stage-pipelined
+    executor::
 
         records, stats = Execute(
             dataset, executor="pipelined", max_workers=4, batch_size=8
@@ -490,18 +466,11 @@ def Execute(
         print(repro.obs.render_why(
             stats.provenance.why(stats.provenance.output_ids[0])))
 
-    Pass ``sanitize=True`` to run under the lock sanitizer
-    (``stats.sanitizer`` carries the report)::
-
-        records, stats = Execute(dataset, executor="pipelined",
-                                 max_workers=4, sanitize=True)
-        assert stats.sanitizer.ok()
-
     Pass ``capture_calls=True`` to record the source manifest, LLM call
     log and document journeys onto the stats (persisted by
     ``RunRegistry.record``), then ``incremental=True`` to re-run against
     that base after the corpus drifts — unchanged documents are spliced
-    from the base run's journeys (or, on the threaded schedules, replay
+    from the base run's journeys (or, on the bundling schedules, replay
     their calls from its call log) and only the delta is paid for, with
     byte-identical output::
 
@@ -525,7 +494,6 @@ def Execute(
         shards=shards,
         trace=trace,
         provenance=provenance,
-        sanitize=sanitize,
         capture_calls=capture_calls,
         incremental=incremental,
         base_run=base_run,

@@ -3,44 +3,50 @@
 Every executor name — sequential, parallel, pipelined, sharded, async — is
 one algorithm under a different *schedule*.  The algorithm lives here, in
 :class:`PlanExecutor`, once: one meter (:class:`_Meter` — every operator
-call is timed by the calling thread's own clock advances and billed
-through a thread-local ledger capture, exact under any interleaving and
-O(1) per call), one depth-first chain runner (:func:`_depth_first`, which
-also carries the cooperative quota checkpoint), one sequence-ordered
-reorder buffer (:meth:`PlanExecutor._in_order`) and one close-and-flush
-routine (:meth:`PlanExecutor._close_and_flush`).
+call is timed by its own clock advances and billed through a ledger
+capture, O(1) per call), one depth-first chain runner
+(:meth:`PlanExecutor._run_chain`, which also carries the cooperative quota
+checkpoint) and one close-and-flush routine
+(:meth:`PlanExecutor._close_and_flush`).
 
-The *inline schedule* (:meth:`PlanExecutor._run_inline`) runs all of it on
-the calling thread: that is the sequential executor, the parallel executor
-(same loop, least-busy clock lane per source record), and what every other
-schedule falls back to when a ``LimitOp`` can stop the source early —
-speculative parallelism upstream of such a limit would change which records
-get (and pay for) LLM calls.
+Every schedule runs on the calling thread.  A schedule is a *lane policy*
+— which virtual-clock lane each piece of work is charged to — plus a span
+family; the simulated client answers from the virtual clock, so modelled
+concurrency needs no host concurrency.
+
+The *inline schedule* (:meth:`PlanExecutor._run_inline`) is the sequential
+executor, the parallel executor (same loop, least-busy clock lane per
+source record), and what every other schedule falls back to when a
+``LimitOp`` can stop the source early — speculative parallelism upstream
+of such a limit would change which records get (and pay for) LLM calls.
 
 :class:`PipelinedExecutor` is the *stage* schedule.  It splits the plan
-into stages connected by bounded queues and runs them on OS threads:
+into stages, each with its own lanes:
 
 * a **parallel stage** is a maximal run of consecutive LLM-bound operators
-  (filters, converts, semantic joins); it gets a pool of ``max_workers``
-  threads that pull record bundles from the stage's input queue;
+  (filters, converts, semantic joins); bundle ``seq`` is charged to lane
+  ``lane_base + seq % max_workers``, modelling a pool of workers;
 * a **serial stage** is a run of order-sensitive streaming operators
-  (limits, distinct, UDFs, code-synthesis converts); one thread processes
-  its input strictly in source order;
+  (limits, distinct, UDFs, code-synthesis converts) on one lane;
 * a **barrier stage** wraps one blocking operator (aggregate, group-by,
-  retrieve, sort); it accumulates in source order and flushes on close.
+  retrieve, sort); it accumulates on one lane and flushes on close.
 
-Determinism contract — the whole point of the design — is that every
-schedule produces *byte-identical records* and identical per-operator
-``records_in`` / ``records_out`` / ``llm_calls``, for any thread count and
-any thread interleaving:
+One loop pulls the scan on lane 0 and pushes each bundle through the
+stages in scan order, so every lane is charged the same amounts in the
+same order on every run.  Determinism contract: every schedule produces
+*byte-identical records* and identical per-operator ``records_in`` /
+``records_out`` / ``llm_calls``, for any worker count:
 
 * answers are pure functions of ``(model, document, task)`` (seeded per
-  record), so processing order cannot change them;
-* serial and barrier stages consume through the reorder buffer, and the
-  sink reassembles final output in sequence order;
-* simulated time is charged to a virtual-clock lane chosen by *sequence
-  number* (``lane_base + seq % workers``), not by whichever OS thread got
-  the bundle, so even the simulated makespan is reproducible run to run.
+  record), so the schedule cannot change them;
+* every stage sees its input in scan order;
+* simulated time is charged to a lane chosen by *sequence number*, so the
+  simulated makespan is a function of the plan and the input.
+
+After the run, bundle spans are laid out per lane in ``seq`` order
+(:meth:`PipelinedExecutor._canonicalize_stage`).  That is the layout the
+golden traces pin; the live starts differ from it where a barrier's
+``clock.synchronize()`` moved a lane clock between bundles.
 
 Batching (``batch_size > 1``) bundles consecutive records into one
 ``process_batch`` call per operator.  The client guarantees batched answers
@@ -48,15 +54,10 @@ and token/cost accounting are identical to per-record calls — a per-record
 call is the batch-of-one case of the same client code — so what changes
 is simulated latency only: calls after the first in a batch amortize the
 model's fixed per-call overhead.
-
-Backpressure: all queues are bounded, so a slow downstream stage throttles
-the source instead of buffering the whole corpus in flight.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,30 +71,14 @@ from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan
 from repro.physical.structural import LimitOp
 
-#: Bundles in flight per stage queue (per worker): bounds memory and gives
-#: the pipeline its backpressure.
-QUEUE_DEPTH_PER_WORKER = 2
-
-
-class _Eos:
-    """End-of-stream marker; ``count`` is the number of bundles sent."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int):
-        self.count = count
-
-
-class _Aborted(Exception):
-    """Internal: another thread failed; unwind quietly."""
-
 
 def parallel_safe(op: PhysicalOperator) -> bool:
     """Can ``op`` process records out of order with identical results?
 
     True for stateless LLM-bound streaming operators — the ones worth
-    threading.  CodeSynthesisConvert is LLM-bound but order-sensitive (the
-    first records seen become the exemplars), so it stays serial.
+    spreading over lanes.  CodeSynthesisConvert is LLM-bound but
+    order-sensitive (the first records seen become the exemplars), so it
+    stays serial.
     """
     return (
         op.is_llm_op
@@ -126,15 +111,14 @@ class _PinnedSpan:
     """Context manager: a span whose duration is *pinned* to the block's
     own clock charges (``busy``, available once the block has run).
 
-    Busy time is measured with the thread-local advance accumulator, not
-    the lane's wall time: another worker charged to the same lane (bundle
-    seqs that collide modulo ``workers``) would otherwise leak its
-    advances into this delta.  Pinning the span to the same delta the
-    stats accumulate makes span durations reconcile with
-    ``OperatorStats.time_seconds`` exactly.  With tracing off the span is
-    the shared no-op span and only the delta is computed.  ``outputs`` is
-    the slot a metered call reports its output count in; ``usages`` is
-    where the meter leaves the LLM usage the call was billed.
+    Busy time is the clock's advance accumulator across the block, not the
+    lane's time, so a barrier that moves the lane does not leak into it.
+    Pinning the span to the same delta the stats accumulate makes span
+    durations reconcile with ``OperatorStats.time_seconds`` exactly.  With
+    tracing off the span is the shared no-op span and only the delta is
+    computed.  ``outputs`` is the slot a metered call reports its output
+    count in; ``usages`` is where the meter leaves the LLM usage the call
+    was billed.
     """
 
     __slots__ = ("_clock", "_active", "_before", "span", "busy", "outputs",
@@ -162,17 +146,13 @@ class _PinnedSpan:
 
 
 class _Meter:
-    """Thread-safe per-operator stats accumulation, for every schedule.
+    """Per-operator stats accumulation, for every schedule.
 
     ``open_reports_outputs``: whether the ``op.open`` span carries a
     ``records_out`` attribute.  The sequential/parallel names never
     reported one and the pipelined family always did; the cross-commit
     golden pin keeps both trace shapes byte-stable.
     """
-
-    #: Writes-only: readers (build_plan_stats, after all workers joined)
-    #: see a quiesced meter.
-    _GUARDED_BY = {"stats": ("_lock", "writes")}
 
     def __init__(self, op: PhysicalOperator, context: ExecutionContext,
                  open_reports_outputs: bool = True):
@@ -183,7 +163,6 @@ class _Meter:
             op_label=op.op_label,
             logical_describe=op.logical_op.describe(),
         )
-        self._lock = threading.Lock()
         #: The run's :class:`~repro.execution.incremental.JourneyLog` while
         #: this meter's operator is in the streaming prefix of an inline
         #: run that records (and splices) document journeys, else None.
@@ -195,7 +174,7 @@ class _Meter:
                           ) -> Iterator[_PinnedSpan]:
         """Meter the block as one operator call: under an ``op.*`` span
         pinned to its own clock charges and inside a ledger capture, so
-        concurrent calls attribute time and LLM usage correctly.  The
+        the call is billed exactly the time and LLM usage it caused.  The
         block reports its output count on the yielded pin; a block that
         raises is not accounted."""
         with _PinnedSpan(self.context, span_name, SpanKind.OPERATOR,
@@ -210,16 +189,15 @@ class _Meter:
 
     def _account(self, inputs: int, outputs: int, busy: float,
                  usages: Sequence) -> None:
-        with self._lock:
-            stats = self.stats
-            stats.records_in += inputs
-            stats.records_out += outputs
-            stats.add_time(busy)
-            stats.llm_calls += len(usages)
-            for usage in usages:
-                stats.add_cost(usage.cost_usd)
-                stats.input_tokens += usage.input_tokens
-                stats.output_tokens += usage.output_tokens
+        stats = self.stats
+        stats.records_in += inputs
+        stats.records_out += outputs
+        stats.add_time(busy)
+        stats.llm_calls += len(usages)
+        for usage in usages:
+            stats.add_cost(usage.cost_usd)
+            stats.input_tokens += usage.input_tokens
+            stats.output_tokens += usage.output_tokens
 
     def open(self) -> None:
         """Open the operator, attributing any setup work (e.g. a join's
@@ -289,7 +267,7 @@ class _Meter:
     def charge_accumulate(self, record: DataRecord) -> None:
         """Pay a decomposable blocking op's per-record fold cost here.
 
-        Scale-out executors call this on a shard worker's lane (counting the
+        Scale-out executors call this on a shard's lane (counting the
         record in and charging ``accumulate_seconds``) and later replay only
         the unmetered state mutation — ``accumulate_silent`` — in global
         order at the gather, so the combined accounting matches a
@@ -302,42 +280,15 @@ class _Meter:
             op._charge_local_time(seconds)
 
 
-def _depth_first(meters: List[_Meter], record: DataRecord):
-    """The chain's visiting order, defined once.
-
-    A generator: yields each ``(meter, record)`` visit, takes that visit's
-    outputs back through ``send()``, and returns the records that fell off
-    the end of the chain.  Blocking operators swallow records here; their
-    buffered output is released by :meth:`PlanExecutor._close_and_flush`.
-
-    Depth-first order is kept with an explicit work stack rather than
-    recursion: a chain of high-fanout operators (one-to-many converts,
-    joins) multiplies the depth, and Python's recursion limit must not
-    bound plan depth times fanout.
-    """
-    sink: List[DataRecord] = []
-    stack: List[Tuple[DataRecord, int]] = [(record, 0)]
-    while stack:
-        current, index = stack.pop()
-        if index >= len(meters):
-            sink.append(current)
-            continue
-        outputs = yield meters[index], current
-        # Reversed so outputs are visited in their emitted order.
-        for output in reversed(outputs):
-            stack.append((output, index + 1))
-    return sink
-
-
 class PlanExecutor:
     """The execution core every executor name is a schedule of.
 
     ``on_event`` (optional) receives progress dictionaries as the run
     advances: ``plan_start``, ``record_processed`` (one per source record,
-    with the running output count — best-effort under threads),
-    ``operator_flush`` (blocking operators emitting), and ``plan_end`` —
-    the hook a UI like the demo's Fig. 5 progress panel subscribes to.  It
-    may be invoked from worker threads, never concurrently.
+    with the running output count), ``operator_flush`` (blocking operators
+    emitting), and ``plan_end`` — the hook a UI like the demo's Fig. 5
+    progress panel subscribes to.  Every event arrives on the thread that
+    called ``execute``, in run order.
     """
 
     #: Name recorded on the plan.run span and in ExecutionStats.
@@ -351,10 +302,6 @@ class PlanExecutor:
     #: See :class:`_Meter`.
     OPEN_SPAN_REPORTS_OUTPUTS = True
 
-    #: Writes-only: the post-join read in _join() happens after every
-    #: worker thread has exited.
-    _GUARDED_BY = {"_errors": ("_error_lock", "writes")}
-
     def __init__(self, context: ExecutionContext, on_event=None,
                  journeys=None):
         self.context = context
@@ -364,111 +311,44 @@ class PlanExecutor:
         #: unchanged documents from; the engine hands one to the
         #: sequential/parallel names only.
         self.journeys = journeys
-        self._event_lock = threading.Lock()
-        self._abort = threading.Event()
-        self._errors: List[BaseException] = []
-        self._error_lock = threading.Lock()
-
-    # -- event / error / thread plumbing -----------------------------------
 
     def _emit(self, event: dict) -> None:
         if self._on_event is not None:
-            with self._event_lock:
-                self._on_event(event)
-
-    def _fail(self, exc: BaseException) -> None:
-        with self._error_lock:
-            self._errors.append(exc)
-        self._abort.set()
-
-    def _guarded(self, target: Callable, *args) -> None:
-        """Run ``target`` under the abort protocol: a failure is reported
-        to the caller of ``execute`` and aborts every other thread."""
-        try:
-            target(*args)
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - re-raised by _join
-            self._fail(exc)
-
-    def _spawn(self, name: str, target: Callable, *args) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._guarded, args=(target,) + args,
-            name=name, daemon=True,
-        )
-        thread.start()
-        return thread
-
-    def _join(self, threads: List[threading.Thread]) -> None:
-        for thread in threads:
-            thread.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def _put(self, target: "queue.Queue", item) -> None:
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                target.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-
-    def _get(self, source: "queue.Queue", poll_counter=None):
-        while True:
-            if self._abort.is_set():
-                raise _Aborted()
-            try:
-                return source.get(timeout=0.05)
-            except queue.Empty:
-                if poll_counter is not None:
-                    poll_counter.inc()
-                continue
-
-    def _in_order(self, source: "queue.Queue", stage: "Optional[_Stage]" = None):
-        """The reorder buffer: yield ``(seq, payload)`` messages' payloads
-        strictly in sequence order until end-of-stream.
-
-        EOS is always enqueued after every bundle it counts, so by then
-        each bundle has been released; anything still held is a gap.
-        """
-        held: dict = {}
-        next_seq = 0
-        while True:
-            item = self._get(
-                source, stage.poll_counter if stage is not None else None
-            )
-            if isinstance(item, _Eos):
-                assert not held, "sequence gap in pipeline"
-                return
-            seq, payload = item
-            held[seq] = payload
-            if stage is not None:
-                stage.depth_gauge.set_max(source.qsize())
-            while next_seq in held:
-                yield held.pop(next_seq)
-                next_seq += 1
+            self._on_event(event)
 
     # -- record movement through an operator chain ------------------------
 
     def _run_chain(self, meters: List[_Meter],
                    records: Sequence[DataRecord]) -> List[DataRecord]:
-        """Send records through ``meters`` one at a time, depth-first."""
+        """Send records through ``meters`` one at a time, depth-first;
+        returns the records that fall off the end of the chain.
+
+        Blocking operators swallow records here; their buffered output is
+        released by :meth:`_close_and_flush`.  Depth-first order is kept
+        with an explicit work stack rather than recursion: a chain of
+        high-fanout operators (one-to-many converts, joins) multiplies the
+        depth, and Python's recursion limit must not bound plan depth
+        times fanout.
+        """
         sink: List[DataRecord] = []
-        for record in records:
-            walk = _depth_first(meters, record)
-            outputs = None
-            try:
-                while True:
-                    meter, current = walk.send(outputs)
-                    # Cooperative quota-abort point: a shared budget
-                    # breached by a concurrent run stops this one between
-                    # operators, before the next operator spends anything.
-                    self.context.checkpoint()
-                    outputs = meter.process(current)
-            except StopIteration as done:
-                sink.extend(done.value)
+        checkpoint = self.context.checkpoint
+        depth = len(meters)
+        stack: List[Tuple[DataRecord, int]] = [
+            (record, 0) for record in reversed(records)
+        ]
+        while stack:
+            current, index = stack.pop()
+            if index == depth:
+                sink.append(current)
+                continue
+            # Cooperative quota-abort point: a shared budget breached by a
+            # concurrent run stops this one between operators, before the
+            # next operator spends anything.
+            checkpoint()
+            outputs = meters[index].process(current)
+            # Reversed so outputs are visited in their emitted order.
+            for output in reversed(outputs):
+                stack.append((output, index + 1))
         return sink
 
     def _run_chain_grouped(
@@ -493,13 +373,9 @@ class PlanExecutor:
     def _bundle(self, span_name: str, seq: int, meters: List[_Meter],
                 records: Sequence[DataRecord],
                 batched: bool) -> List[List[DataRecord]]:
-        """Process one bundle through ``meters`` under its span; returns
-        one output group per input record.
-
-        The bundle's duration is pinned to the thread's own charges; where
-        same-lane *starts* observed live are racy, the schedule
-        canonicalizes them after its threads join.
-        """
+        """Process one bundle through ``meters`` under its span (duration
+        pinned to the bundle's own charges); returns one output group per
+        input record."""
         with _PinnedSpan(self.context, span_name, SpanKind.BUNDLE,
                          seq=seq, records=len(records)):
             if batched:
@@ -534,12 +410,13 @@ class PlanExecutor:
     def _scan(self, plan: PhysicalPlan, scan_meter: _Meter):
         """Iterate the source, metering each pull as an ``op.scan`` span.
 
-        The parse time charged inside ``records()`` lands on the calling
-        thread's current lane, so the span is timed by that lane's delta.
+        The parse time charged inside ``records()`` lands on the current
+        lane, so the span is timed by that lane's delta.
         """
         clock = self.context.clock
         tracer = self.context.tracer
         scan_label = scan_meter.op.op_label
+        scan_stats = scan_meter.stats
         source_iter = plan.scan.records()
         while True:
             if self.LANE_PER_RECORD:
@@ -558,9 +435,8 @@ class PlanExecutor:
                     records_in=1, records_out=1,
                 )
             self.context.provenance.source(record)
-            with scan_meter._lock:
-                scan_meter.stats.records_in += 1
-                scan_meter.stats.records_out += 1
+            scan_stats.records_in += 1
+            scan_stats.records_out += 1
             yield record
 
     def _emit_progress(self, scan_meter: _Meter, outputs_so_far: int) -> None:
@@ -577,19 +453,16 @@ class PlanExecutor:
 
     def _run(
         self, plan: PhysicalPlan, span_attrs: dict,
-        concurrent: Optional[
+        schedule: Optional[
             Callable[[List[_Meter]], List[DataRecord]]] = None,
     ) -> Tuple[List[DataRecord], PlanStats]:
         """What every ``execute`` does around its schedule.
 
-        ``concurrent(meters)`` is the schedule's own way to drive the
-        chain (stage threads, shard threads, virtual lanes); ``None`` — or
-        a plan it cannot speed up without changing the run's LLM calls —
-        runs the inline schedule instead.
+        ``schedule(meters)`` is the schedule's own way to drive the chain
+        (stages or shards over lanes); ``None`` — or a plan it cannot
+        speed up without changing the run's LLM calls — runs the inline
+        schedule instead.
         """
-        self._abort.clear()
-        with self._error_lock:
-            self._errors.clear()
         self._emit({
             "type": "plan_start",
             "plan_id": plan.plan_id,
@@ -609,11 +482,11 @@ class PlanExecutor:
             for meter in meters:
                 meter.open()
             stop_limit = _early_stop(plan)
-            if (concurrent is None or stop_limit is not None
+            if (schedule is None or stop_limit is not None
                     or not plan.downstream):
                 sink = self._run_inline(plan, meters, stop_limit)
             else:
-                sink = concurrent(meters)
+                sink = schedule(meters)
             plan_span.finish_at(context.clock.elapsed)
 
         plan_stats = build_plan_stats(
@@ -629,7 +502,7 @@ class PlanExecutor:
 
     def _run_inline(self, plan: PhysicalPlan, meters: List[_Meter],
                     stop_limit: Optional[LimitOp]) -> List[DataRecord]:
-        """The inline schedule: everything on the calling thread.
+        """The inline schedule: each record through the whole chain.
 
         When a LimitOp can stop the source early, which records reach the
         LLM operators depends on the limit's feedback after every single
@@ -664,9 +537,7 @@ class PlanExecutor:
 
 
 class _Stage:
-    """One segment of the operator chain plus its plumbing."""
-
-    _GUARDED_BY = {"exited": "exit_lock"}
+    """One segment of the operator chain, its lanes and its output buffer."""
 
     def __init__(self, meters: List[_Meter], parallel: bool,
                  workers: int, lane_base: int, batch_size: int):
@@ -674,27 +545,18 @@ class _Stage:
         self.parallel = parallel
         self.workers = workers if parallel else 1
         self.lane_base = lane_base
-        #: Records per bundle this stage wants on its input queue, and
-        #: whether it runs them layer-batched.
+        #: Records per bundle this stage takes, and whether it runs them
+        #: layer-batched.
         self.in_bundle = batch_size if parallel else 1
         self.batched = parallel and batch_size > 1
-        self.in_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.workers)
-        )
-        # Wired by the executor before threads start:
-        self.out_queue: Optional["queue.Queue"] = None
-        self.next_consumers = 1  # sentinel fan-out (next stage's workers)
-        self.out_bundle = 1  # records per bundle the next stage wants
-        # Parallel-stage shutdown bookkeeping (last worker out closes ops).
-        self.exit_lock = threading.Lock()
-        self.exited = 0
+        self.out_bundle = 1  # records per bundle the next stage takes
+        #: Bundles taken so far: a serial stage numbers its input with it,
+        #: and a parallel stage sends its close output at this seq.
+        self.received = 0
         # Serial-stage output: records awaiting a full bundle, bundles sent.
         self.pending: List[DataRecord] = []
         self.sent = 0
-        # Observability (wired by the executor before threads start):
-        self.span = None  # pipeline.stage span workers attach under
-        self.depth_gauge = None  # best-effort in-queue high-water mark
-        self.poll_counter = None  # best-effort empty-poll retries
+        self.span = None  # the pipeline.stage span its bundles nest under
 
     @property
     def is_barrier(self) -> bool:
@@ -710,13 +572,13 @@ class _Stage:
 
 
 class PipelinedExecutor(PlanExecutor):
-    """Stage-pipelined, optionally batched, multi-threaded execution.
+    """Stage-pipelined, optionally batched execution over clock lanes.
 
     Args:
         context: execution context; created with ``max_workers`` lanes when
             omitted.
-        max_workers: thread-pool size per parallel (LLM-bound) stage;
-            defaults to the context's ``max_workers``.
+        max_workers: modelled workers (lanes) per parallel (LLM-bound)
+            stage; defaults to the context's ``max_workers``.
         batch_size: records per ``process_batch`` call in parallel stages;
             1 means per-record calls (byte-identical accounting to the
             sequential executor) unless the optimizer stamped a batch
@@ -754,7 +616,7 @@ class PipelinedExecutor(PlanExecutor):
         stages: List[_Stage] = []
         run: List[_Meter] = []
         run_parallel = False
-        lane_base = 1  # lane 0 belongs to the orchestrator (scan parses)
+        lane_base = 1  # lane 0 belongs to the scan
 
         def flush_run():
             nonlocal run, lane_base
@@ -778,160 +640,52 @@ class PipelinedExecutor(PlanExecutor):
         self.context.clock.ensure_lanes(lane_base)
         return stages
 
-    # -- stage workers -----------------------------------------------------
-
-    def _stage_bundle(self, stage: _Stage, seq: int,
-                      records: Sequence[DataRecord]) -> List[DataRecord]:
-        groups = self._bundle(
-            "pipeline.bundle", seq, stage.meters, records, stage.batched
-        )
-        return [record for group in groups for record in group]
-
-    def _parallel_worker(self, stage: _Stage) -> None:
-        clock = self.context.clock
-        # Attach the stage span so bundle / op / llm spans created on this
-        # worker thread nest under it (bundles carry a ``seq`` attribute,
-        # so canonical ordering erases the thread race).
-        with self.context.tracer.attach(stage.span):
-            while True:
-                item = self._get(stage.in_queue, stage.poll_counter)
-                if isinstance(item, _Eos):
-                    with stage.exit_lock:
-                        stage.exited += 1
-                        last_out = stage.exited == stage.workers
-                    if last_out:
-                        self._close_parallel_stage(stage, item.count)
-                    return
-                seq, records = item
-                stage.depth_gauge.set_max(stage.in_queue.qsize())
-                # Lane by sequence number, not by thread: simulated time
-                # is then independent of which OS thread won the race.
-                clock.use_lane(stage.lane_base + seq % stage.workers)
-                self._put(
-                    stage.out_queue,
-                    (seq, self._stage_bundle(stage, seq, records)),
-                )
-
-    def _close_parallel_stage(self, stage: _Stage,
-                              mainline_bundles: int) -> None:
-        """Last worker of a parallel stage: close ops, emit, propagate EOS."""
-        self.context.clock.use_lane(stage.lane_base)
-        outputs = self._close_and_flush(stage.meters, sync_barriers=True)
-        seq = mainline_bundles
-        if outputs:
-            self._put(stage.out_queue, (seq, outputs))
-            seq += 1
-        for _ in range(stage.next_consumers):
-            self._put(stage.out_queue, _Eos(seq))
-
-    def _serial_worker(self, stage: _Stage) -> None:
-        self.context.clock.use_lane(stage.lane_base)
-        with self.context.tracer.attach(stage.span):
-            for seq, records in enumerate(
-                    self._in_order(stage.in_queue, stage)):
-                stage.pending.extend(self._stage_bundle(stage, seq, records))
-                self._send_bundles(stage)
-            stage.pending.extend(
-                self._close_and_flush(stage.meters, sync_barriers=True)
-            )
-            self._send_bundles(stage, flush=True)
-            for _ in range(stage.next_consumers):
-                self._put(stage.out_queue, _Eos(stage.sent))
-
-    def _send_bundles(self, stage: _Stage, flush: bool = False) -> None:
-        """Send the stage's pending records on, a full bundle at a time."""
-        pending = stage.pending
-        while len(pending) >= stage.out_bundle or (flush and pending):
-            bundle = pending[:stage.out_bundle]
-            del pending[:stage.out_bundle]
-            self._put(stage.out_queue, (stage.sent, bundle))
-            stage.sent += 1
-
-    def _sink_worker(self, source: "queue.Queue",
-                     sink: List[DataRecord]) -> None:
-        for records in self._in_order(source):
-            sink.extend(records)
-
     # -- the stage schedule ------------------------------------------------
 
     def _run_stages(self, plan: PhysicalPlan, meters: List[_Meter],
                     batch_size: int) -> List[DataRecord]:
+        """Pull the scan on lane 0, push bundles through the stages, then
+        close the stages in order."""
         scan_meter = meters[0]
         stages = self._build_stages(meters[1:], batch_size)
         clock = self.context.clock
         tracer = self.context.tracer
-        metrics = self.context.metrics
         for index, stage in enumerate(stages):
-            # Created on the orchestrator thread (under plan.run) so
-            # worker threads can attach to it before any bundle flows.
             stage.span = tracer.start_span(
                 "pipeline.stage", SpanKind.STAGE, clock=clock, stage=index,
                 ops=stage.describe(), workers=stage.workers,
                 parallel=stage.parallel,
             )
-            stage.depth_gauge = metrics.gauge(
-                f"pipeline.stage{index}.queue_depth_peak", best_effort=True
-            )
-            stage.poll_counter = metrics.counter(
-                f"pipeline.stage{index}.queue_poll_retries", best_effort=True
-            )
-
-        # Wire stage N's output to stage N+1's input; the last stage feeds
-        # the sink queue (drained by a dedicated thread so bounded queues
-        # can never deadlock against the feeding orchestrator).
-        sink_queue: "queue.Queue" = queue.Queue(
-            maxsize=max(2, QUEUE_DEPTH_PER_WORKER * self.max_workers)
-        )
         for stage, successor in zip(stages, stages[1:]):
-            stage.out_queue = successor.in_queue
-            stage.next_consumers = successor.workers
             stage.out_bundle = successor.in_bundle
-        stages[-1].out_queue = sink_queue
 
         sink: List[DataRecord] = []
-        # Lane times before any worker runs: the relayout pass below lays
+        # Lane times before any stage runs: the relayout pass below lays
         # each lane's bundles out cumulatively from these baselines.
         base_lane_times = clock.lane_times()
-        threads = [
-            self._spawn(
-                f"pipeline-s{number}-w{wid}",
-                self._parallel_worker if stage.parallel
-                else self._serial_worker,
-                stage,
-            )
-            for number, stage in enumerate(stages)
-            for wid in range(stage.workers)
-        ]
-        threads.append(
-            self._spawn("pipeline-sink", self._sink_worker, sink_queue, sink)
-        )
-
-        def feed() -> None:
-            """Orchestrator: pull the scan on lane 0, bundle, feed stage 0."""
-            first = stages[0]
-            clock.use_lane(0)
-            bundle: List[DataRecord] = []
-            fed = 0
-            for record in self._scan(plan, scan_meter):
-                bundle.append(record)
-                if len(bundle) >= first.in_bundle:
-                    self._put(first.in_queue, (fed, bundle))
-                    fed += 1
-                    bundle = []
-                self._emit_progress(scan_meter, len(sink))
-            if bundle:
-                self._put(first.in_queue, (fed, bundle))
+        first = stages[0]
+        bundle: List[DataRecord] = []
+        fed = 0
+        clock.use_lane(0)
+        for record in self._scan(plan, scan_meter):
+            bundle.append(record)
+            if len(bundle) >= first.in_bundle:
+                self._push(stages, 0, fed, bundle, sink)
                 fed += 1
-            for _ in range(first.workers):
-                self._put(first.in_queue, _Eos(fed))
-
-        self._guarded(feed)
-        self._join(threads)
+                bundle = []
+                clock.use_lane(0)  # the next scan pull charges lane 0
+            self._emit_progress(scan_meter, len(sink))
+        if bundle:
+            self._push(stages, 0, fed, bundle, sink)
+        for position in range(len(stages)):
+            self._close_stage(stages, position, sink)
+        clock.use_lane(0)  # a reused context's next run starts on lane 0
 
         # Finish stage spans and record deterministic per-stage busy time
         # (the sum of the stage's operator lane-time deltas — the same
         # numbers OperatorStats reports, so trace and stats reconcile).
         elapsed = clock.elapsed
+        metrics = self.context.metrics
         for index, stage in enumerate(stages):
             busy = round(
                 sum(m.stats.time_seconds for m in stage.meters), 9
@@ -946,19 +700,79 @@ class PipelinedExecutor(PlanExecutor):
             stage.span.finish_at(elapsed)
         return sink
 
-    # -- canonical span layout (after threads join) ------------------------
+    def _push(self, stages: List[_Stage], position: int, seq: int,
+              records: Sequence[DataRecord], sink: List[DataRecord]) -> None:
+        """Hand bundle ``seq`` to stage ``position`` and forward what it
+        emits; past the last stage, bundles land in ``sink``.
+
+        A parallel stage charges lane ``lane_base + seq % workers`` and
+        forwards every bundle, empty ones included, under the same seq.
+        A serial or barrier stage numbers its input in arrival order and
+        forwards ``out_bundle``-sized bundles.
+        """
+        if position == len(stages):
+            sink.extend(records)
+            return
+        stage = stages[position]
+        if stage.parallel:
+            self.context.clock.use_lane(
+                stage.lane_base + seq % stage.workers
+            )
+        else:
+            self.context.clock.use_lane(stage.lane_base)
+            seq = stage.received
+        stage.received += 1
+        with self.context.tracer.attach(stage.span):
+            groups = self._bundle(
+                "pipeline.bundle", seq, stage.meters, records, stage.batched
+            )
+        outputs = [record for group in groups for record in group]
+        if stage.parallel:
+            self._push(stages, position + 1, seq, outputs, sink)
+        else:
+            stage.pending.extend(outputs)
+            self._send_bundles(stages, position, sink)
+
+    def _close_stage(self, stages: List[_Stage], position: int,
+                     sink: List[DataRecord]) -> None:
+        """Close stage ``position``'s operators on its first lane and
+        forward what they flush."""
+        stage = stages[position]
+        self.context.clock.use_lane(stage.lane_base)
+        with self.context.tracer.attach(stage.span):
+            outputs = self._close_and_flush(stage.meters, sync_barriers=True)
+        if not stage.parallel:
+            stage.pending.extend(outputs)
+            self._send_bundles(stages, position, sink, flush=True)
+        elif outputs:
+            self._push(stages, position + 1, stage.received, outputs, sink)
+
+    def _send_bundles(self, stages: List[_Stage], position: int,
+                      sink: List[DataRecord], flush: bool = False) -> None:
+        """Forward a serial stage's pending records a full bundle at a
+        time (and the remainder too, when ``flush``)."""
+        stage = stages[position]
+        pending = stage.pending
+        while len(pending) >= stage.out_bundle or (flush and pending):
+            bundle = pending[:stage.out_bundle]
+            del pending[:stage.out_bundle]
+            self._push(stages, position + 1, stage.sent, bundle, sink)
+            stage.sent += 1
+
+    # -- the pinned span layout ----------------------------------------------
 
     @staticmethod
     def _canonicalize_stage(stage: _Stage,
                             base_lane_times: List[float]) -> None:
-        """Rewrite the stage's bundle span start times deterministically.
+        """Lay the stage's bundle spans out in the pinned layout: per lane,
+        bundles in seq order, abutting, starting from the lane's pre-run
+        baseline.
 
-        Start times observed live are racy when two bundles charge the same
-        lane concurrently (seqs colliding modulo ``workers``), but each
-        bundle's *duration* is race-free (thread-local advance delta) and
-        the lane a bundle charges is a pure function of its ``seq``.  So
-        the canonical layout is: per lane, bundles in seq order, abutting,
-        starting from the lane's pre-run baseline.
+        Each bundle's *duration* is its own charges and its lane is a pure
+        function of its ``seq``, so this layout is deterministic.  It is
+        not the live one: a barrier's ``clock.synchronize()`` moves lane
+        clocks between bundles, which the live starts record and the
+        golden traces do not.
         """
         bundles = sorted(
             (c for c in stage.span.children if c.name == "pipeline.bundle"),

@@ -26,9 +26,10 @@ class OperatorStats:
     input_tokens: int = 0
     output_tokens: int = 0
     #: Per-call float deltas behind ``time_seconds`` / ``cost_usd``.  Naive
-    #: ``+=`` accumulation depends on summation order, and concurrent
-    #: executors meter calls in thread-arrival order — so the same run can
-    #: land on either side of a decimal rounding boundary.  ``finalize``
+    #: ``+=`` accumulation depends on summation order, and the schedules
+    #: meter one operator's calls in different orders (stage by stage,
+    #: shard by shard) — so the same calls can land on either side of a
+    #: decimal rounding boundary.  ``finalize``
     #: re-reduces the parts with an order-independent exact sum so every
     #: executor reports the same float for the same multiset of calls.
     time_parts: List[float] = field(default_factory=list, repr=False,
@@ -177,9 +178,9 @@ def build_plan_stats(
     busy time in the stats a caller receives.
     """
     for stats in op_stats:
-        # Canonicalize float totals before anything reads them: concurrent
-        # meters accumulated time/cost in thread-arrival order, which is
-        # nondeterministic at the last ulp.
+        # Canonicalize float totals before anything reads them: each
+        # schedule accumulated time/cost in its own call order, which moves
+        # the last ulp.
         stats.finalize()
     scan_stats, downstream_stats = op_stats[0], op_stats[1:]
     accounted = sum(stats.time_seconds for stats in downstream_stats)
@@ -253,11 +254,6 @@ class ExecutionStats:
     #: via repro.obs.registry.RunRegistry.
     provenance: Optional[Any] = field(default=None, repr=False,
                                       compare=False)
-    #: The SanitizerReport when the run was sanitized
-    #: (``Execute(sanitize=True)``), else None.  Excluded from
-    #: serialization/comparison like trace and provenance.
-    sanitizer: Optional[Any] = field(default=None, repr=False,
-                                     compare=False)
     #: Per-document source manifest payload (see
     #: :func:`repro.execution.incremental.build_source_manifest`) when the
     #: run captured one, else None.  Excluded from serialization and

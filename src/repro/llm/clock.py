@@ -7,12 +7,12 @@ hours.  Instead every component that "takes time" advances a shared
 model `max_workers` concurrent LLM calls: each lane accumulates time
 independently and the elapsed time of the whole execution is the maximum lane.
 
-Thread-safety contract: the clock may be shared by real worker threads (the
-pipelined executor runs one OS thread per stage worker).  The *current lane*
-selection is therefore thread-local — each thread advances its own lane
-without seeing other threads' selections — and every mutation of the lane
-table happens under a lock.  Single-threaded callers observe exactly the
-pre-threading behavior (one implicit thread, lane 0 by default).
+Every executor drives its clock from the thread that called ``execute``;
+lanes model concurrency, threads do not.  The clock still keeps the
+*current lane* selection thread-local and mutates the lane table under a
+lock, so a clock shared by server threads stays consistent: each thread
+advances its own lane without seeing other threads' selections (one
+implicit thread, lane 0 by default).
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ class VirtualClock:
     def local_advanced(self) -> float:
         """Total seconds the *calling thread* has advanced this clock.
 
-        Unlike ``now`` (the current lane's time, which other threads
-        charged to the same lane can move), this is a per-thread monotonic
-        accumulator — so a delta of ``local_advanced`` around a block of
-        work measures exactly that thread's own charges, deterministically
-        under any interleaving.  The pipelined executor meters per-operator
-        time (and span durations) with it.
+        Unlike ``now`` (the current lane's time, which a barrier's
+        :meth:`synchronize` or another thread can move), this is a
+        per-thread monotonic accumulator — so a delta of
+        ``local_advanced`` around a block of work measures exactly that
+        block's own charges.  The executors meter per-operator time (and
+        span durations) with it.
         """
         return self._state.advanced
 

@@ -32,10 +32,10 @@ class ExecutionOptions:
     Args:
         executor: one of :data:`EXECUTORS` — "sequential", "parallel"
             (record-level parallelism on virtual-clock lanes), "pipelined"
-            (real worker threads with bounded queues), "sharded"
+            (operator stages, each on its own lanes), "sharded"
             (scatter/gather over deterministic source shards), or "async"
-            (the same scatter/gather modelled on virtual-clock lanes, one
-            record at a time on the calling thread).  ``None``
+            (the same scatter/gather with one-record bundles).  Every
+            schedule runs on the calling thread.  ``None``
             infers it: parallel when ``max_workers > 1``, sequential
             otherwise.
         max_workers: record-level parallelism for LLM operators.

@@ -520,12 +520,11 @@ class TestCleanSweep:
         assert result.diagnostics == [], "\n" + result.render()
 
     def test_annotations_present_on_lock_holding_modules(self):
-        """The ten modules the discipline covers all declare guards."""
+        """The nine modules the discipline covers all declare guards."""
         modules = [
             "llm/clock.py", "llm/usage.py", "llm/cache.py",
             "llm/oracle.py", "llm/models.py", "obs/trace.py",
             "obs/metrics.py", "obs/provenance.py",
-            "execution/pipeline.py", "execution/sharded.py",
             "core/sources.py",
         ]
         for name in modules:

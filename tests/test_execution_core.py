@@ -1,6 +1,8 @@
 """The one execution core: behaviour every schedule must share.
 
-* the cooperative quota checkpoint is polled by every executor name;
+* the cooperative quota checkpoint is polled by every executor name, and
+  an abort leaves the same partial ledger on every name;
+* every schedule runs on the calling thread and starts no thread;
 * an executor instance never keeps one plan's optimizer stamps for the
   next plan;
 * ``ExecutionOptions`` is the only place the four settings are validated;
@@ -40,6 +42,7 @@ from test_execution_pipeline import (  # noqa: E402
     shape_filter_convert,
     shape_groupby,
 )
+from test_execution_scale import shape_join  # noqa: E402
 
 
 def build_executor(name, context, on_event=None, **overrides):
@@ -62,9 +65,7 @@ def build_executor(name, context, on_event=None, **overrides):
 
 class CheckpointOnlyBudget(BudgetMeter):
     """Records every charge but never aborts from one, so the only thing
-    that can stop a run is the cooperative checkpoint — which makes the
-    abort path under test deterministic even when a worker thread is
-    mid-call at the moment the budget is exhausted."""
+    that can stop a run is the cooperative checkpoint."""
 
     def charge(self, usage):
         try:
@@ -75,15 +76,11 @@ class CheckpointOnlyBudget(BudgetMeter):
 
 class TestQuotaCheckpointOnEverySchedule:
     DOCS = 40
-    EXHAUST_AT = 30  # bounded queues: most of these are through the filter
+    EXHAUST_AT = 30
 
-    @pytest.mark.parametrize("name", EXECUTORS)
-    def test_budget_exhausted_from_outside_aborts_midrun(self, name):
-        source = make_source(n=self.DOCS, dataset_id=f"core-quota-{name}")
-        plan = chosen_plan(shape_filter_convert(source), source)
-        _, full = SequentialExecutor().execute(plan)
-        full_calls = sum(op.llm_calls for op in full.operator_stats)
-
+    def aborted_ledger(self, name, plan):
+        """Exhaust the budget from outside after source record
+        ``EXHAUST_AT``; returns the partial ledger's length."""
         # A cap this run alone never reaches ...
         budget = CheckpointOnlyBudget(max_cost_usd=1000.0)
 
@@ -97,14 +94,21 @@ class TestQuotaCheckpointOnEverySchedule:
         executor = build_executor(name, context, another_session_spends_it)
         with pytest.raises(QuotaExceededError, match="checkpoint"):
             executor.execute(plan)
-        # No hung worker: every thread the schedule started was joined.
-        assert not [
-            thread.name for thread in threading.enumerate()
-            if thread.name.startswith(("pipeline-", "shard-"))
-        ]
         # The partial ledger survives the abort and agrees with the meter.
-        assert 0 < len(context.ledger) < full_calls
         assert budget.calls == len(context.ledger)
+        return len(context.ledger)
+
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_budget_exhausted_from_outside_aborts_midrun(self, name):
+        source = make_source(n=self.DOCS, dataset_id=f"core-quota-{name}")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        _, full = SequentialExecutor().execute(plan)
+        full_calls = sum(op.llm_calls for op in full.operator_stats)
+        sequential = self.aborted_ledger("sequential", plan)
+        assert 0 < sequential < full_calls
+        # Every name stops at the sequential run's call, run after run.
+        assert [self.aborted_ledger(name, plan) for _ in range(3)] == [
+            sequential] * 3
 
     @pytest.mark.parametrize("name,workers", [
         ("sequential", 1), ("parallel", 4)])
@@ -170,6 +174,47 @@ class TestQuotaCheckpointOnEverySchedule:
         )
         records, _ = build_executor(name, context).execute(plan)
         assert records
+
+
+# ----------------------------------------------------------------------
+# Every schedule is a loop on the calling thread.
+# ----------------------------------------------------------------------
+
+#: Each name at 4 workers (lanes, shards or fan-out) and batch 8.
+FOUR_WIDE = {
+    "sequential": {},
+    "parallel": {},
+    "pipelined": dict(max_workers=4, batch_size=8),
+    "sharded": dict(shards=4, batch_size=8),
+    "async": dict(fanout=4, batch_size=8),
+}
+
+
+class TestNoEngineThread:
+    @pytest.mark.parametrize("shape", [
+        shape_filter_convert, shape_groupby, shape_join,
+    ])
+    @pytest.mark.parametrize("name", EXECUTORS)
+    def test_events_arrive_on_the_caller_and_no_thread_starts(
+            self, name, shape):
+        source = make_source(
+            n=16, dataset_id=f"core-thread-{name}-{shape.__name__}")
+        plan = chosen_plan(shape(source), source)
+        caller = threading.current_thread()
+        threads_before = threading.active_count()
+        seen = []
+
+        def on_event(event):
+            assert threading.current_thread() is caller
+            assert threading.active_count() == threads_before
+            seen.append(event["type"])
+
+        executor = build_executor(name, ExecutionContext(max_workers=4),
+                                  on_event, **FOUR_WIDE[name])
+        records, _ = executor.execute(plan)
+        assert records
+        assert seen.count("record_processed") == 16
+        assert threading.active_count() == threads_before
 
 
 # ----------------------------------------------------------------------

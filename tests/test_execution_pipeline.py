@@ -1,10 +1,11 @@
 """Pipelined executor: equivalence, determinism, batching, thread safety.
 
-The contract under test: the pipelined executor — real worker threads,
-bounded queues, optional batching — produces exactly the records the
-sequential executor produces, with the same per-operator
+The contract under test: the pipelined executor — operator stages on
+their own clock lanes, optional batching — produces exactly the records
+the sequential executor produces, with the same per-operator
 ``records_in``/``records_out``/``llm_calls`` accounting, for every plan
-shape and any thread count, run after run.
+shape and any worker count, run after run.  The shared clock, ledger and
+memo tables are still stress-tested under real threads.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Executor progress events and the per-turn ProgressBuffer."""
 
+import sys
 import threading
 import time
 
@@ -8,10 +9,23 @@ import pytest
 import repro as pz
 from repro.core.builtin_schemas import TextFile
 from repro.core.sources import MemorySource
-from repro.execution.executors import ParallelExecutor, SequentialExecutor
+from repro.execution import (
+    AsyncExecutor,
+    ParallelExecutor,
+    PipelinedExecutor,
+    SequentialExecutor,
+    ShardedExecutor,
+)
 from repro.optimizer.optimizer import Optimizer
 from repro.physical.options import EXECUTORS
 from repro.server.progress import ProgressBuffer, progress_events_from_trace
+
+sys.path.insert(0, "tests")
+from test_execution_pipeline import (  # noqa: E402
+    chosen_plan,
+    make_source,
+    shape_filter_convert,
+)
 
 
 def make_plan(n=5, blocking=False, dataset_id="events"):
@@ -90,8 +104,7 @@ class TestEveryExecutorEmits:
         assert kinds[0] == "plan_start"
         assert kinds[-1] == "plan_end"
         assert kinds.count("operator_flush") == 1
-        # One per source record, in scan order; ``outputs_so_far`` is
-        # best-effort under threads and deliberately not asserted.
+        # One per source record, in scan order.
         assert [
             e["index"] for e in events if e["type"] == "record_processed"
         ] == list(range(1, n + 1))
@@ -112,6 +125,33 @@ class TestEveryExecutorEmits:
             return [r.to_dict() for r in records], stats.to_dict()
 
         assert run(None) == run([].append)
+
+
+class TestExactProgress:
+    """At ``batch_size=1`` every schedule reports the outputs produced so
+    far exactly as the sequential loop does."""
+
+    @staticmethod
+    def progress(build):
+        source = make_source(n=12, dataset_id="ev-exact")
+        plan = chosen_plan(shape_filter_convert(source), source)
+        events = []
+        build(events.append).execute(plan)
+        return [
+            (e["index"], e["outputs_so_far"])
+            for e in events if e["type"] == "record_processed"
+        ]
+
+    @pytest.mark.parametrize("build", [
+        lambda on_event: PipelinedExecutor(max_workers=2, on_event=on_event),
+        lambda on_event: ShardedExecutor(shards=2, on_event=on_event),
+        lambda on_event: AsyncExecutor(fanout=2, on_event=on_event),
+    ], ids=["pipelined", "sharded", "async"])
+    def test_outputs_so_far_match_sequential(self, build):
+        expected = self.progress(
+            lambda on_event: SequentialExecutor(on_event=on_event))
+        assert expected[-1][1] > 0
+        assert self.progress(build) == expected
 
 
 class TestProgressBufferEdges:

@@ -1,4 +1,4 @@
-"""Runtime lock sanitizer: wrapping, graphs, violations, Execute wiring."""
+"""Runtime lock sanitizer: wrapping, graphs, violations, executor runs."""
 
 import sys
 import threading
@@ -189,38 +189,6 @@ class TestReportShape:
             assert report.cycles() == []
             with pytest.raises(RuntimeError):
                 report.render()
-
-
-class TestExecuteWiring:
-    def test_sanitize_flag_attaches_report(self):
-        source = make_source(6, "san-wire")
-        records, stats = Execute(
-            shape_filter_convert(source), lint=False,
-            executor="pipelined", max_workers=2, sanitize=True,
-        )
-        assert stats.sanitizer is not None
-        assert stats.sanitizer.violations == []
-        assert stats.sanitizer.cycles() == []
-        assert stats.sanitizer.guarded_writes > 0
-        assert len(records) == 6
-
-    def test_sanitized_run_is_byte_identical(self):
-        source = make_source(6, "san-ident")
-        plain, _ = Execute(shape_filter_convert(source), lint=False,
-                           executor="pipelined", max_workers=4)
-        sanitized, stats = Execute(
-            shape_filter_convert(source), lint=False,
-            executor="pipelined", max_workers=4, sanitize=True,
-        )
-        assert [r.to_json() for r in sanitized] == \
-            [r.to_json() for r in plain]
-        assert stats.sanitizer.ok()
-
-    def test_stats_to_dict_excludes_report(self):
-        source = make_source(4, "san-dict")
-        _, stats = Execute(shape_filter_convert(source), lint=False,
-                           sanitize=True)
-        assert "sanitizer" not in stats.to_dict()
 
 
 class TestSanitizedEquivalence:
