@@ -2,11 +2,13 @@
 
 The execution engine's contract is that every executor — sequential,
 pipelined, sharded, async — produces byte-identical records, stats,
-traces, and provenance.  That contract is enforced dynamically by the
-equivalence property tests; this module is its *static* counterpart: an
-AST analysis over the engine's own source (and over generated programs,
-like the ``CG3xx`` family) that flags the two classic ways the contract
-rots:
+traces, and provenance.  Every schedule runs on the calling thread, so
+the threads left to reason about are the server's request threads,
+which share tenant meters, ledgers and registries.  The contract is
+enforced dynamically by the equivalence property tests; this module is
+its *static* counterpart: an AST analysis over the package's own source
+(and over generated programs, like the ``CG3xx`` family) that flags the
+two classic ways the contract rots:
 
 * **lock-discipline drift** — a shared mutable attribute touched outside
   the lock that is supposed to guard it; and
@@ -57,16 +59,10 @@ Rules:
   ``dict`` iteration is insertion-ordered in Python 3.7+ and is not
   flagged.
 
-Two escape hatches keep the rules honest rather than noisy:
-
-* statements that feed a *best-effort* metric (the explicitly
-  scheduling-dependent class of :mod:`repro.obs.metrics` — queue-depth
-  gauges and poll counters, excluded from deterministic snapshots) are
-  allowlisted for CC504–CC507 via :data:`BEST_EFFORT_RECEIVERS`;
-* a trailing ``# nondet: ok(<reason>)`` comment suppresses CC504–CC507
-  on that line, and ``# guarded-by: ok(<reason>)`` suppresses
-  CC501/CC503 — both require a reason, which the diagnostic would
-  otherwise demand in review.
+One escape hatch keeps the rules honest rather than noisy: a trailing
+``# nondet: ok(<reason>)`` comment suppresses CC504–CC507 on that line,
+and ``# guarded-by: ok(<reason>)`` suppresses CC501/CC503 — both require
+a reason, which the diagnostic would otherwise demand in review.
 """
 
 from __future__ import annotations
@@ -123,13 +119,6 @@ register_rule(
     "in sorted()",
     Severity.WARNING,
 )
-
-#: Attribute names whose enclosing statement is allowed to observe
-#: scheduling state: they feed *best-effort* metrics (the explicitly
-#: nondeterministic class of repro.obs.metrics, excluded from
-#: deterministic snapshots), such as a queue-depth gauge or a poll
-#: counter.
-BEST_EFFORT_RECEIVERS = frozenset({"depth_gauge", "poll_counter"})
 
 #: ``module.attr`` call targets that read the wall clock or the
 #: scheduler (CC504).
@@ -247,25 +236,6 @@ def _enclosing_function(node: ast.AST) -> Optional[ast.AST]:
             return current
         current = _parent(current)
     return None
-
-
-def _feeds_best_effort_metric(node: ast.AST) -> bool:
-    """Is ``node`` an argument (transitively) of a call on an attribute
-    in :data:`BEST_EFFORT_RECEIVERS`?"""
-    current = _parent(node)
-    while current is not None and not isinstance(current, ast.stmt):
-        if isinstance(current, ast.Call):
-            func = current.func
-            if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Attribute):
-                if func.value.attr in BEST_EFFORT_RECEIVERS:
-                    return True
-            if isinstance(func, ast.Attribute) and isinstance(
-                    func.value, ast.Name):
-                if func.value.id in BEST_EFFORT_RECEIVERS:
-                    return True
-        current = _parent(current)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +673,7 @@ def _check_nondeterminism(tree: ast.Module, source_lines,
     random_aliases, random_names = _random_module_names(tree)
 
     def allowed(node: ast.AST) -> bool:
-        return (_line_pragma(source_lines, node.lineno, "nondet")
-                or _feeds_best_effort_metric(node))
+        return _line_pragma(source_lines, node.lineno, "nondet")
 
     # Per-function shallow set-variable inference for CC507.
     set_vars_by_function: Dict[Optional[ast.AST], Set[str]] = {}
@@ -734,9 +703,8 @@ def _check_nondeterminism(tree: ast.Module, source_lines,
                         "or scheduler state in a deterministic path",
                         where,
                         hint="advance the VirtualClock instead; real "
-                             "time varies run to run.  Best-effort "
-                             "metric feeds are allowlisted; otherwise "
-                             "annotate '# nondet: ok(<reason>)'",
+                             "time varies run to run; otherwise annotate "
+                             "'# nondet: ok(<reason>)'",
                     )
             # CC505 — entropy sources
             is_entropy = (

@@ -19,11 +19,15 @@ actually happens at runtime.  Under ``sanitize()``:
   write surface in :attr:`SanitizerReport.unexercised`, so a test knows
   whether it actually exercised the annotation.
 
-Usage::
+Usage (the server's request threads are what share locks; tenants
+drive the chat script concurrently)::
 
     with sanitize() as report:
-        records, stats = Execute(dataset, executor="pipelined",
-                                 max_workers=4)
+        server = ReproServer(("127.0.0.1", 0), SessionStore(root=root))
+        run_in_thread(server)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(drive_tenant, ["t1", "t2", "t3", "t4"]))
+        server.shutdown()
     assert not report.violations
     assert not report.cycles()
 

@@ -108,10 +108,9 @@ class ReplayLog:
     """Thread-safe LLM call log (see module docstring).
 
     The primed entry table is never mutated — one table, built once per
-    base snapshot, is shared by every re-run against it — and is read
-    lock-free by executor worker threads (single dict lookups of immutable
-    records); capture and reuse tallies are compound mutations and take
-    the lock.
+    base snapshot, is shared by every re-run against it — so it is read
+    without the lock (single dict lookups of immutable records); capture
+    and reuse tallies are compound mutations and take the lock.
     """
 
     _GUARDED_BY = {
@@ -121,14 +120,14 @@ class ReplayLog:
 
     def __init__(self, entries: Optional[Dict[ReplayKey, CallRecord]] = None):
         #: Shared and read-only (see :meth:`table_from_payload`), so
-        #: worker threads read it without locking.
+        #: it is read without locking.
         self._entries: Dict[ReplayKey, CallRecord] = (
             entries if entries is not None else {}
         )
         self._captured: Dict[ReplayKey, CallRecord] = {}
         #: (cost, seconds, in_tokens, out_tokens) per reused call, in
-        #: thread arrival order (the totals are exact sums, so the order
-        #: does not show).
+        #: the order the schedule made them (the totals are exact sums,
+        #: so the order does not show).
         self._reused: List[Tuple[float, float, int, int]] = []
         self._lock = threading.Lock()
         #: When a list, every captured key (fresh or reused) is appended
@@ -178,7 +177,7 @@ class ReplayLog:
     def reused_summary(self) -> ReuseSummary:
         """Deterministic totals over every reused call so far: the float
         sums are exact (``math.fsum``), hence the same whichever order
-        worker threads reported the calls in."""
+        the schedule's lanes reported the calls in."""
         with self._lock:
             rows = list(self._reused)
         return ReuseSummary(

@@ -5,16 +5,10 @@ A :class:`MetricsRegistry` lives on the
 :class:`~repro.execution.stats.ExecutionStats` after every run — traced or
 not, so a traced run reports byte-identical stats to an untraced one.
 
-Metrics come in two determinism classes:
-
-* **deterministic** (the default) — pure functions of the plan and input
-  (llm_calls, cache hits, records in/out per operator, virtual busy time
-  per pipeline stage).  These are what ``snapshot()`` returns and what
-  lands in ``ExecutionStats.metrics``.
-* **best-effort** (``best_effort=True``) — real-scheduling observables
-  (queue depth high-water marks, queue poll retries) that legitimately
-  vary run to run.  They are excluded from the stats snapshot and only
-  appear in trace exports via ``snapshot(include_best_effort=True)``.
+Every metric is deterministic: a pure function of the plan and input
+(llm_calls, cache hits, records in/out per operator, virtual busy time
+per pipeline stage).  ``snapshot()`` is what lands in
+``ExecutionStats.metrics``.
 """
 
 from __future__ import annotations
@@ -27,13 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "best_effort", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
     _GUARDED_BY = {"_value": "_lock"}
 
-    def __init__(self, name: str, best_effort: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.best_effort = best_effort
         self._value = 0
         self._lock = threading.Lock()
 
@@ -51,26 +44,20 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value; ``set_max`` keeps the high-water mark."""
+    """A point-in-time value."""
 
-    __slots__ = ("name", "best_effort", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
     _GUARDED_BY = {"_value": "_lock"}
 
-    def __init__(self, name: str, best_effort: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.best_effort = best_effort
         self._value: float = 0.0
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-
-    def set_max(self, value: float) -> None:
-        with self._lock:
-            if value > self._value:
-                self._value = value
 
     @property
     def value(self) -> float:
@@ -110,8 +97,7 @@ class Histogram:
     retention stays proportional to run size.
     """
 
-    __slots__ = ("name", "best_effort", "_count", "_min", "_max",
-                 "_samples", "_lock")
+    __slots__ = ("name", "_count", "_min", "_max", "_samples", "_lock")
 
     _GUARDED_BY = {
         "_count": "_lock",
@@ -120,9 +106,8 @@ class Histogram:
         "_samples": "_lock",
     }
 
-    def __init__(self, name: str, best_effort: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.best_effort = best_effort
         self._count = 0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
@@ -160,10 +145,6 @@ class Histogram:
             # where a running sum would carry arrival-order ulp jitter.
             return math.fsum(self._samples) / self._count
 
-    @staticmethod
-    def _nearest_rank(ordered: List[float], q: float) -> float:
-        return nearest_rank(ordered, q)
-
     def quantile(self, q: float) -> float:
         """Exact nearest-rank quantile (0 < q <= 1) over all samples."""
         if not 0.0 < q <= 1.0:
@@ -171,7 +152,7 @@ class Histogram:
         with self._lock:
             if not self._samples:
                 return 0.0
-            return self._nearest_rank(sorted(self._samples), q)
+            return nearest_rank(sorted(self._samples), q)
 
     def snapshot_value(self) -> Dict[str, float]:
         with self._lock:
@@ -184,7 +165,7 @@ class Histogram:
             ordered = sorted(self._samples)
             for label, q in HISTOGRAM_QUANTILES:
                 snapshot[label] = (
-                    self._nearest_rank(ordered, q) if ordered else 0.0
+                    nearest_rank(ordered, q) if ordered else 0.0
                 )
             return snapshot
 
@@ -203,11 +184,11 @@ class MetricsRegistry:
         self._metrics: Dict[str, Any] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, cls, best_effort: bool):
+    def _get_or_create(self, name: str, cls):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, best_effort=best_effort)
+                metric = cls(name)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise TypeError(
@@ -216,28 +197,25 @@ class MetricsRegistry:
                 )
             return metric
 
-    def counter(self, name: str, best_effort: bool = False) -> Counter:
-        return self._get_or_create(name, Counter, best_effort)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str, best_effort: bool = False) -> Gauge:
-        return self._get_or_create(name, Gauge, best_effort)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, best_effort: bool = False) -> Histogram:
-        return self._get_or_create(name, Histogram, best_effort)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
 
-    def snapshot(self, include_best_effort: bool = False) -> Dict[str, Any]:
-        """All metric values keyed by name, sorted, deterministic by
-        default (best-effort metrics only when explicitly requested)."""
+    def snapshot(self) -> Dict[str, Any]:
+        """All metric values keyed by name, sorted."""
         with self._lock:
             metrics = list(self._metrics.items())
         return {
-            name: metric.snapshot_value()
-            for name, metric in sorted(metrics)
-            if include_best_effort or not metric.best_effort
+            name: metric.snapshot_value() for name, metric in sorted(metrics)
         }
 
     def clear(self) -> None:

@@ -10,9 +10,9 @@ context:
   from the :class:`DropReason` enum and the evidence (judge verdict,
   limit position, similarity score, ...).
 
-Like traces (``repro.obs.trace``), the raw event log is
-interleaving-dependent under the pipelined executor — worker threads
-race, and ``DataRecord._record_id`` values depend on allocation order.
+Like traces (``repro.obs.trace``), the raw event log depends on the
+schedule — the pipelined and sharded loops visit lanes in their own
+order, and ``DataRecord._record_id`` values depend on allocation order.
 A **canonical finalization pass** fixes both: roots are ordered by
 (origin, arrival), then each operator's events are sorted by their
 (already-canonical) parent ids, and canonical ids are assigned in that
@@ -134,7 +134,8 @@ NULL_PROVENANCE = _NullProvenance()
 class ProvenanceRecorder:
     """Collects raw derivation events during one plan execution.
 
-    Thread-safe: pipelined workers report concurrently.  The recorder
+    Every schedule reports from the calling thread; the lock keeps the
+    recorder safe for a caller that shares it anyway.  The recorder
     holds strong references to the :class:`DataRecord` objects it sees
     so runtime ids stay unique for the lifetime of the run (``id()``
     reuse after garbage collection would corrupt the graph).

@@ -114,8 +114,8 @@ class Span:
 
 def _canonical_order(children: List[Span]) -> List[Span]:
     """Deterministic sibling order: by ``seq`` attribute where present
-    (pipeline bundles are appended by racing worker threads), otherwise
-    stable append order (single-threaded sections are already ordered)."""
+    (a schedule appends bundle spans in the order it visits its lanes,
+    not in input order), otherwise stable append order."""
     return sorted(
         children,
         key=lambda span: _seq_key(span.attributes.get("seq")),
@@ -278,8 +278,8 @@ class _ActiveSpan:
 
 class _AttachedSpan:
     """Context manager that pushes an *existing* span onto this thread's
-    stack without touching its times — worker threads use it to parent
-    their spans under a stage span created by the orchestrator."""
+    stack without touching its times — a schedule uses it to parent a
+    lane's spans under a stage or shard span it opened earlier."""
 
     __slots__ = ("_tracer", "_span")
 
@@ -391,9 +391,10 @@ class Tracer:
                    clock=None, parent: Optional[Span] = None,
                    **attributes) -> Span:
         """Create and adopt a span *without* pushing it on this thread's
-        stack.  Used for spans whose lifetime is owned across threads (a
-        pipeline stage span): workers ``attach()`` to it, and the creator
-        finishes it explicitly with :meth:`Span.finish_at`."""
+        stack.  Used for spans that stay open while the schedule visits
+        other lanes (a pipeline stage or shard span): the schedule
+        ``attach()``-es to it per visit and finishes it explicitly with
+        :meth:`Span.finish_at`."""
         now, lane, _ = self._now_lane(clock)
         span = Span(name, kind=kind, start=now, lane=lane,
                     attributes=attributes or None)

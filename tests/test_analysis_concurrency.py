@@ -345,17 +345,18 @@ class TestCC504WallClock:
         assert codes(result) == ["CC504", "CC504"]
         assert len(result.errors) == 2
 
-    def test_qsize_flagged_unless_best_effort(self):
+    def test_qsize_flagged(self):
         flagged = lint("""
             def depth(queue):
                 return queue.qsize()
         """)
         assert codes(flagged) == ["CC504"]
-        allowed = lint("""
+        # Feeding a metric is no exemption: every metric is deterministic.
+        observed = lint("""
             def observe(stage):
-                stage.depth_gauge.set_max(stage.in_queue.qsize())
+                stage.depth_gauge.set(stage.in_queue.qsize())
         """)
-        assert codes(allowed) == []
+        assert codes(observed) == ["CC504"]
 
     def test_pragma_suppresses(self):
         result = lint("""

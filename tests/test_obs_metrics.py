@@ -21,13 +21,12 @@ class TestPrimitives:
         assert counter.value == 5
         assert counter.snapshot_value() == 5
 
-    def test_gauge_set_and_set_max(self):
+    def test_gauge_set(self):
         gauge = Gauge("queue.depth")
         gauge.set(3.0)
-        gauge.set_max(2.0)
-        assert gauge.value == 3.0
-        gauge.set_max(7.0)
-        assert gauge.value == 7.0
+        gauge.set(2.0)
+        assert gauge.value == 2.0
+        assert gauge.snapshot_value() == 2.0
 
     def test_histogram_summary(self):
         hist = Histogram("wait.seconds")
@@ -93,16 +92,14 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("a.b")
 
-    def test_snapshot_sorted_and_excludes_best_effort(self):
+    def test_snapshot_sorted(self):
         registry = MetricsRegistry()
         registry.counter("z.last").inc(1)
         registry.gauge("a.first").set(2.5)
-        registry.counter("q.racy", best_effort=True).inc(9)
+        registry.counter("q.mid").inc(9)
         snap = registry.snapshot()
-        assert list(snap) == ["a.first", "z.last"]
-        assert snap == {"a.first": 2.5, "z.last": 1}
-        full = registry.snapshot(include_best_effort=True)
-        assert full["q.racy"] == 9
+        assert list(snap) == ["a.first", "q.mid", "z.last"]
+        assert snap == {"a.first": 2.5, "q.mid": 9, "z.last": 1}
 
     def test_clear(self):
         registry = MetricsRegistry()

@@ -1,141 +1,10 @@
-"""End-to-end integration tests for the three demo scenarios."""
+"""End-to-end run on user data with no ground truth.
 
-import pytest
+The three demo scenarios' own numbers (E1, E7, E8) are exact rows of
+``tests/test_paper_claims.py``.
+"""
 
 import repro as pz
-from repro.core.sources import DirectorySource
-from repro.corpora.legal import CONTRACT_FIELDS, LEGAL_PREDICATE
-from repro.corpora.papers import CLINICAL_FIELDS, PAPERS_PREDICATE
-from repro.corpora.realestate import LISTING_FIELDS, REALESTATE_PREDICATE
-from repro.evaluation.metrics import extraction_quality, filter_quality
-
-
-class TestScientificDiscovery:
-    """E1: 11 papers -> filter -> one-to-many extraction -> 6 datasets."""
-
-    @pytest.fixture()
-    def pipeline(self, papers_source):
-        Clinical = pz.make_schema(
-            "ClinicalData",
-            "A schema for extracting clinical data datasets from papers.",
-            CLINICAL_FIELDS,
-        )
-        return (
-            pz.Dataset(papers_source)
-            .filter(PAPERS_PREDICATE)
-            .convert(Clinical, cardinality=pz.Cardinality.ONE_TO_MANY)
-        )
-
-    def test_max_quality_reproduces_fig5(self, pipeline):
-        records, stats = pz.Execute(pipeline, policy=pz.MaxQuality())
-        assert len(records) == 6
-        assert all(r.url and r.url.startswith("http") for r in records)
-        # Same order of magnitude as the paper's 240 s / $0.35.
-        assert 100 < stats.total_time_seconds < 400
-        assert 0.15 < stats.total_cost_usd < 0.7
-
-    def test_extraction_is_perfect_under_max_quality(
-        self, pipeline, papers_source
-    ):
-        records, _ = pz.Execute(pipeline, policy=pz.MaxQuality())
-        card = extraction_quality(
-            records, list(papers_source), ["name", "description", "url"]
-        )
-        assert card.f1 == 1.0
-
-    def test_min_cost_is_much_cheaper(self, pipeline):
-        _, quality_stats = pz.Execute(pipeline, policy=pz.MaxQuality())
-        _, cost_stats = pz.Execute(pipeline, policy=pz.MinCost())
-        assert cost_stats.total_cost_usd < quality_stats.total_cost_usd / 10
-
-    def test_parallelism_preserves_output(self, pipeline):
-        seq_records, seq_stats = pz.Execute(pipeline, policy=pz.MaxQuality())
-        par_records, par_stats = pz.Execute(
-            pipeline, policy=pz.MaxQuality(), max_workers=4
-        )
-        assert {r.name for r in par_records} == {r.name for r in seq_records}
-        assert par_stats.total_time_seconds < seq_stats.total_time_seconds
-
-
-class TestLegalDiscovery:
-    """E7: responsive-document review + deal-term extraction."""
-
-    @pytest.fixture()
-    def source(self, legal_dir):
-        return DirectorySource(legal_dir, dataset_id="legal-int")
-
-    def test_filter_and_extract(self, source):
-        Contract = pz.make_schema(
-            "Contract", "Deal terms from responsive documents.",
-            CONTRACT_FIELDS,
-        )
-        pipeline = (
-            pz.Dataset(source)
-            .filter(LEGAL_PREDICATE)
-            .convert(Contract)
-        )
-        records, stats = pz.Execute(pipeline, policy=pz.MaxQuality())
-        assert 4 <= len(records) <= 8  # 6 responsive, difficulty 0.25
-        buyers = {r.buyer for r in records if r.buyer}
-        assert "Harbor Holdings LLC" in buyers
-
-    def test_quality_gap_between_models_is_visible(self, source):
-        card = {}
-        for policy in (pz.MaxQuality(), pz.MinCost()):
-            pipeline = pz.Dataset(source).filter(LEGAL_PREDICATE)
-            records, _ = pz.Execute(pipeline, policy=policy)
-            card[policy.name] = filter_quality(
-                records, list(source), LEGAL_PREDICATE
-            )
-        assert card["max-quality"].f1 >= card["min-cost"].f1
-
-
-class TestRealEstateSearch:
-    """E8: semantic filter + structured extraction + aggregation."""
-
-    @pytest.fixture()
-    def source(self, realestate_dir):
-        return DirectorySource(realestate_dir, dataset_id="realestate-int")
-
-    def test_waterfront_filter(self, source):
-        pipeline = pz.Dataset(source).filter(REALESTATE_PREDICATE)
-        records, _ = pz.Execute(pipeline, policy=pz.MaxQuality())
-        assert 7 <= len(records) <= 11  # 9 true waterfront
-
-    def test_extract_and_average_price(self, source):
-        Listing = pz.make_schema(
-            "Listing", "A structured listing.", LISTING_FIELDS
-        )
-        pipeline = (
-            pz.Dataset(source)
-            .filter(REALESTATE_PREDICATE)
-            .convert(Listing)
-            .average("price")
-        )
-        records, _ = pz.Execute(pipeline, policy=pz.MaxQuality())
-        assert len(records) == 1
-        # Waterfront listings average ~$680k in the corpus.
-        assert records[0].average_price > 400_000
-
-    def test_groupby_city(self, source):
-        Listing = pz.make_schema(
-            "Listing2", "A structured listing.", LISTING_FIELDS
-        )
-        pipeline = (
-            pz.Dataset(source)
-            .convert(Listing)
-            .groupby(["city"], [("count", None), ("avg", "price")])
-        )
-        records, _ = pz.Execute(pipeline, policy=pz.MaxQuality())
-        cities = {r.city for r in records}
-        assert len(cities) >= 3
-
-    def test_retrieve_top_k(self, source):
-        pipeline = pz.Dataset(source).retrieve(
-            "waterfront home with a dock", k=5
-        )
-        records, _ = pz.Execute(pipeline)
-        assert len(records) == 5
 
 
 class TestCustomDataUpload:
