@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.analysis.diagnostics import (
+    DEFAULT_CONFIG,
     Emitter,
     LintConfig,
     LintResult,
@@ -243,51 +244,58 @@ def lint_program(
     config: Optional[LintConfig] = None,
     filename: str = "<program>",
 ) -> LintResult:
-    """AST-lint a generated (or example) program without executing it."""
+    """AST-lint a generated (or example) program without executing it.
+
+    Each analyzer family runs only when ``config`` enables one of its
+    rules, so ``--family CC`` pays for the CC pass alone.
+    """
     result = LintResult()
-    emitter = Emitter(result, config)
+    enabled = (config or DEFAULT_CONFIG).family_enabled
 
-    try:
-        module = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        emitter.emit(
-            "CG301",
-            f"program does not parse: {exc.msg}",
-            location=f"{filename}:{exc.lineno or 0}",
-        )
-        return result
+    if enabled("CG"):
+        emitter = Emitter(result, config)
+        try:
+            module = ast.parse(source, filename=filename)
+        except SyntaxError as exc:
+            emitter.emit(
+                "CG301",
+                f"program does not parse: {exc.msg}",
+                location=f"{filename}:{exc.lineno or 0}",
+            )
+            return result
 
-    api = _public_api()
-    dataset_methods = _dataset_methods()
-    aliases = _repro_aliases(module)
-
-    _lint_api_usage(module, aliases, api, emitter, filename)
-    _lint_dataset_calls(module, aliases, dataset_methods, emitter, filename)
-    _ModuleNames(emitter, filename).run(module)
+        aliases = _repro_aliases(module)
+        _lint_api_usage(module, aliases, _public_api(), emitter, filename)
+        _lint_dataset_calls(module, aliases, _dataset_methods(), emitter,
+                            filename)
+        _ModuleNames(emitter, filename).run(module)
     # Generated programs get the same concurrency/determinism scrutiny as
     # the engine's own source (CC5xx): a program that reads the wall clock
     # or iterates a set into its output breaks run-to-run reproducibility
     # just as surely as an engine bug would.
-    from repro.analysis.concurrency import lint_source_concurrency
+    if enabled("CC"):
+        from repro.analysis.concurrency import lint_source_concurrency
 
-    lint_source_concurrency(
-        source, filename=filename, config=config, result=result
-    )
+        lint_source_concurrency(
+            source, filename=filename, config=config, result=result
+        )
     # Service-layer tenancy discipline (SV6xx): HTTP handler functions
     # must reach tenant state through SessionStore.acquire().
-    from repro.analysis.server_lint import lint_source_tenancy
+    if enabled("SV"):
+        from repro.analysis.server_lint import lint_source_tenancy
 
-    lint_source_tenancy(
-        source, filename=filename, config=config, result=result
-    )
+        lint_source_tenancy(
+            source, filename=filename, config=config, result=result
+        )
     # Telemetry layering (OB403): the package's own modules must route
     # wall-clock reads through repro.obs.telemetry; no-op for generated
     # programs (scoped to repro/ source paths).
-    from repro.analysis.obs_lint import lint_source_wallclock
+    if enabled("OB"):
+        from repro.analysis.obs_lint import lint_source_wallclock
 
-    lint_source_wallclock(
-        source, filename=filename, config=config, result=result
-    )
+        lint_source_wallclock(
+            source, filename=filename, config=config, result=result
+        )
     return result
 
 

@@ -4,7 +4,7 @@ The execution engine's contract is that every executor — sequential,
 pipelined, sharded, async — produces byte-identical records, stats,
 traces, and provenance.  Every schedule runs on the calling thread, so
 the threads left to reason about are the server's request threads,
-which share tenant meters, ledgers and registries.  The contract is
+which share tenant meters, caches and registries.  The contract is
 enforced dynamically by the equivalence property tests; this module is
 its *static* counterpart: an AST analysis over the package's own source
 (and over generated programs, like the ``CG3xx`` family) that flags the
@@ -18,12 +18,12 @@ two classic ways the contract rots:
 Lock discipline is *declared* in the code under analysis.  A class lists
 its guarded attributes in a ``_GUARDED_BY`` map::
 
-    class UsageLedger:
-        _GUARDED_BY = {"_records": "_lock"}
+    class BudgetMeter:
+        _GUARDED_BY = {"_cost_usd": "_lock"}
 
-meaning every access to ``self._records`` (or ``ledger._records`` from a
+meaning every access to ``self._cost_usd`` (or ``meter._cost_usd`` from a
 sibling function in the same module) must sit inside a
-``with self._lock:`` (resp. ``with ledger._lock:``) block.  A value may
+``with self._lock:`` (resp. ``with meter._lock:``) block.  A value may
 also be a ``(lock, mode)`` pair where mode ``"writes"`` relaxes the rule
 to mutations only — for types with a documented lock-free read contract
 (e.g. :class:`~repro.llm.oracle.GroundTruthRegistry`, whose reads are

@@ -153,6 +153,11 @@ class LintConfig:
             for entry in self.disabled
         )
 
+    def family_enabled(self, family: str) -> bool:
+        """Does any registered rule of ``family`` (e.g. ``"CC"``) run?"""
+        return any(rule.family == family and self.is_enabled(rule.code)
+                   for rule in _RULES.values())
+
     def severity_for(self, code: str) -> Severity:
         override = self.severity_overrides.get(code)
         return override if override is not None else get_rule(code).severity

@@ -434,19 +434,16 @@ def _cmd_lint(args) -> int:
             severity_overrides=config.severity_overrides,
         )
 
-    def family_enabled(family: str) -> bool:
-        return any(config.is_enabled(r.code) for r in families[family])
-
     result = LintResult()
 
     # Skip demo/tool linting when their entire families are filtered out
     # (--family CC shouldn't pay for demo corpus generation).
-    if not args.no_demos and family_enabled("PZ"):
+    if not args.no_demos and config.family_enabled("PZ"):
         for scenario, dataset in _demo_pipelines(args.data_dir).items():
             result.extend(lint_plan(dataset, config=config),
                           location_prefix=f"demo:{scenario} ")
 
-    if not args.no_tools and family_enabled("AG"):
+    if not args.no_tools and config.family_enabled("AG"):
         from repro.analysis import lint_registry
         from repro.chat.tools_pz import build_pz_tools
         from repro.chat.workspace import PipelineWorkspace

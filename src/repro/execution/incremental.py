@@ -353,7 +353,7 @@ class JourneyLog:
 
     def attach(self, context, meters) -> None:
         """Route ``meters`` (the prefix's) through this log and tap the
-        calling thread's clock advances and the call log's keys."""
+        clock's advances and the call log's keys."""
         self._meters = list(meters)
         for meter in self._meters:
             meter.journeys = self

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -105,22 +104,15 @@ def _normalize_value(value: Any) -> Any:
 
 
 class ReplayLog:
-    """Thread-safe LLM call log (see module docstring).
+    """One run's LLM call log (see module docstring).
 
-    The primed entry table is never mutated — one table, built once per
-    base snapshot, is shared by every re-run against it — so it is read
-    without the lock (single dict lookups of immutable records); capture
-    and reuse tallies are compound mutations and take the lock.
+    The log belongs to the run that captures into it.  The primed entry
+    table is never mutated: one table, built once per base snapshot, is
+    shared by every re-run against it.
     """
 
-    _GUARDED_BY = {
-        "_captured": "_lock",
-        "_reused": "_lock",
-    }
-
     def __init__(self, entries: Optional[Dict[ReplayKey, CallRecord]] = None):
-        #: Shared and read-only (see :meth:`table_from_payload`), so
-        #: it is read without locking.
+        #: Shared and read-only (see :meth:`table_from_payload`).
         self._entries: Dict[ReplayKey, CallRecord] = (
             entries if entries is not None else {}
         )
@@ -129,10 +121,9 @@ class ReplayLog:
         #: the order the schedule made them (the totals are exact sums,
         #: so the order does not show).
         self._reused: List[Tuple[float, float, int, int]] = []
-        self._lock = threading.Lock()
         #: When a list, every captured key (fresh or reused) is appended
         #: to it — how journey capture on the inline schedule learns which
-        #: logged calls an operator visit made.  Single-threaded use only.
+        #: logged calls an operator visit made.
         self.key_tape: Optional[List[ReplayKey]] = None
 
     # -- key construction ----------------------------------------------
@@ -164,22 +155,19 @@ class ReplayLog:
         Raises ``KeyError`` when the base log has no such call (a journey
         that names calls its run's ``calls.json`` lacks).
         """
-        entry = self._entries[key]
-        with self._lock:
-            self._captured[key] = entry
-            self._reused.append((
-                usage.cost_usd, usage.latency_seconds,
-                usage.input_tokens, usage.output_tokens,
-            ))
-            if self.key_tape is not None:
-                self.key_tape.append(key)
+        self._captured[key] = self._entries[key]
+        self._reused.append((
+            usage.cost_usd, usage.latency_seconds,
+            usage.input_tokens, usage.output_tokens,
+        ))
+        if self.key_tape is not None:
+            self.key_tape.append(key)
 
     def reused_summary(self) -> ReuseSummary:
         """Deterministic totals over every reused call so far: the float
         sums are exact (``math.fsum``), hence the same whichever order
         the schedule's lanes reported the calls in."""
-        with self._lock:
-            rows = list(self._reused)
+        rows = self._reused
         return ReuseSummary(
             calls=len(rows),
             cost_usd=math.fsum(row[0] for row in rows),
@@ -192,20 +180,13 @@ class ReplayLog:
 
     def record(self, key: ReplayKey, value: Any, input_tokens: int,
                output_tokens: int) -> None:
-        """Capture one fresh call of *this* run.
-
-        Answers are pure functions of the key, so concurrent writers racing
-        on the same key store equal records.
-        """
-        entry = CallRecord(value, input_tokens, output_tokens)
-        with self._lock:
-            self._captured[key] = entry
-            if self.key_tape is not None:
-                self.key_tape.append(key)
+        """Capture one fresh call of *this* run."""
+        self._captured[key] = CallRecord(value, input_tokens, output_tokens)
+        if self.key_tape is not None:
+            self.key_tape.append(key)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._captured)
+        return len(self._captured)
 
     # -- (de)serialization ----------------------------------------------
 
@@ -215,8 +196,7 @@ class ReplayLog:
         Reused calls contribute their base rows as they are; only fresh
         captures are normalized.
         """
-        with self._lock:
-            items = dict(self._captured)
+        items = self._captured
         rows = []
         # Plain tuple order: every part but the context fraction is a
         # string, and fractions in (0, 1] sort as numbers the way their

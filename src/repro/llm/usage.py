@@ -276,7 +276,7 @@ class BudgetMeter:
 
 class _Capture:
     """Context manager behind :meth:`UsageLedger.capture`: registers a
-    bucket on the calling thread's capture stack for the block."""
+    bucket on the ledger's capture stack for the block."""
 
     __slots__ = ("_captures", "_bucket")
 
@@ -309,26 +309,20 @@ _CANONICAL_KEY = attrgetter(
 class UsageLedger:
     """Collects :class:`LLMUsage` records and aggregates them.
 
-    A ledger is attached to an execution context; operators record into it and
-    the final :class:`~repro.execution.stats.ExecutionStats` summarizes it.
-
-    Thread-safety contract: :meth:`record` may be called concurrently from
-    real worker threads; the record list is guarded by a lock.  To attribute
-    records to the operator call that caused them — which the single-threaded
-    executors do by slicing the ledger before/after a call, a technique that
-    breaks under interleaving — a thread can wrap a call in :meth:`capture`:
-    records produced *by that thread* inside the block are additionally
-    appended to the capture list.
+    A ledger is attached to an execution context (or a chat session) and
+    belongs to it: operators record into it on the run's thread and the
+    final :class:`~repro.execution.stats.ExecutionStats` summarizes it.  To
+    attribute records to the operator call that caused them, a caller can
+    wrap the call in :meth:`capture`: records produced inside the block are
+    additionally appended to the capture list.
     """
-
-    _GUARDED_BY = {"_records": "_lock", "_aggregate_cache": "_lock"}
 
     def __init__(self, budget: Optional[BudgetMeter] = None):
         self._records: List[LLMUsage] = []
         self._aggregate_cache: Tuple[List[LLMUsage], UsageTotals] = (
             [], UsageTotals())
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        #: The open :meth:`capture` buckets, outermost first.
+        self._captures: List[List[LLMUsage]] = []
         #: Optional shared :class:`BudgetMeter` every record also charges
         #: (after being appended — accounting is never lost to a quota
         #: abort).  Shared across runs/sessions of one tenant.
@@ -339,12 +333,9 @@ class UsageLedger:
         self.budget = budget
 
     def record(self, usage: LLMUsage) -> None:
-        with self._lock:
-            self._records.append(usage)
-        captures = getattr(self._local, "captures", None)
-        if captures:
-            for bucket in captures:
-                bucket.append(usage)
+        self._records.append(usage)
+        for bucket in self._captures:
+            bucket.append(usage)
         # Charged last: the record is in the ledger (and any captures)
         # before a cap breach can raise, so a mid-run quota abort leaves
         # a complete partial-usage trail behind.
@@ -356,56 +347,47 @@ class UsageLedger:
             self.record(usage)
 
     def capture(self) -> "_Capture":
-        """Collect the records this thread produces inside the block.
+        """Collect the records produced inside the block.
 
         Captures nest: an inner capture's records also appear in the outer
-        one, exactly like the slicing technique they replace.
+        one, exactly like slicing the ledger before and after the block.
         """
-        captures = getattr(self._local, "captures", None)
-        if captures is None:
-            captures = self._local.captures = []
-        return _Capture(captures)
+        return _Capture(self._captures)
 
     @property
     def records(self) -> List[LLMUsage]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def _aggregated(self) -> Tuple[List[LLMUsage], UsageTotals]:
         """Records in an order that depends only on their multiset, and
         their totals summed in that order.
 
-        Concurrent executors append in thread-arrival order, so float
-        aggregation over ``records`` would drift by an ulp run-to-run.
-        Sorting by the full value tuple makes every aggregate a pure
-        function of *which* calls happened, not when they landed.
+        Schedules append in lane-arrival order, which differs between
+        executors, so float aggregation over ``records`` would drift by an
+        ulp from one schedule to another.  Sorting by the full value tuple
+        makes every aggregate a pure function of *which* calls happened,
+        not when they landed.
 
         The ledger only grows, so what was computed for ``n`` records
         stands until there are more: a finished run's several aggregates
         (totals twice, per-model rows, the incremental report) share one
         sort and one summing pass.  Callers only read the returned pair.
         """
-        with self._lock:
-            cached = self._aggregate_cache
-            if len(cached[0]) == len(self._records):
-                return cached
-            records = list(self._records)
-        ordered = sorted(records, key=_CANONICAL_KEY)
+        cached = self._aggregate_cache
+        if len(cached[0]) == len(self._records):
+            return cached
+        ordered = sorted(self._records, key=_CANONICAL_KEY)
         totals = UsageTotals()
         for usage in ordered:
             totals.add(usage)
-        cached = (ordered, totals)
-        with self._lock:
-            if len(ordered) == len(self._records):
-                self._aggregate_cache = cached
+        cached = self._aggregate_cache = (ordered, totals)
         return cached
 
     def _canonical(self) -> List[LLMUsage]:
         return self._aggregated()[0]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def total(self) -> UsageTotals:
         return replace(self._aggregated()[1])
@@ -435,9 +417,8 @@ class UsageLedger:
         return ledger
 
     def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._aggregate_cache = ([], UsageTotals())
+        self._records.clear()
+        self._aggregate_cache = ([], UsageTotals())
 
     def summary_lines(self) -> List[str]:
         """Human-readable per-model summary (used in chat stats output)."""

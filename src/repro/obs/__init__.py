@@ -4,8 +4,8 @@ The paper's chat layer reports per-operator cost, runtime, and quality
 statistics after execution; this package generalizes that reporting into a
 proper observability subsystem:
 
-* :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span` /
-  :class:`TraceStore`: nested spans timed by the :class:`VirtualClock`
+* :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: nested
+  spans timed by the :class:`VirtualClock`
   (never wall time), attributed to the same lanes the clock charges, and
   canonicalized into a deterministic :class:`Trace` tree.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,
@@ -42,7 +42,6 @@ from repro.obs.trace import (
     SpanKind,
     Trace,
     Tracer,
-    TraceStore,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.export import (
@@ -98,7 +97,6 @@ __all__ = [
     "SpanKind",
     "Trace",
     "Tracer",
-    "TraceStore",
     "Counter",
     "Gauge",
     "Histogram",

@@ -8,36 +8,27 @@ not, so a traced run reports byte-identical stats to an untraced one.
 Every metric is deterministic: a pure function of the plan and input
 (llm_calls, cache hits, records in/out per operator, virtual busy time
 per pipeline stage).  ``snapshot()`` is what lands in
-``ExecutionStats.metrics``.
+``ExecutionStats.metrics``.  A registry belongs to its run, so neither it
+nor its metrics take a lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("name", "_value", "_lock")
-
-    _GUARDED_BY = {"_value": "_lock"}
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
+        self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
+        self.value += amount
 
     def snapshot_value(self) -> int:
         return self.value
@@ -46,23 +37,14 @@ class Counter:
 class Gauge:
     """A point-in-time value."""
 
-    __slots__ = ("name", "_value", "_lock")
-
-    _GUARDED_BY = {"_value": "_lock"}
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._value: float = 0.0
-        self._lock = threading.Lock()
+        self.value: float = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+        self.value = value
 
     def snapshot_value(self) -> float:
         return self.value
@@ -97,14 +79,7 @@ class Histogram:
     retention stays proportional to run size.
     """
 
-    __slots__ = ("name", "_count", "_min", "_max", "_samples", "_lock")
-
-    _GUARDED_BY = {
-        "_count": "_lock",
-        "_min": "_lock",
-        "_max": "_lock",
-        "_samples": "_lock",
-    }
+    __slots__ = ("name", "_count", "_min", "_max", "_samples")
 
     def __init__(self, name: str):
         self.name = name
@@ -112,62 +87,54 @@ class Histogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._samples: List[float] = []
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         self.observe_many((value,))
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Observe every one of ``values`` under one lock hold (a run's
-        per-call distributions arrive all at once, at run end)."""
+        """Observe every one of ``values`` in one pass (a run's per-call
+        distributions arrive all at once, at run end)."""
         if not values:
             return
         low, high = min(values), max(values)
-        with self._lock:
-            self._count += len(values)
-            self._samples.extend(values)
-            if self._min is None or low < self._min:
-                self._min = low
-            if self._max is None or high > self._max:
-                self._max = high
+        self._count += len(values)
+        self._samples.extend(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            if not self._count:
-                return 0.0
-            # fsum over the retained samples: exact and order-independent,
-            # where a running sum would carry arrival-order ulp jitter.
-            return math.fsum(self._samples) / self._count
+        if not self._count:
+            return 0.0
+        # fsum over the retained samples: exact and order-independent,
+        # where a running sum would carry arrival-order ulp jitter.
+        return math.fsum(self._samples) / self._count
 
     def quantile(self, q: float) -> float:
         """Exact nearest-rank quantile (0 < q <= 1) over all samples."""
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {q}")
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            return nearest_rank(sorted(self._samples), q)
+        if not self._samples:
+            return 0.0
+        return nearest_rank(sorted(self._samples), q)
 
     def snapshot_value(self) -> Dict[str, float]:
-        with self._lock:
-            snapshot = {
-                "count": self._count,
-                "sum": round(math.fsum(self._samples), 9),
-                "min": self._min if self._min is not None else 0.0,
-                "max": self._max if self._max is not None else 0.0,
-            }
-            ordered = sorted(self._samples)
-            for label, q in HISTOGRAM_QUANTILES:
-                snapshot[label] = (
-                    nearest_rank(ordered, q) if ordered else 0.0
-                )
-            return snapshot
+        snapshot = {
+            "count": self._count,
+            "sum": round(math.fsum(self._samples), 9),
+            "min": self._min if self._min is not None else 0.0,
+            "max": self._max if self._max is not None else 0.0,
+        }
+        ordered = sorted(self._samples)
+        for label, q in HISTOGRAM_QUANTILES:
+            snapshot[label] = nearest_rank(ordered, q) if ordered else 0.0
+        return snapshot
 
 
 class MetricsRegistry:
@@ -178,24 +145,19 @@ class MetricsRegistry:
     convention pz-lint's ``OB401`` enforces for span names.
     """
 
-    _GUARDED_BY = {"_metrics": "_lock"}
-
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
-        self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, cls):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name)
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
-                raise TypeError(
-                    f"metric {name!r} is a {type(metric).__name__}, "
-                    f"not a {cls.__name__}"
-                )
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = cls(name)
+        elif not isinstance(metric, cls):
+            raise TypeError(
+                f"metric {name!r} is a {type(metric).__name__}, "
+                f"not a {cls.__name__}"
+            )
+        return metric
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
@@ -207,24 +169,20 @@ class MetricsRegistry:
         return self._get_or_create(name, Histogram)
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
+        return sorted(self._metrics)
 
     def snapshot(self) -> Dict[str, Any]:
         """All metric values keyed by name, sorted."""
-        with self._lock:
-            metrics = list(self._metrics.items())
         return {
-            name: metric.snapshot_value() for name, metric in sorted(metrics)
+            name: metric.snapshot_value()
+            for name, metric in sorted(self._metrics.items())
         }
 
     def clear(self) -> None:
-        with self._lock:
-            self._metrics = {}
+        self._metrics = {}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self)} metrics)"

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -134,51 +133,42 @@ NULL_PROVENANCE = _NullProvenance()
 class ProvenanceRecorder:
     """Collects raw derivation events during one plan execution.
 
-    Every schedule reports from the calling thread; the lock keeps the
-    recorder safe for a caller that shares it anyway.  The recorder
-    holds strong references to the :class:`DataRecord` objects it sees
-    so runtime ids stay unique for the lifetime of the run (``id()``
-    reuse after garbage collection would corrupt the graph).
+    A recorder belongs to one run and every schedule reports to it from
+    the calling thread, so it takes no lock.  The recorder holds strong
+    references to the :class:`DataRecord` objects it sees so runtime ids
+    stay unique for the lifetime of the run (``id()`` reuse after garbage
+    collection would corrupt the graph).
 
-    ``suspended()`` turns recording off for the current thread — used
+    ``suspended()`` turns recording off for the block — used
     around nested executions (join/union right-side materialization runs
     a nested optimizer + executor in the *same* context) whose internal
     events must not pollute the outer graph.
     """
 
-    _GUARDED_BY = {
-        "_op_index": "_lock",
-        "_op_labels": "_lock",
-        "_records": "_lock",
-        "_roots": "_lock",
-        "_origin_counts": "_lock",
-        "_events": "_lock",
-    }
-
     def __init__(self):
-        self._lock = threading.Lock()
         self._op_index: Dict[int, int] = {}
         self._op_labels: List[str] = []
         self._records: Dict[int, Any] = {}
         self._roots: List[Tuple[str, int, int]] = []  # (origin, arrival, rid)
         self._origin_counts: Dict[str, int] = {}
         self._events: List[Dict[str, Any]] = []
-        self._local = threading.local()
+        #: Depth of open :meth:`suspended` blocks.
+        self._suspend = 0
 
     # -- recording state ------------------------------------------------
 
     @property
     def enabled(self) -> bool:
-        """False while the current thread is inside :meth:`suspended`."""
-        return getattr(self._local, "suspend", 0) == 0
+        """False while inside :meth:`suspended`."""
+        return self._suspend == 0
 
     @contextmanager
     def suspended(self):
-        self._local.suspend = getattr(self._local, "suspend", 0) + 1
+        self._suspend += 1
         try:
             yield
         finally:
-            self._local.suspend -= 1
+            self._suspend -= 1
 
     # -- event intake ---------------------------------------------------
 
@@ -186,25 +176,23 @@ class ProvenanceRecorder:
         """Register the plan's operators; events name ops by plan index."""
         if not self.enabled:
             return
-        with self._lock:
-            for op in plan:
-                if id(op) in self._op_index:
-                    continue
-                self._op_index[id(op)] = len(self._op_labels)
-                self._op_labels.append(op.op_label)
+        for op in plan:
+            if id(op) in self._op_index:
+                continue
+            self._op_index[id(op)] = len(self._op_labels)
+            self._op_labels.append(op.op_label)
 
     def source(self, record, origin: str = "scan") -> None:
         """Register a graph root (scanned or right-side materialized)."""
         if not self.enabled:
             return
-        with self._lock:
-            rid = record.record_id
-            if rid in self._records:
-                return
-            self._records[rid] = record
-            arrival = self._origin_counts.get(origin, 0)
-            self._origin_counts[origin] = arrival + 1
-            self._roots.append((origin, arrival, rid))
+        rid = record.record_id
+        if rid in self._records:
+            return
+        self._records[rid] = record
+        arrival = self._origin_counts.get(origin, 0)
+        self._origin_counts[origin] = arrival + 1
+        self._roots.append((origin, arrival, rid))
 
     def emit(self, op, parents, children, llm=None, **attrs) -> None:
         """Record a derivation: ``parents`` produced ``children`` at ``op``.
@@ -228,148 +216,144 @@ class ProvenanceRecorder:
 
     def _record_event(self, op, kind, reason, parents, children, llm,
                       attrs) -> None:
-        with self._lock:
-            op_idx = self._op_index.get(id(op))
-            if op_idx is None:
-                raise ProvenanceError(
-                    f"operator {op.op_label!r} was never registered via "
-                    "begin_plan(); provenance events would be orphaned"
-                )
-            for record in parents:
-                self._records.setdefault(record.record_id, record)
-            for record in children:
-                self._records.setdefault(record.record_id, record)
-            self._events.append({
-                "op": op_idx,
-                "kind": kind,
-                "reason": reason,
-                "parents": [r.record_id for r in parents],
-                "children": [r.record_id for r in children],
-                "llm": _llm_summary(llm),
-                "attrs": dict(attrs),
-            })
+        op_idx = self._op_index.get(id(op))
+        if op_idx is None:
+            raise ProvenanceError(
+                f"operator {op.op_label!r} was never registered via "
+                "begin_plan(); provenance events would be orphaned"
+            )
+        for record in parents:
+            self._records.setdefault(record.record_id, record)
+        for record in children:
+            self._records.setdefault(record.record_id, record)
+        self._events.append({
+            "op": op_idx,
+            "kind": kind,
+            "reason": reason,
+            "parents": [r.record_id for r in parents],
+            "children": [r.record_id for r in children],
+            "llm": _llm_summary(llm),
+            "attrs": dict(attrs),
+        })
 
     # -- raw event access -----------------------------------------------
 
     def event_count(self) -> int:
         """Raw events recorded so far — a mark for :meth:`events_since`."""
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
     def events_since(self, mark: int) -> List[Dict[str, Any]]:
         """The raw events recorded after ``mark`` (read-only views; ids
         are runtime record ids).  Journey capture on the inline schedule
         reads the event one operator visit reported from here."""
-        with self._lock:
-            return self._events[mark:]
+        return self._events[mark:]
 
     # -- finalization ---------------------------------------------------
 
     def finalize(self, outputs: Iterable[Any]) -> "ProvenanceGraph":
         """Canonicalize the event log into a :class:`ProvenanceGraph`.
 
-        Deterministic regardless of thread interleaving: roots are
+        Deterministic whichever order the schedule reported in: roots are
         ordered by (origin, arrival index), then each operator's events
         (ascending plan index) are sorted by their canonical parent
         ids + kind + reason + attributes, and canonical ids are handed
         out in exactly that order.
         """
-        with self._lock:
-            rid_to_cid: Dict[int, int] = {}
-            nodes: List[Dict[str, Any]] = []
+        rid_to_cid: Dict[int, int] = {}
+        nodes: List[Dict[str, Any]] = []
 
-            def add_node(rid: int, origin: str) -> int:
-                record = self._records[rid]
-                cid = len(nodes) + 1
-                rid_to_cid[rid] = cid
-                payload = record.to_json()
-                nodes.append({
-                    "id": cid,
-                    "source_id": record.source_id,
-                    "schema": record.schema.schema_name(),
-                    "origin": origin,
-                    "preview": payload[:_PREVIEW_CHARS],
-                    "fp": hashlib.sha256(
-                        payload.encode("utf-8")).hexdigest()[:16],
-                })
-                return cid
+        def add_node(rid: int, origin: str) -> int:
+            record = self._records[rid]
+            cid = len(nodes) + 1
+            rid_to_cid[rid] = cid
+            payload = record.to_json()
+            nodes.append({
+                "id": cid,
+                "source_id": record.source_id,
+                "schema": record.schema.schema_name(),
+                "origin": origin,
+                "preview": payload[:_PREVIEW_CHARS],
+                "fp": hashlib.sha256(
+                    payload.encode("utf-8")).hexdigest()[:16],
+            })
+            return cid
 
-            for origin, arrival, rid in sorted(
-                    self._roots, key=lambda r: (r[0], r[1])):
-                add_node(rid, origin)
+        for origin, arrival, rid in sorted(
+                self._roots, key=lambda r: (r[0], r[1])):
+            add_node(rid, origin)
 
-            by_op: Dict[int, List[Dict[str, Any]]] = {}
-            for event in self._events:
-                by_op.setdefault(event["op"], []).append(event)
+        by_op: Dict[int, List[Dict[str, Any]]] = {}
+        for event in self._events:
+            by_op.setdefault(event["op"], []).append(event)
 
-            canonical_events: List[Dict[str, Any]] = []
-            for op_idx in sorted(by_op):
-                prepared = []
-                for event in by_op[op_idx]:
-                    attrs = dict(event["attrs"])
-                    # duplicate_of names another record by *runtime* id;
-                    # rewrite to the canonical id before sorting on it.
-                    dup = attrs.get("duplicate_of")
-                    if dup is not None:
-                        if dup not in rid_to_cid:
-                            raise ProvenanceError(
-                                "duplicate_of references a record with no "
-                                "canonical id yet")
-                        attrs["duplicate_of"] = rid_to_cid[dup]
-                    try:
-                        parent_cids = [rid_to_cid[rid]
-                                       for rid in event["parents"]]
-                    except KeyError:
+        canonical_events: List[Dict[str, Any]] = []
+        for op_idx in sorted(by_op):
+            prepared = []
+            for event in by_op[op_idx]:
+                attrs = dict(event["attrs"])
+                # duplicate_of names another record by *runtime* id;
+                # rewrite to the canonical id before sorting on it.
+                dup = attrs.get("duplicate_of")
+                if dup is not None:
+                    if dup not in rid_to_cid:
                         raise ProvenanceError(
-                            f"event at op {self._op_labels[op_idx]!r} has a "
-                            "parent with no provenance; was the scan "
-                            "registered via source()?") from None
-                    key = (
-                        tuple(sorted(parent_cids)),
-                        0 if event["kind"] == "emit" else 1,
-                        event["reason"] or "",
-                        json.dumps(attrs, default=str, sort_keys=True),
-                    )
-                    prepared.append((key, event, attrs, parent_cids))
-                prepared.sort(key=lambda item: item[0])
-                for _, event, attrs, parent_cids in prepared:
-                    child_cids = []
-                    for rid in event["children"]:
-                        cid = rid_to_cid.get(rid)
-                        if cid is None:
-                            cid = add_node(rid, "derived")
-                        child_cids.append(cid)
-                    canonical_events.append({
-                        "op": event["op"],
-                        "op_label": self._op_labels[event["op"]],
-                        "kind": event["kind"],
-                        "reason": event["reason"],
-                        "parents": parent_cids,
-                        "children": child_cids,
-                        "llm": event["llm"],
-                        "attrs": attrs,
-                    })
-
-            output_ids = []
-            for record in outputs:
-                cid = rid_to_cid.get(record.record_id)
-                if cid is None:
-                    # A plan with no event-reporting ops (pure scan)
-                    # still has its outputs as roots; anything else
-                    # missing is a wiring bug.
+                            "duplicate_of references a record with no "
+                            "canonical id yet")
+                    attrs["duplicate_of"] = rid_to_cid[dup]
+                try:
+                    parent_cids = [rid_to_cid[rid]
+                                   for rid in event["parents"]]
+                except KeyError:
                     raise ProvenanceError(
-                        "output record has no provenance node; an operator "
-                        "emitted it without reporting the derivation")
-                output_ids.append(cid)
+                        f"event at op {self._op_labels[op_idx]!r} has a "
+                        "parent with no provenance; was the scan "
+                        "registered via source()?") from None
+                key = (
+                    tuple(sorted(parent_cids)),
+                    0 if event["kind"] == "emit" else 1,
+                    event["reason"] or "",
+                    json.dumps(attrs, default=str, sort_keys=True),
+                )
+                prepared.append((key, event, attrs, parent_cids))
+            prepared.sort(key=lambda item: item[0])
+            for _, event, attrs, parent_cids in prepared:
+                child_cids = []
+                for rid in event["children"]:
+                    cid = rid_to_cid.get(rid)
+                    if cid is None:
+                        cid = add_node(rid, "derived")
+                    child_cids.append(cid)
+                canonical_events.append({
+                    "op": event["op"],
+                    "op_label": self._op_labels[event["op"]],
+                    "kind": event["kind"],
+                    "reason": event["reason"],
+                    "parents": parent_cids,
+                    "children": child_cids,
+                    "llm": event["llm"],
+                    "attrs": attrs,
+                })
 
-            graph = ProvenanceGraph(
-                ops=list(self._op_labels),
-                nodes=nodes,
-                events=canonical_events,
-                output_ids=output_ids,
-            )
-            graph._rid_to_cid = dict(rid_to_cid)
-            return graph
+        output_ids = []
+        for record in outputs:
+            cid = rid_to_cid.get(record.record_id)
+            if cid is None:
+                # A plan with no event-reporting ops (pure scan)
+                # still has its outputs as roots; anything else
+                # missing is a wiring bug.
+                raise ProvenanceError(
+                    "output record has no provenance node; an operator "
+                    "emitted it without reporting the derivation")
+            output_ids.append(cid)
+
+        graph = ProvenanceGraph(
+            ops=list(self._op_labels),
+            nodes=nodes,
+            events=canonical_events,
+            output_ids=output_ids,
+        )
+        graph._rid_to_cid = dict(rid_to_cid)
+        return graph
 
 
 class ProvenanceGraph:

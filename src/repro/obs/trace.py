@@ -2,15 +2,15 @@
 
 Design constraints, in order of importance:
 
-1. **Deterministic.**  Two runs of the same plan — at any worker count, on
-   any thread interleaving — must produce identical span trees and
-   durations.  All timestamps therefore come from the
+1. **Deterministic.**  Two runs of the same plan — at any worker count,
+   under any schedule — must produce identical span trees and durations.
+   All timestamps therefore come from the
    :class:`~repro.llm.clock.VirtualClock` (never wall time), spans are
-   attributed to the clock *lane* that was charged (not the OS thread that
-   happened to run), and span ids are assigned by a canonical finalization
-   pass over the finished tree rather than by a racy live counter.
-   Siblings that carry a ``seq`` attribute (pipeline bundles) are ordered
-   by it; everything else keeps its single-threaded append order.
+   attributed to the clock *lane* that was charged, and span ids are
+   assigned by a canonical finalization pass over the finished tree
+   rather than by a live counter.  Siblings that carry a ``seq``
+   attribute (pipeline bundles) are ordered by it; everything else keeps
+   its append order.
 2. **Zero-cost when disabled.**  The shared :data:`NULL_TRACER` answers
    ``span()`` with one reusable no-op context manager and reports
    ``enabled = False`` so hot paths can skip building attribute dicts.
@@ -22,7 +22,6 @@ Design constraints, in order of importance:
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterator, List, Optional
 
 _SEQ_MISSING = float("inf")
@@ -133,7 +132,8 @@ class Trace:
 
     Building a ``Trace`` sorts every sibling list deterministically and
     assigns depth-first span ids starting at 1, so the same run always
-    serializes to the same bytes regardless of thread interleavings.
+    serializes to the same bytes whichever order its schedule visited
+    the lanes in.
     """
 
     def __init__(self, roots: List[Span]):
@@ -223,36 +223,6 @@ class Trace:
         return f"Trace(spans={len(self._spans)}, makespan={self.makespan:.3f}s)"
 
 
-class TraceStore:
-    """Thread-safe accumulation of root spans for one tracer."""
-
-    _GUARDED_BY = {"_roots": "_lock"}
-
-    def __init__(self):
-        self._roots: List[Span] = []
-        self._lock = threading.Lock()
-
-    def add_root(self, span: Span) -> None:
-        with self._lock:
-            self._roots.append(span)
-
-    @property
-    def roots(self) -> List[Span]:
-        with self._lock:
-            return list(self._roots)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._roots = []
-
-    def build(self) -> Trace:
-        return Trace(self.roots)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._roots)
-
-
 class _ActiveSpan:
     """Context manager for one live span (returned by :meth:`Tracer.span`)."""
 
@@ -277,7 +247,7 @@ class _ActiveSpan:
 
 
 class _AttachedSpan:
-    """Context manager that pushes an *existing* span onto this thread's
+    """Context manager that pushes an *existing* span onto the tracer's
     stack without touching its times — a schedule uses it to parent a
     lane's spans under a stage or shard span it opened earlier."""
 
@@ -296,7 +266,10 @@ class _AttachedSpan:
 
 
 class Tracer:
-    """Creates spans, tracks per-thread nesting, and owns the store.
+    """Creates spans, tracks their nesting, and holds the root spans.
+
+    A tracer belongs to one run (or one chat session) and is driven from
+    the thread that runs it: the span stack is a plain list.
 
     Args:
         clock: default time source (a :class:`VirtualClock`); individual
@@ -309,30 +282,22 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock=None):
-        self.store = TraceStore()
         self.default_clock = clock
-        self._local = threading.local()
-        self._attach_lock = threading.Lock()
+        self._roots: List[Span] = []
+        self._stack: List[Span] = []
 
-    # -- per-thread span stack --------------------------------------------
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    # -- span stack ----------------------------------------------------------
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
 
     def current_span(self) -> Optional[Span]:
-        stack = self._stack()
+        stack = self._stack
         return stack[-1] if stack else None
 
     # -- span creation -----------------------------------------------------
@@ -347,19 +312,18 @@ class Tracer:
         if parent is None:
             parent = self.current_span()
         if parent is None:
-            self.store.add_root(span)
+            self._roots.append(span)
         else:
-            with self._attach_lock:
-                parent.children.append(span)
+            parent.children.append(span)
 
     def span(self, name: str, kind: str = SpanKind.INTERNAL,
              clock=None, parent: Optional[Span] = None,
              **attributes) -> _ActiveSpan:
         """Open a nested span; use as ``with tracer.span(...) as span:``.
 
-        The parent defaults to the calling thread's innermost open span
-        (falling back to a new root); pass ``parent=`` explicitly when the
-        logical parent was opened on another thread.
+        The parent defaults to the innermost open span (falling back to a
+        new root); pass ``parent=`` explicitly when the logical parent is
+        not the innermost one.
         """
         now, lane, clock = self._now_lane(clock)
         span = Span(name, kind=kind, start=now, lane=lane,
@@ -390,7 +354,7 @@ class Tracer:
     def start_span(self, name: str, kind: str = SpanKind.INTERNAL,
                    clock=None, parent: Optional[Span] = None,
                    **attributes) -> Span:
-        """Create and adopt a span *without* pushing it on this thread's
+        """Create and adopt a span *without* pushing it on the span
         stack.  Used for spans that stay open while the schedule visits
         other lanes (a pipeline stage or shard span): the schedule
         ``attach()``-es to it per visit and finishes it explicitly with
@@ -402,7 +366,7 @@ class Tracer:
         return span
 
     def attach(self, span: Optional[Span]):
-        """Parent subsequent spans of this thread under ``span``.
+        """Parent subsequent spans under ``span`` for the block.
 
         ``None`` (no span was created, e.g. tracing was off when the stage
         was built) degrades to a no-op context manager.
@@ -413,7 +377,7 @@ class Tracer:
 
     def finish(self) -> Trace:
         """Finalize everything recorded so far into a canonical tree."""
-        return self.store.build()
+        return Trace(self._roots)
 
 
 class _NullSpan:

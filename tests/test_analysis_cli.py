@@ -158,6 +158,40 @@ class TestFamilyFilter:
         assert "CC504" in out
         assert "CG304" not in out
 
+    def test_family_cc_calls_no_other_analyzer(self, tmp_path, capsys,
+                                               monkeypatch):
+        from repro.analysis import codegen_lint, obs_lint, server_lint
+
+        fixture = write(tmp_path, "mixed.py", (
+            "import time\n"
+            "print(undefined_name)\n"
+            "stamp = time.time()\n"
+        ))
+        argv = ["lint", "--no-demos", "--no-tools", fixture]
+        assert main(argv) == 1
+        cc_lines = [line for line in capsys.readouterr().out.splitlines()
+                    if "CC5" in line]
+        assert main(argv[:3] + ["--family", "CC"] + argv[3:]) == 1
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a disabled family's analyzer ran")
+
+        for module, name in [
+            (codegen_lint, "_repro_aliases"), (codegen_lint, "_public_api"),
+            (codegen_lint, "_lint_api_usage"),
+            (codegen_lint, "_lint_dataset_calls"),
+            (codegen_lint, "_ModuleNames"),
+            (server_lint, "lint_source_tenancy"),
+            (obs_lint, "lint_source_wallclock"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv[:3] + ["--family", "CC"] + argv[3:]) == 1
+        out = capsys.readouterr().out
+        assert out == expected
+        assert [line for line in out.splitlines() if "CC5" in line] == \
+            cc_lines
+
     def test_family_accepts_multiple(self, tmp_path, capsys):
         fixture = write(tmp_path, "mixed2.py", (
             "import time\n"

@@ -4,8 +4,8 @@ The contract under test: the pipelined executor — operator stages on
 their own clock lanes, optional batching — produces exactly the records
 the sequential executor produces, with the same per-operator
 ``records_in``/``records_out``/``llm_calls`` accounting, for every plan
-shape and any worker count, run after run.  The shared clock, ledger and
-memo tables are still stress-tested under real threads.
+shape and any worker count, run after run.  The call cache, which is
+shared across runs, is still stress-tested under real threads.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.llm.prompts import (
     filter_prompt_parts,
 )
 from repro.llm.tokenizer import count_tokens
-from repro.llm.usage import LLMUsage, UsageLedger
+from repro.llm.usage import UsageLedger
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.policies import MaxQuality
 from repro.physical.context import ExecutionContext
@@ -263,48 +263,6 @@ class TestDeepChains:
 
 
 class TestThreadSafetyStress:
-    def test_clock_concurrent_advances(self):
-        clock = VirtualClock(lanes=8)
-        per_thread, advances = 200, 0.01
-
-        def worker(lane):
-            clock.use_lane(lane)
-            for _ in range(per_thread):
-                clock.advance(advances)
-
-        threads = [
-            threading.Thread(target=worker, args=(lane,)) for lane in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert clock.total_busy == pytest.approx(8 * per_thread * advances)
-        assert clock.elapsed == pytest.approx(per_thread * advances)
-
-    def test_ledger_concurrent_records(self):
-        ledger = UsageLedger()
-        per_thread = 300
-
-        def worker(index):
-            for call in range(per_thread):
-                ledger.record(LLMUsage(
-                    model=f"m{index}", input_tokens=10, output_tokens=1,
-                    cost_usd=0.001, latency_seconds=0.1,
-                ))
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(ledger) == 8 * per_thread
-        totals = ledger.total()
-        assert totals.calls == 8 * per_thread
-        assert totals.cost_usd == pytest.approx(8 * per_thread * 0.001)
-
     def test_call_cache_concurrent_access(self):
         cache = CallCache()
         errors = []

@@ -1,7 +1,6 @@
 """Metrics registry + the cache counters surfaced on ExecutionStats."""
 
 import sys
-import threading
 
 import pytest
 
@@ -64,20 +63,6 @@ class TestPrimitives:
         hist.observe(3.5)
         snap = hist.snapshot_value()
         assert (snap["p50"], snap["p95"], snap["p99"]) == (3.5, 3.5, 3.5)
-
-    def test_counter_thread_safe(self):
-        counter = Counter("c.c")
-
-        def bump():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 8000
 
 
 class TestRegistry:

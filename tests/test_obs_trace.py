@@ -1,7 +1,5 @@
 """Tracing core: span nesting, canonical finalization, null tracer."""
 
-import threading
-
 from repro.llm.clock import VirtualClock
 from repro.obs.trace import (
     NULL_TRACER,
@@ -10,7 +8,6 @@ from repro.obs.trace import (
     SpanKind,
     Trace,
     Tracer,
-    TraceStore,
 )
 
 
@@ -87,25 +84,19 @@ class TestTracerNesting:
         assert trace.first("other.a").parent_id == 0
         assert owned in trace.roots
 
-    def test_attach_parents_across_threads(self):
+    def test_attach_parents_across_visits(self):
         tracer = Tracer()
         stage = tracer.start_span("pipeline.stage", SpanKind.STAGE)
-
-        def worker(seq):
+        for seq in (2, 0, 3, 1):
             with tracer.attach(stage):
                 with tracer.span("pipeline.bundle", SpanKind.BUNDLE,
                                  seq=seq):
                     pass
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            assert tracer.current_span() is None
         trace = tracer.finish()
         stage_span = trace.first("pipeline.stage")
-        assert len(stage_span.children) == 4
+        assert [c.attributes["seq"] for c in stage_span.children] == [
+            0, 1, 2, 3]
         for child in stage_span.children:
             assert child.parent_id == stage_span.span_id
 
@@ -130,14 +121,12 @@ class TestTraceFinalization:
         assert [s.name for s in trace.spans] == ["r.one", "c.one", "c.two"]
 
     def test_seq_attribute_orders_siblings(self):
-        store = TraceStore()
         root = Span("pipeline.stage", SpanKind.STAGE, 0.0, 1.0)
         for seq in (2, 0, 1):
             root.children.append(
                 Span("pipeline.bundle", SpanKind.BUNDLE,
                      attributes={"seq": seq}))
-        store.add_root(root)
-        trace = store.build()
+        trace = Trace([root])
         seqs = [c.attributes["seq"]
                 for c in trace.first("pipeline.stage").children]
         assert seqs == [0, 1, 2]

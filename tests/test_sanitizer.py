@@ -1,4 +1,4 @@
-"""Runtime lock sanitizer: wrapping, graphs, violations, executor runs."""
+"""Runtime lock sanitizer: wrapping, graphs, violations, reports."""
 
 import sys
 import threading
@@ -9,16 +9,6 @@ from repro.analysis.sanitizer import (
     SanitizedLock,
     SanitizerReport,
     sanitize,
-)
-from repro.execution.execute import Execute
-from repro.execution.executors import SequentialExecutor
-
-sys.path.insert(0, "tests")
-from test_execution_pipeline import (
-    make_source,
-    shape_filter_convert,
-    shape_groupby,
-    shape_limit_early,
 )
 
 
@@ -189,52 +179,3 @@ class TestReportShape:
             assert report.cycles() == []
             with pytest.raises(RuntimeError):
                 report.render()
-
-
-class TestSanitizedEquivalence:
-    """The executor-equivalence suite under the sanitizer: every worker
-    count reports zero violations and a cycle-free lock-order graph."""
-
-    SHAPES = [shape_filter_convert, shape_limit_early, shape_groupby]
-
-    @pytest.mark.parametrize("workers", [1, 4, 8])
-    def test_pipelined_clean_at_worker_counts(self, workers):
-        source = make_source(8, f"san-eq-{workers}")
-        for shape in self.SHAPES:
-            baseline, _ = SequentialExecutor().execute(
-                self._plan(shape, source)
-            )
-            with sanitize() as report:
-                records, _ = Execute(
-                    shape(source), lint=False,
-                    executor="pipelined", max_workers=workers,
-                )
-            assert [r.to_json() for r in records] == \
-                [r.to_json() for r in baseline], shape.__name__
-            assert report.violations == [], shape.__name__
-            assert report.cycles() == [], shape.__name__
-            assert report.guarded_writes > 0  # the assertion isn't vacuous
-
-    @pytest.mark.parametrize("shards", [1, 4, 8])
-    def test_sharded_clean_at_shard_counts(self, shards):
-        source = make_source(8, f"san-shard-{shards}")
-        baseline, _ = Execute(shape_filter_convert(source), lint=False)
-        with sanitize() as report:
-            records, _ = Execute(
-                shape_filter_convert(source), lint=False,
-                executor="sharded", shards=shards,
-            )
-        assert [r.to_json() for r in records] == \
-            [r.to_json() for r in baseline]
-        assert report.violations == []
-        assert report.cycles() == []
-
-    def _plan(self, shape, source):
-        from repro.optimizer.optimizer import Optimizer
-        from repro.optimizer.policies import MaxQuality
-
-        return (
-            Optimizer(MaxQuality())
-            .optimize(shape(source).logical_plan(), source)
-            .chosen.plan
-        )
