@@ -46,7 +46,9 @@ Rules:
   in a ``_GUARDED_BY`` map nor a synchronization primitive nor
   thread-local.
 * ``CC504`` — a wall-clock or scheduling observable (``time.time``,
-  ``datetime.now``, ``queue.qsize``, ...) feeds a deterministic path.
+  ``datetime.now``, ``queue.qsize``, ...) feeds a deterministic path;
+  import aliases resolve first (:func:`wall_clock_reads`, shared with
+  ``OB403``).
 * ``CC505`` — an entropy source: module-level ``random.*`` calls,
   unseeded ``random.Random()``, ``os.urandom``, ``uuid.uuid1/uuid4``,
   ``secrets.*``.
@@ -120,15 +122,21 @@ register_rule(
     Severity.WARNING,
 )
 
-#: ``module.attr`` call targets that read the wall clock or the
-#: scheduler (CC504).
-_WALL_CLOCK_CALLS = {
+#: ``module.attr`` call targets that read the wall clock (CC504, OB403),
+#: matched after import aliases resolve to the canonical module.
+_WALL_CLOCK_ATTRS = {
     ("time", "time"), ("time", "monotonic"), ("time", "monotonic_ns"),
     ("time", "perf_counter"), ("time", "perf_counter_ns"),
     ("time", "time_ns"), ("time", "process_time"),
     ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
     ("date", "today"),
 }
+#: Names that read the wall clock when imported from ``time``
+#: (``from time import perf_counter``).
+_WALL_CLOCK_BARE = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time",
+})
 #: Bare method names that observe scheduling state on any receiver.
 _SCHEDULING_CALLS = frozenset({"qsize"})
 
@@ -185,6 +193,54 @@ def _unparse(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - malformed node
         return "<expr>"
+
+
+def wall_clock_reads(tree: ast.AST) -> List[Tuple[ast.Call, str]]:
+    """Every call in ``tree`` that reads the wall clock, in ``ast.walk``
+    order, with its canonical spelling (``time.monotonic()``).
+
+    Import aliases resolve before matching, so ``import time as _t;
+    _t.monotonic()``, ``from time import perf_counter; perf_counter()``,
+    ``from datetime import datetime as DT; DT.now()`` and the dotted
+    ``datetime.datetime.now()`` all count.  Shared by CC504
+    (determinism) and OB403 (layering).
+    """
+    bare: Set[str] = set()
+    modules = {"time": "time", "datetime": "datetime", "date": "date"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ("time", "datetime"):
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module == "time" and alias.name in _WALL_CLOCK_BARE:
+                    bare.add(alias.asname or alias.name)
+                elif (node.module == "datetime"
+                        and alias.name in ("datetime", "date")):
+                    modules[alias.asname or alias.name] = alias.name
+
+    reads: List[Tuple[ast.Call, str]] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            base = func.value
+            if isinstance(base, ast.Name):
+                receiver = modules.get(base.id)
+            elif (isinstance(base, ast.Attribute)
+                    and isinstance(base.value, ast.Name)
+                    and modules.get(base.value.id) == "datetime"
+                    and base.attr in ("datetime", "date")):
+                receiver = base.attr  # datetime.datetime.now()
+            else:
+                continue
+            if (receiver, func.attr) in _WALL_CLOCK_ATTRS:
+                reads.append((node, f"{receiver}.{func.attr}()"))
+        elif isinstance(func, ast.Name) and func.id in bare:
+            reads.append((node, f"{func.id}()"))
+    return reads
 
 
 def _line_pragma(source_lines: List[str], lineno: int, kind: str) -> bool:
@@ -671,6 +727,7 @@ def _id_value_allowed(node: ast.Call) -> bool:
 def _check_nondeterminism(tree: ast.Module, source_lines,
                           emitter: Emitter, filename: str) -> None:
     random_aliases, random_names = _random_module_names(tree)
+    wall_clock = dict(wall_clock_reads(tree))
 
     def allowed(node: ast.AST) -> bool:
         return _line_pragma(source_lines, node.lineno, "nondet")
@@ -693,9 +750,8 @@ def _check_nondeterminism(tree: ast.Module, source_lines,
             receiver, name = _call_name(node)
             where = f"{filename}:{node.lineno}"
             # CC504 — wall clock / scheduler observables
-            if ((receiver, name) in _WALL_CLOCK_CALLS
-                    or (receiver is not None
-                        and name in _SCHEDULING_CALLS)):
+            if node in wall_clock or (receiver is not None
+                                      and name in _SCHEDULING_CALLS):
                 if not allowed(node):
                     emitter.emit(
                         "CC504",
@@ -797,25 +853,3 @@ def lint_source_concurrency(
                          filename)
     _check_nondeterminism(tree, source_lines, emitter, filename)
     return result
-
-
-def guarded_declarations(source: str) -> Dict[str, Dict[str, Tuple[str, str]]]:
-    """``{class_name: {attr: (lock, mode)}}`` parsed from ``source``.
-
-    The runtime sanitizer cross-checks these static declarations against
-    observed lock holds (:mod:`repro.analysis.sanitizer`).
-    """
-    try:
-        tree = ast.parse(source)
-    except (SyntaxError, ValueError):
-        return {}
-    _attach_parents(tree)
-    _, classes = _collect_guards(tree)
-    return {
-        name: {
-            attr: (entry.lock, entry.mode)
-            for attr, entry in info["declared"].items()
-        }
-        for name, info in classes.items()
-        if info["declared"]
-    }

@@ -24,6 +24,7 @@ import ast
 import re
 from typing import Optional
 
+from repro.analysis.concurrency import wall_clock_reads
 from repro.analysis.diagnostics import (
     Emitter,
     LintConfig,
@@ -226,26 +227,6 @@ def lint_provenance(
 # OB403: the wall-clock boundary (telemetry conventions)
 # ---------------------------------------------------------------------------
 
-#: ``module.attr`` call targets that read the wall clock (same vocabulary
-#: as CC504, which flags them for *determinism*; OB403 flags them for
-#: *layering* — even deterministic-safe reads belong in the telemetry
-#: module so operational time stays in one place).
-_WALL_CLOCK_ATTRS = {
-    ("time", "time"), ("time", "time_ns"),
-    ("time", "monotonic"), ("time", "monotonic_ns"),
-    ("time", "perf_counter"), ("time", "perf_counter_ns"),
-    ("time", "process_time"),
-    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-    ("date", "today"),
-}
-
-#: Bare names that read the wall clock when imported from ``time``
-#: (``from time import perf_counter``).
-_WALL_CLOCK_BARE = frozenset({
-    "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns",
-    "time_ns", "process_time",
-})
-
 #: Path fragments that put a file in OB403's jurisdiction (the package's
 #: own source, however the linter was pointed at it).
 _IN_SCOPE_FRAGMENT = "repro/"
@@ -287,56 +268,7 @@ def lint_source_wallclock(
         return result  # CG301's problem, not ours
     emitter = Emitter(result, config)
     source_lines = source.splitlines()
-
-    from_time = {
-        alias.asname or alias.name
-        for node in ast.walk(module)
-        if isinstance(node, ast.ImportFrom) and node.module == "time"
-        for alias in node.names
-        if alias.name in _WALL_CLOCK_BARE | {"time"}
-    }
-    # ``import time as _time`` must not dodge the rule: resolve module
-    # aliases back to their canonical names before matching receivers.
-    module_aliases = {"time": "time", "datetime": "datetime",
-                      "date": "date"}
-    for node in ast.walk(module):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in ("time", "datetime"):
-                    module_aliases[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "datetime":
-                for alias in node.names:
-                    if alias.name in ("datetime", "date"):
-                        module_aliases[alias.asname or alias.name] = (
-                            alias.name)
-
-    for node in ast.walk(module):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name):
-                receiver = module_aliases.get(base.id)
-            elif (isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and module_aliases.get(base.value.id) == "datetime"
-                    and base.attr in ("datetime", "date")):
-                # Dotted receivers: ``import datetime`` followed by
-                # ``datetime.datetime.now()`` / ``datetime.date.today()``
-                # — the most common wall-clock spelling of all must not
-                # slip through the boundary.
-                receiver = base.attr
-            else:
-                receiver = None
-            if (receiver, func.attr) not in _WALL_CLOCK_ATTRS:
-                continue
-            read = f"{receiver}.{func.attr}()"
-        elif isinstance(func, ast.Name) and func.id in from_time:
-            read = f"{func.id}()"
-        else:
-            continue
+    for node, read in wall_clock_reads(module):
         if _wallclock_pragma(source_lines, node.lineno):
             continue
         emitter.emit(

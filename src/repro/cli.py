@@ -291,7 +291,7 @@ def _cmd_top(args) -> int:
             print(f"repro top: cannot reach {args.url}: {exc}",
                   file=sys.stderr)
             return 2
-        now = _time.monotonic()  # wallclock: ok(dashboard poll cadence, client side only)
+        now = _time.monotonic()  # wallclock: ok(dashboard poll cadence, client side only)  # nondet: ok(the poll interval is never stored)
         elapsed = (now - previous_at) if previous_at is not None else None
         frame = render_dashboard(payload, previous=previous,
                                  elapsed=elapsed)

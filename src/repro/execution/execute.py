@@ -21,9 +21,10 @@ from repro.execution.incremental import (
 )
 from repro.execution.pipeline import PipelinedExecutor
 from repro.execution.sharded import ShardedExecutor
-from repro.execution.stats import ExecutionStats
+from repro.execution.stats import ExecutionStats, metrics_snapshot
 from repro.llm.models import ModelRegistry
 from repro.llm.replay import ReplayLog
+from repro.obs.metrics import count
 from repro.obs.provenance import NULL_PROVENANCE, ProvenanceRecorder
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.optimizer.cost_model import CostModel
@@ -357,8 +358,9 @@ class ExecutionEngine:
             after - before
             for after, before in zip(self._cache_counts(), cache_before)
         )
-        context.metrics.counter("llm.cache_hits").inc(cache_hits)
-        context.metrics.counter("llm.cache_misses").inc(cache_misses)
+        metrics = context.metrics
+        count(metrics, "llm.cache_hits", cache_hits)
+        count(metrics, "llm.cache_misses", cache_misses)
         stats = ExecutionStats(
             plan_stats=plan_stats,
             policy=report.policy.describe(),
@@ -372,7 +374,7 @@ class ExecutionEngine:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_evictions=cache_evictions,
-            metrics=context.metrics.snapshot(),
+            metrics=metrics_snapshot(metrics),
             trace=tracer.finish() if traced else None,
             provenance=recorder.finalize(records) if recording else None,
         )

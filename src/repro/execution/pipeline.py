@@ -690,7 +690,7 @@ class PipelinedExecutor(PlanExecutor):
             busy = round(
                 sum(m.stats.time_seconds for m in stage.meters), 9
             )
-            metrics.gauge(f"pipeline.stage{index}.busy_seconds").set(busy)
+            metrics[f"pipeline.stage{index}.busy_seconds"] = busy
             if tracer.enabled:
                 self._canonicalize_stage(stage, base_lane_times)
             stage.span.set_attribute("busy_seconds", busy)

@@ -62,6 +62,7 @@ from repro.core.sources import (
 from repro.execution.pipeline import PlanExecutor, _Meter, plan_batch_size
 from repro.execution.stats import PlanStats
 from repro.llm.tokenizer import count_tokens
+from repro.obs.metrics import count
 from repro.obs.trace import SpanKind
 from repro.physical.context import ExecutionContext
 from repro.physical.options import ExecutionOptions
@@ -235,9 +236,9 @@ class ShardedExecutor(PlanExecutor):
 
         if self.REPORTS_SHARD_COUNTS:
             metrics = self.context.metrics
-            metrics.counter("shard.scatter.records").inc(sum(per_shard))
+            count(metrics, "shard.scatter.records", sum(per_shard))
             for k in range(shards):
-                metrics.counter(f"shard.{k}.records").inc(per_shard[k])
+                count(metrics, f"shard.{k}.records", per_shard[k])
                 run.lane_spans[k].set_attribute("records", per_shard[k])
         elapsed = clock.elapsed
         for span in run.lane_spans + [run.close_span]:

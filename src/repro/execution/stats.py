@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.obs.metrics import count, summarize
+
 if TYPE_CHECKING:
     from repro.core.records import DataRecord
     from repro.physical.context import ExecutionContext
@@ -127,39 +129,47 @@ def _fill_run_metrics(
     op_stats: List[OperatorStats],
     sink: "List[DataRecord]",
 ) -> None:
-    """Populate the context's MetricsRegistry from the finished run.
+    """Add the finished run's numbers to the context's metrics dict.
 
     Every value here is a deterministic function of the plan and input —
     computed once at run end from the same OperatorStats / ledger the
     stats report, never sampled in the hot path — so the snapshot that
     lands in ``ExecutionStats.metrics`` is identical traced or untraced,
-    at any worker count.
+    at any worker count.  Counters and distributions add to what an
+    earlier run on the same context left (a join's right side runs
+    first on the join's context); gauges keep the last write.
     """
     metrics = context.metrics
     ledger_total = context.ledger.total()
-    metrics.counter("llm.calls").inc(len(context.ledger))
-    metrics.counter("llm.input_tokens").inc(ledger_total.input_tokens)
-    metrics.counter("llm.output_tokens").inc(ledger_total.output_tokens)
+    count(metrics, "llm.calls", len(context.ledger))
+    count(metrics, "llm.input_tokens", ledger_total.input_tokens)
+    count(metrics, "llm.output_tokens", ledger_total.output_tokens)
     # Per-call distributions.  Cost and token counts are batch-invariant
     # (identical per-record or batched); latency is not, so no latency
-    # histogram — it would differ between batch sizes.
+    # distribution — it would differ between batch sizes.
     usages = context.ledger.records
-    metrics.histogram("llm.call_cost_usd").observe_many(
-        [usage.cost_usd for usage in usages])
-    metrics.histogram("llm.call_input_tokens").observe_many(
-        [usage.input_tokens for usage in usages])
-    metrics.histogram("llm.call_output_tokens").observe_many(
-        [usage.output_tokens for usage in usages])
-    metrics.counter("run.records_out").inc(len(sink))
-    metrics.gauge("run.elapsed_seconds").set(round(context.clock.elapsed, 9))
+    metrics.setdefault("llm.call_cost_usd", []).extend(
+        usage.cost_usd for usage in usages)
+    metrics.setdefault("llm.call_input_tokens", []).extend(
+        usage.input_tokens for usage in usages)
+    metrics.setdefault("llm.call_output_tokens", []).extend(
+        usage.output_tokens for usage in usages)
+    count(metrics, "run.records_out", len(sink))
+    metrics["run.elapsed_seconds"] = round(context.clock.elapsed, 9)
     for index, stats in enumerate(op_stats):
         prefix = f"op.{index}.{stats.op_label}"
-        metrics.counter(f"{prefix}.records_in").inc(stats.records_in)
-        metrics.counter(f"{prefix}.records_out").inc(stats.records_out)
-        metrics.counter(f"{prefix}.llm_calls").inc(stats.llm_calls)
-        metrics.gauge(f"{prefix}.busy_seconds").set(
-            round(stats.time_seconds, 9)
-        )
+        count(metrics, f"{prefix}.records_in", stats.records_in)
+        count(metrics, f"{prefix}.records_out", stats.records_out)
+        count(metrics, f"{prefix}.llm_calls", stats.llm_calls)
+        metrics[f"{prefix}.busy_seconds"] = round(stats.time_seconds, 9)
+
+
+def metrics_snapshot(metrics: Dict[str, Any]) -> Dict[str, Any]:
+    """``metrics`` sorted by name, each distribution summarized."""
+    return {
+        name: summarize(value) if isinstance(value, list) else value
+        for name, value in sorted(metrics.items())
+    }
 
 
 def build_plan_stats(
@@ -244,7 +254,7 @@ class ExecutionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: Deterministic metric snapshot (MetricsRegistry.snapshot()).
+    #: Deterministic run metrics (:func:`metrics_snapshot`).
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: The finalized Trace when the run was traced, else None.  Excluded
     #: from serialization/comparison — export it via repro.obs.export.

@@ -8,8 +8,9 @@ proper observability subsystem:
   spans timed by the :class:`VirtualClock`
   (never wall time), attributed to the same lanes the clock charges, and
   canonicalized into a deterministic :class:`Trace` tree.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,
-  and histograms snapshotted into
+* :mod:`repro.obs.metrics` — a run's metrics are a plain dict (counters
+  add, gauges keep the last write, distributions are summarized by
+  ``summarize``) snapshotted into
   :class:`~repro.execution.stats.ExecutionStats`.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON and plain-JSON
   trace files.
@@ -43,7 +44,6 @@ from repro.obs.trace import (
     Trace,
     Tracer,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.export import (
     to_chrome_trace,
     to_plain_json,
@@ -97,10 +97,6 @@ __all__ = [
     "SpanKind",
     "Trace",
     "Tracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "to_chrome_trace",
     "to_plain_json",
     "write_chrome_trace",

@@ -25,9 +25,9 @@ Pieces (see ``docs/observability.md`` → "Operational telemetry"):
 * :class:`TelemetryLog` — structured JSONL event log with size-based
   rotation under ``.repro/telemetry/``.
 * :class:`OpsMetrics` — labeled counters, gauges, and sliding-window
-  histograms (nearest-rank p50/p95/p99, the same quantile definition as
-  the deterministic :class:`~repro.obs.metrics.Histogram`), exported in
-  Prometheus text format and as JSON.
+  histograms summarized by :func:`~repro.obs.metrics.summarize`, the same
+  summary as a run's deterministic distributions, exported in Prometheus
+  text format and as JSON.
 * :class:`SloEvaluator` — a declarative alert-rule table evaluated over
   the sliding windows (availability, p95 turn latency, quota-rejection
   rate, worker-pool saturation); surfaced at ``GET /healthz``.
@@ -50,7 +50,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.metrics import HISTOGRAM_QUANTILES, nearest_rank
+from repro.obs.metrics import HISTOGRAM_QUANTILES, summarize
 
 __all__ = [
     "DEFAULT_TELEMETRY_ROOT",
@@ -307,7 +307,7 @@ class OpsGauge:
 class OpsWindowHistogram:
     """Latency samples over a sliding wall-clock window.
 
-    Unlike the run-scoped deterministic histogram, samples age out:
+    Unlike a run's deterministic distribution, samples age out:
     ``summary()`` reports count/sum/min/max and nearest-rank p50/p95/p99
     over only the samples observed within ``window_seconds`` of *now* —
     the basis for the SLO evaluation and the ``repro top`` percentiles.
@@ -340,16 +340,7 @@ class OpsWindowHistogram:
         with self._lock:
             self._prune_locked(stamp)
             values = [value for _, value in self._samples]
-        summary: Dict[str, float] = {
-            "count": len(values),
-            "sum": round(sum(values), 9),
-            "min": min(values) if values else 0.0,
-            "max": max(values) if values else 0.0,
-        }
-        ordered = sorted(values)
-        for label, q in HISTOGRAM_QUANTILES:
-            summary[label] = nearest_rank(ordered, q) if ordered else 0.0
-        return summary
+        return summarize(values)
 
 
 class OpsMetrics:
@@ -723,8 +714,7 @@ class NullTelemetry:
         value = 0.0
 
         def summary(self, now: Optional[float] = None) -> Dict[str, float]:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0}
+            return summarize(())
 
     class _NullOps:
         window_seconds = DEFAULT_WINDOW_SECONDS

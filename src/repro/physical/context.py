@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
 from repro.llm.cache import CallCache
 from repro.llm.clock import VirtualClock
 from repro.llm.models import ModelRegistry, default_registry
 from repro.llm.oracle import GroundTruthRegistry, global_oracle
 from repro.llm.usage import BudgetMeter, QuotaExceededError, UsageLedger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import NULL_PROVENANCE
 from repro.obs.trace import NULL_TRACER
 
@@ -30,7 +29,6 @@ class ExecutionContext:
         models: Optional[ModelRegistry] = None,
         cache: Optional[CallCache] = None,
         tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         provenance=None,
         replay=None,
         budget: Optional[BudgetMeter] = None,
@@ -51,7 +49,8 @@ class ExecutionContext:
         self.models = models or default_registry()
         self.cache = cache
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The run's deterministic metrics (see :mod:`repro.obs.metrics`).
+        self.metrics: Dict[str, Any] = {}
         self.provenance = (
             provenance if provenance is not None else NULL_PROVENANCE
         )

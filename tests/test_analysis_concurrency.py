@@ -3,8 +3,9 @@
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import LintConfig, lint_program, lint_source_concurrency
-from repro.analysis.concurrency import guarded_declarations
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -345,6 +346,16 @@ class TestCC504WallClock:
         assert codes(result) == ["CC504", "CC504"]
         assert len(result.errors) == 2
 
+    @pytest.mark.parametrize("source", [
+        "import time as _t\n\ndef f():\n    return _t.monotonic()\n",
+        "from time import perf_counter\n\ndef f():\n"
+        "    return perf_counter()\n",
+        "from datetime import datetime as DT\n\ndef f():\n"
+        "    return DT.now()\n",
+    ], ids=["module-alias", "from-import", "class-alias"])
+    def test_fires_on_aliased_reads(self, source):
+        assert codes(lint(source)) == ["CC504"]
+
     def test_qsize_flagged(self):
         flagged = lint("""
             def depth(queue):
@@ -494,15 +505,6 @@ class TestIntegration:
 
     def test_syntax_error_returns_empty(self):
         assert codes(lint("def broken(:")) == []
-
-    def test_guarded_declarations_parser(self):
-        declared = guarded_declarations(textwrap.dedent("""
-            class A:
-                _GUARDED_BY = {"_x": "_lock", "_y": ("_lock", "writes")}
-        """))
-        assert declared == {
-            "A": {"_x": ("_lock", "all"), "_y": ("_lock", "writes")}
-        }
 
 
 class TestAnnotatedModules:

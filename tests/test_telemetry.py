@@ -185,6 +185,17 @@ class TestOpsWindowHistogram:
         summary = histogram.summary()
         assert summary["count"] == 0 and summary["p95"] == 0.0
 
+    def test_sum_is_exact_in_any_sample_order(self):
+        histogram = OpsWindowHistogram(clock=FakeClock())
+        for value in (1e16, 1.0, -1e16):
+            histogram.observe(value)
+        assert histogram.summary()["sum"] == 1.0
+
+    def test_null_summary_matches_an_empty_window(self):
+        null = NULL_TELEMETRY.ops.histogram("turn.wall_seconds")
+        assert null.summary() == OpsWindowHistogram(
+            clock=FakeClock()).summary()
+
 
 class TestOpsMetrics:
     def test_same_name_and_labels_share_an_instrument(self):
