@@ -302,90 +302,23 @@ class CallbackSource(DataSource):
 
 # -- sharding ------------------------------------------------------------
 
-#: Assign record ``i`` to shard ``i % K`` — no profiling pass required.
+#: The one shard assignment: record ``i`` goes to shard ``i % K``.  The
+#: sharded executor's spans name it (``strategy="round_robin"``).
 SHARD_ROUND_ROBIN = "round_robin"
-#: Greedy size balancing: each record goes to the currently lightest shard
-#: by accumulated document tokens (lowest shard index breaks ties).
-SHARD_BALANCED = "balanced"
 
-SHARD_STRATEGIES = (SHARD_ROUND_ROBIN, SHARD_BALANCED)
-
-
-def shard_assignment(
-    shards: int,
-    count: Optional[int] = None,
-    weights: Optional[List[float]] = None,
-    strategy: str = SHARD_ROUND_ROBIN,
-) -> List[int]:
-    """Deterministic shard index per arrival index.
-
-    Pure function of its inputs, so the scatter performed online by the
-    sharded executor and the offline :func:`shard_source` partitioning agree
-    record-for-record.  ``count`` drives round-robin; per-record ``weights``
-    (document token counts) drive the balanced strategy.
-    """
-    if shards < 1:
-        raise DatasetError(f"shards must be >= 1, got {shards}")
-    if strategy == SHARD_ROUND_ROBIN:
-        if count is None:
-            if weights is None:
-                raise DatasetError("round_robin sharding needs a record count")
-            count = len(weights)
-        return [i % shards for i in range(count)]
-    if strategy == SHARD_BALANCED:
-        if weights is None:
-            raise DatasetError(
-                "balanced sharding needs per-record weights "
-                "(document token counts)"
-            )
-        loads = [0.0] * shards
-        assignment: List[int] = []
-        for weight in weights:
-            shard = min(range(shards), key=lambda s: (loads[s], s))
-            loads[shard] += max(0.0, float(weight))
-            assignment.append(shard)
-        return assignment
-    raise DatasetError(
-        f"unknown shard strategy {strategy!r}; "
-        f"expected one of {SHARD_STRATEGIES}"
-    )
-
-
-#: Serializes the shard-assignment and record-weight memos below.  Sources
-#: are shared objects (registries hand the same instance to every engine),
-#: so once concurrent plans shard the same source — the multi-tenant
-#: server of ROADMAP item 1 — the read-compute-store sequences race.
-#: Assignments are pure functions of (source, k, strategy), so the lock
-#: only prevents lost updates and torn dict mutation, not wrong answers.
+#: Serializes the shard-assignment memo below.  Sources are shared objects
+#: (registries hand the same instance to every engine), so when concurrent
+#: plans shard the same source, as the multi-tenant server's do, the
+#: read-compute-store sequence races.  Assignments are pure functions of
+#: (source, k), so the lock only prevents lost updates and torn dict
+#: mutation, not wrong answers.
 _SHARD_CACHE_LOCK = threading.Lock()
 
-#: Module-level lock discipline for the memo attributes stashed on
-#: sources, checked by pz-lint CC501 and the runtime sanitizer.
+#: Module-level lock discipline for the memo attribute stashed on sources,
+#: checked by pz-lint CC501 and the runtime sanitizer.
 _GUARDED_BY = {
     "_shard_cache": "_SHARD_CACHE_LOCK",
-    "_record_weight_cache": "_SHARD_CACHE_LOCK",
 }
-
-
-def source_record_weights(source: DataSource) -> List[int]:
-    """Per-record document token counts, cached on the source.
-
-    This is the profiling pass behind balanced sharding; it walks the source
-    once and memoizes so repeated ``shard_source`` calls are free.
-    """
-    with _SHARD_CACHE_LOCK:
-        cached = getattr(source, "_record_weight_cache", None)
-    if cached is None:
-        # Compute outside the lock: profiling walks the whole source, and
-        # a duplicate computation by a racing thread yields the identical
-        # list (weights are a pure function of the source).
-        computed = [count_tokens(r.document_text()) for r in source]
-        with _SHARD_CACHE_LOCK:
-            cached = getattr(source, "_record_weight_cache", None)
-            if cached is None:
-                cached = computed
-                source._record_weight_cache = cached
-    return cached
 
 
 class SourceShard(DataSource):
@@ -397,7 +330,7 @@ class SourceShard(DataSource):
     """
 
     def __init__(self, parent: DataSource, shard_index: int,
-                 assignment: List[int], strategy: str):
+                 assignment: List[int]):
         if shard_index < 0:
             raise DatasetError(f"shard_index must be >= 0, got {shard_index}")
         super().__init__(
@@ -405,7 +338,6 @@ class SourceShard(DataSource):
         )
         self.parent = parent
         self.shard_index = shard_index
-        self.strategy = strategy
         self._assignment = assignment
 
     @property
@@ -429,46 +361,31 @@ class SourceShard(DataSource):
                 yield record
 
 
-def shard_source(
-    source: DataSource,
-    shards: int,
-    strategy: str = SHARD_ROUND_ROBIN,
-) -> List[SourceShard]:
-    """Partition ``source`` into ``shards`` deterministic shards.
+def shard_source(source: DataSource, shards: int) -> List[SourceShard]:
+    """Partition ``source`` round-robin into ``shards`` deterministic shards.
 
-    The assignment is cached on the source per ``(shards, strategy)`` so
-    repeated partitioning (optimizer estimates, then execution) reuses it.
+    The assignment is cached on the source per shard count so repeated
+    partitioning (optimizer estimates, then execution) reuses it.
     """
-    key = (shards, strategy)
+    if shards < 1:
+        raise DatasetError(f"shards must be >= 1, got {shards}")
     with _SHARD_CACHE_LOCK:
         cache: Optional[Dict[Any, List[int]]] = getattr(
             source, "_shard_cache", None
         )
-        assignment = cache.get(key) if cache else None
+        assignment = cache.get(shards) if cache else None
     if assignment is None:
-        # Compute outside the lock (balanced sharding profiles the whole
-        # source); racing threads compute the same assignment, and the
-        # store below keeps whichever landed first.
-        if strategy == SHARD_BALANCED:
-            weights = source_record_weights(source)
-            assignment = shard_assignment(
-                shards, weights=weights, strategy=strategy
-            )
-        else:
-            count = source._cheap_len()
-            if count is None:
-                count = len(source)
-            assignment = shard_assignment(shards, count=count,
-                                          strategy=strategy)
+        count = source._cheap_len()
+        if count is None:
+            count = len(source)
+        assignment = [i % shards for i in range(count)]
         with _SHARD_CACHE_LOCK:
             cache = getattr(source, "_shard_cache", None)
             if cache is None:
                 cache = {}
                 source._shard_cache = cache
-            assignment = cache.setdefault(key, assignment)
-    return [
-        SourceShard(source, k, assignment, strategy) for k in range(shards)
-    ]
+            assignment = cache.setdefault(shards, assignment)
+    return [SourceShard(source, k, assignment) for k in range(shards)]
 
 
 class DataSourceRegistry:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.sources import SHARD_ROUND_ROBIN
 from repro.execution.pipeline import _Meter
 from repro.execution.sharded import ShardedExecutor, _ScatterRun
 from repro.obs.trace import SpanKind
@@ -47,8 +46,8 @@ class AsyncExecutor(ShardedExecutor):
                  fanout: Optional[int] = None, batch_size: int = 1,
                  on_event=None):
         super().__init__(
-            context=context, shards=fanout, strategy=SHARD_ROUND_ROBIN,
-            batch_size=batch_size, on_event=on_event,
+            context=context, shards=fanout, batch_size=batch_size,
+            on_event=on_event,
         )
 
     def _begin(self, downstream: List[_Meter], degree: int,

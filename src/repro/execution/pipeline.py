@@ -507,10 +507,13 @@ class PlanExecutor:
         When a LimitOp can stop the source early, which records reach the
         LLM operators depends on the limit's feedback after every single
         record — so the source is abandoned the moment it is exhausted,
-        and limits genuinely save LLM calls.
+        and limits genuinely save LLM calls.  A limit that is exhausted
+        before the first pull (``limit(0)``) skips the scan altogether.
         """
         scan_meter, downstream = meters[0], meters[1:]
         sink: List[DataRecord] = []
+        if stop_limit is not None and stop_limit.exhausted:
+            return self._close_and_flush(downstream, self.LANE_PER_RECORD)
         log = self.journeys
         if log is not None:
             # Route the streaming prefix's meters through the journey log:

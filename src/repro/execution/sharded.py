@@ -1,13 +1,12 @@
 """Sharded scale-out execution: scatter the operator chain over K shards.
 
 :class:`ShardedExecutor` partitions the source stream into ``shards``
-deterministic shards (round-robin by arrival index, or size-balanced by
-document tokens) and runs the plan's *shardable prefix* — the maximal run of
-shard-safe operators after the scan (see
-:func:`repro.physical.plan.shard_safe`) — once per shard on that shard's
-virtual-clock lane.  Everything after the prefix (the *suffix*: limits,
-distinct, blocking aggregates, sorts, retrieves, UDF joins, ...) runs
-post-gather in global arrival order, so order-sensitive semantics are
+deterministic shards (round-robin by arrival index) and runs the plan's
+*shardable prefix* — the maximal run of shard-safe operators after the scan
+(see :func:`repro.physical.plan.shard_safe`) — once per shard on that
+shard's virtual-clock lane.  Everything after the prefix (the *suffix*:
+limits, distinct, blocking aggregates, sorts, retrieves, UDF joins, ...)
+runs post-gather in global arrival order, so order-sensitive semantics are
 untouched.
 
 This module is the one scatter/gather loop of both scale-out names: the
@@ -19,9 +18,8 @@ per-operator ``ExecutionStats``, traces, and provenance graphs are identical
 to the sequential executor at any shard count.  The mechanisms:
 
 * **Scatter** — one loop iterates the scan on lane 0 and routes
-  ``(index, record)`` pairs by the same pure assignment function
-  :func:`repro.core.sources.shard_assignment` uses, so online scatter and
-  offline :func:`repro.core.sources.shard_source` partitioning agree.  A
+  record ``index`` to shard ``index % K``, the assignment offline
+  :func:`repro.core.sources.shard_source` partitioning uses too.  A
   shard's buffer is processed once it holds ``batch_size`` records.
 * **Ordered gather** — a processed batch leaves one output bundle per input
   record (empty ones included), keyed by arrival index; after every flush
@@ -54,14 +52,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.records import DataRecord
-from repro.core.sources import (
-    SHARD_BALANCED,
-    SHARD_ROUND_ROBIN,
-    SHARD_STRATEGIES,
-)
+from repro.core.sources import SHARD_ROUND_ROBIN
 from repro.execution.pipeline import PlanExecutor, _Meter, plan_batch_size
 from repro.execution.stats import PlanStats
-from repro.llm.tokenizer import count_tokens
 from repro.obs.metrics import count
 from repro.obs.trace import SpanKind
 from repro.physical.context import ExecutionContext
@@ -110,9 +103,6 @@ class ShardedExecutor(PlanExecutor):
         shards: parallelism degree.  ``None`` (default) honors the degree
             the optimizer stamped onto the plan being executed
             (``plan.shards``), falling back to 2.
-        strategy: shard assignment strategy — ``"round_robin"`` or
-            ``"balanced"`` (greedy size balancing by document tokens).
-            Either way results are identical; only lane utilization moves.
         batch_size: records per ``process_batch`` call inside a shard
             (1 honors the plan's stamp, like the pipelined executor).
         on_event: optional progress callback (see :class:`PlanExecutor`).
@@ -128,22 +118,15 @@ class ShardedExecutor(PlanExecutor):
 
     def __init__(self, context: Optional[ExecutionContext] = None,
                  shards: Optional[int] = None,
-                 strategy: str = SHARD_ROUND_ROBIN,
                  batch_size: int = 1, on_event=None):
         ExecutionOptions(  # validates
             self.EXECUTOR_NAME, batch_size=batch_size, shards=shards
         )
-        if strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard strategy {strategy!r}; "
-                f"expected one of {SHARD_STRATEGIES}"
-            )
         super().__init__(
             context or ExecutionContext(max_workers=shards or 2),
             on_event=on_event,
         )
         self.shards = shards
-        self.strategy = strategy
         self.batch_size = batch_size
 
     def execute(self, plan: PhysicalPlan) -> Tuple[List[DataRecord], PlanStats]:
@@ -156,7 +139,7 @@ class ShardedExecutor(PlanExecutor):
         return self._run(
             plan,
             {"shards": degree, "batch_size": batch_size,
-             "strategy": self.strategy},
+             "strategy": SHARD_ROUND_ROBIN},
             lambda meters: self._scatter_gather(
                 plan, meters[0],
                 self._begin(meters[1:], degree, batch_size),
@@ -200,7 +183,8 @@ class ShardedExecutor(PlanExecutor):
         """The stage span lane ``1 + k``'s prefix work nests under."""
         return self.context.tracer.start_span(
             "shard.worker", SpanKind.STAGE, clock=self.context.clock,
-            shard=k, shards=degree, ops=prefix_ops, strategy=self.strategy,
+            shard=k, shards=degree, ops=prefix_ops,
+            strategy=SHARD_ROUND_ROBIN,
         )
 
     # -- the scatter/gather loop ----------------------------------------------
@@ -210,18 +194,9 @@ class ShardedExecutor(PlanExecutor):
         shards = run.degree
         clock = self.context.clock
         per_shard = [0] * shards
-        loads = [0.0] * shards
         clock.use_lane(0)
         for index, record in enumerate(self._scan(plan, scan_meter)):
-            if self.strategy == SHARD_BALANCED:
-                # Online greedy argmin by accumulated document tokens —
-                # the same function shard_assignment() computes offline.
-                shard = min(range(shards), key=lambda s: (loads[s], s))
-                loads[shard] += max(
-                    0.0, float(count_tokens(record.document_text()))
-                )
-            else:
-                shard = index % shards
+            shard = index % shards
             per_shard[shard] += 1
             batch = run.batches[shard]
             batch.append((index, record))

@@ -57,7 +57,11 @@ class VirtualClock:
 
     @property
     def total_busy(self) -> float:
-        """Sum of busy time across all lanes (aggregate compute-seconds)."""
+        """Sum of every lane's local time.
+
+        Compute-seconds until the first barrier; after :meth:`synchronize`
+        it also counts the waits that brought idle lanes up to the slowest.
+        """
         return sum(self._lane_times)
 
     def advance(self, seconds: float) -> float:

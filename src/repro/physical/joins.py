@@ -261,7 +261,10 @@ class EmbeddingBlockedJoin(LLMSemanticJoin):
         )
         out = []
         unmatched_usages = []
-        for similarity, index in scored[: self.BLOCK_SIZE]:
+        # The block is judged in right arrival order, so a left record's
+        # matches come out in the order every other join gives them.
+        for similarity, index in sorted(scored[: self.BLOCK_SIZE],
+                                        key=lambda pair: pair[1]):
             right = self._right[index]
             response = self._pair_matches(record, right)
             if response.value:

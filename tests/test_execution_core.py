@@ -22,7 +22,6 @@ from repro.execution import (
     AsyncExecutor,
     Execute,
     ExecutionOptions,
-    ParallelExecutor,
     PipelinedExecutor,
     SequentialExecutor,
     ShardedExecutor,
@@ -38,25 +37,12 @@ from repro.physical.options import EXECUTORS, SCALE_OUT_EXECUTORS
 sys.path.insert(0, "tests")
 from test_execution_pipeline import (  # noqa: E402
     chosen_plan,
+    make_executor,
     make_source,
     shape_filter_convert,
     shape_groupby,
 )
 from test_execution_scale import shape_join  # noqa: E402
-
-
-def build_executor(name, context, on_event=None, **overrides):
-    """``name``'s executor over ``context`` with unpinned batch/shards."""
-    if name == "sequential":
-        return SequentialExecutor(context, on_event=on_event)
-    if name == "parallel":
-        return ParallelExecutor(context, max_workers=context.max_workers,
-                                on_event=on_event)
-    if name == "pipelined":
-        return PipelinedExecutor(context, on_event=on_event, **overrides)
-    if name == "sharded":
-        return ShardedExecutor(context, on_event=on_event, **overrides)
-    return AsyncExecutor(context, on_event=on_event, **overrides)
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +77,8 @@ class TestQuotaCheckpointOnEverySchedule:
                 budget.charge_totals(cost_usd=2000.0, tokens=0)
 
         context = ExecutionContext(max_workers=4, budget=budget)
-        executor = build_executor(name, context, another_session_spends_it)
+        executor = make_executor(name, context,
+                                 on_event=another_session_spends_it)
         with pytest.raises(QuotaExceededError, match="checkpoint"):
             executor.execute(plan)
         # The partial ledger survives the abort and agrees with the meter.
@@ -172,23 +159,13 @@ class TestQuotaCheckpointOnEverySchedule:
         context = ExecutionContext(
             max_workers=4, budget=BudgetMeter(max_cost_usd=1000.0)
         )
-        records, _ = build_executor(name, context).execute(plan)
+        records, _ = make_executor(name, context).execute(plan)
         assert records
 
 
 # ----------------------------------------------------------------------
 # Every schedule is a loop on the calling thread.
 # ----------------------------------------------------------------------
-
-#: Each name at 4 workers (lanes, shards or fan-out) and batch 8.
-FOUR_WIDE = {
-    "sequential": {},
-    "parallel": {},
-    "pipelined": dict(max_workers=4, batch_size=8),
-    "sharded": dict(shards=4, batch_size=8),
-    "async": dict(fanout=4, batch_size=8),
-}
-
 
 class TestNoEngineThread:
     @pytest.mark.parametrize("shape", [
@@ -209,8 +186,9 @@ class TestNoEngineThread:
             assert threading.active_count() == threads_before
             seen.append(event["type"])
 
-        executor = build_executor(name, ExecutionContext(max_workers=4),
-                                  on_event, **FOUR_WIDE[name])
+        # Each name at 4 workers (lanes, shards or fan-out) and batch 8.
+        executor = make_executor(name, ExecutionContext(max_workers=4),
+                                 4, 8, on_event)
         records, _ = executor.execute(plan)
         assert records
         assert seen.count("record_processed") == 16
@@ -249,7 +227,7 @@ class TestExecutorReuseAcrossPlans:
         source = make_source(dataset_id=f"core-reuse-{name}")
         plan = chosen_plan(shape_filter_convert(source), source)
         tracer = Tracer()
-        executor = build_executor(
+        executor = make_executor(
             name, ExecutionContext(max_workers=4, tracer=tracer)
         )
         executor.execute(plan.with_shards(4).with_batch_size(8))

@@ -18,10 +18,15 @@ import pytest
 from repro.core.builtin_schemas import TextFile
 from repro.core.dataset import Dataset
 from repro.core.schemas import make_schema
-from repro.execution.execute import Execute
-from repro.execution.executors import ParallelExecutor, SequentialExecutor
-from repro.execution.pipeline import PipelinedExecutor
 from repro.core.sources import MemorySource
+from repro.execution import (
+    AsyncExecutor,
+    Execute,
+    ParallelExecutor,
+    PipelinedExecutor,
+    SequentialExecutor,
+    ShardedExecutor,
+)
 from repro.llm.cache import CallCache
 from repro.llm.client import BooleanRequest, SimulatedLLMClient
 from repro.llm.clock import VirtualClock
@@ -35,6 +40,8 @@ from repro.llm.prompts import (
 )
 from repro.llm.tokenizer import count_tokens
 from repro.llm.usage import UsageLedger
+from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.policies import MaxQuality
 from repro.physical.context import ExecutionContext
@@ -70,16 +77,36 @@ def chosen_plan(dataset, source, **kwargs):
     )
 
 
-def run_plan(plan, kind, workers=1, batch=1, cache=None):
-    context = ExecutionContext(max_workers=max(workers, 1), cache=cache)
+def make_executor(kind, context, workers=None, batch=1, on_event=None):
+    """The ``kind`` schedule over ``context``.  ``workers`` is its worker,
+    shard or fan-out count; ``None`` (and ``batch=1``) leave them to the
+    context and the plan's stamps."""
     if kind == "sequential":
-        executor = SequentialExecutor(context)
-    elif kind == "parallel":
-        executor = ParallelExecutor(context, max_workers=workers)
-    else:
-        executor = PipelinedExecutor(
-            context, max_workers=workers, batch_size=batch
-        )
+        return SequentialExecutor(context, on_event=on_event)
+    if kind == "parallel":
+        workers = workers or context.max_workers
+        return ParallelExecutor(context, max_workers=workers,
+                                on_event=on_event)
+    if kind == "pipelined":
+        return PipelinedExecutor(context, max_workers=workers,
+                                 batch_size=batch, on_event=on_event)
+    if kind == "sharded":
+        return ShardedExecutor(context, shards=workers, batch_size=batch,
+                               on_event=on_event)
+    return AsyncExecutor(context, fanout=workers, batch_size=batch,
+                         on_event=on_event)
+
+
+def run_plan(plan, kind, workers=1, batch=1, cache=None, traced=False,
+             recorded=False, models=None, on_event=None):
+    """Run ``plan`` on a fresh context; returns records, stats, context."""
+    context = ExecutionContext(max_workers=workers, cache=cache,
+                               models=models)
+    if traced:
+        context.tracer = Tracer(clock=context.clock)
+    if recorded:
+        context.provenance = ProvenanceRecorder()
+    executor = make_executor(kind, context, workers, batch, on_event)
     records, stats = executor.execute(plan)
     return records, stats, context
 

@@ -19,25 +19,16 @@ from repro.core.builtin_schemas import TextFile
 from repro.core.dataset import Dataset
 from repro.core.records import DataRecord
 from repro.core.sources import (
-    SHARD_BALANCED,
-    SHARD_ROUND_ROBIN,
     CallbackSource,
     DatasetError,
     MemorySource,
     SourceShard,
-    shard_assignment,
     shard_source,
 )
-from repro.execution.asyncexec import AsyncExecutor
 from repro.execution.execute import Execute
-from repro.execution.executors import SequentialExecutor
-from repro.execution.sharded import ShardedExecutor
 from repro.llm.oracle import DocumentTruth, global_oracle
-from repro.obs.provenance import ProvenanceRecorder
-from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.policies import MaxQuality, MinTime
-from repro.physical.context import ExecutionContext
 from repro.physical.converts import LLMConvertBonded
 from repro.physical.options import ExecutionOptions
 from repro.physical.plan import PhysicalPlan
@@ -89,55 +80,22 @@ SHAPES = [
 SHARD_COUNTS = (1, 2, 4, 8)
 
 
-def run_scaled(plan, kind, degree, strategy=SHARD_ROUND_ROBIN, batch=1,
-               tracer=None, recorder=None):
-    context = ExecutionContext(max_workers=max(1, degree))
-    if tracer is not None:
-        context.tracer = tracer
-    if recorder is not None:
-        context.provenance = recorder
-    if kind == "sequential":
-        executor = SequentialExecutor(context)
-    elif kind == "async":
-        executor = AsyncExecutor(context, fanout=degree, batch_size=batch)
-    else:
-        executor = ShardedExecutor(
-            context, shards=degree, strategy=strategy, batch_size=batch
-        )
-    records, stats = executor.execute(plan)
-    return records, stats, context
-
-
 # ----------------------------------------------------------------------
 # The sharding layer itself.
 # ----------------------------------------------------------------------
 
 class TestShardAssignment:
     def test_round_robin_assignment(self):
-        assert shard_assignment(3, count=7) == [0, 1, 2, 0, 1, 2, 0]
-        assert shard_assignment(1, count=4) == [0, 0, 0, 0]
-
-    def test_balanced_assignment_greedy_min_load(self):
-        # Weights 10, 1, 1, 1: the big record pins shard 0, the rest
-        # accumulate on the lighter shard.
-        assignment = shard_assignment(
-            2, weights=[10, 1, 1, 1], strategy=SHARD_BALANCED
-        )
-        assert assignment == [0, 1, 1, 1]
-
-    def test_balanced_ties_break_to_lowest_shard(self):
-        assignment = shard_assignment(
-            3, weights=[1, 1, 1], strategy=SHARD_BALANCED
-        )
-        assert assignment == [0, 1, 2]
+        source = make_source(n=7, dataset_id="scale-round-robin")
+        assert [s.global_indices for s in shard_source(source, 3)] == [
+            [0, 3, 6], [1, 4], [2, 5]]
+        assert [s.global_indices for s in shard_source(source, 1)] == [
+            list(range(7))]
 
     def test_invalid_arguments(self):
+        source = make_source(n=3, dataset_id="scale-invalid")
         with pytest.raises(DatasetError):
-            shard_assignment(0, count=3)
-        with pytest.raises(DatasetError):
-            shard_assignment(2, count=3, strategy="zigzag")
-        with pytest.raises(DatasetError):
-            shard_assignment(2, strategy=SHARD_BALANCED)  # needs weights
+            shard_source(source, 0)
 
 
 class TestSourceShard:
@@ -163,14 +121,6 @@ class TestSourceShard:
                 merged[index] = record.to_dict()
         assert [merged[i] for i in range(6)] == originals
 
-    def test_balanced_strategy_covers_all_records(self):
-        source = make_source(n=9, dataset_id="scale-balanced")
-        shards = shard_source(source, 3, strategy=SHARD_BALANCED)
-        seen = sorted(
-            index for shard in shards for index in shard.global_indices
-        )
-        assert seen == list(range(9))
-
     def test_assignment_cached_per_configuration(self):
         source = make_source(n=8, dataset_id="scale-cache")
         first = shard_source(source, 2)
@@ -183,7 +133,7 @@ class TestSourceShard:
     def test_negative_shard_index_rejected(self):
         source = make_source(n=4, dataset_id="scale-neg")
         with pytest.raises(DatasetError):
-            SourceShard(source, -1, [0, 0, 0, 0], SHARD_ROUND_ROBIN)
+            SourceShard(source, -1, [0, 0, 0, 0])
 
 
 class TestProfileSinglePass:
@@ -239,9 +189,9 @@ class TestScaleOutEquivalence:
     def test_sharded_matches_sequential_at_every_degree(self, shape):
         source = make_source(n=10, dataset_id=f"scale-eq-{shape.__name__}")
         plan = chosen_plan(shape(source), source)
-        baseline = run_fingerprint(*run_scaled(plan, "sequential", 1)[:2])
+        baseline = run_fingerprint(*run_plan(plan, "sequential", 1)[:2])
         for degree in SHARD_COUNTS:
-            records, stats, _ = run_scaled(plan, "sharded", degree)
+            records, stats, _ = run_plan(plan, "sharded", degree)
             assert run_fingerprint(records, stats) == baseline, (
                 f"shards={degree}"
             )
@@ -252,29 +202,19 @@ class TestScaleOutEquivalence:
     def test_async_matches_sequential(self, shape):
         source = make_source(n=10, dataset_id=f"scale-aeq-{shape.__name__}")
         plan = chosen_plan(shape(source), source)
-        baseline = run_fingerprint(*run_scaled(plan, "sequential", 1)[:2])
+        baseline = run_fingerprint(*run_plan(plan, "sequential", 1)[:2])
         for fanout in (1, 4):
-            records, stats, _ = run_scaled(plan, "async", fanout)
+            records, stats, _ = run_plan(plan, "async", fanout)
             assert run_fingerprint(records, stats) == baseline, (
                 f"fanout={fanout}"
             )
 
-    def test_balanced_strategy_matches_round_robin_output(self):
-        source = make_source(n=12, dataset_id="scale-eq-balanced")
-        plan = chosen_plan(shape_filter_convert(source), source)
-        baseline = run_fingerprint(*run_scaled(plan, "sequential", 1)[:2])
-        for degree in (2, 4):
-            records, stats, _ = run_scaled(
-                plan, "sharded", degree, strategy=SHARD_BALANCED
-            )
-            assert run_fingerprint(records, stats) == baseline
-
     def test_shard_batching_matches_per_record(self):
         source = make_source(n=12, dataset_id="scale-eq-batch")
         plan = chosen_plan(shape_filter_convert(source), source)
-        baseline = run_fingerprint(*run_scaled(plan, "sequential", 1)[:2])
+        baseline = run_fingerprint(*run_plan(plan, "sequential", 1)[:2])
         for degree, batch in ((2, 4), (4, 3)):
-            records, stats, _ = run_scaled(
+            records, stats, _ = run_plan(
                 plan, "sharded", degree, batch=batch
             )
             assert run_fingerprint(records, stats) == baseline
@@ -295,11 +235,11 @@ class TestScaleOutEquivalence:
                  usage.cost_usd) for usage in context.ledger.records
             )
 
-        baseline = fingerprint(*run_scaled(plan, "sequential", 1))
+        baseline = fingerprint(*run_plan(plan, "sequential", 1))
         assert fingerprint(
             *run_plan(plan, "pipelined", workers=2, batch=4)) == baseline
         assert fingerprint(
-            *run_scaled(plan, "sharded", 2, batch=4)) == baseline
+            *run_plan(plan, "sharded", 2, batch=4)) == baseline
 
     def test_sharding_shrinks_simulated_time(self):
         """The makespan gate, exact on the virtual clock: 12 records of
@@ -308,10 +248,10 @@ class TestScaleOutEquivalence:
         lane 0)."""
         source = make_source(n=12, dataset_id="scale-speedup")
         plan = chosen_plan(shape_filter_convert(source), source)
-        _, sequential, _ = run_scaled(plan, "sequential", 1)
+        _, sequential, _ = run_plan(plan, "sequential", 1)
         for degree in (2, 4):
-            _, sharded, _ = run_scaled(plan, "sharded", degree)
-            _, fanned, _ = run_scaled(plan, "async", degree)
+            _, sharded, _ = run_plan(plan, "sharded", degree)
+            _, fanned, _ = run_plan(plan, "async", degree)
             speedup = (
                 sequential.total_time_seconds / sharded.total_time_seconds
             )
@@ -323,11 +263,8 @@ class TestScaleOutEquivalence:
         plan = chosen_plan(shape_filter_convert(source), source)
 
         def signature(kind, degree):
-            recorder = ProvenanceRecorder()
-            records, _, _ = run_scaled(
-                plan, kind, degree, recorder=recorder
-            )
-            return recorder.finalize(records).signature()
+            records, _, context = run_plan(plan, kind, degree, recorded=True)
+            return context.provenance.finalize(records).signature()
 
         baseline = signature("sequential", 1)
         assert signature("sharded", 4) == baseline
@@ -339,13 +276,7 @@ class TestScaleOutEquivalence:
         plan = chosen_plan(shape_filter_convert(source), source)
 
         def traced(kind, degree):
-            context = ExecutionContext(max_workers=degree)
-            context.tracer = Tracer(clock=context.clock)
-            if kind == "async":
-                executor = AsyncExecutor(context, fanout=degree)
-            else:
-                executor = ShardedExecutor(context, shards=degree)
-            executor.execute(plan)
+            context = run_plan(plan, kind, degree, traced=True)[2]
             return context.tracer.finish().signature()
 
         for kind in ("sharded", "async"):
@@ -355,9 +286,9 @@ class TestScaleOutEquivalence:
     def test_stress_eight_shards_repeated(self):
         source = make_source(n=16, dataset_id="scale-stress")
         plan = chosen_plan(shape_filter_convert(source), source)
-        baseline = run_fingerprint(*run_scaled(plan, "sequential", 1)[:2])
+        baseline = run_fingerprint(*run_plan(plan, "sequential", 1)[:2])
         for _ in range(5):
-            records, stats, _ = run_scaled(plan, "sharded", 8, batch=2)
+            records, stats, _ = run_plan(plan, "sharded", 8, batch=2)
             assert run_fingerprint(records, stats) == baseline
 
 
@@ -618,8 +549,8 @@ class TestScaleCorpus:
             Dataset(source).filter(SCALE_PREDICATE), source,
             include_embedding_filter=False,
         )
-        base_records, base_stats, _ = run_scaled(plan, "sequential", 1)
-        records, stats, _ = run_scaled(plan, "sharded", 4)
+        base_records, base_stats, _ = run_plan(plan, "sequential", 1)
+        records, stats, _ = run_plan(plan, "sharded", 4)
         assert run_fingerprint(records, stats) == run_fingerprint(
             base_records, base_stats
         )

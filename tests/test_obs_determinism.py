@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.obs.trace import SpanKind, Tracer
+from repro.obs.trace import SpanKind
 
 sys.path.insert(0, "tests")
 from test_execution_pipeline import (
@@ -26,22 +26,11 @@ from test_execution_pipeline import (
     run_plan,
     shape_filter_convert,
 )
-from repro.physical.context import ExecutionContext
-from repro.execution.executors import ParallelExecutor, SequentialExecutor
-from repro.execution.pipeline import PipelinedExecutor
 
 
 def run_traced(plan, kind, workers=1, batch=1):
-    context = ExecutionContext(max_workers=max(workers, 1))
-    context.tracer = Tracer(clock=context.clock)
-    if kind == "sequential":
-        executor = SequentialExecutor(context)
-    elif kind == "parallel":
-        executor = ParallelExecutor(context, max_workers=workers)
-    else:
-        executor = PipelinedExecutor(
-            context, max_workers=workers, batch_size=batch)
-    records, stats = executor.execute(plan)
+    records, stats, context = run_plan(plan, kind, workers, batch,
+                                       traced=True)
     return records, stats, context.tracer.finish()
 
 

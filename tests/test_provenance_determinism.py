@@ -18,7 +18,6 @@ import sys
 
 import pytest
 
-from repro.obs.provenance import ProvenanceRecorder
 from repro.obs import render_why, render_why_not
 
 sys.path.insert(0, "tests")
@@ -32,9 +31,6 @@ from test_execution_pipeline import (
     shape_limit_early,
     shape_retrieve,
 )
-from repro.physical.context import ExecutionContext
-from repro.execution.executors import ParallelExecutor, SequentialExecutor
-from repro.execution.pipeline import PipelinedExecutor
 
 # Every executor configuration the contract covers.  Batch sizes only
 # apply to the pipelined executor (the others ignore them).
@@ -59,20 +55,9 @@ SHAPES = [
 
 
 def run_recorded(plan, kind, workers=1, batch=1):
-    recorder = ProvenanceRecorder()
-    context = ExecutionContext(
-        max_workers=max(workers, 1), provenance=recorder
-    )
-    if kind == "sequential":
-        executor = SequentialExecutor(context)
-    elif kind == "parallel":
-        executor = ParallelExecutor(context, max_workers=workers)
-    else:
-        executor = PipelinedExecutor(
-            context, max_workers=workers, batch_size=batch
-        )
-    records, stats = executor.execute(plan)
-    return records, stats, recorder.finalize(records)
+    records, stats, context = run_plan(plan, kind, workers, batch,
+                                       recorded=True)
+    return records, stats, context.provenance.finalize(records)
 
 
 @pytest.fixture(scope="module")
