@@ -36,11 +36,10 @@ telemetry:
 lint:
 	PYTHONPATH=src python -m repro lint examples
 
-# Concurrency & determinism lint (CC5xx only) over src/repro: guarded-by
-# discipline of the server-reachable locked state, dead locks, worker writes,
-# nondeterminism sources.  Tier-1 runs the same sweep once
+# Determinism lint (CC504-CC507) over src/repro: wall-clock reads, entropy,
+# id() leaks, unordered iteration.  Tier-1 runs the same sweep once
 # (tests/test_analysis_cli.py::test_family_cc_clean_on_engine_source).
-# --strict because the family's warnings (CC502/CC506/CC507) are real bugs.
+# --strict because the family's warnings (CC506/CC507) are real bugs.
 lint-concurrency:
 	PYTHONPATH=src python -m repro lint --family CC --strict src/repro
 

@@ -1,6 +1,6 @@
 """pz-lint: static analysis for pipelines, tools, and generated code.
 
-Three analyzer families share one diagnostics vocabulary:
+Five analyzer families share one diagnostics vocabulary:
 
 * ``PZ1xx`` (:mod:`repro.analysis.plan_lint`) — schema-dataflow checks
   over logical plans, run by the optimizer before execution.
@@ -13,18 +13,11 @@ Three analyzer families share one diagnostics vocabulary:
   over finalized provenance graphs, and the wall-clock layering rule
   (engine source must route operational timing through
   :mod:`repro.obs.telemetry`).
-* ``CC5xx`` (:mod:`repro.analysis.concurrency`) — guarded-by lock
-  discipline (``_GUARDED_BY`` maps), worker-shared state, and
-  nondeterminism sources (wall clock, entropy, ``id()`` leaks,
-  unordered iteration) over engine source and generated programs;
-  its dynamic half is the runtime lock sanitizer
-  (:mod:`repro.analysis.sanitizer`).
-* ``SV6xx`` (:mod:`repro.analysis.server_lint`) — service-layer
-  tenancy discipline: HTTP handlers must reach tenant state
-  (registries, workspaces, sessions, budgets) through
-  ``SessionStore.acquire``.
+* ``CC5xx`` (:mod:`repro.analysis.concurrency`) — nondeterminism
+  sources (wall clock, entropy, ``id()`` leaks, unordered iteration)
+  over engine source and generated programs.
 
-``repro lint`` (the CLI) drives all three; see ``docs/diagnostics.md``
+``repro lint`` (the CLI) drives them all; see ``docs/diagnostics.md``
 for the full rule table.
 """
 
@@ -60,8 +53,6 @@ from repro.analysis.obs_lint import (
     lint_trace,
 )
 from repro.analysis.concurrency import lint_source_concurrency
-from repro.analysis.server_lint import lint_source_tenancy
-from repro.analysis.sanitizer import SanitizerReport, sanitize
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -83,10 +74,7 @@ __all__ = [
     "lint_program",
     "lint_provenance",
     "lint_source_concurrency",
-    "lint_source_tenancy",
     "lint_source_wallclock",
     "lint_trace",
     "lint_workspace_steps",
-    "SanitizerReport",
-    "sanitize",
 ]

@@ -269,22 +269,14 @@ def lint_program(
         _lint_dataset_calls(module, aliases, _dataset_methods(), emitter,
                             filename)
         _ModuleNames(emitter, filename).run(module)
-    # Generated programs get the same concurrency/determinism scrutiny as
-    # the engine's own source (CC5xx): a program that reads the wall clock
+    # Generated programs get the same determinism scrutiny as the
+    # engine's own source (CC5xx): a program that reads the wall clock
     # or iterates a set into its output breaks run-to-run reproducibility
     # just as surely as an engine bug would.
     if enabled("CC"):
         from repro.analysis.concurrency import lint_source_concurrency
 
         lint_source_concurrency(
-            source, filename=filename, config=config, result=result
-        )
-    # Service-layer tenancy discipline (SV6xx): HTTP handler functions
-    # must reach tenant state through SessionStore.acquire().
-    if enabled("SV"):
-        from repro.analysis.server_lint import lint_source_tenancy
-
-        lint_source_tenancy(
             source, filename=filename, config=config, result=result
         )
     # Telemetry layering (OB403): the package's own modules must route

@@ -383,8 +383,7 @@ _FAMILY_LABELS = {
     "AG": "agent/tool lint",
     "CG": "codegen lint",
     "OB": "observability lint",
-    "CC": "concurrency & determinism",
-    "SV": "server/tenancy lint",
+    "CC": "determinism",
 }
 
 

@@ -16,7 +16,6 @@ Those three styles are :class:`DirectorySource`, :class:`MemorySource`, and
 from __future__ import annotations
 
 import statistics
-import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Type
 
@@ -306,20 +305,6 @@ class CallbackSource(DataSource):
 #: sharded executor's spans name it (``strategy="round_robin"``).
 SHARD_ROUND_ROBIN = "round_robin"
 
-#: Serializes the shard-assignment memo below.  Sources are shared objects
-#: (registries hand the same instance to every engine), so when concurrent
-#: plans shard the same source, as the multi-tenant server's do, the
-#: read-compute-store sequence races.  Assignments are pure functions of
-#: (source, k), so the lock only prevents lost updates and torn dict
-#: mutation, not wrong answers.
-_SHARD_CACHE_LOCK = threading.Lock()
-
-#: Module-level lock discipline for the memo attribute stashed on sources,
-#: checked by pz-lint CC501 and the runtime sanitizer.
-_GUARDED_BY = {
-    "_shard_cache": "_SHARD_CACHE_LOCK",
-}
-
 
 class SourceShard(DataSource):
     """One deterministic shard of a parent source.
@@ -365,26 +350,23 @@ def shard_source(source: DataSource, shards: int) -> List[SourceShard]:
     """Partition ``source`` round-robin into ``shards`` deterministic shards.
 
     The assignment is cached on the source per shard count so repeated
-    partitioning (optimizer estimates, then execution) reuses it.
+    partitioning (optimizer estimates, then execution) reuses it.  Sources
+    are shared objects, but the memo takes no lock: an assignment is a
+    pure function of (source, k), so a race costs a recount, never a
+    wrong answer.
     """
     if shards < 1:
         raise DatasetError(f"shards must be >= 1, got {shards}")
-    with _SHARD_CACHE_LOCK:
-        cache: Optional[Dict[Any, List[int]]] = getattr(
-            source, "_shard_cache", None
-        )
-        assignment = cache.get(shards) if cache else None
+    cache: Optional[Dict[int, List[int]]] = getattr(
+        source, "_shard_cache", None)
+    if cache is None:
+        cache = source._shard_cache = {}
+    assignment = cache.get(shards)
     if assignment is None:
         count = source._cheap_len()
         if count is None:
             count = len(source)
-        assignment = [i % shards for i in range(count)]
-        with _SHARD_CACHE_LOCK:
-            cache = getattr(source, "_shard_cache", None)
-            if cache is None:
-                cache = {}
-                source._shard_cache = cache
-            assignment = cache.setdefault(shards, assignment)
+        assignment = cache[shards] = [i % shards for i in range(count)]
     return [SourceShard(source, k, assignment) for k in range(shards)]
 
 

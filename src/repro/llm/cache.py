@@ -14,7 +14,6 @@ accounting benchmarks compare cold vs warm runs explicitly.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
@@ -47,31 +46,19 @@ class CallCache:
             None = unbounded.  A lookup hit refreshes an entry's recency, so
             hot answers survive even when they were stored early.
 
-    Thread-safety contract: lookups and stores are serialized by a lock —
-    the LRU reordering (``move_to_end`` + eviction) is a compound mutation
-    that would corrupt the OrderedDict under free interleaving.  Answers are
-    pure functions of the key, so two threads racing to store the same key
-    write the same value; at most the call accounting differs (both priced
-    as misses).
+    A cache takes no lock: its answers are pure functions of the key, and
+    under ``repro serve`` every engine caller holds the serving lock, so
+    lookups and stores never interleave.
     """
 
     #: Simulated latency of a cache hit, in seconds.
     HIT_LATENCY_SECONDS = 0.002
-
-    #: Lock discipline, checked by pz-lint CC501 and the runtime
-    #: sanitizer.  ``stats`` is writes-only: external callers read the
-    #: counters lock-free (monotonic ints, staleness is harmless).
-    _GUARDED_BY = {
-        "_entries": "_lock",
-        "stats": ("_lock", "writes"),
-    }
 
     def __init__(self, max_entries: Optional[int] = None):
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive or None")
         self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
         self._max_entries = max_entries
-        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     @staticmethod
@@ -82,31 +69,27 @@ class CallCache:
 
     def lookup(self, key: CacheKey) -> Tuple[bool, Any]:
         """(hit?, value).  Updates hit/miss statistics and LRU recency."""
-        with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is not _MISS:
-                self.stats.hits += 1
-                if self._max_entries is not None:
-                    self._entries.move_to_end(key)
-                return True, value
-            self.stats.misses += 1
-            return False, None
+        value = self._entries.get(key, _MISS)
+        if value is not _MISS:
+            self.stats.hits += 1
+            if self._max_entries is not None:
+                self._entries.move_to_end(key)
+            return True, value
+        self.stats.misses += 1
+        return False, None
 
     def store(self, key: CacheKey, value: Any) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            elif (self._max_entries is not None
-                    and len(self._entries) >= self._max_entries):
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-            self._entries[key] = value
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        elif (self._max_entries is not None
+                and len(self._entries) >= self._max_entries):
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+        self._entries[key] = value
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
+        self._entries.clear()
+        self.stats = CacheStats()

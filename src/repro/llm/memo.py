@@ -31,12 +31,14 @@ pieces of a prompt.  A whole prompt or a completion is unique to its call
 prompts piece by piece and completions unmemoized for that reason.
 
 The tokenizer and oracle own module-level instances; :func:`memo_stats` and
-:func:`clear_memos` aggregate them for tests and diagnostics.
+:func:`clear_memos` aggregate them for tests and diagnostics.  They take no
+lock: a value is a pure function of its text, so a race between two
+threads (under ``repro serve`` every engine caller holds the serving lock
+anyway) costs a recount, never a wrong answer.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, List
 
 #: Default entry cap per memo.  Entries hold references to strings that
@@ -51,7 +53,7 @@ class TextMemo:
     """A bounded text -> value memo with hit/miss/eviction counters."""
 
     __slots__ = ("name", "max_entries", "_generation", "_young", "_old",
-                 "_lock", "hits", "misses", "evictions")
+                 "hits", "misses", "evictions")
 
     def __init__(self, name: str, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries <= 0:
@@ -62,20 +64,11 @@ class TextMemo:
         self._generation = max(1, max_entries // 2)
         self._young: Dict[str, Any] = {}
         self._old: Dict[str, Any] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get_or_compute(self, text: str, compute: Callable[[str], Any]) -> Any:
-        # The hit path is deliberately lock-free: it is the hottest path in
-        # the process (every token count and fingerprint) and each dict get
-        # is atomic under the GIL.  Values are pure functions of the text,
-        # so a lookup that races a rotation at worst computes the same
-        # value twice, and ``hits`` may undercount under contention (it is
-        # a diagnostic, not accounting).  Inserting and rotating are
-        # check-then-act on both dicts and take the lock, which is what
-        # makes the bound hold under threads.
         value = self._young.get(text, _SENTINEL)
         if value is _SENTINEL:
             value = self._old.get(text, _SENTINEL)
@@ -83,19 +76,16 @@ class TextMemo:
             self.hits += 1
             return value
         value = compute(text)
-        with self._lock:
-            self.misses += 1
-            if len(self._young) >= self._generation:
-                self._rotate()
-            self._young[text] = value
+        self.misses += 1
+        if len(self._young) >= self._generation:
+            self._rotate()
+        self._young[text] = value
         return value
 
     def _rotate(self) -> None:
         """Retire the young generation; the old one is dropped whole."""
         dropped = self._old
         if self.max_entries > 1:
-            # Assigned before ``_young`` is reset, so a lock-free reader
-            # that finds the new empty ``_young`` finds these in ``_old``.
             self._old = self._young
         else:
             dropped = self._young  # no room for a second generation
@@ -106,12 +96,11 @@ class TextMemo:
         return len(self._young) + len(self._old)
 
     def clear(self) -> None:
-        with self._lock:
-            self._old = {}
-            self._young = {}
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
+        self._old = {}
+        self._young = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def stats(self) -> Dict[str, int]:
         return {

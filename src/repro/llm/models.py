@@ -10,7 +10,6 @@ per *capable* registered model.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
@@ -166,59 +165,50 @@ DEFAULT_MODEL_CARDS: List[ModelCard] = [
 
 
 class ModelRegistry:
-    """A mutable, thread-safe collection of model cards.
+    """A mutable collection of model cards.
 
     The default registry is process-global (like an API key ring); tests and
     benchmarks can construct private registries to control the plan space.
+    Under ``repro serve`` its callers hold the serving lock.
     """
 
-    _GUARDED_BY = {"_cards": "_lock"}
-
     def __init__(self, cards: Optional[Iterable[ModelCard]] = None):
-        self._lock = threading.Lock()
         self._cards: Dict[str, ModelCard] = {}
         for card in cards or []:
             self.register(card)
 
     def register(self, card: ModelCard, overwrite: bool = False) -> None:
-        with self._lock:
-            if card.name in self._cards and not overwrite:
-                raise ValueError(f"model {card.name!r} is already registered")
-            self._cards[card.name] = card
+        if card.name in self._cards and not overwrite:
+            raise ValueError(f"model {card.name!r} is already registered")
+        self._cards[card.name] = card
 
     def unregister(self, name: str) -> None:
-        with self._lock:
-            if name not in self._cards:
-                raise KeyError(f"model {name!r} is not registered")
-            del self._cards[name]
+        if name not in self._cards:
+            raise KeyError(f"model {name!r} is not registered")
+        del self._cards[name]
 
     def get(self, name: str) -> ModelCard:
-        with self._lock:
-            try:
-                return self._cards[name]
-            except KeyError:
-                known = ", ".join(sorted(self._cards)) or "<none>"
-                raise KeyError(
-                    f"unknown model {name!r}; registered models: {known}"
-                ) from None
+        try:
+            return self._cards[name]
+        except KeyError:
+            known = ", ".join(sorted(self._cards)) or "<none>"
+            raise KeyError(
+                f"unknown model {name!r}; registered models: {known}"
+            ) from None
 
     def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._cards
+        return name in self._cards
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cards)
+        return len(self._cards)
 
     def chat_models(self) -> List[ModelCard]:
         """Models eligible for filter/convert physical operators."""
-        with self._lock:
-            cards = [c for c in self._cards.values() if not c.is_embedding_model]
+        cards = [c for c in self._cards.values() if not c.is_embedding_model]
         return sorted(cards, key=lambda c: (-c.quality, c.name))
 
     def embedding_models(self) -> List[ModelCard]:
-        with self._lock:
-            cards = [c for c in self._cards.values() if c.is_embedding_model]
+        cards = [c for c in self._cards.values() if c.is_embedding_model]
         return sorted(cards, key=lambda c: c.name)
 
     def reasoning_models(self) -> List[ModelCard]:
@@ -226,8 +216,7 @@ class ModelRegistry:
         return [c for c in self.chat_models() if c.supports_reasoning]
 
     def all_cards(self) -> List[ModelCard]:
-        with self._lock:
-            return sorted(self._cards.values(), key=lambda c: c.name)
+        return sorted(self._cards.values(), key=lambda c: c.name)
 
     def copy(self) -> "ModelRegistry":
         return ModelRegistry(self.all_cards())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -85,20 +84,14 @@ def _normalize_question(question: str) -> str:
 class GroundTruthRegistry:
     """Maps document fingerprints to :class:`DocumentTruth` entries.
 
-    Thread-safety contract: lookups are single dict reads (atomic under the
-    GIL) and truths are immutable once registered, so executor worker
-    threads read without locking; registration/merge/clear — which happen
-    during corpus generation, never concurrently with execution — take a
-    lock so even a pathological overlap cannot corrupt the table.
+    The table is process-wide and takes no lock: a truth is a pure,
+    immutable value of its document, registered during corpus generation
+    (under ``repro serve``, with the serving lock held), so a race could
+    only register the same truth twice, never a wrong one.
     """
-
-    #: Writes-only guard: the class's documented contract is lock-free
-    #: reads (single atomic dict lookups of immutable truths).
-    _GUARDED_BY = {"_truths": ("_lock", "writes")}
 
     def __init__(self):
         self._truths: Dict[str, DocumentTruth] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._truths)
@@ -112,8 +105,7 @@ class GroundTruthRegistry:
         Returns the fingerprint used as the key.
         """
         fp = fingerprint_text(text)
-        with self._lock:
-            self._truths[fp] = truth
+        self._truths[fp] = truth
         return fp
 
     def lookup(self, text: str) -> Optional[DocumentTruth]:
@@ -151,8 +143,7 @@ class GroundTruthRegistry:
         return truth.difficulty if truth is not None else default
 
     def clear(self) -> None:
-        with self._lock:
-            self._truths.clear()
+        self._truths.clear()
 
     # -- persistence (sidecar files shipped with generated corpora) --------
 
@@ -164,9 +155,8 @@ class GroundTruthRegistry:
     def load(self, path: Path) -> int:
         """Merge truths from a JSON sidecar file; returns entries loaded."""
         payload = json.loads(Path(path).read_text())
-        with self._lock:
-            for fp, data in payload.items():
-                self._truths[fp] = DocumentTruth.from_dict(data)
+        for fp, data in payload.items():
+            self._truths[fp] = DocumentTruth.from_dict(data)
         return len(payload)
 
 

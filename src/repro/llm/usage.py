@@ -8,7 +8,6 @@ dollar costs, and call counts.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -79,58 +78,15 @@ class QuotaExceededError(RuntimeError):
         self.max_tokens = max_tokens
 
 
-class _MeterReading:
-    """A point-in-time reading of a :class:`BudgetMeter`.
-
-    Taken while the meter's lock is held, then used lock-free for cap
-    checks and error messages — so one consistent (cost, tokens, caps)
-    view backs each decision, never a torn mix of two updates.
-    """
-
-    __slots__ = ("cost_usd", "tokens", "max_cost_usd", "max_tokens")
-
-    def __init__(self, cost_usd: float, tokens: int,
-                 max_cost_usd: Optional[float],
-                 max_tokens: Optional[int]):
-        self.cost_usd = cost_usd
-        self.tokens = tokens
-        self.max_cost_usd = max_cost_usd
-        self.max_tokens = max_tokens
-
-    def over(self, strict: bool) -> bool:
-        if self.max_cost_usd is not None:
-            if (self.cost_usd > self.max_cost_usd if strict
-                    else self.cost_usd >= self.max_cost_usd):
-                return True
-        if self.max_tokens is not None:
-            if (self.tokens > self.max_tokens if strict
-                    else self.tokens >= self.max_tokens):
-                return True
-        return False
-
-    def raise_if(self, stage: str, strict: bool) -> None:
-        if not self.over(strict):
-            return
-        raise QuotaExceededError(
-            f"quota exhausted ({stage}): spent ${self.cost_usd:.6f} / "
-            f"{self.tokens} tokens against caps "
-            f"max_cost_usd={self.max_cost_usd}, "
-            f"max_tokens={self.max_tokens}",
-            spent_cost_usd=self.cost_usd,
-            spent_tokens=self.tokens,
-            max_cost_usd=self.max_cost_usd,
-            max_tokens=self.max_tokens,
-        )
-
-
 class BudgetMeter:
-    """Thread-safe cumulative spend tracker with optional hard caps.
+    """Cumulative spend tracker with optional hard caps.
 
     A meter outlives any single run: a tenant's meter is shared by every
     session and every pipeline execution of that tenant, so quotas apply
     to the *sum* of their spend.  Per-run :class:`UsageLedger` objects
     stay fresh (stats remain per-run); they :meth:`charge` the shared
-    meter as records land.
+    meter as records land.  Under ``repro serve`` every charge happens
+    with the serving lock held.
 
     Cap semantics — a run that lands *exactly* at a cap succeeds:
 
@@ -144,64 +100,62 @@ class BudgetMeter:
       the cooperative abort checkpoint between operators polls it.
     """
 
-    _GUARDED_BY = {
-        "_cost_usd": "_lock", "_tokens": "_lock", "_calls": "_lock",
-        "_max_cost_usd": "_lock", "_max_tokens": "_lock",
-    }
-
     def __init__(self, max_cost_usd: Optional[float] = None,
                  max_tokens: Optional[int] = None):
-        if max_cost_usd is not None and max_cost_usd < 0:
-            raise ValueError(
-                f"max_cost_usd must be >= 0, got {max_cost_usd}")
-        if max_tokens is not None and max_tokens < 0:
-            raise ValueError(f"max_tokens must be >= 0, got {max_tokens}")
-        self._lock = threading.Lock()
-        self._max_cost_usd = max_cost_usd
-        self._max_tokens = max_tokens
-        self._cost_usd = 0.0
-        self._tokens = 0
-        self._calls = 0
+        self.spent_cost_usd = 0.0
+        self.spent_tokens = 0
+        self.calls = 0
+        self.set_limits(max_cost_usd, max_tokens)
 
     # -- spending -------------------------------------------------------
 
     def charge(self, usage: LLMUsage) -> None:
         """Add one call's spend; raise if a cap is now strictly exceeded."""
-        with self._lock:
-            self._cost_usd += usage.cost_usd
-            self._tokens += usage.total_tokens
-            self._calls += 1
-            reading = _MeterReading(
-                self._cost_usd, self._tokens,
-                self._max_cost_usd, self._max_tokens)
-        reading.raise_if("charge", strict=True)
+        self.spent_cost_usd += usage.cost_usd
+        self.spent_tokens += usage.total_tokens
+        self.calls += 1
+        self._raise_if("charge", strict=True)
 
     def charge_totals(self, cost_usd: float, tokens: int,
                       calls: int = 0) -> None:
         """Restore previously persisted spend (no cap check — the spend
         already happened; the next precheck/charge enforces the cap)."""
-        with self._lock:
-            self._cost_usd += cost_usd
-            self._tokens += tokens
-            self._calls += calls
+        self.spent_cost_usd += cost_usd
+        self.spent_tokens += tokens
+        self.calls += calls
 
     def precheck(self) -> None:
         """Raise when no headroom remains (the pre-turn budget gate)."""
-        self._reading().raise_if("precheck", strict=False)
+        self._raise_if("precheck", strict=False)
 
     def exceeded(self) -> bool:
         """Has a cap been strictly breached?  (Cooperative checkpoint.)"""
-        return self._reading().over(strict=True)
+        return self._over(strict=True)
 
     def exhausted(self) -> bool:
         """Is the budget fully consumed (spent >= a cap)?"""
-        return self._reading().over(strict=False)
+        return self._over(strict=False)
 
-    def _reading(self) -> "_MeterReading":
-        with self._lock:
-            return _MeterReading(
-                self._cost_usd, self._tokens,
-                self._max_cost_usd, self._max_tokens)
+    def _over(self, strict: bool) -> bool:
+        for spent, cap in ((self.spent_cost_usd, self.max_cost_usd),
+                           (self.spent_tokens, self.max_tokens)):
+            if cap is not None and (spent > cap if strict else spent >= cap):
+                return True
+        return False
+
+    def _raise_if(self, stage: str, strict: bool) -> None:
+        if not self._over(strict):
+            return
+        raise QuotaExceededError(
+            f"quota exhausted ({stage}): spent ${self.spent_cost_usd:.6f} / "
+            f"{self.spent_tokens} tokens against caps "
+            f"max_cost_usd={self.max_cost_usd}, "
+            f"max_tokens={self.max_tokens}",
+            spent_cost_usd=self.spent_cost_usd,
+            spent_tokens=self.spent_tokens,
+            max_cost_usd=self.max_cost_usd,
+            max_tokens=self.max_tokens,
+        )
 
     # -- administration -------------------------------------------------
 
@@ -217,52 +171,31 @@ class BudgetMeter:
                 f"max_cost_usd must be >= 0, got {max_cost_usd}")
         if max_tokens is not None and max_tokens < 0:
             raise ValueError(f"max_tokens must be >= 0, got {max_tokens}")
-        with self._lock:
-            self._max_cost_usd = max_cost_usd
-            self._max_tokens = max_tokens
-
-    @property
-    def spent_cost_usd(self) -> float:
-        with self._lock:
-            return self._cost_usd
-
-    @property
-    def spent_tokens(self) -> int:
-        with self._lock:
-            return self._tokens
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            return self._calls
+        self.max_cost_usd = max_cost_usd
+        self.max_tokens = max_tokens
 
     def snapshot(self) -> Dict[str, Any]:
-        """One consistent view of spend and caps (admin rollups)."""
-        with self._lock:
-            reading = _MeterReading(
-                self._cost_usd, self._tokens,
-                self._max_cost_usd, self._max_tokens)
-            calls = self._calls
+        """Spend and caps as one JSON-able row (admin rollups)."""
         remaining_cost = (
-            None if reading.max_cost_usd is None
-            else max(0.0, reading.max_cost_usd - reading.cost_usd)
+            None if self.max_cost_usd is None
+            else max(0.0, self.max_cost_usd - self.spent_cost_usd)
         )
         remaining_tokens = (
-            None if reading.max_tokens is None
-            else max(0, reading.max_tokens - reading.tokens)
+            None if self.max_tokens is None
+            else max(0, self.max_tokens - self.spent_tokens)
         )
         return {
-            "spent_cost_usd": round(reading.cost_usd, 6),
-            "spent_tokens": reading.tokens,
-            "calls": calls,
-            "max_cost_usd": reading.max_cost_usd,
-            "max_tokens": reading.max_tokens,
+            "spent_cost_usd": round(self.spent_cost_usd, 6),
+            "spent_tokens": self.spent_tokens,
+            "calls": self.calls,
+            "max_cost_usd": self.max_cost_usd,
+            "max_tokens": self.max_tokens,
             "remaining_cost_usd": (
                 None if remaining_cost is None
                 else round(remaining_cost, 6)
             ),
             "remaining_tokens": remaining_tokens,
-            "exhausted": reading.over(strict=False),
+            "exhausted": self._over(strict=False),
         }
 
     def __repr__(self) -> str:
@@ -299,10 +232,12 @@ class _Capture:
                 break
 
 
-#: The full value tuple :meth:`UsageLedger._canonical` orders by.
+#: The full value tuple :meth:`UsageLedger._canonical` orders by.  The
+#: lane timestamp comes last: a schedule decides it, so keying on it any
+#: earlier would let the schedule reorder (and re-round) the sums.
 _CANONICAL_KEY = attrgetter(
-    "model", "operation", "virtual_timestamp", "input_tokens",
-    "output_tokens", "cost_usd", "latency_seconds",
+    "model", "operation", "input_tokens", "output_tokens", "cost_usd",
+    "latency_seconds", "virtual_timestamp",
 )
 
 

@@ -39,7 +39,6 @@ import hashlib
 import json
 import re
 import shutil
-import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -503,32 +502,27 @@ class RunStore:
     never goes back.
     """
 
-    _GUARDED_BY = {"_snapshots": "_lock", "_recorded": "_lock"}
-
     def __init__(self, runs_dir: Optional[str] = None):
         self.runs_dir = runs_dir
         self._snapshots: "OrderedDict[str, RunSnapshot]" = OrderedDict()
         self._recorded = 0
-        self._lock = threading.Lock()
 
     def record(self, records, stats) -> RunSnapshot:
         """Record one execution; returns its full snapshot."""
         if self.runs_dir is not None:
             snapshot = RunRegistry(self.runs_dir).record(records, stats)
         else:
-            with self._lock:
-                self._recorded += 1
-                run_id = f"run-{self._recorded}"
+            self._recorded += 1
+            run_id = f"run-{self._recorded}"
             snapshot = RunSnapshot.from_execution(run_id, records, stats)
         self._keep(snapshot)
         return snapshot
 
     def get(self, run_id: str) -> RunSnapshot:
         """``run_id`` as the chat tools read it; KeyError when unknown."""
-        with self._lock:
-            if run_id in self._snapshots:
-                self._snapshots.move_to_end(run_id)
-                return self._snapshots[run_id]
+        if run_id in self._snapshots:
+            self._snapshots.move_to_end(run_id)
+            return self._snapshots[run_id]
         return self._keep(self._read(RunRegistry.load, run_id))
 
     def base(self, run_id: str) -> RunSnapshot:
@@ -539,17 +533,14 @@ class RunStore:
 
     def handle(self, run_id: str) -> ResultHandle:
         """``run_id``'s result handle; KeyError when unknown."""
-        with self._lock:
-            cached = run_id in self._snapshots
-        if cached:
+        if run_id in self._snapshots:
             return self.get(run_id).handle()
         return self._read(RunRegistry.handle, run_id)
 
     def drop(self, run_ids: List[str]) -> None:
         """Forget ``run_ids``, deleting them from disk when attached."""
-        with self._lock:
-            for run_id in run_ids:
-                self._snapshots.pop(run_id, None)
+        for run_id in run_ids:
+            self._snapshots.pop(run_id, None)
         if self.runs_dir is not None:
             RunRegistry(self.runs_dir).delete(run_ids)
 
@@ -558,11 +549,10 @@ class RunStore:
             snapshot = RunSnapshot(
                 snapshot.run_id, snapshot.meta, snapshot.stats,
                 snapshot.records, snapshot.graph, snapshot.trace)
-        with self._lock:
-            self._snapshots[snapshot.run_id] = snapshot
-            while (self.runs_dir is not None
-                   and len(self._snapshots) > _CACHED_RUNS):
-                self._snapshots.popitem(last=False)
+        self._snapshots[snapshot.run_id] = snapshot
+        while (self.runs_dir is not None
+               and len(self._snapshots) > _CACHED_RUNS):
+            self._snapshots.popitem(last=False)
         return snapshot
 
     def _read(self, read: Callable, run_id: str):

@@ -158,10 +158,9 @@ class TelemetryLog:
     automatically, so callers never thread request ids by hand.  Files
     are ``events-00000.jsonl``, ``events-00001.jsonl``, ... under
     ``root``; when the active file would exceed ``max_bytes`` the writer
-    rolls to the next index and prunes beyond ``keep_files``.
+    rolls to the next index and prunes beyond ``keep_files``.  Under
+    ``repro serve`` every writer holds the serving lock.
     """
-
-    _GUARDED_BY = {"_handle": "_lock", "_size": "_lock", "_index": "_lock"}
 
     def __init__(
         self,
@@ -174,7 +173,6 @@ class TelemetryLog:
         self.max_bytes = max(1024, int(max_bytes))
         self.keep_files = max(1, int(keep_files))
         self._clock = clock
-        self._lock = threading.Lock()
         self._handle = None
         self._size = 0
         self.root.mkdir(parents=True, exist_ok=True)
@@ -195,8 +193,7 @@ class TelemetryLog:
     @property
     def path(self) -> Path:
         """The active log file."""
-        with self._lock:
-            return self._path_for(self._index)
+        return self._path_for(self._index)
 
     def log(self, event: str, **fields: Any) -> None:
         """Append one event line (correlation context auto-attached)."""
@@ -206,21 +203,20 @@ class TelemetryLog:
         record.update(fields)
         line = json.dumps(record, sort_keys=True, default=str) + "\n"
         data = line.encode("utf-8")
-        with self._lock:
-            if self._handle is None:
-                path = self._path_for(self._index)
-                self.root.mkdir(parents=True, exist_ok=True)
-                self._handle = open(path, "ab")
-                self._size = path.stat().st_size
-            if self._size and self._size + len(data) > self.max_bytes:
-                self._handle.close()
-                self._index += 1
-                self._handle = open(self._path_for(self._index), "ab")
-                self._size = 0
-                self._prune(self._index - self.keep_files + 1)
-            self._handle.write(data)
-            self._handle.flush()
-            self._size += len(data)
+        if self._handle is None:
+            path = self._path_for(self._index)
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._handle = open(path, "ab")
+            self._size = path.stat().st_size
+        if self._size and self._size + len(data) > self.max_bytes:
+            self._handle.close()
+            self._index += 1
+            self._handle = open(self._path_for(self._index), "ab")
+            self._size = 0
+            self._prune(self._index - self.keep_files + 1)
+        self._handle.write(data)
+        self._handle.flush()
+        self._size += len(data)
 
     def _prune(self, keep_below: int) -> None:
         for index in self._indices():
@@ -243,10 +239,9 @@ class TelemetryLog:
         return events
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 # ---------------------------------------------------------------------------
@@ -261,47 +256,28 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
 class OpsCounter:
     """A monotonically increasing operational count."""
 
-    __slots__ = ("_value", "_lock")
-
-    _GUARDED_BY = {"_value": "_lock"}
+    __slots__ = ("value",)
 
     def __init__(self):
-        self._value = 0.0
-        self._lock = threading.Lock()
+        self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+        self.value += amount
 
 
 class OpsGauge:
     """A point-in-time operational value (``add`` for in-flight +/-1)."""
 
-    __slots__ = ("_value", "_lock")
-
-    _GUARDED_BY = {"_value": "_lock"}
+    __slots__ = ("value",)
 
     def __init__(self):
-        self._value = 0.0
-        self._lock = threading.Lock()
+        self.value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self.value = float(value)
 
     def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+        self.value += delta
 
 
 class OpsWindowHistogram:
@@ -313,34 +289,27 @@ class OpsWindowHistogram:
     the basis for the SLO evaluation and the ``repro top`` percentiles.
     """
 
-    __slots__ = ("window_seconds", "_samples", "_clock", "_lock")
-
-    _GUARDED_BY = {"_samples": "_lock"}
+    __slots__ = ("window_seconds", "_samples", "_clock")
 
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  clock=wall_now):
         self.window_seconds = float(window_seconds)
         self._samples: deque = deque()
         self._clock = clock
-        self._lock = threading.Lock()
 
     def observe(self, value: float, ts: Optional[float] = None) -> None:
         stamp = self._clock() if ts is None else ts
-        with self._lock:
-            self._samples.append((stamp, float(value)))
-            self._prune_locked(stamp)
+        self._samples.append((stamp, float(value)))
+        self._prune(stamp)
 
-    def _prune_locked(self, now: float) -> None:
+    def _prune(self, now: float) -> None:
         horizon = now - self.window_seconds
-        while self._samples and self._samples[0][0] < horizon:  # guarded-by: ok(only called with _lock held by observe/summary)
-            self._samples.popleft()  # guarded-by: ok(only called with _lock held by observe/summary)
+        while self._samples and self._samples[0][0] < horizon:
+            self._samples.popleft()
 
     def summary(self, now: Optional[float] = None) -> Dict[str, float]:
-        stamp = self._clock() if now is None else now
-        with self._lock:
-            self._prune_locked(stamp)
-            values = [value for _, value in self._samples]
-        return summarize(values)
+        self._prune(self._clock() if now is None else now)
+        return summarize([value for _, value in self._samples])
 
 
 class OpsMetrics:
@@ -353,25 +322,20 @@ class OpsMetrics:
     text exposition (dots become underscores there).
     """
 
-    _GUARDED_BY = {"_metrics": "_lock"}
-
     def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
                  clock=wall_now):
         self.window_seconds = float(window_seconds)
         self._clock = clock
-        self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, str, Tuple[Tuple[str, str], ...]],
                             Any] = {}
 
     def _get_or_create(self, kind: str, name: str,
                        labels: Dict[str, Any], factory):
         key = (kind, name, _label_key(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = factory()
-                self._metrics[key] = metric
-            return metric
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = self._metrics[key] = factory()
+        return metric
 
     def counter(self, name: str, **labels: Any) -> OpsCounter:
         return self._get_or_create("counter", name, labels, OpsCounter)
@@ -386,8 +350,7 @@ class OpsMetrics:
         )
 
     def _items(self) -> List[Tuple[Tuple[str, str, Tuple], Any]]:
-        with self._lock:
-            return sorted(self._metrics.items())
+        return sorted(self._metrics.items())
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """JSON exposition: counters/gauges/histograms with labels."""
@@ -577,10 +540,9 @@ class Telemetry:
     The server constructs exactly one and threads it through the HTTP
     handlers, the :class:`~repro.server.store.SessionStore`, chat
     workspaces, and the execution engine.  Everything is wall-clock and
-    best-effort; nothing here may influence deterministic outputs.
+    best-effort; nothing here may influence deterministic outputs.  Under
+    ``repro serve`` every caller holds the serving lock.
     """
-
-    _GUARDED_BY = {"_request_serial": "_lock"}
 
     enabled = True
 
@@ -598,7 +560,6 @@ class Telemetry:
                                 keep_files=keep_log_files, clock=clock)
         self.ops = OpsMetrics(window_seconds=window_seconds, clock=clock)
         self.slos = SloEvaluator(self.ops, slo_rules)
-        self._lock = threading.Lock()
         self._request_serial = 0
         # A per-process epoch keeps request ids unique across restarts
         # of the same telemetry root (ids are operational, never part of
@@ -611,10 +572,8 @@ class Telemetry:
     # -- correlation ----------------------------------------------------
 
     def new_request_id(self) -> str:
-        with self._lock:
-            self._request_serial += 1
-            serial = self._request_serial
-        return f"req-{self._epoch}-{serial:06d}"
+        self._request_serial += 1
+        return f"req-{self._epoch}-{self._request_serial:06d}"
 
     # -- logging --------------------------------------------------------
 
@@ -741,14 +700,11 @@ class NullTelemetry:
         instrument = self._NullInstrument()
         self.ops = self._NullOps(instrument)
         self.slos = SloEvaluator(None, rules=[])
-        self._serial_lock = threading.Lock()
         self._serial = 0
 
     def new_request_id(self) -> str:
-        with self._serial_lock:
-            self._serial += 1
-            serial = self._serial
-        return f"req-off-{serial:06d}"
+        self._serial += 1
+        return f"req-off-{self._serial:06d}"
 
     def event(self, name: str, **fields: Any) -> None:
         pass

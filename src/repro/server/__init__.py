@@ -13,6 +13,9 @@ state:
   mid-run abort, admin edits).
 * :mod:`repro.server.progress` — per-turn progress streams: live
   executor events plus tracer-span summaries, long-pollable.
+* :mod:`repro.server.serving` — the serving lock, the process's one
+  lock: handlers and turns hold it, and a turn hands it over at each
+  progress event.
 * :mod:`repro.server.http` — the resource routes (sessions, turns,
   events, runs, traces, results, usage, admin) and ``repro serve``'s
   server object.

@@ -1,8 +1,10 @@
 """The HTTP/JSON front end: sessions as resources, stdlib only.
 
 ``repro serve`` boots a :class:`ThreadingHTTPServer` whose handler
-routes every request through the shared :class:`SessionStore`.  The
-surface (full table in ``docs/server.md``):
+routes every request through the shared :class:`SessionStore`.  Each
+request reads its body, runs its handler under the store's serving lock,
+then encodes and writes its response outside it, so a slow client never
+holds the lock.  The surface (full table in ``docs/server.md``):
 
 Tenant API::
 
@@ -104,8 +106,10 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     """Routes requests to ``_handle_*`` methods via :data:`_ROUTES`.
 
     Every handler receives its path captures and (for POST) the parsed
-    JSON body, and returns ``(status, payload)``; all tenant state is
-    reached through ``self.store.acquire(...)`` (pz-lint ``SV601``).
+    JSON body, and returns ``(status, payload)``; it runs holding the
+    store's serving lock, so it may touch any tenant's state.  Payloads
+    are fresh values, never live state: they are encoded after the lock
+    is given back.
     """
 
     server_version = "repro-serve/1.0"
@@ -122,81 +126,89 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     # -- plumbing -------------------------------------------------------
 
     def _dispatch(self, method: str) -> None:
-        telemetry = self.store.telemetry
-        request_id = telemetry.new_request_id()
-        self._request_id = request_id
         path, _, query = self.path.partition("?")
         params = _parse_query(query)
-        for verb, pattern, name in _ROUTES:
-            if verb != method:
-                continue
-            match = pattern.match(path)
-            if match is None:
-                continue
-            route = name.replace("_handle_", "", 1)
-            tenant = (match.group(1)
-                      if pattern.pattern.startswith("^/tenants/")
-                      else None)
-            headers: Dict[str, str] = {}
-            started = wall_perf()
-            # Every log line and metric sample inside this scope carries
-            # the request's correlation id (and tenant, when routed).
-            with bind_context(request_id=request_id, tenant=tenant):
-                telemetry.event("request_start", method=method,
-                                route=route, path=path)
-                body: Dict[str, Any] = {}
-                try:
-                    if method in ("POST", "PUT"):
-                        body = self._read_body()
-                    status, payload = getattr(self, name)(
-                        *match.groups(), body=body, params=params)
-                except QuotaExceededError as exc:
-                    status, payload = 429, {
-                        "error": "quota_exhausted",
-                        "message": str(exc),
-                        "spent_cost_usd": exc.spent_cost_usd,
-                        "spent_tokens": exc.spent_tokens,
-                    }
-                except WorkerPoolSaturated as exc:
-                    headers["Retry-After"] = str(
-                        max(1, int(exc.retry_after)))
-                    status, payload = 503, {
-                        "error": "saturated",
-                        "message": str(exc),
-                        "retry_after": exc.retry_after,
-                    }
-                except (KeyError, FileNotFoundError) as exc:
-                    status, payload = 404, {
-                        "error": "not_found",
-                        "message": _exc_text(exc),
-                    }
-                except ValueError as exc:
-                    status, payload = 400, {"error": "bad_request",
-                                            "message": str(exc)}
-                except Exception as exc:  # defensive 500, logged
-                    telemetry.error("request_error", exc, route=route)
-                    status, payload = 500, {
-                        "error": "internal",
-                        "message": f"{type(exc).__name__}: {exc}",
-                    }
-                seconds = wall_perf() - started
-                telemetry.ops.counter(
-                    "http.requests_total", method=method, route=route,
-                    status=str(status)).inc()
-                telemetry.ops.histogram(
-                    "http.request_seconds", route=route).observe(seconds)
-                telemetry.ops.histogram("http.availability").observe(
-                    0.0 if status >= 500 else 1.0)
-                telemetry.event("request_finish", method=method,
-                                route=route, status=status,
-                                seconds=round(seconds, 6))
-            self._send_json(status, payload, headers=headers)
-            return
-        telemetry.ops.counter("http.requests_total", method=method,
-                              route="unrouted", status="404").inc()
-        telemetry.ops.histogram("http.availability").observe(1.0)
-        self._send_json(404, {"error": "not_found",
-                              "message": f"no route for {method} {path}"})
+        route = _route(method, path)
+        body: Dict[str, Any] = {}
+        bad_body: Optional[ValueError] = None
+        if route is not None and method in ("POST", "PUT"):
+            try:
+                body = self._read_body()
+            except ValueError as exc:
+                bad_body = exc
+        headers: Dict[str, str] = {}
+        with self.store.serving:
+            telemetry = self.store.telemetry
+            self._request_id = telemetry.new_request_id()
+            if route is None:
+                telemetry.ops.counter("http.requests_total", method=method,
+                                      route="unrouted", status="404").inc()
+                telemetry.ops.histogram("http.availability").observe(1.0)
+                status, payload = 404, {
+                    "error": "not_found",
+                    "message": f"no route for {method} {path}"}
+            else:
+                status, payload = self._handle(
+                    method, path, route, body, bad_body, params, headers)
+        self._send_json(status, payload, headers=headers)
+
+    def _handle(self, method, path, route, body, bad_body, params,
+                headers):
+        """Run one routed handler and record it (serving lock held)."""
+        telemetry = self.store.telemetry
+        name, groups, tenant = route
+        route_label = name.replace("_handle_", "", 1)
+        started = wall_perf()
+        # Every log line and metric sample inside this scope carries the
+        # request's correlation id (and tenant, when routed).
+        with bind_context(request_id=self._request_id, tenant=tenant):
+            telemetry.event("request_start", method=method,
+                            route=route_label, path=path)
+            try:
+                if bad_body is not None:
+                    raise bad_body
+                status, payload = getattr(self, name)(
+                    *groups, body=body, params=params)
+            except QuotaExceededError as exc:
+                status, payload = 429, {
+                    "error": "quota_exhausted",
+                    "message": str(exc),
+                    "spent_cost_usd": exc.spent_cost_usd,
+                    "spent_tokens": exc.spent_tokens,
+                }
+            except WorkerPoolSaturated as exc:
+                headers["Retry-After"] = str(max(1, int(exc.retry_after)))
+                status, payload = 503, {
+                    "error": "saturated",
+                    "message": str(exc),
+                    "retry_after": exc.retry_after,
+                }
+            except (KeyError, FileNotFoundError) as exc:
+                status, payload = 404, {
+                    "error": "not_found",
+                    "message": _exc_text(exc),
+                }
+            except ValueError as exc:
+                status, payload = 400, {"error": "bad_request",
+                                        "message": str(exc)}
+            except Exception as exc:  # defensive 500, logged
+                telemetry.error("request_error", exc, route=route_label)
+                status, payload = 500, {
+                    "error": "internal",
+                    "message": f"{type(exc).__name__}: {exc}",
+                }
+            seconds = wall_perf() - started
+            telemetry.ops.counter(
+                "http.requests_total", method=method, route=route_label,
+                status=str(status)).inc()
+            telemetry.ops.histogram(
+                "http.request_seconds", route=route_label).observe(seconds)
+            telemetry.ops.histogram("http.availability").observe(
+                0.0 if status >= 500 else 1.0)
+            telemetry.event("request_finish", method=method,
+                            route=route_label, status=status,
+                            seconds=round(seconds, 6))
+        return status, payload
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._dispatch("GET")
@@ -276,17 +288,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         return (200 if row["resumed"] else 201), row
 
     def _handle_list_sessions(self, tenant_id, body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            return 200, {"tenant_id": tenant_id,
-                         "sessions": tenant.session_rows()}
+        return 200, {"tenant_id": tenant_id,
+                     "sessions": self.store.tenant(tenant_id).session_rows()}
 
     def _handle_get_session(self, tenant_id, session_id,
                             body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            session = tenant.get_session(session_id)
-            row = session.to_dict()
-            row["turn_log"] = [turn.to_dict() for turn in session.turns]
-            return 200, row
+        session = self.store.tenant(tenant_id).get_session(session_id)
+        row = session.to_dict()
+        row["turn_log"] = [turn.to_dict() for turn in session.turns]
+        return 200, row
 
     # -- turns ----------------------------------------------------------
 
@@ -301,27 +311,26 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         row = turn.to_dict()
         row["session_id"] = session_id
         if row["status"] == "quota_rejected":
-            with self.store.acquire(tenant_id) as tenant:
-                row["usage_snapshot"] = tenant.usage()
+            row["usage_snapshot"] = self.store.tenant(tenant_id).usage()
             return 429, {"error": "quota_exhausted", "turn": row,
                          "message": row.get("error") or row.get("reply")}
         return (200 if row["status"] != "running" else 202), row
 
+    def _find_turn(self, tenant_id, session_id, turn_id):
+        return self.store.tenant(tenant_id).get_session(
+            session_id).find_turn(turn_id)
+
     def _handle_get_turn(self, tenant_id, session_id, turn_id,
                          body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            turn = tenant.get_session(session_id).find_turn(turn_id)
-        return 200, turn.to_dict()
+        return 200, self._find_turn(tenant_id, session_id, turn_id).to_dict()
 
     def _handle_turn_events(self, tenant_id, session_id, turn_id,
                             body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            turn = tenant.get_session(session_id).find_turn(turn_id)
+        turn = self._find_turn(tenant_id, session_id, turn_id)
         offset = _int_param(params, "offset", 0)
         wait = _float_param(params, "wait", 0.0)
-        # The long-poll happens *outside* the tenant lock: an in-flight
-        # turn holds no tenant state while streaming, so readers never
-        # block writers (or other tenants).
+        # The long-poll gives the serving lock up while it sleeps, so
+        # the turn it streams (and every other request) goes on.
         events, done, next_offset = turn.events.read(
             offset=offset,
             wait_seconds=min(wait, _MAX_WAIT_SECONDS) if wait else None,
@@ -336,18 +345,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
     # -- runs / traces / results ---------------------------------------
 
     def _handle_list_runs(self, tenant_id, body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            return 200, {"tenant_id": tenant_id,
-                         "runs": tenant.registry().list()}
+        return 200, {"tenant_id": tenant_id,
+                     "runs": self.store.tenant(tenant_id).registry().list()}
 
     def _handle_get_run(self, tenant_id, run_id, body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            snapshot = tenant.registry().load(run_id)
+        snapshot = self.store.tenant(tenant_id).registry().load(run_id)
         return 200, {"meta": snapshot.meta, "stats": snapshot.stats}
 
     def _handle_get_trace(self, tenant_id, run_id, body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            snapshot = tenant.registry().load(run_id)
+        snapshot = self.store.tenant(tenant_id).registry().load(run_id)
         if snapshot.trace is None:
             return 404, {"error": "not_found",
                          "message": f"run {run_id} recorded no trace"}
@@ -355,8 +361,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_get_result(self, tenant_id, run_id,
                            body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            handle = tenant.registry().handle(run_id)
+        handle = self.store.tenant(tenant_id).registry().handle(run_id)
         offset = _int_param(params, "offset", 0)
         limit = _int_param(params, "limit", None)
         return 200, {
@@ -367,17 +372,15 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _handle_usage(self, tenant_id, body=None, params=None):
-        with self.store.acquire(tenant_id) as tenant:
-            return 200, {"tenant_id": tenant_id, "usage": tenant.usage()}
+        return 200, {"tenant_id": tenant_id,
+                     "usage": self.store.tenant(tenant_id).usage()}
 
     # -- admin ----------------------------------------------------------
 
     def _handle_admin_tenants(self, body=None, params=None):
-        rows = []
-        for tenant_id in self.store.tenant_ids():
-            with self.store.acquire(tenant_id) as tenant:
-                rows.append(tenant.to_dict())
-        return 200, {"tenants": rows}
+        store = self.store
+        return 200, {"tenants": [store.tenant(tenant_id).to_dict()
+                                 for tenant_id in store.tenant_ids()]}
 
     def _handle_admin_usage(self, body=None, params=None):
         return 200, self.store.usage_rollup()
@@ -398,6 +401,20 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                          "message": f"no session {session_id!r} for "
                                     f"tenant {tenant_id!r}"}
         return 200, {"evicted": session_id, "tenant_id": tenant_id}
+
+
+def _route(method: str, path: str):
+    """``(handler name, captures, tenant or None)`` for a request, or
+    None when no route matches."""
+    for verb, pattern, name in _ROUTES:
+        if verb != method:
+            continue
+        match = pattern.match(path)
+        if match is not None:
+            tenant = (match.group(1)
+                      if pattern.pattern.startswith("^/tenants/") else None)
+            return name, match.groups(), tenant
+    return None
 
 
 def _parse_query(query: str) -> Dict[str, str]:

@@ -1,4 +1,4 @@
-"""Turn progress: a thread-safe event buffer plus span-derived events.
+"""Turn progress: a per-turn event buffer plus span-derived events.
 
 A chat turn's execution progress reaches clients in two layers:
 
@@ -6,7 +6,7 @@ A chat turn's execution progress reaches clients in two layers:
    ``plan_start`` / ``record_processed`` / ``operator_flush`` /
    ``plan_end`` dictionaries while the pipeline runs; the session's
    ``turn_start`` / ``turn_end`` lifecycle events bracket them.  The
-   turn worker appends them all to a :class:`ProgressBuffer`, and
+   turn appends them all to a :class:`ProgressBuffer`, and
    ``GET .../turns/<id>/events`` serves (and long-polls) windows of it.
 2. **Span-derived events** — when the turn finishes with a recorded
    trace, :func:`progress_events_from_trace` summarizes the tracer
@@ -14,15 +14,16 @@ A chat turn's execution progress reaches clients in two layers:
    are appended after the live stream, so a client that connects late —
    or reads a turn restored from disk — still sees where the time went.
 
-The buffer is the only cross-thread channel between a turn worker and
-the HTTP threads streaming it, so it carries the lock discipline:
-every field is guarded by the buffer's condition variable.
+Writers and readers hold the server's
+:class:`~repro.server.serving.ServingLock`; a long-poll sleeps on it,
+giving it up until an event lands.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.server.serving import ServingLock
 
 __all__ = ["ProgressBuffer", "progress_events_from_trace"]
 
@@ -34,51 +35,42 @@ _EVENT_KINDS = ("plan", "operator", "llm", "chat", "agent")
 class ProgressBuffer:
     """An append-only event log with blocking reads (one per turn).
 
-    Writers call :meth:`emit` (the turn worker, via the session's
-    ``on_event`` hook) and :meth:`close` when the turn is over; readers
-    call :meth:`read` with the offset of the first event they have not
-    seen yet, optionally waiting for news.  Events are plain dicts and
+    Writers call :meth:`emit` (the turn, via the session's ``on_event``
+    hook) and :meth:`close` when the turn is over; readers call
+    :meth:`read` with the offset of the first event they have not seen
+    yet, optionally waiting for news on ``lock`` (the store's serving
+    lock; a buffer of its own makes one).  Events are plain dicts and
     are copied on the way in and out, so neither side can mutate the
     other's view.
     """
 
-    _GUARDED_BY = {"_events": "_cond", "_closed": "_cond"}
-
-    def __init__(self):
-        self._cond = threading.Condition()
+    def __init__(self, lock: Optional[ServingLock] = None):
+        self._lock = lock if lock is not None else ServingLock()
         self._events: List[Dict[str, Any]] = []
         self._closed = False
 
     def emit(self, event: Dict[str, Any]) -> None:
         """Append one event and wake any waiting readers."""
-        with self._cond:
-            if self._closed:
-                return
-            self._events.append(dict(event))
-            self._cond.notify_all()
+        self.extend([event])
 
     def extend(self, events: List[Dict[str, Any]]) -> None:
         """Append many events at once (the span-derived tail)."""
-        with self._cond:
-            if self._closed:
-                return
-            self._events.extend(dict(event) for event in events)
-            self._cond.notify_all()
+        if self._closed:
+            return
+        self._events.extend(dict(event) for event in events)
+        self._lock.notify()
 
     def close(self) -> None:
         """Mark the stream complete; readers stop waiting."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed = True
+        self._lock.notify()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
-            return self._closed
+        return self._closed
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._events)
+        return len(self._events)
 
     def read(
         self,
@@ -94,17 +86,17 @@ class ProgressBuffer:
         """
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
-        with self._cond:
-            if (wait_seconds is not None and offset >= len(self._events)
-                    and not self._closed):
-                self._cond.wait(timeout=wait_seconds)
-            events = [dict(e) for e in self._events[offset:]]
-            return events, self._closed, offset + len(events)
+        if wait_seconds is not None:
+            self._lock.wait(
+                lambda: offset < len(self._events) or self._closed,
+                wait_seconds)
+        done = self._closed  # read first: every event precedes close()
+        events = [dict(e) for e in self._events[offset:]]
+        return events, done, offset + len(events)
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """Every event so far (persisted with the turn on disk)."""
-        with self._cond:
-            return [dict(e) for e in self._events]
+        return [dict(e) for e in self._events]
 
 
 def progress_events_from_trace(

@@ -9,13 +9,14 @@ Every tenant owns an isolated slice of state under
         sessions/<sid>.json   # replayable workspace payload + turn log
 
 and an in-process :class:`TenantState` bundling the tenant's
-:class:`~repro.llm.usage.BudgetMeter`, its live chat sessions, and the
-re-entrant lock that serializes state access.  **All** handler access to
-a tenant's registry, workspace, or sessions goes through
-:meth:`SessionStore.acquire` — the contract pz-lint rule ``SV601``
-enforces over server source — so two tenants never share a registry, a
-budget, or a lock, and requests for different tenants proceed fully in
-parallel.
+:class:`~repro.llm.usage.BudgetMeter`, its run store and its live chat
+sessions.  Only the store creates a tenant's state, rooted in the
+tenant's own directory, so two tenants never share a registry or a
+budget.  All of it, for every tenant, is touched under the store's one
+:class:`~repro.server.serving.ServingLock` (``SessionStore.serving``):
+every public method takes it, and the HTTP layer holds it around every
+handler.  A turn gives it up at each progress event, so other tenants'
+requests and long-polls run between a pipeline's records.
 
 Quota semantics (see ``docs/server.md``):
 
@@ -37,6 +38,7 @@ import logging
 import queue
 import re
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -51,6 +53,7 @@ from repro.obs.telemetry import (
     wall_perf,
 )
 from repro.server.progress import ProgressBuffer, progress_events_from_trace
+from repro.server.serving import ServingLock
 
 __all__ = ["SessionStore", "TenantState", "ServerSession", "TurnState",
            "TurnWorkerPool", "WorkerPoolSaturated",
@@ -90,29 +93,29 @@ class WorkerPoolSaturated(RuntimeError):
 class TurnWorkerPool:
     """Fixed-size worker pool with a bounded queue for async turns.
 
-    Replaces the unbounded thread-per-turn model: ``wait=false`` turns
-    are submitted here, at most ``workers`` run concurrently, at most
-    ``queue_size`` wait, and anything beyond that is rejected with
-    :class:`WorkerPoolSaturated` — back-pressure instead of thread
-    exhaustion.  Worker threads are lazy (a store that never sees an
-    async turn spawns none) and daemonized.
+    ``wait=false`` turns are submitted here: at most ``workers`` threads
+    run them, at most ``queue_size`` wait, and anything beyond that is
+    rejected with :class:`WorkerPoolSaturated` — back-pressure instead
+    of thread exhaustion.  A worker holds ``lock`` (the store's serving
+    lock) around each job; its turn gives it up at progress events.
+    Worker threads are lazy (a store that never sees an async turn
+    spawns none) and daemonized.
     """
 
-    _GUARDED_BY = {"_threads": "_lock", "_active": "_lock"}
-
     def __init__(self, workers: int = 4, queue_size: int = 16,
-                 name: str = "turn-worker"):
+                 name: str = "turn-worker",
+                 lock: Optional[ServingLock] = None):
         self.workers = max(1, int(workers))
         self.queue_size = max(1, int(queue_size))
         self.name = name
+        self.lock = lock if lock is not None else ServingLock()
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_size)
-        self._lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._active = 0
 
     def submit(self, fn) -> None:
         """Enqueue one job; raises :class:`WorkerPoolSaturated` when full."""
-        with self._lock:
+        with self.lock:
             while len(self._threads) < self.workers:
                 worker = threading.Thread(
                     target=self._worker,
@@ -134,42 +137,36 @@ class TurnWorkerPool:
             fn = self._queue.get()
             if fn is None:
                 return
-            with self._lock:
+            with self.lock:
                 self._active += 1
-            try:
-                fn()
-            except Exception:
-                # A job that escapes its own error handling must not
-                # kill the worker: dead threads stay in ``_threads``,
-                # so submit() would never replace them and each failure
-                # would permanently shrink the pool by one.
-                _log.exception("%s: job raised", self.name)
-            finally:
-                with self._lock:
+                try:
+                    fn()
+                except Exception:
+                    # A job that escapes its own error handling must not
+                    # kill the worker: dead threads stay in ``_threads``,
+                    # so submit() would never replace them and each
+                    # failure would permanently shrink the pool by one.
+                    _log.exception("%s: job raised", self.name)
+                finally:
                     self._active -= 1
-                self._queue.task_done()
+            self._queue.task_done()
 
     def stats(self) -> Dict[str, Any]:
         """Best-effort occupancy snapshot (feeds the saturation gauge)."""
-        with self._lock:
-            active = self._active
-            started = len(self._threads)
         queued = self._queue.qsize()  # nondet: ok(best-effort pool occupancy for operational telemetry only)
         capacity = self.workers + self.queue_size
         return {
             "workers": self.workers,
-            "started": started,
-            "active": active,
+            "started": len(self._threads),
+            "active": self._active,
             "queued": queued,
             "capacity": capacity,
-            "saturation": round((active + queued) / capacity, 4),
+            "saturation": round((self._active + queued) / capacity, 4),
         }
 
     def close(self) -> None:
         """Stop accepting work and let idle workers drain out."""
-        with self._lock:
-            started = len(self._threads)
-        for _ in range(started):
+        for _ in range(len(self._threads)):
             try:
                 self._queue.put_nowait(None)
             except queue.Full:  # workers will still exit on next get
@@ -186,32 +183,23 @@ def _check_id(kind: str, value: str) -> str:
 
 
 class TurnState:
-    """One chat turn: request, outcome, usage delta, progress events.
+    """One chat turn: request, outcome, usage, progress events.
 
-    Written by the turn worker, read by HTTP threads — every mutable
-    field is guarded by the turn's own lock; the event stream lives in
-    its :class:`~repro.server.progress.ProgressBuffer` (which carries
-    its own condition variable).
+    Written by the turn and read by HTTP handlers, all under the serving
+    lock, which the turn's :class:`~repro.server.progress.ProgressBuffer`
+    also sleeps on (``lock``).
     """
 
-    _GUARDED_BY = {
-        "status": "_lock",
-        "reply": "_lock",
-        "tools": "_lock",
-        "error": "_lock",
-        "usage_delta": "_lock",
-    }
-
     def __init__(self, turn_id: str, message: str,
-                 request_id: Optional[str] = None):
+                 request_id: Optional[str] = None,
+                 lock: Optional[ServingLock] = None):
         self.turn_id = turn_id
         self.message = message
         #: Correlation id of the HTTP request that created the turn —
         #: immutable after construction, shared with every telemetry
         #: log line and progress event the turn produces.
         self.request_id = request_id
-        self.events = ProgressBuffer()
-        self._lock = threading.Lock()
+        self.events = ProgressBuffer(lock)
         self.status = "running"  # running | ok | quota_rejected | error
         self.reply: Optional[str] = None
         self.tools: List[str] = []
@@ -226,12 +214,11 @@ class TurnState:
         usage: Dict[str, Any],
         error: Optional[str] = None,
     ) -> None:
-        with self._lock:
-            self.status = status
-            self.reply = reply
-            self.tools = list(tools)
-            self.usage_delta = dict(usage)
-            self.error = error
+        self.status = status
+        self.reply = reply
+        self.tools = list(tools)
+        self.usage_delta = dict(usage)
+        self.error = error
         self.events.close()
 
     def fail_if_running(self, error: str) -> bool:
@@ -243,29 +230,27 @@ class TurnState:
         mid-queue, persistence I/O error) is never left in ``running``
         forever.  Returns whether this call performed the transition.
         """
-        with self._lock:
-            if self.status != "running":
-                return False
-            self.status = "error"
-            self.reply = error
-            self.error = error
-            self.usage_delta = {"cost_usd": 0.0, "tokens": 0}
+        if self.status != "running":
+            return False
+        self.status = "error"
+        self.reply = error
+        self.error = error
+        self.usage_delta = {"cost_usd": 0.0, "tokens": 0}
         self.events.close()
         return True
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "turn_id": self.turn_id,
-                "message": self.message,
-                "request_id": self.request_id,
-                "status": self.status,
-                "reply": self.reply,
-                "tools": list(self.tools),
-                "usage": dict(self.usage_delta),
-                "error": self.error,
-                "events": len(self.events),
-            }
+        return {
+            "turn_id": self.turn_id,
+            "message": self.message,
+            "request_id": self.request_id,
+            "status": self.status,
+            "reply": self.reply,
+            "tools": list(self.tools),
+            "usage": dict(self.usage_delta),
+            "error": self.error,
+            "events": len(self.events),
+        }
 
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-able form persisted in the session file."""
@@ -288,20 +273,49 @@ class TurnState:
         return turn
 
 
+class SessionMeter:
+    """The tenant's :class:`BudgetMeter` as one session charges it.
+
+    Caps, checks and totals are the tenant's: every charge lands on the
+    shared meter.  The session also tallies its own charges since
+    :meth:`start_turn`, so a turn bills exactly what it spent even when
+    another session of the tenant spends while it runs.
+    """
+
+    def __init__(self, tenant_budget: BudgetMeter):
+        self.tenant_budget = tenant_budget
+        self.turn_cost_usd = 0.0
+        self.turn_tokens = 0
+
+    def start_turn(self) -> None:
+        self.turn_cost_usd = 0.0
+        self.turn_tokens = 0
+
+    def charge(self, usage) -> None:
+        self.turn_cost_usd += usage.cost_usd
+        self.turn_tokens += usage.total_tokens
+        self.tenant_budget.charge(usage)
+
+    def __getattr__(self, name: str):
+        return getattr(self.tenant_budget, name)
+
+
 class ServerSession:
     """One tenant chat session: the live PalimpChat session + turn log.
 
-    ``turn_lock`` serializes turns *within* the session (two concurrent
-    POSTs to the same session run one after the other); sessions of the
-    same tenant — and of different tenants — run concurrently.
+    A session runs one turn at a time: ``active`` is the turn in the
+    engine, and a second turn waits (lock given up) until it is ``None``.
+    Sessions of the same tenant, and of different tenants, interleave at
+    progress events.
     """
 
-    def __init__(self, session_id: str, chat_session, title: str):
+    def __init__(self, session_id: str, chat_session, title: str,
+                 meter: SessionMeter):
         self.session_id = session_id
         self.chat = chat_session
         self.title = title
-        self.turn_lock = threading.Lock()
-        #: Turn log, append-only under the owning tenant's lock.
+        self.meter = meter
+        self.active: Optional[TurnState] = None
         self.turns: List[TurnState] = []
 
     def next_turn_id(self) -> str:
@@ -332,64 +346,43 @@ class ServerSession:
 
 
 class TenantState:
-    """One tenant's isolated state; mutate only under ``lock``.
-
-    :meth:`SessionStore.acquire` hands this out with ``lock`` held;
-    handlers keep their critical sections short (resolve a session,
-    build a registry handle) and never hold it across a chat turn —
-    otherwise streaming reads of an in-flight turn would deadlock.
-    """
-
-    _GUARDED_BY = {"sessions": "lock"}
+    """One tenant's isolated state; touch it under the serving lock."""
 
     def __init__(self, tenant_id: str, root: Path, budget: BudgetMeter):
         self.tenant_id = tenant_id
         self.root = root
         self.budget = budget
-        self.lock = threading.RLock()
         self.sessions: Dict[str, ServerSession] = {}
         #: The run store every session of the tenant shares: its runs
         #: live in ``<root>/runs``, the recently used ones in memory.
         self.runs = RunStore(str(root / "runs"))
-
-    # All methods below assume ``lock`` is held (acquire() guarantees
-    # it for handlers; SessionStore internals re-enter the RLock).
 
     def registry(self):
         """The tenant's private run registry (``<root>/runs``)."""
         return RunRegistry(str(self.root / "runs"))
 
     def get_session(self, session_id: str) -> ServerSession:
-        with self.lock:
-            try:
-                return self.sessions[session_id]
-            except KeyError:
-                raise KeyError(
-                    f"tenant {self.tenant_id!r} has no session "
-                    f"{session_id!r}") from None
+        try:
+            return self.sessions[session_id]
+        except KeyError:
+            raise KeyError(
+                f"tenant {self.tenant_id!r} has no session "
+                f"{session_id!r}") from None
 
     def peek_session(self, session_id: str) -> Optional[ServerSession]:
-        with self.lock:
-            return self.sessions.get(session_id)
+        return self.sessions.get(session_id)
 
     def put_session(self, session: ServerSession) -> None:
-        with self.lock:
-            self.sessions[session.session_id] = session
+        self.sessions[session.session_id] = session
 
     def pop_session(self, session_id: str) -> Optional[ServerSession]:
-        with self.lock:
-            return self.sessions.pop(session_id, None)
+        return self.sessions.pop(session_id, None)
 
     def session_ids(self) -> List[str]:
-        with self.lock:
-            return sorted(self.sessions)
+        return sorted(self.sessions)
 
     def session_rows(self) -> List[Dict[str, Any]]:
-        with self.lock:
-            return [
-                self.sessions[sid].to_dict()
-                for sid in sorted(self.sessions)
-            ]
+        return [self.sessions[sid].to_dict() for sid in sorted(self.sessions)]
 
     def sessions_dir(self) -> Path:
         return self.root / "sessions"
@@ -398,12 +391,10 @@ class TenantState:
         return self.budget.snapshot()
 
     def to_dict(self) -> Dict[str, Any]:
-        with self.lock:
-            session_count = len(self.sessions)
         return {
             "tenant_id": self.tenant_id,
             "usage": self.usage(),
-            "sessions": session_count,
+            "sessions": len(self.sessions),
             "runs": len(self.registry().list()),
         }
 
@@ -411,13 +402,10 @@ class TenantState:
 class SessionStore:
     """Tenant registry + session lifecycle + quota accounting.
 
-    The single shared object behind the HTTP layer.  Its own lock only
-    guards the tenant map; everything tenant-scoped nests under the
-    tenant's lock, so the store never serializes two tenants against
-    each other.
+    The single shared object behind the HTTP layer.  It owns the
+    process's one lock, ``serving``; every public method takes it (it is
+    re-entrant, so a handler already holding it just goes on).
     """
-
-    _GUARDED_BY = {"_tenants": "_lock"}
 
     def __init__(
         self,
@@ -445,33 +433,31 @@ class SessionStore:
         elif telemetry is False:
             telemetry = NULL_TELEMETRY
         self.telemetry = telemetry
+        self.serving = ServingLock()
         self.worker_pool = TurnWorkerPool(
-            workers=async_workers, queue_size=async_queue)
-        self._lock = threading.Lock()
+            workers=async_workers, queue_size=async_queue, lock=self.serving)
         self._tenants: Dict[str, TenantState] = {}
         self.telemetry.ops.gauge("pool.workers").set(
             self.worker_pool.workers)
 
     # -- tenant lifecycle ----------------------------------------------
 
+    @contextmanager
     def acquire(self, tenant_id: str):
-        """Context manager: the tenant's state with its lock held.
+        """``with store.acquire(tid) as tenant:`` — the tenant's state
+        with the serving lock held (for callers outside a handler)."""
+        with self.serving:
+            yield self.tenant(tenant_id)
 
-        The only sanctioned path to a tenant's registry, workspace, or
-        sessions (pz-lint ``SV601``).  Creates the tenant on first use
-        (restoring persisted quota/usage if ``tenant.json`` exists).
-        """
-        tenant = self._tenant(tenant_id)
-        return _AcquiredTenant(tenant)
-
-    def _tenant(self, tenant_id: str) -> TenantState:
+    def tenant(self, tenant_id: str) -> TenantState:
+        """The tenant's state, created on first use (restoring persisted
+        quota/usage if ``tenant.json`` exists); call it holding the
+        serving lock, as every handler does."""
         _check_id("tenant", tenant_id)
-        with self._lock:
-            tenant = self._tenants.get(tenant_id)
-            if tenant is None:
-                tenant = self._load_tenant(tenant_id)
-                self._tenants[tenant_id] = tenant
-            return tenant
+        tenant = self._tenants.get(tenant_id)
+        if tenant is None:
+            tenant = self._tenants[tenant_id] = self._load_tenant(tenant_id)
+        return tenant
 
     def _load_tenant(self, tenant_id: str) -> TenantState:
         root = self.root / tenant_id
@@ -499,13 +485,13 @@ class SessionStore:
 
     def tenant_ids(self) -> List[str]:
         """Known tenants: in-memory plus any persisted on disk."""
-        with self._lock:
+        with self.serving:
             known = set(self._tenants)
-        if self.root.is_dir():
-            for entry in self.root.iterdir():
-                if entry.is_dir() and _ID_RE.match(entry.name):
-                    known.add(entry.name)
-        return sorted(known)
+            if self.root.is_dir():
+                for entry in self.root.iterdir():
+                    if entry.is_dir() and _ID_RE.match(entry.name):
+                        known.add(entry.name)
+            return sorted(known)
 
     # -- sessions -------------------------------------------------------
 
@@ -532,29 +518,30 @@ class SessionStore:
                 if persisted.is_file():
                     session = self._resume_session(tenant, persisted)
                     return {**session.to_dict(), "resumed": True}
-            sid = session_id or self._next_session_id(tenant)
-            session = ServerSession(
-                sid, self._new_chat_session(tenant), title)
+            session = self._new_session(
+                tenant, session_id or self._next_session_id(tenant), title)
             tenant.put_session(session)
             self._persist_session(tenant, session)
             self._persist_tenant(tenant)
             return {**session.to_dict(), "resumed": False}
 
-    def _new_chat_session(self, tenant: TenantState):
+    def _new_session(self, tenant: TenantState, session_id: str,
+                     title: str) -> ServerSession:
         from repro.chat.session import PalimpChatSession
 
         chat = PalimpChatSession(agent_model=self.agent_model)
         chat.workspace.attach_root(tenant.root)
         chat.workspace.runs = tenant.runs
-        chat.workspace.budget = tenant.budget
+        # The agent's own reasoning spend counts against the tenant
+        # quota too, not just pipeline execution.
+        meter = SessionMeter(tenant.budget)
+        chat.workspace.budget = meter
+        chat.agent_ledger.attach_budget(meter)
         # Wall-clock ops hook only — the engine times optimize/execute
         # phases into OpsMetrics; deterministic artifacts are untouched.
         chat.workspace.telemetry = (
             self.telemetry if self.telemetry.enabled else None)
-        # The agent's own reasoning spend counts against the tenant
-        # quota too, not just pipeline execution.
-        chat.agent_ledger.attach_budget(tenant.budget)
-        return chat
+        return ServerSession(session_id, chat, title, meter)
 
     def _next_session_id(self, tenant: TenantState) -> str:
         highest = 0
@@ -572,11 +559,10 @@ class SessionStore:
                         path: Path) -> ServerSession:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        chat = self._new_chat_session(tenant)
-        chat.workspace.apply_payload(payload.get("workspace") or {})
-        session = ServerSession(
-            payload["session_id"], chat,
+        session = self._new_session(
+            tenant, payload["session_id"],
             payload.get("title", "PalimpChat session"))
+        session.chat.workspace.apply_payload(payload.get("workspace") or {})
         for turn_payload in payload.get("turns") or []:
             session.turns.append(TurnState.from_payload(turn_payload))
         tenant.put_session(session)
@@ -613,9 +599,9 @@ class SessionStore:
         turn.
         """
         telemetry = self.telemetry
-        request_id = (current_context().get("request_id")
-                      or telemetry.new_request_id())
         with self.acquire(tenant_id) as tenant:
+            request_id = (current_context().get("request_id")
+                          or telemetry.new_request_id())
             session = tenant.get_session(session_id)
             try:
                 tenant.budget.precheck()
@@ -627,44 +613,41 @@ class SessionStore:
                                 session=session_id, stage="pre_turn")
                 raise
             turn = TurnState(session.next_turn_id(), message,
-                             request_id=request_id)
+                             request_id=request_id, lock=self.serving)
             session.turns.append(turn)
-        if wait:
-            self._run_turn(tenant_id, session_id, turn)
-            return turn
-        context_fields = dict(current_context())
-        context_fields.update(request_id=request_id, tenant=tenant_id,
-                              session=session_id, turn=turn.turn_id)
+            if wait:
+                self._run_turn(tenant_id, session_id, turn)
+                return turn
+            context_fields = dict(current_context())
+            context_fields.update(request_id=request_id, tenant=tenant_id,
+                                  session=session_id, turn=turn.turn_id)
 
-        def job():  # pool thread: re-bind the submitter's correlation ids
-            with bind_context(**context_fields):
-                try:
-                    self._run_turn(tenant_id, session_id, turn)
-                finally:
-                    self._update_pool_gauges()
+            def job():  # pool thread: re-bind the submitter's correlation ids
+                with bind_context(**context_fields):
+                    try:
+                        self._run_turn(tenant_id, session_id, turn)
+                    finally:
+                        self._update_pool_gauges()
 
-        try:
-            self.worker_pool.submit(job)
-        except WorkerPoolSaturated:
-            with self.acquire(tenant_id):
-                # Remove by identity, not position: a concurrent POST
-                # may have appended another turn after ours, and the
-                # session itself may have been deleted in between —
-                # either way the rejected turn must not survive as a
-                # ghost "running" row.
+            try:
+                self.worker_pool.submit(job)
+            except WorkerPoolSaturated:
+                # Remove by identity, not position: the rejected turn must
+                # not survive as a ghost "running" row, whatever else was
+                # appended since.
                 try:
                     session.turns.remove(turn)
                 except ValueError:
                     pass
-            telemetry.ops.counter("pool.rejected_total").inc()
-            telemetry.ops.histogram(
-                "pool.saturation_rejections").observe(1.0)
-            telemetry.event("turn_rejected_saturated", tenant=tenant_id,
-                            session=session_id)
+                telemetry.ops.counter("pool.rejected_total").inc()
+                telemetry.ops.histogram(
+                    "pool.saturation_rejections").observe(1.0)
+                telemetry.event("turn_rejected_saturated", tenant=tenant_id,
+                                session=session_id)
+                self._update_pool_gauges()
+                raise
             self._update_pool_gauges()
-            raise
-        self._update_pool_gauges()
-        return turn
+            return turn
 
     def _update_pool_gauges(self) -> None:
         stats = self.worker_pool.stats()
@@ -687,31 +670,42 @@ class SessionStore:
         pool's barrier logs it for async turns instead of dying.
         """
         telemetry = self.telemetry
-        telemetry.ops.gauge("turns.in_flight", tenant=tenant_id).add(1)
-        try:
-            self._run_turn_body(tenant_id, session_id, turn)
-        except Exception as exc:
-            with bind_context(request_id=turn.request_id,
-                              tenant=tenant_id, session=session_id,
-                              turn=turn.turn_id):
-                telemetry.error("turn_infra_error", exc)  # guarded-by: ok(Telemetry.error is the structured-log method, not TurnState.error)
-                if turn.fail_if_running(f"{type(exc).__name__}: {exc}"):
-                    telemetry.ops.counter(
-                        "turns.completed_total", tenant=tenant_id,
-                        status="error").inc()
-            raise
-        finally:
-            telemetry.ops.gauge("turns.in_flight",
-                                tenant=tenant_id).add(-1)
+        with self.serving:
+            telemetry.ops.gauge("turns.in_flight", tenant=tenant_id).add(1)
+            try:
+                self._run_turn_body(tenant_id, session_id, turn)
+            except Exception as exc:
+                with bind_context(request_id=turn.request_id,
+                                  tenant=tenant_id, session=session_id,
+                                  turn=turn.turn_id):
+                    telemetry.error("turn_infra_error", exc)
+                    if turn.fail_if_running(f"{type(exc).__name__}: {exc}"):
+                        telemetry.ops.counter(
+                            "turns.completed_total", tenant=tenant_id,
+                            status="error").inc()
+                raise
+            finally:
+                telemetry.ops.gauge("turns.in_flight",
+                                    tenant=tenant_id).add(-1)
 
     def _run_turn_body(self, tenant_id: str, session_id: str,
                        turn: TurnState) -> None:
+        tenant = self.tenant(tenant_id)
+        session = tenant.get_session(session_id)
+        while session.active is not None:
+            self.serving.wait(lambda: session.active is None)
+        session.active = turn
+        try:
+            self._drive_chat(tenant, session, turn)
+        finally:
+            session.active = None
+            self.serving.notify()
+
+    def _drive_chat(self, tenant: TenantState, session: ServerSession,
+                    turn: TurnState) -> None:
+        """The turn itself: chat, finish, metrics, persist."""
         telemetry = self.telemetry
-        with self.acquire(tenant_id) as tenant:
-            session = tenant.get_session(session_id)
-        budget = tenant.budget
-        spent_cost = budget.spent_cost_usd
-        spent_tokens = budget.spent_tokens
+        serving = self.serving
         buffer = turn.events
         request_id = turn.request_id
 
@@ -721,67 +715,69 @@ class SessionStore:
             tagged = dict(event)
             tagged["request_id"] = request_id
             buffer.emit(tagged)
+            # Whoever queued for the lock meanwhile goes now.
+            serving.pause()
 
-        with bind_context(request_id=request_id, tenant=tenant_id,
-                          session=session_id, turn=turn.turn_id):
+        with bind_context(request_id=request_id, tenant=tenant.tenant_id,
+                          session=session.session_id, turn=turn.turn_id):
             telemetry.event("turn_start",
                             message_chars=len(turn.message))
             started = wall_perf()
-            with session.turn_lock:
-                chat = session.chat
-                chat.on_event = tee_event  # guarded-by: ok(chat is only driven while holding session.turn_lock)
-                ran_before = len(chat.workspace.run_ids)
-                try:
-                    response = chat.chat(turn.message)
-                except QuotaExceededError as exc:
-                    status, reply, tools, error = (
-                        "quota_rejected", str(exc), [], str(exc))
-                    telemetry.event("quota_rejected", stage="mid_run")
-                except Exception as exc:  # surfaced as the turn's error
-                    status = "error"
-                    reply = error = f"{type(exc).__name__}: {exc}"
-                    tools = []
-                    telemetry.error("turn_error", exc)  # guarded-by: ok(Telemetry.error is the structured-log method, not TurnState.error)
-                else:
-                    tools = list(response.tool_sequence)
-                    reply, error = response.text, None
-                    status = "ok"
-                    if self._turn_hit_quota(response):
-                        status = "quota_rejected"
-                        telemetry.event("quota_rejected",
-                                        stage="mid_run_tool")
-                finally:
-                    chat.on_event = None  # guarded-by: ok(chat is only driven while holding session.turn_lock)
-                # Span-derived tail: when this turn executed a pipeline,
-                # summarize its tracer spans into the event stream so late
-                # (and post-restart) readers see where the time went.
-                run_ids = chat.workspace.run_ids
-                if len(run_ids) > ran_before:
-                    tail = progress_events_from_trace(
-                        chat.workspace.runs.get(run_ids[-1]).trace)
-                    for event in tail:
-                        event["request_id"] = request_id
-                    buffer.extend(tail)
+            session.meter.start_turn()
+            chat = session.chat
+            chat.on_event = tee_event
+            ran_before = len(chat.workspace.run_ids)
+            try:
+                response = chat.chat(turn.message)
+            except QuotaExceededError as exc:
+                status, reply, tools, error = (
+                    "quota_rejected", str(exc), [], str(exc))
+                telemetry.event("quota_rejected", stage="mid_run")
+            except Exception as exc:  # surfaced as the turn's error
+                status = "error"
+                reply = error = f"{type(exc).__name__}: {exc}"
+                tools = []
+                telemetry.error("turn_error", exc)
+            else:
+                tools = list(response.tool_sequence)
+                reply, error = response.text, None
+                status = "ok"
+                if self._turn_hit_quota(response):
+                    status = "quota_rejected"
+                    telemetry.event("quota_rejected",
+                                    stage="mid_run_tool")
+            finally:
+                chat.on_event = None
+            # Span-derived tail: when this turn executed a pipeline,
+            # summarize its tracer spans into the event stream so late
+            # (and post-restart) readers see where the time went.
+            run_ids = chat.workspace.run_ids
+            if len(run_ids) > ran_before:
+                tail = progress_events_from_trace(
+                    chat.workspace.runs.get(run_ids[-1]).trace)
+                for event in tail:
+                    event["request_id"] = request_id
+                buffer.extend(tail)
             elapsed = wall_perf() - started
             usage = {
-                "cost_usd": round(budget.spent_cost_usd - spent_cost, 6),
-                "tokens": budget.spent_tokens - spent_tokens,
+                "cost_usd": round(session.meter.turn_cost_usd, 6),
+                "tokens": session.meter.turn_tokens,
             }
             turn.finish(status, reply, tools, usage, error)
-            self._record_turn_metrics(tenant_id, status, elapsed, budget)
+            self._record_turn_metrics(tenant, status, elapsed)
             telemetry.event(
                 "turn_finish", status=status, tools=len(tools),
                 cost_usd=usage["cost_usd"], tokens=usage["tokens"],
                 seconds=round(elapsed, 6),
             )
-            with self.acquire(tenant_id) as tenant:
-                self._persist_session(tenant, session)
-                self._persist_tenant(tenant)
+            self._persist_session(tenant, session)
+            self._persist_tenant(tenant)
 
-    def _record_turn_metrics(self, tenant_id: str, status: str,
-                             elapsed: float, budget: BudgetMeter) -> None:
+    def _record_turn_metrics(self, tenant: TenantState, status: str,
+                             elapsed: float) -> None:
         """Feed one finished turn into the wall-clock metrics registry."""
         ops = self.telemetry.ops
+        tenant_id = tenant.tenant_id
         ops.counter("turns.completed_total", tenant=tenant_id,
                     status=status).inc()
         # turns.in_flight is owned by _run_turn's try/finally — never
@@ -793,7 +789,7 @@ class SessionStore:
         ops.histogram("turn.quota_outcome").observe(rejected)
         if rejected:
             ops.counter("quota.rejections_total", tenant=tenant_id).inc()
-        snapshot = budget.snapshot()
+        snapshot = tenant.usage()
         ops.gauge("tenant.spent_cost_usd", tenant=tenant_id).set(
             snapshot["spent_cost_usd"])
         ops.gauge("tenant.spent_tokens", tenant=tenant_id).set(
@@ -853,30 +849,31 @@ class SessionStore:
         total_cost = 0.0
         total_tokens = 0
         total_calls = 0
-        for tenant_id in self.tenant_ids():
-            with self.acquire(tenant_id) as tenant:
-                snapshot = tenant.usage()
-            tenants[tenant_id] = snapshot
-            total_cost += snapshot["spent_cost_usd"]
-            total_tokens += snapshot["spent_tokens"]
-            total_calls += snapshot["calls"]
-        return {
-            "tenants": tenants,
-            "total": {
-                "spent_cost_usd": round(total_cost, 6),
-                "spent_tokens": total_tokens,
-                "calls": total_calls,
-            },
-            # The admin rollup surfaces the same SLO/alert table as
-            # /healthz, so one call answers "who spent what" and "is
-            # the service degraded".
-            "health": self.telemetry.health(),
-        }
+        with self.serving:
+            for tenant_id in self.tenant_ids():
+                snapshot = self.tenant(tenant_id).usage()
+                tenants[tenant_id] = snapshot
+                total_cost += snapshot["spent_cost_usd"]
+                total_tokens += snapshot["spent_tokens"]
+                total_calls += snapshot["calls"]
+            return {
+                "tenants": tenants,
+                "total": {
+                    "spent_cost_usd": round(total_cost, 6),
+                    "spent_tokens": total_tokens,
+                    "calls": total_calls,
+                },
+                # The admin rollup surfaces the same SLO/alert table as
+                # /healthz, so one call answers "who spent what" and "is
+                # the service degraded".
+                "health": self.telemetry.health(),
+            }
 
     def close(self) -> None:
         """Release the worker pool and telemetry log (tests/shutdown)."""
-        self.worker_pool.close()
-        self.telemetry.close()
+        with self.serving:
+            self.worker_pool.close()
+            self.telemetry.close()
 
     def set_quota(
         self,
@@ -890,17 +887,3 @@ class SessionStore:
                 max_cost_usd=max_cost_usd, max_tokens=max_tokens)
             self._persist_tenant(tenant)
             return tenant.usage()
-
-
-class _AcquiredTenant:
-    """``with store.acquire(tid) as tenant:`` — lock held inside."""
-
-    def __init__(self, tenant: TenantState):
-        self._tenant = tenant
-
-    def __enter__(self) -> TenantState:
-        self._tenant.lock.acquire()
-        return self._tenant
-
-    def __exit__(self, *exc_info) -> None:
-        self._tenant.lock.release()

@@ -1,13 +1,24 @@
-"""Shared fixtures: generated corpora and registered demo datasets."""
+"""Shared fixtures: generated corpora and registered demo datasets.
+
+Tier-1 is a pure function of the tree: every hypothesis test draws the
+same examples on every run (``derandomize``) and replays nothing from a
+``.hypothesis/`` directory (``database=None``).  Each test keeps its own
+``max_examples``.  ``--hypothesis-profile default`` restores fresh draws
+(and ``--hypothesis-seed``, which ``derandomize`` overrides).
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.corpora.legal import generate_legal_corpus
 from repro.corpora.papers import generate_paper_corpus
 from repro.corpora.realestate import generate_realestate_corpus
 from repro.core.sources import DirectorySource, register_datasource
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

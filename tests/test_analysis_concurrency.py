@@ -1,5 +1,6 @@
-"""CC501–CC507: guarded-by discipline and nondeterminism sources."""
+"""CC504–CC507: nondeterminism sources; the serving lock is the only lock."""
 
+import re
 import textwrap
 from pathlib import Path
 
@@ -16,321 +17,6 @@ def lint(source, **kwargs):
 
 def codes(result):
     return [d.code for d in result.diagnostics]
-
-
-class TestCC501GuardedAccess:
-    BROKEN = """
-        import threading
-
-        class Ledger:
-            _GUARDED_BY = {"_records": "_lock"}
-
-            def __init__(self):
-                self._records = []
-                self._lock = threading.Lock()
-
-            def record(self, item):
-                self._records.append(item)  # write without the lock
-
-            def snapshot(self):
-                return list(self._records)  # read without the lock
-    """
-
-    def test_fires_on_unguarded_access(self):
-        result = lint(self.BROKEN)
-        assert codes(result).count("CC501") == 2
-        assert all(d.code == "CC501" for d in result.errors)
-        messages = [d.message for d in result.diagnostics]
-        assert any("written outside" in m for m in messages)
-        assert any("read outside" in m for m in messages)
-
-    def test_clean_when_locked(self):
-        result = lint("""
-            import threading
-
-            class Ledger:
-                _GUARDED_BY = {"_records": "_lock"}
-
-                def __init__(self):
-                    self._records = []
-                    self._lock = threading.Lock()
-
-                def record(self, item):
-                    with self._lock:
-                        self._records.append(item)
-
-                def snapshot(self):
-                    with self._lock:
-                        return list(self._records)
-        """)
-        assert codes(result) == []
-
-    def test_constructor_writes_exempt(self):
-        # __init__ assignments never fire: the object is not shared yet.
-        result = lint("""
-            import threading
-
-            class Box:
-                _GUARDED_BY = {"_value": "_lock"}
-
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._value = 0
-
-                def get(self):
-                    with self._lock:
-                        return self._value
-        """)
-        assert codes(result) == []
-
-    def test_writes_mode_allows_lockfree_reads(self):
-        result = lint("""
-            import threading
-
-            class Registry:
-                _GUARDED_BY = {"_truths": ("_lock", "writes")}
-
-                def __init__(self):
-                    self._truths = {}
-                    self._lock = threading.Lock()
-
-                def register(self, key, value):
-                    with self._lock:
-                        self._truths[key] = value
-
-                def lookup(self, key):
-                    return self._truths.get(key)  # documented lock-free
-        """)
-        assert codes(result) == []
-
-    def test_nested_write_through_attribute(self):
-        # x.stats.count += 1 is a write *to stats*.
-        result = lint("""
-            import threading
-
-            class Meter:
-                _GUARDED_BY = {"stats": ("_lock", "writes")}
-
-                def __init__(self):
-                    self.stats = object()
-                    self._lock = threading.Lock()
-
-                def bump(self):
-                    self.stats.count += 1
-
-                def reset(self):
-                    with self._lock:
-                        self.stats = object()
-        """)
-        assert codes(result) == ["CC501"]
-
-    def test_closure_inside_with_block_inherits_lock(self):
-        result = lint("""
-            import threading
-
-            class Store:
-                _GUARDED_BY = {"_items": "_lock"}
-
-                def __init__(self):
-                    self._items = []
-                    self._lock = threading.Lock()
-
-                def finalize(self):
-                    with self._lock:
-                        def grab(i):
-                            return self._items[i]
-                        return [grab(i) for i in range(len(self._items))]
-        """)
-        assert codes(result) == []
-
-    def test_module_level_guard_covers_getattr_setattr(self):
-        broken = """
-            import threading
-
-            _CACHE_LOCK = threading.Lock()
-            _GUARDED_BY = {"_memo": "_CACHE_LOCK"}
-
-            def lookup(source):
-                return getattr(source, "_memo", None)  # unguarded
-
-            def store(source, value):
-                setattr(source, "_memo", value)  # unguarded
-        """
-        result = lint(broken)
-        assert codes(result) == ["CC501", "CC501"]
-        fixed = """
-            import threading
-
-            _CACHE_LOCK = threading.Lock()
-            _GUARDED_BY = {"_memo": "_CACHE_LOCK"}
-
-            def lookup(source):
-                with _CACHE_LOCK:
-                    return getattr(source, "_memo", None)
-
-            def store(source, value):
-                with _CACHE_LOCK:
-                    setattr(source, "_memo", value)
-        """
-        assert codes(lint(fixed)) == []
-
-    def test_pragma_suppresses(self):
-        result = lint("""
-            import threading
-
-            class Ledger:
-                _GUARDED_BY = {"_records": "_lock"}
-
-                def __init__(self):
-                    self._records = []
-                    self._lock = threading.Lock()
-
-                def record(self, item):
-                    with self._lock:
-                        self._records.append(item)
-
-                def peek(self):
-                    return self._records[-1]  # guarded-by: ok(post-join read)
-        """)
-        assert codes(result) == []
-
-
-class TestCC502DeadLock:
-    def test_fires_on_never_acquired_lock(self):
-        result = lint("""
-            import threading
-
-            class Thing:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._data = []
-
-                def add(self, item):
-                    self._data.append(item)
-        """)
-        assert codes(result) == ["CC502"]
-        assert result.warnings and not result.errors
-
-    def test_clean_when_acquired(self):
-        result = lint("""
-            import threading
-
-            class Thing:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._data = []
-
-                def add(self, item):
-                    with self._lock:
-                        self._data.append(item)
-        """)
-        assert codes(result) == []
-
-    def test_explicit_acquire_release_counts(self):
-        result = lint("""
-            import threading
-
-            class Thing:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def risky(self):
-                    self._lock.acquire()
-                    try:
-                        pass
-                    finally:
-                        self._lock.release()
-        """)
-        assert codes(result) == []
-
-
-class TestCC503WorkerWrites:
-    BROKEN = """
-        import threading
-
-        class Runner:
-            def __init__(self):
-                self._abort = threading.Event()
-                self._local = threading.local()
-                self.progress = 0
-
-            def start(self):
-                thread = threading.Thread(target=self._worker)
-                thread.start()
-
-            def _worker(self):
-                self.progress += 1  # shared, undeclared
-                self._helper()
-
-            def _helper(self):
-                self.progress += 1  # reachable from the entry point
-    """
-
-    def test_fires_on_undeclared_shared_write(self):
-        result = lint(self.BROKEN)
-        assert codes(result) == ["CC503", "CC503"]
-
-    def test_declared_guard_silences(self):
-        result = lint("""
-            import threading
-
-            class Runner:
-                _GUARDED_BY = {"progress": "_lock"}
-
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.progress = 0
-
-                def start(self):
-                    thread = threading.Thread(target=self._worker)
-                    thread.start()
-
-                def _worker(self):
-                    with self._lock:
-                        self.progress += 1
-        """)
-        assert codes(result) == []
-
-    def test_sync_primitives_and_thread_locals_exempt(self):
-        result = lint("""
-            import threading
-
-            class Runner:
-                def __init__(self):
-                    self._abort = threading.Event()
-                    self._local = threading.local()
-
-                def start(self):
-                    thread = threading.Thread(target=self._worker)
-                    thread.start()
-
-                def _worker(self):
-                    self._local.depth = 1  # thread-local: private
-        """)
-        assert codes(result) == []
-
-    def test_alias_resolved_thread_target(self):
-        # worker = self._a if flag else self._b, Thread(target=worker)
-        result = lint("""
-            import threading
-
-            class Runner:
-                def __init__(self, flag):
-                    self.flag = flag
-                    self.counter = 0
-
-                def start(self):
-                    worker = self._fast if self.flag else self._slow
-                    thread = threading.Thread(target=worker)
-                    thread.start()
-
-                def _fast(self):
-                    self.counter += 1
-
-                def _slow(self):
-                    self.counter += 2
-        """)
-        assert codes(result) == ["CC503", "CC503"]
 
 
 class TestCC504WallClock:
@@ -476,7 +162,7 @@ class TestCC507UnorderedIteration:
 class TestIntegration:
     def test_family_disable(self):
         config = LintConfig(disabled=("CC",))
-        result = lint(TestCC501GuardedAccess.BROKEN, config=config)
+        result = lint("import time\nstamp = time.time()\n", config=config)
         assert codes(result) == []
 
     def test_lint_program_runs_cc_rules(self):
@@ -486,46 +172,23 @@ class TestIntegration:
         )
         assert "CC504" in codes(result)
 
-    def test_lint_program_runs_the_tenancy_rule(self):
-        # SV601 rides the same entry point; the shipped handlers only
-        # ever show it clean code, so show it the leak it exists for.
-        handler = "def handle_list(self, store, tenant):\n"
-        acquire = "    with store.acquire(tenant) as state:\n"
-
-        def sv(body):
-            result = lint_program(handler + body, filename="handlers.py")
-            return [d for d in result.diagnostics if d.code == "SV601"]
-
-        (leak,) = sv("    return list(store.sessions)\n")
-        assert leak.location == "handlers.py:2"
-        assert "'.sessions'" in leak.message
-        assert sv("    return list(store.sessions)"
-                  "  # tenancy: ok(admin listing)\n") == []
-        assert sv(acquire + "        return list(state.sessions)\n") == []
-
     def test_syntax_error_returns_empty(self):
         assert codes(lint("def broken(:")) == []
 
 
 class TestAnnotatedModules:
-    #: Modules whose locked state a server thread can reach: each declares
-    #: its guards for the CC rules and the sanitizer.
-    SERVER_REACHABLE = [
-        "server/progress.py", "server/store.py", "obs/telemetry.py",
-        "obs/registry.py", "llm/usage.py", "llm/oracle.py",
-        "llm/cache.py", "llm/models.py", "core/sources.py",
-    ]
-    #: Per-run types: owned by one run or session on one thread.
-    PER_RUN = [
-        "llm/clock.py", "llm/replay.py", "obs/trace.py",
-        "obs/provenance.py", "obs/metrics.py",
-    ]
+    """One lock: the server's serving lock and its condition are the
+    only synchronization ``src/repro`` builds, so no module annotates
+    guards, and nothing outside ``server/`` constructs a lock."""
+
+    LOCK = re.compile(r"threading\.(Lock|RLock|Condition)\(")
 
     def test_guards_declared_only_where_threads_reach(self):
-        for name in self.SERVER_REACHABLE:
-            source = (SRC_ROOT / name).read_text()
-            assert "_GUARDED_BY" in source, f"{name} lost its annotations"
-        for name in self.PER_RUN:
-            source = (SRC_ROOT / name).read_text()
-            assert "threading" not in source, f"{name} imports threading"
-            assert "_GUARDED_BY" not in source, f"{name} declares guards"
+        builders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            source = path.read_text()
+            name = path.relative_to(SRC_ROOT).as_posix()
+            for marker in ("_GUARDED_BY", "guarded-by:", "tenancy:"):
+                assert marker not in source, f"{name} carries {marker}"
+            builders += [name] * len(self.LOCK.findall(source))
+        assert builders == ["server/serving.py", "server/serving.py"]

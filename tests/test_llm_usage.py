@@ -134,3 +134,43 @@ class TestVirtualTimestamps:
         ]
         assert timestamps == sorted(timestamps)
         assert timestamps[0] > 0
+
+
+class TestScheduleFreeMoney:
+    """A run's cost sums its calls, so no schedule may move it: the
+    ledger's canonical order keys on what a call *is*, and the lane
+    timestamp a schedule gives it only breaks exact ties."""
+
+    SCHEDULES = [
+        {},
+        {"executor": "sharded", "shards": 2},
+        {"executor": "sharded", "shards": 4},
+        {"executor": "sharded", "shards": 8},
+        {"executor": "async", "shards": 4},
+        {"executor": "async", "shards": 8},
+    ]
+
+    @pytest.mark.parametrize("shape", ["filter", "fig6"])
+    def test_total_cost_is_bit_equal_across_schedules(
+            self, papers_dir, shape):
+        import repro as pz
+        from repro.core.sources import DirectorySource
+        from repro.corpora.papers import CLINICAL_FIELDS, PAPERS_PREDICATE
+
+        source = DirectorySource(papers_dir, dataset_id="paper-claims")
+        dataset = pz.Dataset(source).filter(PAPERS_PREDICATE)
+        if shape == "fig6":
+            dataset = dataset.convert(
+                pz.make_schema(
+                    "ClinicalData",
+                    "A schema for extracting clinical data datasets "
+                    "from papers.",
+                    CLINICAL_FIELDS),
+                cardinality=pz.Cardinality.ONE_TO_MANY)
+        totals = {
+            repr(options): pz.Execute(
+                dataset, policy=pz.MaxQuality(),
+                **options)[1].plan_stats.total_cost_usd
+            for options in self.SCHEDULES
+        }
+        assert len(set(totals.values())) == 1, totals

