@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chat.workspace import PipelineWorkspace
+from repro.chat.workspace import PipelineWorkspace, fold_options
 from repro.core.errors import PalimpzestError
+from repro.physical.options import ExecutionOptions
 
 
 class CodegenError(PalimpzestError):
@@ -33,6 +34,10 @@ _CARDINALITY_EXPR = {
 }
 
 
+#: ``pz.Execute``'s option defaults; the program names only the others.
+_DEFAULT_OPTIONS = ExecutionOptions().kwargs()
+
+
 def generate_program(workspace: PipelineWorkspace) -> str:
     """Emit the Fig. 6-style program for the steps logged so far."""
     lines: List[str] = [
@@ -40,6 +45,7 @@ def generate_program(workspace: PipelineWorkspace) -> str:
         "",
     ]
     policy_expr = "pz.MaxQuality()"
+    options = ExecutionOptions()
     emitted_pipeline = False
 
     for step in workspace.steps:
@@ -91,14 +97,26 @@ def generate_program(workspace: PipelineWorkspace) -> str:
                     f"expected one of {sorted(_POLICY_EXPR)}"
                 )
             policy_expr = _POLICY_EXPR[key]
-        elif step.kind == "execute":
-            lines.append("# Execute workload")
+        elif step.kind in ("parallelism", "execution_mode"):
+            options = fold_options(options, step)
+        elif step.kind in ("execute", "rerun"):
+            if step.kind == "rerun":
+                # A re-run gives the same result as a cold run on the
+                # updated corpus, which is what this call makes.
+                lines.append("# Re-run workload on the updated corpus")
+            else:
+                lines.append("# Execute workload")
             lines.append(f"policy = {policy_expr}")
+            extra = "".join(f", {key}={value!r}"
+                            for key, value in options.kwargs().items()
+                            if value != _DEFAULT_OPTIONS[key])
             lines.append(
                 "records, execution_stats = pz.Execute(dataset, "
-                "policy=policy)"
+                f"policy=policy{extra})"
             )
             lines.append("")
+        else:
+            raise CodegenError(f"unknown step kind {step.kind!r}")
 
     if not emitted_pipeline:
         return (

@@ -38,6 +38,22 @@ class PipelineStep:
         return f"{self.kind}({inner})"
 
 
+def fold_options(options: ExecutionOptions,
+                 step: PipelineStep) -> ExecutionOptions:
+    """The execution options in effect after ``step`` (the
+    ``parallelism`` and ``execution_mode`` steps change them)."""
+    params = step.params
+    if step.kind == "parallelism":
+        return dataclasses.replace(options,
+                                   max_workers=int(params["workers"]))
+    if step.kind == "execution_mode":
+        return ExecutionOptions.normalized(
+            params.get("executor"), options.max_workers,
+            int(params.get("batch_size", 1)), params.get("shards"),
+        )
+    return options
+
+
 class PipelineWorkspace:
     """Mutable state shared by the PalimpChat tools.
 
@@ -212,6 +228,7 @@ class PipelineWorkspace:
         for entry in payload.get("steps", []):
             kind = entry["kind"]
             params = dict(entry.get("params", {}))
+            step = PipelineStep(kind=kind, params=params)
             if kind == "load":
                 self.current = Dataset(source=params["source"])
             elif kind == "schema":
@@ -232,16 +249,10 @@ class PipelineWorkspace:
                 )
             elif kind == "policy":
                 self.policy = parse_policy(params["target"])
-            elif kind == "parallelism":
-                self.options = dataclasses.replace(
-                    self.options, max_workers=int(params["workers"]))
-            elif kind == "execution_mode":
-                self.options = ExecutionOptions.normalized(
-                    params.get("executor"), self.options.max_workers,
-                    int(params.get("batch_size", 1)), params.get("shards"),
-                )
-            # execute/rerun and unknown kinds: log-only (below).
-            self.steps.append(PipelineStep(kind=kind, params=params))
+            # Mode steps move the options; execute/rerun and unknown
+            # kinds are log-only.
+            self.options = fold_options(self.options, step)
+            self.steps.append(step)
         self.run_ids = list(payload.get("run_ids", [
             s.params["result_id"] for s in self.steps if s.kind in _RUN_STEPS
         ]))

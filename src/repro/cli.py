@@ -255,10 +255,10 @@ def _cmd_serve(args) -> int:
     print(f"repro serve: http://{host}:{port}  "
           f"(tenants under {root}; default quota: "
           f"{' / '.join(caps) if caps else 'unmetered'})")
-    if server.store.telemetry.enabled:
-        print(f"telemetry: GET /metrics (+ /healthz SLOs); "
-              f"logs under {server.store.telemetry.log.root}; "
-              f"watch live with 'repro top --url http://{host}:{port}'")
+    log = server.store.telemetry.log
+    logs = f"logs under {log.root}; " if log is not None else ""
+    print(f"telemetry: GET /metrics (+ /healthz SLOs); {logs}"
+          f"watch live with 'repro top --url http://{host}:{port}'")
     print("POST /tenants/<id>/sessions to begin; Ctrl-C to stop.")
     try:
         server.serve_forever()
@@ -785,8 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--verbose", action="store_true",
                      help="log each request line to stderr")
     srv.add_argument("--no-telemetry", action="store_true",
-                     help="disable the wall-clock ops layer (no JSONL "
-                          "logs; /metrics and SLOs read as empty)")
+                     help="write no JSONL telemetry logs (/metrics and "
+                          "the SLOs are still served)")
     srv.add_argument("--telemetry-root", default=None, metavar="DIR",
                      help="structured-log directory "
                           "(default: <root>/../telemetry)")

@@ -23,8 +23,8 @@ proper observability subsystem:
   (``.repro/runs/``) with list/load/diff over recorded executions.
 * :mod:`repro.obs.telemetry` — the *wall-clock* operational layer for
   the service tier: request-correlated structured JSONL logs, the
-  ``OpsMetrics`` registry behind ``GET /metrics``, sliding-window SLO
-  evaluation, and the ``repro top`` dashboard renderer.  Strictly
+  ``OpsMetrics`` dict behind ``GET /metrics``, the ``SLOS`` table over
+  its sliding windows, and the ``repro top`` dashboard renderer.  Strictly
   separate from the virtual-clock tracer above — it never feeds any
   deterministic artifact (records, stats, traces, provenance).
 
@@ -76,11 +76,8 @@ from repro.obs.registry import (
     diff_runs,
 )
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
+    SLOS,
     OpsMetrics,
-    SloEvaluator,
-    SloRule,
     Telemetry,
     TelemetryLog,
     bind_context,
@@ -121,11 +118,8 @@ __all__ = [
     "RunRegistry",
     "RunSnapshot",
     "diff_runs",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
+    "SLOS",
     "OpsMetrics",
-    "SloEvaluator",
-    "SloRule",
     "Telemetry",
     "TelemetryLog",
     "bind_context",

@@ -24,15 +24,16 @@ Pieces (see ``docs/observability.md`` → "Operational telemetry"):
   tail can be joined back to its HTTP request.
 * :class:`TelemetryLog` — structured JSONL event log with size-based
   rotation under ``.repro/telemetry/``.
-* :class:`OpsMetrics` — labeled counters, gauges, and sliding-window
-  histograms summarized by :func:`~repro.obs.metrics.summarize`, the same
-  summary as a run's deterministic distributions, exported in Prometheus
-  text format and as JSON.
-* :class:`SloEvaluator` — a declarative alert-rule table evaluated over
+* :class:`OpsMetrics` — one dict of labeled counters, gauges, and
+  sliding-window histograms summarized by
+  :func:`~repro.obs.metrics.summarize`, the same summary as a run's
+  deterministic distributions, exported in Prometheus text format and
+  as JSON.
+* :data:`SLOS` — the service-level objectives, one table evaluated over
   the sliding windows (availability, p95 turn latency, quota-rejection
   rate, worker-pool saturation); surfaced at ``GET /healthz``.
-* :class:`Telemetry` — the facade the server wires through everything,
-  with :data:`NULL_TELEMETRY` as the no-op off switch.
+* :class:`Telemetry` — the facade the server wires through everything;
+  ``Telemetry(root=None)`` keeps metrics and SLOs but writes no log.
 * :func:`render_dashboard` — the ``repro top`` terminal view over two
   successive ``/metrics?format=json`` payloads.
 """
@@ -46,7 +47,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -54,19 +55,13 @@ from repro.obs.metrics import HISTOGRAM_QUANTILES, summarize
 
 __all__ = [
     "DEFAULT_TELEMETRY_ROOT",
-    "DEFAULT_SLO_RULES",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "OpsCounter",
-    "OpsGauge",
     "OpsMetrics",
-    "OpsWindowHistogram",
-    "SloEvaluator",
-    "SloRule",
+    "SLOS",
     "Telemetry",
     "TelemetryLog",
     "bind_context",
     "current_context",
+    "evaluate_slos",
     "render_dashboard",
     "stack_digest",
     "wall_now",
@@ -77,7 +72,11 @@ DEFAULT_TELEMETRY_ROOT = ".repro/telemetry"
 
 #: Sliding-window length every OpsMetrics histogram (and therefore every
 #: SLO) is evaluated over, in wall seconds.
-DEFAULT_WINDOW_SECONDS = 300.0
+WINDOW_SECONDS = 300.0
+
+#: The JSONL log rolls to a new file past this size and keeps this many.
+LOG_FILE_BYTES = 1_000_000
+LOG_FILES_KEPT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +156,14 @@ class TelemetryLog:
     <fields>}`` — correlation fields come from :func:`current_context`
     automatically, so callers never thread request ids by hand.  Files
     are ``events-00000.jsonl``, ``events-00001.jsonl``, ... under
-    ``root``; when the active file would exceed ``max_bytes`` the writer
-    rolls to the next index and prunes beyond ``keep_files``.  Under
-    ``repro serve`` every writer holds the serving lock.
+    ``root``; when the active file would exceed :data:`LOG_FILE_BYTES`
+    the writer rolls to the next index and keeps the newest
+    :data:`LOG_FILES_KEPT`.  Under ``repro serve`` every writer holds the
+    serving lock.
     """
 
-    def __init__(
-        self,
-        root,
-        max_bytes: int = 1_000_000,
-        keep_files: int = 5,
-        clock=wall_now,
-    ):
+    def __init__(self, root, clock=wall_now):
         self.root = Path(root)
-        self.max_bytes = max(1024, int(max_bytes))
-        self.keep_files = max(1, int(keep_files))
         self._clock = clock
         self._handle = None
         self._size = 0
@@ -208,12 +200,12 @@ class TelemetryLog:
             self.root.mkdir(parents=True, exist_ok=True)
             self._handle = open(path, "ab")
             self._size = path.stat().st_size
-        if self._size and self._size + len(data) > self.max_bytes:
+        if self._size and self._size + len(data) > LOG_FILE_BYTES:
             self._handle.close()
             self._index += 1
             self._handle = open(self._path_for(self._index), "ab")
             self._size = 0
-            self._prune(self._index - self.keep_files + 1)
+            self._prune(self._index - LOG_FILES_KEPT + 1)
         self._handle.write(data)
         self._handle.flush()
         self._size += len(data)
@@ -245,7 +237,7 @@ class TelemetryLog:
 
 
 # ---------------------------------------------------------------------------
-# OpsMetrics: labeled wall-clock instruments
+# OpsMetrics: one dict of labeled wall-clock values
 # ---------------------------------------------------------------------------
 
 
@@ -253,118 +245,85 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class OpsCounter:
-    """A monotonically increasing operational count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class OpsGauge:
-    """A point-in-time operational value (``add`` for in-flight +/-1)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-
-class OpsWindowHistogram:
-    """Latency samples over a sliding wall-clock window.
-
-    Unlike a run's deterministic distribution, samples age out:
-    ``summary()`` reports count/sum/min/max and nearest-rank p50/p95/p99
-    over only the samples observed within ``window_seconds`` of *now* —
-    the basis for the SLO evaluation and the ``repro top`` percentiles.
-    """
-
-    __slots__ = ("window_seconds", "_samples", "_clock")
-
-    def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 clock=wall_now):
-        self.window_seconds = float(window_seconds)
-        self._samples: deque = deque()
-        self._clock = clock
-
-    def observe(self, value: float, ts: Optional[float] = None) -> None:
-        stamp = self._clock() if ts is None else ts
-        self._samples.append((stamp, float(value)))
-        self._prune(stamp)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
-
-    def summary(self, now: Optional[float] = None) -> Dict[str, float]:
-        self._prune(self._clock() if now is None else now)
-        return summarize([value for _, value in self._samples])
+def _prune(samples: deque, now: float) -> None:
+    horizon = now - WINDOW_SECONDS
+    while samples and samples[0][0] < horizon:
+        samples.popleft()
 
 
 class OpsMetrics:
-    """Creates-or-returns labeled operational instruments.
+    """Labeled operational metrics: one dict keyed ``(kind, name, labels)``.
 
-    Names are dotted lowercase paths (``http.requests_total``) like the
-    deterministic registry; labels are keyword arguments
-    (``counter("turns.completed_total", tenant="acme", status="ok")``).
-    ``snapshot()`` is the JSON exposition; :meth:`to_prometheus` the
-    text exposition (dots become underscores there).
+    A ``counter`` or ``gauge`` holds a float; a ``histogram`` holds a
+    deque of ``(ts, value)`` samples pruned to the last
+    :data:`WINDOW_SECONDS` and summarized by
+    :func:`~repro.obs.metrics.summarize`.  Names are dotted lowercase
+    paths (``http.requests_total``) like a run's metrics; labels are
+    keyword arguments (``inc("turns.completed_total", tenant="acme",
+    status="ok")``).  ``snapshot()`` is the JSON exposition,
+    :meth:`to_prometheus` the text exposition (dots become underscores).
     """
 
-    def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 clock=wall_now):
-        self.window_seconds = float(window_seconds)
+    def __init__(self, clock=wall_now):
         self._clock = clock
-        self._metrics: Dict[Tuple[str, str, Tuple[Tuple[str, str], ...]],
-                            Any] = {}
+        self.values: Dict[Tuple[str, str, Tuple[Tuple[str, str], ...]],
+                          Any] = {}
 
-    def _get_or_create(self, kind: str, name: str,
-                       labels: Dict[str, Any], factory):
-        key = (kind, name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = factory()
-        return metric
+    def inc(self, name: str, amount: float = 1.0, /, **labels: Any) -> None:
+        """Add to a monotonically increasing counter."""
+        key = ("counter", name, _label_key(labels))
+        self.values[key] = self.values.get(key, 0.0) + amount
 
-    def counter(self, name: str, **labels: Any) -> OpsCounter:
-        return self._get_or_create("counter", name, labels, OpsCounter)
+    def set(self, name: str, value: float, /, **labels: Any) -> None:
+        """Set a gauge to a point-in-time value."""
+        self.values[("gauge", name, _label_key(labels))] = float(value)
 
-    def gauge(self, name: str, **labels: Any) -> OpsGauge:
-        return self._get_or_create("gauge", name, labels, OpsGauge)
+    def add(self, name: str, delta: float, /, **labels: Any) -> None:
+        """Move a gauge by ``delta`` (in-flight +1/-1)."""
+        key = ("gauge", name, _label_key(labels))
+        self.values[key] = self.values.get(key, 0.0) + delta
 
-    def histogram(self, name: str, **labels: Any) -> OpsWindowHistogram:
-        return self._get_or_create(
-            "histogram", name, labels,
-            lambda: OpsWindowHistogram(self.window_seconds, self._clock),
-        )
+    def _samples(self, name: str, labels: Dict[str, Any]) -> deque:
+        key = ("histogram", name, _label_key(labels))
+        samples = self.values.get(key)
+        if samples is None:
+            samples = self.values[key] = deque()
+        return samples
 
-    def _items(self) -> List[Tuple[Tuple[str, str, Tuple], Any]]:
-        return sorted(self._metrics.items())
+    def observe(self, name: str, value: float, /, **labels: Any) -> None:
+        """Add one sample to a sliding-window histogram."""
+        samples = self._samples(name, labels)
+        now = self._clock()
+        samples.append((now, float(value)))
+        _prune(samples, now)
+
+    def summary(self, name: str, now: Optional[float] = None, /,
+                **labels: Any) -> Dict[str, float]:
+        """count/sum/min/max and p50/p95/p99 of one histogram's window.
+
+        An unseen histogram starts empty here, so every histogram an SLO
+        reads is exported, with count 0 until it is observed.
+        """
+        return self._summarize(self._samples(name, labels), now)
+
+    def _summarize(self, samples: deque,
+                   now: Optional[float]) -> Dict[str, float]:
+        _prune(samples, self._clock() if now is None else now)
+        return summarize([value for _, value in samples])
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """JSON exposition: counters/gauges/histograms with labels."""
         out: Dict[str, List[Dict[str, Any]]] = {
             "counters": [], "gauges": [], "histograms": [],
         }
-        for (kind, name, labels), metric in self._items():
+        for kind, name, labels in sorted(self.values):
+            value = self.values[kind, name, labels]
             row: Dict[str, Any] = {"name": name, "labels": dict(labels)}
             if kind == "histogram":
-                row["summary"] = metric.summary(now)
-                out["histograms"].append(row)
+                row["summary"] = self._summarize(value, now)
             else:
-                row["value"] = metric.value
-                out[kind + "s"].append(row)
+                row["value"] = value
+            out[kind + "s"].append(row)
         return out
 
     def to_prometheus(self, now: Optional[float] = None) -> str:
@@ -376,7 +335,8 @@ class OpsMetrics:
         """
         lines: List[str] = []
         typed: set = set()
-        for (kind, name, labels), metric in self._items():
+        for kind, name, labels in sorted(self.values):
+            value = self.values[kind, name, labels]
             prom = _prom_name(name)
             if (kind, prom) not in typed:
                 typed.add((kind, prom))
@@ -385,7 +345,7 @@ class OpsMetrics:
                 lines.append(f"# TYPE {prom} {prom_type}")
             label_dict = dict(labels)
             if kind == "histogram":
-                summary = metric.summary(now)
+                summary = self._summarize(value, now)
                 for quantile_label, q in HISTOGRAM_QUANTILES:
                     lines.append(_prom_sample(
                         prom, {**label_dict, "quantile": repr(q)},
@@ -395,7 +355,7 @@ class OpsMetrics:
                 lines.append(_prom_sample(
                     prom + "_sum", label_dict, summary["sum"]))
             else:
-                lines.append(_prom_sample(prom, label_dict, metric.value))
+                lines.append(_prom_sample(prom, label_dict, value))
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -426,107 +386,74 @@ def _prom_value(value: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SLOs: a declarative alert-rule table over the sliding windows
+# SLOs: one table over the sliding windows
 # ---------------------------------------------------------------------------
+#
+# A measure reads the window and returns ``(value, ok)`` for its row's
+# threshold; its function name is the row's ``kind`` in ``/healthz``.
 
 
-class SloRule:
-    """One service-level objective evaluated over the metrics window.
-
-    ``kind`` picks the evaluation (and the metric read):
-
-    * ``availability`` — mean of ``http.availability`` (1 per non-5xx
-      response, 0 per 5xx); fires when it drops *below* threshold.
-    * ``latency_p95`` — p95 of the aggregate ``turn.wall_seconds``
-      window; fires when it rises *above* threshold seconds.
-    * ``quota_rejection_rate`` — mean of ``turn.quota_outcome`` (1 per
-      quota-rejected turn, 0 otherwise); fires *above* threshold.
-    * ``saturation`` — count of ``pool.saturation_rejections`` in the
-      window (503s from the bounded turn worker pool); fires *above*
-      threshold.
-    """
-
-    KINDS = ("availability", "latency_p95", "quota_rejection_rate",
-             "saturation")
-
-    def __init__(self, name: str, kind: str, threshold: float,
-                 description: str = ""):
-        if kind not in self.KINDS:
-            raise ValueError(
-                f"unknown SLO kind {kind!r}; expected one of {self.KINDS}")
-        self.name = name
-        self.kind = kind
-        self.threshold = float(threshold)
-        self.description = description
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "description": self.description,
-        }
+def _mean(ops: OpsMetrics, name: str, now: Optional[float],
+          empty: float) -> float:
+    window = ops.summary(name, now)
+    return window["sum"] / window["count"] if window["count"] else empty
 
 
-DEFAULT_SLO_RULES = (
-    SloRule(
-        "availability", "availability", 0.99,
-        "fraction of HTTP responses below 500 over the window",
-    ),
-    SloRule(
-        "turn_latency_p95", "latency_p95", 30.0,
-        "p95 wall seconds per finished chat turn",
-    ),
-    SloRule(
-        "quota_rejection_rate", "quota_rejection_rate", 0.5,
-        "fraction of turns rejected or aborted on quota",
-    ),
-    SloRule(
-        "worker_pool_saturation", "saturation", 0.0,
-        "async turns bounced 503 by the saturated worker pool",
-    ),
+def availability(ops: OpsMetrics, now: Optional[float], threshold: float):
+    """Mean of ``http.availability`` (1 per response below 500, 0 per
+    5xx); fails *below* the threshold."""
+    value = _mean(ops, "http.availability", now, 1.0)
+    return value, value >= threshold
+
+
+def latency_p95(ops: OpsMetrics, now: Optional[float], threshold: float):
+    """p95 of the aggregate ``turn.wall_seconds``; fails above it."""
+    value = ops.summary("turn.wall_seconds", now)["p95"]
+    return value, value <= threshold
+
+
+def quota_rejection_rate(ops: OpsMetrics, now: Optional[float],
+                         threshold: float):
+    """Mean of ``turn.quota_outcome`` (1 per quota-rejected turn)."""
+    value = _mean(ops, "turn.quota_outcome", now, 0.0)
+    return value, value <= threshold
+
+
+def saturation(ops: OpsMetrics, now: Optional[float], threshold: float):
+    """Count of ``pool.saturation_rejections`` (503s from the worker
+    pool) in the window."""
+    value = ops.summary("pool.saturation_rejections", now)["count"]
+    return value, value <= threshold
+
+
+#: The service's objectives: ``(name, threshold, description, measure)``.
+SLOS = (
+    ("availability", 0.99,
+     "fraction of HTTP responses below 500 over the window", availability),
+    ("turn_latency_p95", 30.0,
+     "p95 wall seconds per finished chat turn", latency_p95),
+    ("quota_rejection_rate", 0.5,
+     "fraction of turns rejected or aborted on quota", quota_rejection_rate),
+    ("worker_pool_saturation", 0.0,
+     "async turns bounced 503 by the saturated worker pool", saturation),
 )
 
 
-class SloEvaluator:
-    """Evaluates the rule table against an :class:`OpsMetrics`."""
-
-    def __init__(self, ops: OpsMetrics,
-                 rules: Optional[List[SloRule]] = None):
-        self.ops = ops
-        self.rules = list(rules if rules is not None else DEFAULT_SLO_RULES)
-
-    def _measure(self, rule: SloRule, now: Optional[float]) -> float:
-        if rule.kind == "availability":
-            summary = self.ops.histogram("http.availability").summary(now)
-            if not summary["count"]:
-                return 1.0
-            return summary["sum"] / summary["count"]
-        if rule.kind == "latency_p95":
-            return self.ops.histogram("turn.wall_seconds").summary(now)["p95"]
-        if rule.kind == "quota_rejection_rate":
-            summary = self.ops.histogram("turn.quota_outcome").summary(now)
-            if not summary["count"]:
-                return 0.0
-            return summary["sum"] / summary["count"]
-        # saturation
-        return self.ops.histogram(
-            "pool.saturation_rejections").summary(now)["count"]
-
-    def evaluate(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
-        """One status row per rule: the rule, its value, and ``ok``."""
-        statuses = []
-        for rule in self.rules:
-            value = self._measure(rule, now)
-            if rule.kind == "availability":
-                ok = value >= rule.threshold
-            else:
-                ok = value <= rule.threshold
-            status = rule.to_dict()
-            status["value"] = round(value, 6)
-            status["ok"] = ok
-            statuses.append(status)
-        return statuses
+def evaluate_slos(ops: OpsMetrics,
+                  now: Optional[float] = None) -> List[Dict[str, Any]]:
+    """One status row per :data:`SLOS` entry: its value and ``ok``."""
+    rows = []
+    for name, threshold, description, measure in SLOS:
+        value, ok = measure(ops, now, threshold)
+        rows.append({
+            "name": name,
+            "kind": measure.__name__,
+            "threshold": threshold,
+            "description": description,
+            "value": round(value, 6),
+            "ok": ok,
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -540,26 +467,16 @@ class Telemetry:
     The server constructs exactly one and threads it through the HTTP
     handlers, the :class:`~repro.server.store.SessionStore`, chat
     workspaces, and the execution engine.  Everything is wall-clock and
-    best-effort; nothing here may influence deterministic outputs.  Under
-    ``repro serve`` every caller holds the serving lock.
+    best-effort; nothing here may influence deterministic outputs.  With
+    ``root=None`` no log file is written; metrics and SLOs are kept in
+    memory either way.  Under ``repro serve`` every caller holds the
+    serving lock.
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        root=DEFAULT_TELEMETRY_ROOT,
-        slo_rules: Optional[List[SloRule]] = None,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_log_bytes: int = 1_000_000,
-        keep_log_files: int = 5,
-        clock=wall_now,
-    ):
-        self.root = Path(root)
-        self.log = TelemetryLog(self.root, max_bytes=max_log_bytes,
-                                keep_files=keep_log_files, clock=clock)
-        self.ops = OpsMetrics(window_seconds=window_seconds, clock=clock)
-        self.slos = SloEvaluator(self.ops, slo_rules)
+    def __init__(self, root=DEFAULT_TELEMETRY_ROOT, clock=wall_now):
+        self.log = (TelemetryLog(root, clock=clock)
+                    if root is not None else None)
+        self.ops = OpsMetrics(clock=clock)
         self._request_serial = 0
         # A per-process epoch keeps request ids unique across restarts
         # of the same telemetry root (ids are operational, never part of
@@ -579,11 +496,12 @@ class Telemetry:
 
     def event(self, name: str, **fields: Any) -> None:
         """One structured log line (correlation context auto-attached)."""
-        self.log.log(name, **fields)
+        if self.log is not None:
+            self.log.log(name, **fields)
 
     def error(self, name: str, exc: BaseException, **fields: Any) -> None:
         """Log an error event with type, message, and stack digest."""
-        self.log.log(
+        self.event(
             name,
             error_type=type(exc).__name__,
             error=str(exc),
@@ -608,15 +526,14 @@ class Telemetry:
             seconds = wall_perf() - started
             tenant = current_context().get("tenant")
             labels = {"tenant": tenant} if tenant else {}
-            self.ops.histogram(f"{name}_wall_seconds",
-                               **labels).observe(seconds)
+            self.ops.observe(f"{name}_wall_seconds", seconds, **labels)
             self.event(f"{name}_phase", seconds=round(seconds, 6), **fields)
 
     # -- exposition -----------------------------------------------------
 
     def health(self, now: Optional[float] = None) -> Dict[str, Any]:
         """The ``/healthz`` payload: ok/degraded + the SLO table."""
-        slos = self.slos.evaluate(now)
+        slos = evaluate_slos(self.ops, now)
         alerts = [row for row in slos if not row["ok"]]
         return {
             "status": "degraded" if alerts else "ok",
@@ -631,7 +548,7 @@ class Telemetry:
         health = self.health(now)
         return {
             "generated_at": round(stamp, 6),
-            "window_seconds": self.ops.window_seconds,
+            "window_seconds": WINDOW_SECONDS,
             "status": health["status"],
             "alerts": health["alerts"],
             "slos": health["slos"],
@@ -642,101 +559,15 @@ class Telemetry:
         """The ``/metrics`` text exposition, SLO verdicts included."""
         lines = [self.ops.to_prometheus(now).rstrip("\n")]
         lines.append("# TYPE repro_slo_ok gauge")
-        for row in self.slos.evaluate(now):
+        for row in evaluate_slos(self.ops, now):
             lines.append(_prom_sample(
                 "repro_slo_ok", {"slo": row["name"]},
                 1 if row["ok"] else 0))
         return "\n".join(line for line in lines if line) + "\n"
 
     def close(self) -> None:
-        self.log.close()
-
-
-class NullTelemetry:
-    """The off switch: same surface, no files, no samples, no cost."""
-
-    enabled = False
-
-    class _NullInstrument:
-        def inc(self, amount: float = 1.0) -> None:
-            pass
-
-        def set(self, value: float) -> None:
-            pass
-
-        def add(self, delta: float) -> None:
-            pass
-
-        def observe(self, value: float, ts: Optional[float] = None) -> None:
-            pass
-
-        value = 0.0
-
-        def summary(self, now: Optional[float] = None) -> Dict[str, float]:
-            return summarize(())
-
-    class _NullOps:
-        window_seconds = DEFAULT_WINDOW_SECONDS
-
-        def __init__(self, instrument):
-            self._instrument = instrument
-
-        def counter(self, name: str, **labels: Any):
-            return self._instrument
-
-        def gauge(self, name: str, **labels: Any):
-            return self._instrument
-
-        def histogram(self, name: str, **labels: Any):
-            return self._instrument
-
-        def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
-            return {"counters": [], "gauges": [], "histograms": []}
-
-        def to_prometheus(self, now: Optional[float] = None) -> str:
-            return ""
-
-    def __init__(self):
-        instrument = self._NullInstrument()
-        self.ops = self._NullOps(instrument)
-        self.slos = SloEvaluator(None, rules=[])
-        self._serial = 0
-
-    def new_request_id(self) -> str:
-        self._serial += 1
-        return f"req-off-{self._serial:06d}"
-
-    def event(self, name: str, **fields: Any) -> None:
-        pass
-
-    def error(self, name: str, exc: BaseException, **fields: Any) -> None:
-        pass
-
-    def phase(self, name: str, **fields: Any):
-        return nullcontext()
-
-    def health(self, now: Optional[float] = None) -> Dict[str, Any]:
-        return {"status": "ok", "ok": True, "alerts": [], "slos": []}
-
-    def metrics_payload(self, now: Optional[float] = None) -> Dict[str, Any]:
-        return {
-            "generated_at": 0.0,
-            "window_seconds": 0.0,
-            "status": "ok",
-            "alerts": [],
-            "slos": [],
-            "metrics": self.ops.snapshot(),
-        }
-
-    def prometheus(self, now: Optional[float] = None) -> str:
-        return "# TYPE repro_slo_ok gauge\n"
-
-    def close(self) -> None:
-        pass
-
-
-#: The shared no-op instance (``SessionStore(telemetry=False)``).
-NULL_TELEMETRY = NullTelemetry()
+        if self.log is not None:
+            self.log.close()
 
 
 # ---------------------------------------------------------------------------
@@ -744,42 +575,24 @@ NULL_TELEMETRY = NullTelemetry()
 # ---------------------------------------------------------------------------
 
 
-def _counter_by_tenant(payload: Dict[str, Any], name: str,
-                       status: Optional[str] = None) -> Dict[str, float]:
-    totals: Dict[str, float] = {}
-    for row in payload.get("metrics", {}).get("counters", []):
+def _by_tenant(payload: Dict[str, Any], kind: str,
+               name: str) -> Dict[str, Any]:
+    """One metric's rows in a ``/metrics`` JSON payload, by tenant label.
+
+    Counter and gauge values add up per tenant (a counter's status
+    labels fold together); a histogram row maps to its summary.  Rows
+    without a tenant label land under ``"-"``.
+    """
+    found: Dict[str, Any] = {}
+    for row in payload.get("metrics", {}).get(kind, []):
         if row["name"] != name:
             continue
-        labels = row.get("labels", {})
-        if status is not None and labels.get("status") != status:
-            continue
-        tenant = labels.get("tenant", "-")
-        totals[tenant] = totals.get(tenant, 0.0) + row["value"]
-    return totals
-
-
-def _gauge_by_tenant(payload: Dict[str, Any], name: str) -> Dict[str, float]:
-    values: Dict[str, float] = {}
-    for row in payload.get("metrics", {}).get("gauges", []):
-        if row["name"] == name and "tenant" in row.get("labels", {}):
-            values[row["labels"]["tenant"]] = row["value"]
-    return values
-
-
-def _histogram_by_tenant(payload: Dict[str, Any],
-                         name: str) -> Dict[str, Dict[str, float]]:
-    summaries: Dict[str, Dict[str, float]] = {}
-    for row in payload.get("metrics", {}).get("histograms", []):
-        if row["name"] == name and "tenant" in row.get("labels", {}):
-            summaries[row["labels"]["tenant"]] = row["summary"]
-    return summaries
-
-
-def _gauge_value(payload: Dict[str, Any], name: str) -> float:
-    for row in payload.get("metrics", {}).get("gauges", []):
-        if row["name"] == name and not row.get("labels"):
-            return row["value"]
-    return 0.0
+        tenant = row.get("labels", {}).get("tenant", "-")
+        if kind == "histograms":
+            found[tenant] = row["summary"]
+        else:
+            found[tenant] = found.get(tenant, 0.0) + row["value"]
+    return found
 
 
 def render_dashboard(
@@ -793,14 +606,17 @@ def render_dashboard(
     turn the monotonic turn counters into turns/s rates; without them
     the rate column shows ``-``.
     """
-    turns = _counter_by_tenant(payload, "turns.completed_total")
-    prev_turns = (_counter_by_tenant(previous, "turns.completed_total")
+    turns = _by_tenant(payload, "counters", "turns.completed_total")
+    prev_turns = (_by_tenant(previous, "counters", "turns.completed_total")
                   if previous else {})
-    quota = _counter_by_tenant(payload, "quota.rejections_total")
-    in_flight = _gauge_by_tenant(payload, "turns.in_flight")
-    latency = _histogram_by_tenant(payload, "turn.wall_seconds")
-    spent = _gauge_by_tenant(payload, "tenant.spent_cost_usd")
-    caps = _gauge_by_tenant(payload, "tenant.quota_cost_usd")
+    quota = _by_tenant(payload, "counters", "quota.rejections_total")
+    in_flight = _by_tenant(payload, "gauges", "turns.in_flight")
+    latency = _by_tenant(payload, "histograms", "turn.wall_seconds")
+    spent = _by_tenant(payload, "gauges", "tenant.spent_cost_usd")
+    caps = _by_tenant(payload, "gauges", "tenant.quota_cost_usd")
+
+    def pool(name: str) -> float:
+        return _by_tenant(payload, "gauges", name).get("-", 0.0)
 
     tenants = sorted(set(turns) | set(in_flight) | set(spent) | set(quota))
     status = payload.get("status", "ok")
@@ -837,10 +653,10 @@ def render_dashboard(
         lines.append("(no tenant traffic yet)")
     lines.append("")
     pool_bits = (
-        f"pool: active {_gauge_value(payload, 'pool.active'):.0f}"
-        f"/{_gauge_value(payload, 'pool.workers'):.0f} workers, "
-        f"queued {_gauge_value(payload, 'pool.queued'):.0f}, "
-        f"saturation {_gauge_value(payload, 'pool.saturation'):.2f}"
+        f"pool: active {pool('pool.active'):.0f}"
+        f"/{pool('pool.workers'):.0f} workers, "
+        f"queued {pool('pool.queued'):.0f}, "
+        f"saturation {pool('pool.saturation'):.2f}"
     )
     lines.append(pool_bits)
     alerts = payload.get("alerts") or []

@@ -141,9 +141,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
             telemetry = self.store.telemetry
             self._request_id = telemetry.new_request_id()
             if route is None:
-                telemetry.ops.counter("http.requests_total", method=method,
-                                      route="unrouted", status="404").inc()
-                telemetry.ops.histogram("http.availability").observe(1.0)
+                telemetry.ops.inc("http.requests_total", method=method,
+                                  route="unrouted", status="404")
+                telemetry.ops.observe("http.availability", 1.0)
                 status, payload = 404, {
                     "error": "not_found",
                     "message": f"no route for {method} {path}"}
@@ -198,13 +198,13 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
                     "message": f"{type(exc).__name__}: {exc}",
                 }
             seconds = wall_perf() - started
-            telemetry.ops.counter(
+            telemetry.ops.inc(
                 "http.requests_total", method=method, route=route_label,
-                status=str(status)).inc()
-            telemetry.ops.histogram(
-                "http.request_seconds", route=route_label).observe(seconds)
-            telemetry.ops.histogram("http.availability").observe(
-                0.0 if status >= 500 else 1.0)
+                status=str(status))
+            telemetry.ops.observe(
+                "http.request_seconds", seconds, route=route_label)
+            telemetry.ops.observe(
+                "http.availability", 0.0 if status >= 500 else 1.0)
             telemetry.event("request_finish", method=method,
                             route=route_label, status=status,
                             seconds=round(seconds, 6))
@@ -478,9 +478,10 @@ def serve(
     binds an ephemeral port (see ``server.server_address``).
 
     ``telemetry`` follows :class:`SessionStore` semantics: ``None`` /
-    ``True`` boots the wall-clock ops layer (JSONL logs under
-    ``telemetry_root``), ``False`` installs the no-op variant, and a
-    ready :class:`~repro.obs.telemetry.Telemetry` is used as-is.
+    ``True`` boots the wall-clock ops layer with JSONL logs under
+    ``telemetry_root``, ``False`` keeps metrics and SLOs but writes no
+    log, and a ready :class:`~repro.obs.telemetry.Telemetry` is used
+    as-is.
     """
     from repro.corpora import register_demo_datasets
     from repro.server.store import DEFAULT_TENANTS_ROOT

@@ -46,7 +46,6 @@ from repro.llm.usage import BudgetMeter, QuotaExceededError
 from repro.obs.persist import write_json
 from repro.obs.registry import RunRegistry, RunStore
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     Telemetry,
     bind_context,
     current_context,
@@ -419,10 +418,10 @@ class SessionStore:
         async_queue: int = 16,
     ):
         """``telemetry`` accepts an explicit :class:`Telemetry`, ``None``
-        (construct one under ``telemetry_root``, default
-        ``<root>/../telemetry``), or ``False`` (fully off —
-        :data:`~repro.obs.telemetry.NULL_TELEMETRY`).  ``async_workers``
-        / ``async_queue`` bound the ``wait=false`` turn worker pool."""
+        (construct one logging under ``telemetry_root``, default
+        ``<root>/../telemetry``), or ``False`` (no log file; metrics and
+        SLOs are still kept in memory).  ``async_workers`` /
+        ``async_queue`` bound the ``wait=false`` turn worker pool."""
         self.root = Path(root)
         self.default_max_cost_usd = default_max_cost_usd
         self.default_max_tokens = default_max_tokens
@@ -431,14 +430,13 @@ class SessionStore:
             telemetry = Telemetry(
                 root=telemetry_root or self.root.parent / "telemetry")
         elif telemetry is False:
-            telemetry = NULL_TELEMETRY
+            telemetry = Telemetry(root=None)
         self.telemetry = telemetry
         self.serving = ServingLock()
         self.worker_pool = TurnWorkerPool(
             workers=async_workers, queue_size=async_queue, lock=self.serving)
         self._tenants: Dict[str, TenantState] = {}
-        self.telemetry.ops.gauge("pool.workers").set(
-            self.worker_pool.workers)
+        self.telemetry.ops.set("pool.workers", self.worker_pool.workers)
 
     # -- tenant lifecycle ----------------------------------------------
 
@@ -539,8 +537,7 @@ class SessionStore:
         chat.agent_ledger.attach_budget(meter)
         # Wall-clock ops hook only — the engine times optimize/execute
         # phases into OpsMetrics; deterministic artifacts are untouched.
-        chat.workspace.telemetry = (
-            self.telemetry if self.telemetry.enabled else None)
+        chat.workspace.telemetry = self.telemetry
         return ServerSession(session_id, chat, title, meter)
 
     def _next_session_id(self, tenant: TenantState) -> str:
@@ -606,9 +603,8 @@ class SessionStore:
             try:
                 tenant.budget.precheck()
             except QuotaExceededError:
-                telemetry.ops.counter(
-                    "quota.rejections_total", tenant=tenant_id).inc()
-                telemetry.ops.histogram("turn.quota_outcome").observe(1.0)
+                telemetry.ops.inc("quota.rejections_total", tenant=tenant_id)
+                telemetry.ops.observe("turn.quota_outcome", 1.0)
                 telemetry.event("quota_rejected", tenant=tenant_id,
                                 session=session_id, stage="pre_turn")
                 raise
@@ -639,9 +635,8 @@ class SessionStore:
                     session.turns.remove(turn)
                 except ValueError:
                     pass
-                telemetry.ops.counter("pool.rejected_total").inc()
-                telemetry.ops.histogram(
-                    "pool.saturation_rejections").observe(1.0)
+                telemetry.ops.inc("pool.rejected_total")
+                telemetry.ops.observe("pool.saturation_rejections", 1.0)
                 telemetry.event("turn_rejected_saturated", tenant=tenant_id,
                                 session=session_id)
                 self._update_pool_gauges()
@@ -652,10 +647,10 @@ class SessionStore:
     def _update_pool_gauges(self) -> None:
         stats = self.worker_pool.stats()
         ops = self.telemetry.ops
-        ops.gauge("pool.workers").set(stats["workers"])
-        ops.gauge("pool.active").set(stats["active"])
-        ops.gauge("pool.queued").set(stats["queued"])
-        ops.gauge("pool.saturation").set(stats["saturation"])
+        ops.set("pool.workers", stats["workers"])
+        ops.set("pool.active", stats["active"])
+        ops.set("pool.queued", stats["queued"])
+        ops.set("pool.saturation", stats["saturation"])
 
     def _run_turn(self, tenant_id: str, session_id: str,
                   turn: TurnState) -> None:
@@ -671,7 +666,7 @@ class SessionStore:
         """
         telemetry = self.telemetry
         with self.serving:
-            telemetry.ops.gauge("turns.in_flight", tenant=tenant_id).add(1)
+            telemetry.ops.add("turns.in_flight", 1, tenant=tenant_id)
             try:
                 self._run_turn_body(tenant_id, session_id, turn)
             except Exception as exc:
@@ -680,13 +675,12 @@ class SessionStore:
                                   turn=turn.turn_id):
                     telemetry.error("turn_infra_error", exc)
                     if turn.fail_if_running(f"{type(exc).__name__}: {exc}"):
-                        telemetry.ops.counter(
+                        telemetry.ops.inc(
                             "turns.completed_total", tenant=tenant_id,
-                            status="error").inc()
+                            status="error")
                 raise
             finally:
-                telemetry.ops.gauge("turns.in_flight",
-                                    tenant=tenant_id).add(-1)
+                telemetry.ops.add("turns.in_flight", -1, tenant=tenant_id)
 
     def _run_turn_body(self, tenant_id: str, session_id: str,
                        turn: TurnState) -> None:
@@ -778,25 +772,24 @@ class SessionStore:
         """Feed one finished turn into the wall-clock metrics registry."""
         ops = self.telemetry.ops
         tenant_id = tenant.tenant_id
-        ops.counter("turns.completed_total", tenant=tenant_id,
-                    status=status).inc()
+        ops.inc("turns.completed_total", tenant=tenant_id, status=status)
         # turns.in_flight is owned by _run_turn's try/finally — never
         # decremented here, so an exception anywhere in the body cannot
         # leak the gauge.
-        ops.histogram("turn.wall_seconds").observe(elapsed)
-        ops.histogram("turn.wall_seconds", tenant=tenant_id).observe(elapsed)
+        ops.observe("turn.wall_seconds", elapsed)
+        ops.observe("turn.wall_seconds", elapsed, tenant=tenant_id)
         rejected = 1.0 if status == "quota_rejected" else 0.0
-        ops.histogram("turn.quota_outcome").observe(rejected)
+        ops.observe("turn.quota_outcome", rejected)
         if rejected:
-            ops.counter("quota.rejections_total", tenant=tenant_id).inc()
+            ops.inc("quota.rejections_total", tenant=tenant_id)
         snapshot = tenant.usage()
-        ops.gauge("tenant.spent_cost_usd", tenant=tenant_id).set(
-            snapshot["spent_cost_usd"])
-        ops.gauge("tenant.spent_tokens", tenant=tenant_id).set(
-            snapshot["spent_tokens"])
+        ops.set("tenant.spent_cost_usd", snapshot["spent_cost_usd"],
+                tenant=tenant_id)
+        ops.set("tenant.spent_tokens", snapshot["spent_tokens"],
+                tenant=tenant_id)
         if snapshot.get("max_cost_usd") is not None:
-            ops.gauge("tenant.quota_cost_usd", tenant=tenant_id).set(
-                snapshot["max_cost_usd"])
+            ops.set("tenant.quota_cost_usd", snapshot["max_cost_usd"],
+                    tenant=tenant_id)
 
     @staticmethod
     def _turn_hit_quota(response) -> bool:
@@ -836,6 +829,8 @@ class SessionStore:
 
     def _persist_session(self, tenant: TenantState,
                          session: ServerSession) -> None:
+        if tenant.peek_session(session.session_id) is not session:
+            return  # evicted while its turn ran: the file stays deleted
         sessions_dir = tenant.sessions_dir()
         sessions_dir.mkdir(parents=True, exist_ok=True)
         write_json(sessions_dir / f"{session.session_id}.json",

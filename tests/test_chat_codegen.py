@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chat.codegen import exec_program, generate_program
+from repro.chat.codegen import CodegenError, exec_program, generate_program
 from repro.chat.workspace import PipelineWorkspace
 
 
@@ -81,3 +81,52 @@ class TestExecProgram:
         stats = namespace["execution_stats"]
         assert stats.records_out == 6
         assert stats.total_cost_usd > 0
+
+
+class TestExportedModes:
+    """The exported program runs the way the conversation ran."""
+
+    @pytest.mark.parametrize("mode_turn", [
+        "Use 4 workers",
+        "Use 4 shards",
+        "Use the pipelined executor with batch size 8",
+        "Use the async executor",
+    ])
+    def test_reexecution_matches_the_chat_run(self, sigmod_demo, mode_turn):
+        import json
+
+        from repro.chat.session import PalimpChatSession
+
+        session = PalimpChatSession()
+        for message in ("Load the sigmod-demo dataset",
+                        "Keep only the papers about colorectal cancer",
+                        mode_turn,
+                        "Optimize for runtime and run the pipeline"):
+            session.chat(message)
+        workspace = session.workspace
+        run = workspace.runs.get(workspace.current_run_id)
+        namespace = exec_program(session.generated_code())
+        stats = namespace["execution_stats"]
+        assert [json.loads(r.to_json())
+                for r in namespace["records"]] == run.records
+        assert stats.plan_stats.plan_describe == run.meta["plan"]
+        assert round(stats.total_cost_usd, 6) == run.meta["total_cost_usd"]
+        assert (stats.executor, stats.max_workers, stats.batch_size) == (
+            run.meta["executor"], run.meta["max_workers"],
+            run.meta["batch_size"])
+
+    def test_rerun_renders_the_same_call(self, workspace):
+        workspace.log_step("execution_mode", executor="sharded",
+                           batch_size=1, shards=4)
+        workspace.log_step("rerun", base="run-0001", result_id="run-0002")
+        code = generate_program(workspace)
+        call = ("records, execution_stats = pz.Execute(dataset, "
+                "policy=policy, executor='sharded', shards=4)")
+        assert code.rstrip().endswith(
+            "# Re-run workload on the updated corpus\n"
+            "policy = pz.MaxQuality()\n" + call)
+
+    def test_unknown_step_kind_raises(self, workspace):
+        workspace.log_step("teleport", where="moon")
+        with pytest.raises(CodegenError, match="teleport"):
+            generate_program(workspace)

@@ -645,10 +645,8 @@ class TestTelemetryEndpoints:
         assert status == 200 and payload["status"] == "ok"
         # Pump 5xx availability samples into the window: the
         # availability SLO (>= 0.99) must fire and name itself.
-        histogram = server.store.telemetry.ops.histogram(
-            "http.availability")
         for _ in range(50):
-            histogram.observe(0.0)
+            server.store.telemetry.ops.observe("http.availability", 0.0)
         status, payload = request(server, "GET", "/healthz")
         assert status == 200
         assert payload["status"] == "degraded" and payload["ok"] is False
@@ -660,9 +658,10 @@ class TestTelemetryEndpoints:
         assert rows[0]["status"] == "ok"
         status, _, text = request_raw(server, "GET", "/metrics")
         assert status == 200
-        assert "turns_completed_total" not in text
+        assert 'turns_completed_total{status="ok",tenant="acme"} 1' in text
         status, payload = request(server, "GET", "/healthz")
-        assert payload["status"] == "ok" and payload["slos"] == []
+        assert payload["status"] == "ok"
+        assert not (server.store.root.parent / "telemetry").exists()
 
 
 class TestRequestCorrelation:
@@ -707,6 +706,27 @@ class TestRequestCorrelation:
         tagged = [e for e in payload["events"]
                   if e.get("request_id") == rid]
         assert tagged  # live events and span tail are correlated
+
+
+class TestEviction:
+    def test_session_evicted_mid_turn_stays_evicted(self, make_store):
+        store = make_store(telemetry=False)
+        sid = store.ensure_session("acme")["session_id"]
+        with store.acquire("acme") as tenant:
+            chat = tenant.get_session(sid).chat
+        path = store.root / "acme" / "sessions" / f"{sid}.json"
+        answer = chat.chat
+
+        def evict_then_answer(message):
+            assert store.evict_session("acme", sid)
+            assert not path.exists()
+            return answer(message)
+
+        chat.chat = evict_then_answer
+        turn = store.run_turn("acme", sid, SCRIPT[0])
+        assert turn.status == "ok"
+        assert not path.exists()
+        assert store.ensure_session("acme", session_id=sid)["resumed"] is False
 
 
 class TestWorkerPoolSaturation:

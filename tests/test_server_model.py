@@ -113,8 +113,10 @@ class ServiceMachine(RuleBasedStateMachine):
         self.billed = {t: 0 for t in TENANTS}
 
     def _open(self):
+        # Two async workers: async turns of one tenant's sessions
+        # interleave at progress events.
         return SessionStore(root=str(self.root), telemetry=False,
-                            async_workers=1)
+                            async_workers=2)
 
     def teardown(self):
         self.store.close()

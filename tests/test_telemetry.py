@@ -3,7 +3,7 @@
 Everything here drives the layer with fake clocks so the tests are
 deterministic even though the production layer is wall-clock by design:
 log rotation, correlation binding across threads, sliding-window
-histograms, the Prometheus exposition, SLO evaluation per rule kind,
+histograms, the Prometheus exposition, the SLO table,
 and the `repro top` dashboard renderer.
 """
 
@@ -12,18 +12,15 @@ import threading
 
 import pytest
 
+from repro.obs import telemetry as telemetry_module
 from repro.obs.telemetry import (
-    DEFAULT_SLO_RULES,
-    NULL_TELEMETRY,
-    NullTelemetry,
+    SLOS,
     OpsMetrics,
-    OpsWindowHistogram,
-    SloEvaluator,
-    SloRule,
     Telemetry,
     TelemetryLog,
     bind_context,
     current_context,
+    evaluate_slos,
     render_dashboard,
     stack_digest,
 )
@@ -119,12 +116,12 @@ class TestTelemetryLog:
         assert events[0]["message_chars"] == 42
         assert events[0]["ts"] == 1000.0
 
-    def test_rotation_and_pruning(self, tmp_path):
-        # max_bytes floors at 1024; each line below is ~120 bytes, so
-        # ~9 lines per file.  60 lines must roll several times and prune
-        # down to keep_files=2.
-        log = TelemetryLog(tmp_path, max_bytes=1024, keep_files=2,
-                           clock=FakeClock())
+    def test_rotation_and_pruning(self, tmp_path, monkeypatch):
+        # Each line below is ~120 bytes, so ~9 lines per 1 KB file.  60
+        # lines must roll several times and prune down to 2 files.
+        monkeypatch.setattr(telemetry_module, "LOG_FILE_BYTES", 1024)
+        monkeypatch.setattr(telemetry_module, "LOG_FILES_KEPT", 2)
+        log = TelemetryLog(tmp_path, clock=FakeClock())
         for i in range(60):
             log.log("tick", index=i, padding="x" * 64)
         log.close()
@@ -154,16 +151,15 @@ class TestTelemetryLog:
         assert list(parsed) == sorted(parsed)  # sort_keys pinned
 
 
-# -- sliding-window histograms and the registry -------------------------
+# -- sliding-window histograms and the metrics dict ---------------------
 
 
 class TestOpsWindowHistogram:
     def test_summary_quantiles(self):
-        clock = FakeClock()
-        histogram = OpsWindowHistogram(window_seconds=60.0, clock=clock)
+        ops = OpsMetrics(clock=FakeClock())
         for value in [1.0, 2.0, 3.0, 4.0, 5.0]:
-            histogram.observe(value)
-        summary = histogram.summary()
+            ops.observe("turn.wall_seconds", value)
+        summary = ops.summary("turn.wall_seconds")
         assert summary["count"] == 5
         assert summary["sum"] == pytest.approx(15.0)
         assert summary["min"] == 1.0 and summary["max"] == 5.0
@@ -172,37 +168,36 @@ class TestOpsWindowHistogram:
 
     def test_samples_age_out_of_the_window(self):
         clock = FakeClock()
-        histogram = OpsWindowHistogram(window_seconds=60.0, clock=clock)
-        histogram.observe(100.0)
-        clock.advance(61.0)
-        histogram.observe(1.0)
-        summary = histogram.summary()
+        ops = OpsMetrics(clock=clock)
+        ops.observe("turn.wall_seconds", 100.0)
+        clock.advance(telemetry_module.WINDOW_SECONDS + 1.0)
+        ops.observe("turn.wall_seconds", 1.0)
+        summary = ops.summary("turn.wall_seconds")
         assert summary["count"] == 1
         assert summary["max"] == 1.0
 
     def test_empty_window_is_zeros(self):
-        histogram = OpsWindowHistogram(clock=FakeClock())
-        summary = histogram.summary()
+        summary = OpsMetrics(clock=FakeClock()).summary("turn.wall_seconds")
         assert summary["count"] == 0 and summary["p95"] == 0.0
 
     def test_sum_is_exact_in_any_sample_order(self):
-        histogram = OpsWindowHistogram(clock=FakeClock())
+        ops = OpsMetrics(clock=FakeClock())
         for value in (1e16, 1.0, -1e16):
-            histogram.observe(value)
-        assert histogram.summary()["sum"] == 1.0
+            ops.observe("x.y", value)
+        assert ops.summary("x.y")["sum"] == 1.0
 
     def test_null_summary_matches_an_empty_window(self):
-        null = NULL_TELEMETRY.ops.histogram("turn.wall_seconds")
-        assert null.summary() == OpsWindowHistogram(
-            clock=FakeClock()).summary()
+        off = Telemetry(root=None, clock=FakeClock())
+        assert off.ops.summary("turn.wall_seconds") == OpsMetrics(
+            clock=FakeClock()).summary("turn.wall_seconds")
 
 
 class TestOpsMetrics:
     def test_same_name_and_labels_share_an_instrument(self):
         ops = OpsMetrics(clock=FakeClock())
-        ops.counter("turns.completed_total", tenant="acme").inc()
-        ops.counter("turns.completed_total", tenant="acme").inc()
-        ops.counter("turns.completed_total", tenant="globex").inc()
+        ops.inc("turns.completed_total", tenant="acme")
+        ops.inc("turns.completed_total", tenant="acme")
+        ops.inc("turns.completed_total", tenant="globex")
         snapshot = ops.snapshot()
         rows = {
             row["labels"]["tenant"]: row["value"]
@@ -212,10 +207,9 @@ class TestOpsMetrics:
 
     def test_prometheus_exposition_shape(self):
         ops = OpsMetrics(clock=FakeClock())
-        ops.counter("http.requests_total", route="health",
-                    status="200").inc()
-        ops.gauge("pool.workers").set(4)
-        ops.histogram("turn.wall_seconds", tenant="acme").observe(0.5)
+        ops.inc("http.requests_total", route="health", status="200")
+        ops.set("pool.workers", 4)
+        ops.observe("turn.wall_seconds", 0.5, tenant="acme")
         text = ops.to_prometheus()
         assert "# TYPE http_requests_total counter" in text
         assert ('http_requests_total{route="health",status="200"} 1'
@@ -234,7 +228,7 @@ class TestOpsMetrics:
 
     def test_label_values_are_escaped(self):
         ops = OpsMetrics(clock=FakeClock())
-        ops.counter("odd.total", label='we"ird\nvalue').inc()
+        ops.inc("odd.total", label='we"ird\nvalue')
         text = ops.to_prometheus()
         assert '\\"' in text and "\\n" in text
 
@@ -243,9 +237,9 @@ class TestOpsMetrics:
 
 
 class TestSloEvaluation:
-    def _telemetry(self, tmp_path, rules=None):
+    def _telemetry(self, tmp_path):
         clock = FakeClock()
-        return Telemetry(root=tmp_path, slo_rules=rules, clock=clock), clock
+        return Telemetry(root=tmp_path, clock=clock), clock
 
     def test_all_ok_when_quiet(self, tmp_path):
         telemetry, _ = self._telemetry(tmp_path)
@@ -253,49 +247,44 @@ class TestSloEvaluation:
         assert health["status"] == "ok" and health["ok"] is True
         assert health["alerts"] == []
         assert {row["name"] for row in health["slos"]} == {
-            rule.name for rule in DEFAULT_SLO_RULES}
+            name for name, _, _, _ in SLOS}
 
     def test_availability_fires_on_5xx(self, tmp_path):
         telemetry, _ = self._telemetry(tmp_path)
-        histogram = telemetry.ops.histogram("http.availability")
         for _ in range(9):
-            histogram.observe(1.0)
-        histogram.observe(0.0)  # 90% < 99% objective
+            telemetry.ops.observe("http.availability", 1.0)
+        telemetry.ops.observe("http.availability", 0.0)  # 90% < 99%
         alerts = {row["name"] for row in telemetry.health()["alerts"]}
         assert "availability" in alerts
 
     def test_latency_p95_fires_above_threshold(self, tmp_path):
-        rules = [SloRule("lat", "latency_p95", 1.0, "p95 test")]
-        telemetry, _ = self._telemetry(tmp_path, rules)
+        telemetry, _ = self._telemetry(tmp_path)
         for _ in range(20):
-            telemetry.ops.histogram("turn.wall_seconds").observe(2.0)
+            telemetry.ops.observe("turn.wall_seconds", 40.0)  # > 30 s
         health = telemetry.health()
         assert health["status"] == "degraded"
-        assert health["alerts"][0]["value"] == pytest.approx(2.0)
+        [alert] = health["alerts"]
+        assert alert["name"] == "turn_latency_p95"
+        assert alert["value"] == pytest.approx(40.0)
 
     def test_quota_rejection_rate(self, tmp_path):
         telemetry, _ = self._telemetry(tmp_path)
-        histogram = telemetry.ops.histogram("turn.quota_outcome")
-        histogram.observe(1.0)
-        histogram.observe(1.0)
-        histogram.observe(0.0)
+        telemetry.ops.observe("turn.quota_outcome", 1.0)
+        telemetry.ops.observe("turn.quota_outcome", 1.0)
+        telemetry.ops.observe("turn.quota_outcome", 0.0)
         alerts = {row["name"] for row in telemetry.health()["alerts"]}
         assert "quota_rejection_rate" in alerts  # 2/3 > 0.5
 
     def test_saturation_fires_and_ages_out(self, tmp_path):
         telemetry, clock = self._telemetry(tmp_path)
-        telemetry.ops.histogram("pool.saturation_rejections").observe(1.0)
+        telemetry.ops.observe("pool.saturation_rejections", 1.0)
         assert telemetry.health()["status"] == "degraded"
-        clock.advance(301.0)  # past the default window
+        clock.advance(301.0)  # past the window
         assert telemetry.health(now=clock())["status"] == "ok"
 
-    def test_unknown_rule_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown SLO kind"):
-            SloRule("bad", "made_up", 1.0)
-
     def test_evaluator_reads_empty_windows_as_healthy(self):
-        evaluator = SloEvaluator(OpsMetrics(clock=FakeClock()))
-        assert all(row["ok"] for row in evaluator.evaluate())
+        assert all(row["ok"]
+                   for row in evaluate_slos(OpsMetrics(clock=FakeClock())))
 
 
 # -- the facade ---------------------------------------------------------
@@ -358,26 +347,28 @@ class TestTelemetryFacade:
                                            "histograms"}
 
 
-class TestNullTelemetry:
-    def test_null_is_inert_but_complete(self, tmp_path):
-        null = NullTelemetry()
-        assert null.enabled is False
-        null.event("anything", x=1)
-        null.error("boom", ValueError("x"))
-        with null.phase("engine.execute"):
+class TestTelemetryOff:
+    def test_off_writes_no_files_but_keeps_metrics(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        telemetry = Telemetry(root=None, clock=FakeClock())
+        assert telemetry.log is None
+        telemetry.event("anything", x=1)
+        telemetry.error("boom", ValueError("x"))
+        with telemetry.phase("engine.execute"):
             pass
-        null.ops.counter("a.b", tenant="t").inc()
-        null.ops.gauge("c.d").set(5)
-        null.ops.histogram("e.f").observe(1.0)
-        assert null.ops.snapshot() == {
-            "counters": [], "gauges": [], "histograms": []}
-        assert null.health()["ok"] is True
-        assert null.metrics_payload()["status"] == "ok"
-        assert null.prometheus().startswith("# TYPE repro_slo_ok")
+        telemetry.ops.inc("a.b", tenant="t")
+        telemetry.close()
+        names = {row["name"] for rows in telemetry.ops.snapshot().values()
+                 for row in rows}
+        assert names == {"a.b", "engine.execute_wall_seconds"}
+        assert telemetry.health()["ok"] is True
+        assert 'repro_slo_ok{slo="availability"} 1' in telemetry.prometheus()
         assert not list(tmp_path.iterdir())  # no files, ever
 
-    def test_null_request_ids_still_unique(self):
-        ids = {NULL_TELEMETRY.new_request_id() for _ in range(10)}
+    def test_off_request_ids_still_unique(self):
+        off = Telemetry(root=None, clock=FakeClock())
+        ids = {off.new_request_id() for _ in range(10)}
         assert len(ids) == 10
 
 
