@@ -50,15 +50,13 @@ trace:
 		--view critical-path --output /tmp/repro-trace.json
 	python scripts/validate_trace.py /tmp/repro-trace.json
 
-# Record two demo runs (different policies) into a scratch registry,
-# validate their provenance graphs, and print the run diff.
+# Record two demo runs (different policies) into a scratch registry and
+# print the run diff.
 runs:
 	PYTHONPATH=src python -m repro runs record --policy quality \
 		--runs-dir /tmp/repro-runs
 	PYTHONPATH=src python -m repro runs record --policy cost \
 		--runs-dir /tmp/repro-runs
-	PYTHONPATH=src python scripts/validate_trace.py --kind provenance \
-		/tmp/repro-runs/run-0001/provenance.json
 	PYTHONPATH=src python -m repro runs diff --runs-dir /tmp/repro-runs
 
 examples:

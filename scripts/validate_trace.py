@@ -1,27 +1,18 @@
 #!/usr/bin/env python
-"""Validate observability artifacts produced by ``repro trace`` / ``runs``.
+"""Validate a Chrome ``trace_event`` JSON file exported by ``repro trace``.
 
-Structural schema checks with stdlib only (CI has no jsonschema):
-
-* Chrome ``trace_event`` JSON (the default): the file must be a JSON
-  object with a ``traceEvents`` list where every event has
-  ``name``/``ph``/``pid``/``tid``, complete (``"X"``) events carry
-  non-negative numeric ``ts``/``dur`` plus ``args.span_id``, and
-  metadata (``"M"``) events carry ``args.name``.
-  ``otherData.span_count`` must match the number of complete events.
-* Provenance graphs (``--kind provenance``): a ``provenance.json`` from
-  the run registry must have consecutive 1-based node ids, events whose
-  parents and children reference live nodes, drop reasons from the
-  ``DropReason`` enum with exactly one parent and no children, and
-  output ids that are graph nodes.
+A structural schema check with stdlib only (CI has no jsonschema): the
+file must be a JSON object with a ``traceEvents`` list where every event
+has ``name``/``ph``/``pid``/``tid``, complete (``"X"``) events carry
+non-negative numeric ``ts``/``dur`` plus ``args.span_id``, and metadata
+(``"M"``) events carry ``args.name``.  ``otherData.span_count`` must
+match the number of complete events.
 
 Exits 0 when valid, 1 with a finding list otherwise.
 
 Usage::
 
     python scripts/validate_trace.py /tmp/demo-trace.json
-    python scripts/validate_trace.py --kind provenance \\
-        .repro/runs/run-0001/provenance.json
 """
 
 from __future__ import annotations
@@ -33,20 +24,6 @@ import sys
 from typing import Any, List
 
 VALID_PHASES = {"X", "M", "B", "E", "i"}
-
-# Mirrors repro.obs.provenance.DROP_REASONS; imported when the package is
-# on the path so the two can't drift silently, with a stdlib fallback for
-# standalone use.
-DROP_REASONS = frozenset({
-    "filter_rejected", "limit_cutoff", "join_no_match", "aggregate_fold",
-    "retrieve_cutoff", "distinct_duplicate", "convert_empty",
-})
-try:
-    from repro.obs.provenance import DROP_REASONS as _PKG_DROP_REASONS
-
-    DROP_REASONS = _PKG_DROP_REASONS
-except ImportError:  # pragma: no cover - standalone invocation
-    pass
 
 
 def validate_chrome_trace(payload: Any) -> List[str]:
@@ -99,89 +76,11 @@ def validate_chrome_trace(payload: Any) -> List[str]:
     return errors
 
 
-def validate_provenance(payload: Any) -> List[str]:
-    """Return every violation in a provenance-graph payload (empty = valid)."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"top level must be a JSON object, got {type(payload).__name__}"]
-    for key in ("ops", "nodes", "events", "output_ids"):
-        if not isinstance(payload.get(key), list):
-            errors.append(f"missing or non-list {key!r}")
-    if errors:
-        return errors
-
-    node_ids = set()
-    for index, node in enumerate(payload["nodes"]):
-        where = f"nodes[{index}]"
-        if not isinstance(node, dict):
-            errors.append(f"{where}: node is not an object")
-            continue
-        for key in ("id", "source_id", "schema", "origin", "preview", "fp"):
-            if key not in node:
-                errors.append(f"{where}: missing {key!r}")
-        if node.get("id") != index + 1:
-            errors.append(
-                f"{where}: id {node.get('id')!r} breaks the consecutive "
-                "1-based numbering"
-            )
-        node_ids.add(node.get("id"))
-
-    for index, event in enumerate(payload["events"]):
-        where = f"events[{index}]"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: event is not an object")
-            continue
-        for key in ("op", "op_label", "kind", "parents", "children"):
-            if key not in event:
-                errors.append(f"{where}: missing {key!r}")
-        op = event.get("op")
-        if isinstance(op, int) and not 0 <= op < len(payload["ops"]):
-            errors.append(f"{where}: op index {op} out of range")
-        parents = event.get("parents") or []
-        children = event.get("children") or []
-        for ref in list(parents) + list(children):
-            if ref not in node_ids:
-                errors.append(
-                    f"{where}: references node {ref!r}, which does not exist"
-                )
-        kind = event.get("kind")
-        if kind == "drop":
-            if event.get("reason") not in DROP_REASONS:
-                errors.append(
-                    f"{where}: drop reason {event.get('reason')!r} is not "
-                    "a known DropReason"
-                )
-            if len(parents) != 1 or children:
-                errors.append(
-                    f"{where}: a drop must have exactly 1 parent and 0 "
-                    f"children (got {len(parents)}/{len(children)})"
-                )
-        elif kind == "emit":
-            if not children:
-                errors.append(f"{where}: an emit must derive >= 1 child")
-            if not parents and (event.get("attrs") or {}).get("folded") != 0:
-                errors.append(
-                    f"{where}: an emit must have >= 1 parent (only "
-                    "folded=0 aggregates are exempt)"
-                )
-        else:
-            errors.append(f"{where}: unknown event kind {kind!r}")
-
-    for output_id in payload["output_ids"]:
-        if output_id not in node_ids:
-            errors.append(f"output id {output_id!r} is not a graph node")
-    return errors
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Validate a Chrome trace_event JSON file or a "
-                    "provenance graph"
+        description="Validate a Chrome trace_event JSON file"
     )
     parser.add_argument("path", help="file to validate")
-    parser.add_argument("--kind", choices=("chrome", "provenance"),
-                        default="chrome",
-                        help="what schema to validate against")
     args = parser.parse_args(argv)
     try:
         with open(args.path, encoding="utf-8") as handle:
@@ -189,18 +88,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"invalid: {args.path}: {exc}", file=sys.stderr)
         return 1
-    if args.kind == "provenance":
-        errors = validate_provenance(payload)
-        if errors:
-            for error in errors:
-                print(f"invalid: {error}", file=sys.stderr)
-            return 1
-        print(
-            f"valid provenance graph: {args.path} "
-            f"({len(payload['nodes'])} nodes, {len(payload['events'])} "
-            f"events, {len(payload['output_ids'])} outputs)"
-        )
-        return 0
     errors = validate_chrome_trace(payload)
     if errors:
         for error in errors:

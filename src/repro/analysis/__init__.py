@@ -1,6 +1,6 @@
 """pz-lint: static analysis for pipelines, tools, and generated code.
 
-Five analyzer families share one diagnostics vocabulary:
+Four analyzer families share one diagnostics vocabulary:
 
 * ``PZ1xx`` (:mod:`repro.analysis.plan_lint`) — schema-dataflow checks
   over logical plans, run by the optimizer before execution.
@@ -8,11 +8,6 @@ Five analyzer families share one diagnostics vocabulary:
   agreement for registered tools and ``{{var}}`` template validity.
 * ``CG3xx`` (:mod:`repro.analysis.codegen_lint`) — AST checks over
   generated programs and structural checks over exported notebooks.
-* ``OB4xx`` (:mod:`repro.analysis.obs_lint`) — span naming/attribute
-  conventions over finalized execution traces, event conventions
-  over finalized provenance graphs, and the wall-clock layering rule
-  (engine source must route operational timing through
-  :mod:`repro.obs.telemetry`).
 * ``CC5xx`` (:mod:`repro.analysis.concurrency`) — nondeterminism
   sources (wall clock, entropy, ``id()`` leaks, unordered iteration)
   over engine source and generated programs.
@@ -47,11 +42,6 @@ from repro.analysis.codegen_lint import (
     lint_program,
     lint_workspace_steps,
 )
-from repro.analysis.obs_lint import (
-    lint_provenance,
-    lint_source_wallclock,
-    lint_trace,
-)
 from repro.analysis.concurrency import lint_source_concurrency
 
 __all__ = [
@@ -72,9 +62,6 @@ __all__ = [
     "lint_tool",
     "lint_notebook",
     "lint_program",
-    "lint_provenance",
     "lint_source_concurrency",
-    "lint_source_wallclock",
-    "lint_trace",
     "lint_workspace_steps",
 ]

@@ -279,15 +279,6 @@ def lint_program(
         lint_source_concurrency(
             source, filename=filename, config=config, result=result
         )
-    # Telemetry layering (OB403): the package's own modules must route
-    # wall-clock reads through repro.obs.telemetry; no-op for generated
-    # programs (scoped to repro/ source paths).
-    if enabled("OB"):
-        from repro.analysis.obs_lint import lint_source_wallclock
-
-        lint_source_wallclock(
-            source, filename=filename, config=config, result=result
-        )
     return result
 
 

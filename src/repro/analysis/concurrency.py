@@ -18,8 +18,10 @@ Rules:
 
 * ``CC504`` — a wall-clock or scheduling observable (``time.time``,
   ``datetime.now``, ``queue.qsize``, ...) feeds a deterministic path;
-  import aliases resolve first (:func:`wall_clock_reads`, shared with
-  ``OB403``).
+  import aliases resolve first (:func:`_wall_clock_reads`).  Engine
+  source reads the wall clock only through :mod:`repro.obs.telemetry`'s
+  ``wall_now`` / ``wall_perf``, whose reads are waived, so this rule
+  also keeps the boundary between the engine and operational telemetry.
 * ``CC505`` — an entropy source: module-level ``random.*`` calls,
   unseeded ``random.Random()``, ``os.urandom``, ``uuid.uuid1/uuid4``,
   ``secrets.*``.
@@ -75,7 +77,7 @@ register_rule(
     Severity.WARNING,
 )
 
-#: ``module.attr`` call targets that read the wall clock (CC504, OB403),
+#: ``module.attr`` call targets that read the wall clock (CC504),
 #: matched after import aliases resolve to the canonical module.
 _WALL_CLOCK_ATTRS = {
     ("time", "time"), ("time", "monotonic"), ("time", "monotonic_ns"),
@@ -131,15 +133,14 @@ def _unparse(node: ast.AST) -> str:
         return "<expr>"
 
 
-def wall_clock_reads(tree: ast.AST) -> List[Tuple[ast.Call, str]]:
+def _wall_clock_reads(tree: ast.AST) -> List[Tuple[ast.Call, str]]:
     """Every call in ``tree`` that reads the wall clock, in ``ast.walk``
     order, with its canonical spelling (``time.monotonic()``).
 
     Import aliases resolve before matching, so ``import time as _t;
     _t.monotonic()``, ``from time import perf_counter; perf_counter()``,
     ``from datetime import datetime as DT; DT.now()`` and the dotted
-    ``datetime.datetime.now()`` all count.  Shared by CC504
-    (determinism) and OB403 (layering).
+    ``datetime.datetime.now()`` all count.
     """
     bare: Set[str] = set()
     modules = {"time": "time", "datetime": "datetime", "date": "date"}
@@ -272,7 +273,7 @@ def _id_value_allowed(node: ast.Call) -> bool:
 def _check_nondeterminism(tree: ast.Module, source_lines,
                           emitter: Emitter, filename: str) -> None:
     random_aliases, random_names = _random_module_names(tree)
-    wall_clock = dict(wall_clock_reads(tree))
+    wall_clock = dict(_wall_clock_reads(tree))
 
     def allowed(node: ast.AST) -> bool:
         return _line_pragma(source_lines, node.lineno, "nondet")

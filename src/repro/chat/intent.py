@@ -237,8 +237,11 @@ _PREDICATE_LEADS = re.compile(
 
 # Trailing connectors that belong to the *next* request, not the predicate:
 # "... about colorectal cancer, and I would like to" -> cut at the comma.
+# Clause splitting can also leave a bare "and"/"then" at the end
+# ("... cancer, and then" before "run the pipeline").
 _PREDICATE_TAIL_RE = re.compile(
-    r"[,;.]?\s*\b(?:and|then|also|next|afterwards)\b\s*(?:i|we|please|you)\b.*$",
+    r"[,;.]?\s*(?:(?:\b(?:and|then|also|next|afterwards)\b[\s,]*)+"
+    r"(?:i|we|please|you)\b.*|(?:\b(?:and|then)\b[\s,]*)+)$",
     re.I | re.S,
 )
 

@@ -291,7 +291,7 @@ def _cmd_top(args) -> int:
             print(f"repro top: cannot reach {args.url}: {exc}",
                   file=sys.stderr)
             return 2
-        now = _time.monotonic()  # wallclock: ok(dashboard poll cadence, client side only)  # nondet: ok(the poll interval is never stored)
+        now = _time.monotonic()  # nondet: ok(the poll interval is never stored)
         elapsed = (now - previous_at) if previous_at is not None else None
         frame = render_dashboard(payload, previous=previous,
                                  elapsed=elapsed)
@@ -382,7 +382,6 @@ _FAMILY_LABELS = {
     "PZ": "plan lint",
     "AG": "agent/tool lint",
     "CG": "codegen lint",
-    "OB": "observability lint",
     "CC": "determinism",
 }
 
@@ -842,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "disable (e.g. PZ102,AG,CG312)")
     lint.add_argument("--family", default=None, metavar="FAMILIES",
                       help="comma-separated rule families to run "
-                           "exclusively (e.g. CC or PZ,OB); all other "
+                           "exclusively (e.g. CC or PZ,CG); all other "
                            "families are disabled")
     lint.add_argument("--strict", action="store_true",
                       help="exit non-zero on warnings too")

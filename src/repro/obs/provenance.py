@@ -70,8 +70,8 @@ class DropReason:
     CONVERT_EMPTY = "convert_empty"
 
 
-#: Every legal drop reason; validators (scripts/validate_trace.py) and
-#: pz-lint OB402 check event reasons against this set.
+#: Every legal drop reason; :meth:`ProvenanceRecorder.drop` refuses any
+#: other.
 DROP_REASONS = frozenset(
     value
     for name, value in vars(DropReason).items()

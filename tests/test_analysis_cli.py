@@ -160,7 +160,7 @@ class TestFamilyFilter:
 
     def test_family_cc_calls_no_other_analyzer(self, tmp_path, capsys,
                                                monkeypatch):
-        from repro.analysis import codegen_lint, obs_lint
+        from repro.analysis import codegen_lint
 
         fixture = write(tmp_path, "mixed.py", (
             "import time\n"
@@ -182,7 +182,6 @@ class TestFamilyFilter:
             (codegen_lint, "_lint_api_usage"),
             (codegen_lint, "_lint_dataset_calls"),
             (codegen_lint, "_ModuleNames"),
-            (obs_lint, "lint_source_wallclock"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv[:3] + ["--family", "CC"] + argv[3:]) == 1
@@ -218,11 +217,11 @@ class TestFamilyFilter:
     def test_list_rules_grouped_with_counts(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for family in ("PZ", "AG", "CG", "OB", "CC"):
+        for family in ("PZ", "AG", "CG", "CC"):
             assert f"{family} — " in out
         assert "CC504" in out and "CC507" in out
         assert "CC501" not in out and "SV601" not in out
-        assert "rules in 5 families" in out
+        assert "rules in 4 families" in out
 
     def test_json_families_block(self, tmp_path, capsys):
         fixture = write(tmp_path, "cc_broken.py", self.CC_FIXTURE)

@@ -38,9 +38,23 @@ class TestCC504WallClock:
         "    return perf_counter()\n",
         "from datetime import datetime as DT\n\ndef f():\n"
         "    return DT.now()\n",
-    ], ids=["module-alias", "from-import", "class-alias"])
+        "import datetime\n\ndef f():\n    return datetime.datetime.now()\n",
+        "import datetime\n\ndef f():\n    return datetime.date.today()\n",
+        "import datetime as dt\n\ndef f():\n    return dt.datetime.now()\n",
+    ], ids=["module-alias", "from-import", "class-alias", "dotted-datetime",
+            "dotted-date", "dotted-module-alias"])
     def test_fires_on_aliased_reads(self, source):
         assert codes(lint(source)) == ["CC504"]
+
+    def test_datetime_values_are_not_reads(self):
+        assert codes(lint("""
+            import datetime
+
+            def f():
+                delta = datetime.timedelta(days=1)
+                fixed = datetime.datetime(2020, 1, 1)
+                return datetime.datetime.fromisoformat("2020-01-01")
+        """)) == []
 
     def test_qsize_flagged(self):
         flagged = lint("""

@@ -44,6 +44,23 @@ class TestScenarioFlow:
         assert "get_execution_stats" in stats_reply.tool_sequence
         assert "total cost" in stats_reply.text
 
+    @pytest.mark.parametrize("message", [
+        "Load the sigmod-demo dataset, keep only the papers about "
+        "colorectal cancer, then run the pipeline",
+        "Load the sigmod-demo dataset, keep only the papers about "
+        "colorectal cancer and run the pipeline",
+        "Load the sigmod-demo dataset, keep only the papers about "
+        "colorectal cancer, and then run the pipeline",
+        "Load the sigmod-demo dataset. Keep only the papers about "
+        "colorectal cancer. Run the pipeline.",
+    ], ids=["comma-then", "and", "and-then", "sentences"])
+    def test_one_turn_filter_keeps_no_connector(self, session, message):
+        session.chat(message)
+        filters = session.workspace.steps_of_kind("filter")
+        assert [step.params["predicate"] for step in filters] == [
+            "The documents are about colorectal cancer"]
+        assert len(session.last_run.records) == 8
+
     def test_agent_reasoning_is_metered(self, session):
         session.chat("Load the papers from the sigmod-demo dataset")
         assert session.agent_cost_usd() > 0

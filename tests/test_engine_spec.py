@@ -11,14 +11,18 @@ one runs on every executor schedule:
 * with the default registry (plus a small-window model), lossy operators
   included, each run matches the sequential run of the same plan in
   records, per-operator stats and ledger;
+* every schedule records the same provenance graph, byte for byte;
 * observing a run (trace, provenance, progress listener) changes nothing,
-  and a rerun on a warm call cache returns the same records for $0;
-* every observed run obeys the accounting laws in :func:`check_laws`.
+  and a rerun on a warm call cache returns the same records for $0 and
+  no tokens;
+* every observed run obeys the accounting laws and the trace and
+  provenance conventions in :func:`check_laws`.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -211,7 +215,7 @@ SCHEDULES = [
     ("pipelined", 1, 1), ("pipelined", 1, 8),
     ("pipelined", 4, 1), ("pipelined", 4, 8),
     ("sharded", 2, 1), ("sharded", 2, 8),
-    ("sharded", 4, 1), ("sharded", 4, 8),
+    ("sharded", 4, 1), ("sharded", 4, 8), ("sharded", 8, 1),
     ("async", 4, 1),
 ]
 
@@ -270,6 +274,21 @@ DROP_REASONS = [
 ]
 
 
+#: Span names are ``layer.action``; kinds come from :class:`SpanKind`.
+SPAN_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
+SPAN_KINDS = {value for name, value in vars(SpanKind).items()
+              if not name.startswith("_")}
+#: The attributes the analysis and export layers read off these spans.
+REQUIRED_ATTRS = {
+    "op.open": {"op"}, "op.process": {"op"}, "op.batch": {"op"},
+    "op.close": {"op"}, "op.scan": {"op"},
+    "llm.call": {"model", "operation"},
+    "pipeline.stage": {"stage", "workers"},
+    "pipeline.bundle": {"seq"},
+    "plan.run": {"executor"},
+}
+
+
 def drop_reason(op):
     return next((reason for kinds, reason in DROP_REASONS
                  if isinstance(op, kinds)), None)
@@ -319,6 +338,10 @@ def check_laws(run):
     root = trace.spans[0]
     assert root.name == "plan.run"
     assert abs(root.duration - stats.total_time_seconds) < 1e-6, where
+    # Operator rows (the scan row included) account for every busy
+    # lane-second of the clock.
+    busy = run.context.clock.total_busy
+    assert abs(sum(op.time_seconds for op in ops) - busy) <= 1e-9 * busy
 
     # Canonical ids and order.
     assert [s.span_id for s in trace.spans] == list(
@@ -330,12 +353,32 @@ def check_laws(run):
     assert run.events[-1]["type"] == "plan_end"
     assert run.events[-1]["records_out"] == len(run.records)
 
-    # Provenance: each drop names its operator's reason, every source
-    # record has a fate, and every output has a node.
+    # Spans: dotted names, known kinds, the attributes readers rely on.
+    for span in trace.spans:
+        assert SPAN_NAME.match(span.name), (where, span.name)
+        assert span.kind in SPAN_KINDS, (where, span.name)
+        assert REQUIRED_ATTRS.get(span.name, set()) <= span.attributes.keys()
+
+    # Provenance: events name live nodes; a drop eliminates one record
+    # for its operator's reason; an emit derives at least one child from
+    # at least one parent (an empty-input aggregate, folded=0, has none),
+    # and a pass-through emit carries evidence.  Every source record has
+    # a fate, and every output has a node.
+    live = set(range(1, len(graph.nodes) + 1))
     for event in graph.events:
+        parents, children = event["parents"], event["children"]
+        assert {*parents, *children} <= live, (where, event)
         if event["kind"] == "drop":
-            op = run.plan.operators[event["op"]]
-            assert event["reason"] == drop_reason(op), (where, event)
+            reason = drop_reason(run.plan.operators[event["op"]])
+            assert reason and event["reason"] == reason, (where, event)
+            assert len(parents) == 1 and not children, (where, event)
+        else:
+            assert event["kind"] == "emit" and not event["reason"], event
+            assert children, (where, event)
+            assert parents or event["attrs"].get("folded") == 0, event
+            assert parents != children or event["attrs"] or event["llm"], (
+                where, event)
+    assert set(graph.output_ids) <= live
     for source_id in {node["source_id"] for node in graph.roots()}:
         check_fates(graph.why_not(source_id)["fates"])
     assert len(graph.output_ids) == len(run.records)
@@ -361,9 +404,11 @@ def check_candidates(candidates, models, expected=None):
         runs = [Run(plan, schedule, models, observed=True)
                 for schedule in SCHEDULES]
         baseline = runs[0].fingerprint()
+        graph = runs[0].graph.to_dict()
         for schedule, run in zip(SCHEDULES, runs):
             check_laws(run)
             assert run.fingerprint() == baseline, (plan.describe(), schedule)
+            assert run.graph.to_dict() == graph, (plan.describe(), schedule)
             if expected is not None:
                 assert run.outputs() == expected, (plan.describe(), schedule)
 
@@ -379,6 +424,23 @@ def check_candidates(candidates, models, expected=None):
         warm = Run(plan, schedule, models, cache=cache)
         assert warm.outputs() == baseline[0], (plan.describe(), schedule)
         assert warm.stats.total_cost_usd == 0
+        assert not any(op.input_tokens or op.output_tokens
+                       for op in warm.stats.operator_stats)
+
+
+def check_plan(n_docs, ops, terminal):
+    """Build the plan ``apply_ops`` describes over ``make_source(n_docs)``
+    and check every candidate of both registries."""
+    source = make_source(n_docs)
+    dataset = apply_ops(Dataset(source), ops, terminal)
+    logical = dataset.logical_plan()
+    expected = records_view(reference_output(logical, source))
+    perfect = Optimizer(models=PERFECT, **PERFECT_OPTIONS).optimize(
+        logical, source).candidates
+    check_candidates(perfect, PERFECT, expected)
+    lossy = Optimizer(models=LOSSY).optimize(logical, source).candidates
+    if len(lossy) > len(perfect):  # the plan has a semantic operator
+        check_candidates(one_per_operator_class(lossy), LOSSY)
 
 
 class TestEngineMatchesSpec:
@@ -397,16 +459,14 @@ class TestEngineMatchesSpec:
              "average")
     @example(5, [("filter_udf", 3), ("join", "semantic")], "count")
     def test_every_plan_on_every_schedule(self, n_docs, ops, terminal):
-        source = make_source(n_docs)
-        dataset = apply_ops(Dataset(source), ops, terminal)
-        logical = dataset.logical_plan()
-        expected = records_view(reference_output(logical, source))
-        perfect = Optimizer(models=PERFECT, **PERFECT_OPTIONS).optimize(
-            logical, source).candidates
-        check_candidates(perfect, PERFECT, expected)
-        lossy = Optimizer(models=LOSSY).optimize(logical, source).candidates
-        if len(lossy) > len(perfect):  # the plan has a semantic operator
-            check_candidates(one_per_operator_class(lossy), LOSSY)
+        check_plan(n_docs, ops, terminal)
+
+    def test_a_semantic_filter_passes_records(self):
+        # The pinned shapes' semantic filters keep nothing (a limit of 0;
+        # no document is about gardens), so one that keeps records is
+        # pinned here rather than left to the draws.
+        check_plan(4, [("filter", "about cancer"), ("convert", "1:N"),
+                       ("retrieve", 2)], None)
 
 
 class TestSpecStandsAlone:

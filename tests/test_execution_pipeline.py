@@ -218,34 +218,6 @@ class TestExecutorEquivalence:
         assert batched.total_time_seconds < per_record.total_time_seconds
 
 
-class TestCallCacheAcrossExecutors:
-    def test_caller_cache_hits_every_executor_path(self):
-        source = make_source(dataset_id="pipe-cache")
-        plan = chosen_plan(shape_filter_convert(source), source)
-        cache = CallCache()
-        records, stats, _ = run_plan(plan, "sequential", cache=cache)
-        assert stats.total_cost_usd > 0
-        baseline = [record.to_dict() for record in records]
-
-        for kind, workers, batch in (
-            ("sequential", 1, 1),
-            ("parallel", 4, 1),
-            ("pipelined", 4, 1),
-            ("pipelined", 4, 4),
-        ):
-            warm_records, warm_stats, _ = run_plan(
-                plan, kind, workers=workers, batch=batch, cache=cache
-            )
-            assert [r.to_dict() for r in warm_records] == baseline
-            # Cache hits are metered as zero-cost ":cached" ledger entries,
-            # so a fully-warm run bills no dollars and no tokens.
-            assert warm_stats.total_cost_usd == 0, (kind, batch)
-            assert all(
-                op.input_tokens == 0 and op.output_tokens == 0
-                for op in warm_stats.operator_stats
-            ), (kind, batch)
-
-
 class TestStatsAttribution:
     @pytest.mark.parametrize("kind,workers,batch", [
         ("sequential", 1, 1),
@@ -301,16 +273,6 @@ class TestThreadSafetyStress:
                 cache.store(key, answer)
         assert len(cache) == 50
         assert (cache.stats.hits, cache.stats.misses) == (3_950, 50)
-
-    def test_pipelined_stress_repeated_high_concurrency(self):
-        source = make_source(n=12, dataset_id="pipe-stress")
-        plan = chosen_plan(shape_filter_convert(source), source)
-        baseline = run_fingerprint(*run_plan(plan, "sequential")[:2])
-        for _ in range(5):
-            records, stats, _ = run_plan(
-                plan, "pipelined", workers=8, batch=3
-            )
-            assert run_fingerprint(records, stats) == baseline
 
 
 class TestBatchedClient:

@@ -45,7 +45,8 @@ def _call(server, method, path, data=None):
 
 
 def run_script(root):
-    """Drive the fixed script; returns (prometheus text, JSON payload)."""
+    """Drive the fixed script; returns the ``/metrics`` text, the JSON
+    payload, and the text read once more after it."""
     server = ReproServer(("127.0.0.1", 0),
                          SessionStore(root=str(Path(root) / "tenants")))
     run_in_thread(server)
@@ -62,13 +63,14 @@ def run_script(root):
         for method, path, data, expected in steps:
             status, body = _call(server, method, path, data)
             assert status == expected, (method, path, status, body)
-        _, text = _call(server, "GET", "/metrics")
-        _, raw = _call(server, "GET", "/metrics?format=json")
+        text, raw, again = [
+            _call(server, "GET", path)[1]
+            for path in ("/metrics", "/metrics?format=json", "/metrics")]
     finally:
         server.shutdown()
         server.server_close()
         server.store.close()
-    return text, json.loads(raw)
+    return text, json.loads(raw), again
 
 
 def mask_prometheus(text):
@@ -104,13 +106,25 @@ def mask_payload(payload):
 
 
 def observed(root):
-    text, payload = run_script(root)
+    text, payload, _ = run_script(root)
     return {"prometheus": mask_prometheus(text),
             "json": mask_payload(payload)}
 
 
 def test_exposition_matches_the_pinned_script(sigmod_demo, tmp_path):
     assert observed(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+def _exposed_names(text):
+    return {line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE") and "repro_slo_ok" not in line}
+
+
+def test_reading_the_metrics_creates_none(sigmod_demo, tmp_path):
+    text, payload, again = run_script(tmp_path)
+    listed = {row["name"].replace(".", "_")
+              for rows in payload["metrics"].values() for row in rows}
+    assert _exposed_names(text) == listed == _exposed_names(again)
 
 
 def _documented_names():
@@ -122,7 +136,7 @@ def _documented_names():
 
 
 def test_docs_list_every_emitted_metric(sigmod_demo, tmp_path):
-    _, payload = run_script(tmp_path)
+    _, payload, _ = run_script(tmp_path)
     emitted = {row["name"] for rows in payload["metrics"].values()
                for row in rows}
     documented = _documented_names()

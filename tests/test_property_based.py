@@ -3,7 +3,7 @@
 import string
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agent.templating import render_template, template_variables
@@ -240,68 +240,6 @@ class TestParetoProperties:
             for b in frontier:
                 if a is not b:
                     assert not _dominates(a.estimate, b.estimate)
-
-
-class TestSetOpsProperties:
-    values = st.lists(
-        st.one_of(
-            st.integers(min_value=-100, max_value=100),
-            st.text(alphabet=string.ascii_lowercase, max_size=5),
-            st.none(),
-        ),
-        max_size=25,
-    )
-
-    @staticmethod
-    def _records(values):
-        from repro.core.schemas import make_schema
-        from repro.core.fields import Field
-
-        Holder = make_schema("Holder", "d", {"value": Field(desc="v")})
-        return [
-            DataRecord.from_dict(Holder, {"value": v}) for v in values
-        ], Holder
-
-    @given(values)
-    @settings(max_examples=40)
-    def test_distinct_is_idempotent_and_preserves_first(self, values):
-        from repro.core.logical_ext import Distinct
-        from repro.physical.setops import DistinctOp
-        from repro.physical.context import ExecutionContext
-
-        records, Holder = self._records(values)
-        op = DistinctOp(Distinct(Holder, ["value"]))
-        op.open(ExecutionContext())
-        out = [r for rec in records for r in op.process(rec)]
-        kept = [r.get("value") for r in out]
-        # No duplicates, order of first occurrence preserved.
-        seen = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        assert kept == seen
-
-    @given(st.lists(
-        st.one_of(st.integers(min_value=-1000, max_value=1000), st.none()),
-        max_size=25,
-    ))
-    @settings(max_examples=40)
-    def test_sort_orders_numbers_with_nones_last(self, values):
-        from repro.core.logical_ext import Sort
-        from repro.physical.setops import SortOp
-        from repro.physical.context import ExecutionContext
-
-        records, Holder = self._records(values)
-        op = SortOp(Sort(Holder, "value"))
-        op.open(ExecutionContext())
-        for record in records:
-            op.process(record)
-        out = [r.get("value") for r in op.close()]
-        numbers = [v for v in out if v is not None]
-        assert numbers == sorted(numbers)
-        if None in out:
-            first_none = out.index(None)
-            assert all(v is None for v in out[first_none:])
 
 
 class TestCacheProperties:
