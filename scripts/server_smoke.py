@@ -20,7 +20,8 @@ the tenancy invariants:
   correlation contract — see ``scripts/validate_metrics.py`` for the
   deeper log/metrics checks);
 * resume is lossless: after the server restarts on the same root, a
-  resumed session answers questions about its runs with the same text.
+  resumed session answers questions about its runs, and shows its
+  generated code, with the same text.
 
 Run it from the repo root::
 
@@ -62,8 +63,9 @@ TURNS = [
     "run the pipeline",
 ]
 
-#: Questions a session answers from its recorded runs.
-RUN_QUESTIONS = ["How much did it cost?", "what took so long?"]
+#: Questions a session answers from its recorded runs and its step log.
+RESUME_QUESTIONS = ["How much did it cost?", "what took so long?",
+                    "show me the generated code"]
 
 
 def ask(base, tenant, sid, questions):
@@ -242,18 +244,20 @@ def main() -> int:
     print(f"  correlation: turn {row['turn_id']} carries {rid}; "
           f"{len(seen_ids)} distinct request ids across probes")
 
-    # -- restart: a resumed session still answers from its runs.
+    # -- restart: a resumed session still answers from its runs and shows
+    # the same program.
     sid = a["session_id"]
-    before = ask(base, "acme", sid, RUN_QUESTIONS)
+    before = ask(base, "acme", sid, RESUME_QUESTIONS)
+    assert "import repro as pz" in before[-1], before[-1]
     stop(server)
     server, base = start(root, f"{scratch}/data")
     status, row = call(base, "POST", "/tenants/acme/sessions",
                        {"session_id": sid})
     assert status == 200 and row["resumed"], (status, row)
-    after = ask(base, "acme", sid, RUN_QUESTIONS)
+    after = ask(base, "acme", sid, RESUME_QUESTIONS)
     assert after == before, (before, after)
     print(f"  restart: resumed acme/{sid} answered {len(after)} questions "
-          "about its run with the same text")
+          "about its run and its code with the same text")
 
     stop(server)
     print("server_smoke: OK")

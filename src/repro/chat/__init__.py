@@ -9,17 +9,21 @@ filtering records) and 2. orchestrate entire pipelines of transformations."
 
 Pieces:
 
-* :mod:`repro.chat.workspace` — the mutable pipeline state a conversation
-  builds up (current dataset, schemas, policy, results).
+* :mod:`repro.chat.workspace` — the step log a conversation builds up,
+  and the pipeline state folded from it (current dataset, schemas,
+  policy, execution options, current result).
 * :mod:`repro.chat.tools_pz` — the Palimpzest tool suite exposed to the
   agent (Fig. 2's ``create_schema`` among them).
 * :mod:`repro.chat.intent` — the deterministic NL -> tool-call brain that
   replaces the hosted reasoning model (see DESIGN.md substitutions).
 * :mod:`repro.chat.codegen` — renders the conversation's pipeline as a
   runnable Palimpzest program (Fig. 6).
-* :mod:`repro.chat.notebook` — the Beaker-like notebook substrate: cells,
-  state snapshots/restore, ``.ipynb`` export.
-* :mod:`repro.chat.session` — ties it all together into a chat session.
+* :mod:`repro.chat.notebook` — the Beaker-like notebook substrate: cells
+  and ``.ipynb`` export.
+* :mod:`repro.chat.session` — ties it all together into a chat session
+  whose turn log, beside the step log, is its whole record: the notebook
+  renders from it, ``restore`` refolds a prefix of it, and a payload of
+  the two resumes the session in another process.
 """
 
 from repro.chat.workspace import PipelineWorkspace, PipelineStep

@@ -11,9 +11,9 @@ The emitted source uses only the public ``repro`` API and is executable with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence
 
-from repro.chat.workspace import PipelineWorkspace, fold_options
+from repro.chat.workspace import PipelineStep, fold_options
 from repro.core.errors import PalimpzestError
 from repro.physical.options import ExecutionOptions
 
@@ -38,18 +38,24 @@ _CARDINALITY_EXPR = {
 _DEFAULT_OPTIONS = ExecutionOptions().kwargs()
 
 
-def generate_program(workspace: PipelineWorkspace) -> str:
-    """Emit the Fig. 6-style program for the steps logged so far."""
-    lines: List[str] = [
-        "import repro as pz",
-        "",
-    ]
+def generate_program(steps: Sequence[PipelineStep]) -> str:
+    """Emit the Fig. 6-style program for a step log.
+
+    A ``reset`` step starts the program over; the execution options set
+    before it carry on, as they do in the workspace.
+    """
+    header = ["import repro as pz", ""]
+    lines: List[str] = list(header)
     policy_expr = "pz.MaxQuality()"
     options = ExecutionOptions()
     emitted_pipeline = False
 
-    for step in workspace.steps:
-        if step.kind == "load":
+    for step in steps:
+        if step.kind == "reset":
+            lines = list(header)
+            policy_expr = "pz.MaxQuality()"
+            emitted_pipeline = False
+        elif step.kind == "load":
             lines.append("# Set input dataset")
             lines.append(
                 f"dataset = pz.Dataset(source={step.params['source']!r})"

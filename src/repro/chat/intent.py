@@ -82,6 +82,7 @@ def _parse_field_list(text: str) -> List[str]:
     text = re.split(
         r"\b(?:for each|from|of the papers|of each)\b", text, maxsplit=1
     )[0]
+    text = _CLAUSE_TAIL_RE.sub("", text)
     parts = re.split(r",|\band\b", text)
     fields = []
     for part in parts:
@@ -235,11 +236,12 @@ _PREDICATE_LEADS = re.compile(
     re.I,
 )
 
-# Trailing connectors that belong to the *next* request, not the predicate:
-# "... about colorectal cancer, and I would like to" -> cut at the comma.
-# Clause splitting can also leave a bare "and"/"then" at the end
-# ("... cancer, and then" before "run the pipeline").
-_PREDICATE_TAIL_RE = re.compile(
+# Trailing connectors that belong to the *next* request, not the predicate
+# or field list: "... about colorectal cancer, and I would like to" -> cut
+# at the comma.  Clause splitting can also leave a bare "and"/"then" at
+# the end ("... cancer, and then" or "... and url, then" before the next
+# request).
+_CLAUSE_TAIL_RE = re.compile(
     r"[,;.]?\s*(?:(?:\b(?:and|then|also|next|afterwards)\b[\s,]*)+"
     r"(?:i|we|please|you)\b.*|(?:\b(?:and|then)\b[\s,]*)+)$",
     re.I | re.S,
@@ -247,7 +249,7 @@ _PREDICATE_TAIL_RE = re.compile(
 
 
 def _trim_predicate(predicate: str) -> str:
-    predicate = _PREDICATE_TAIL_RE.sub("", predicate)
+    predicate = _CLAUSE_TAIL_RE.sub("", predicate)
     return predicate.strip().rstrip(".,;")
 
 

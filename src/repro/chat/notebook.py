@@ -5,10 +5,12 @@ capabilities into the interactive coding environment ... along with
 comprehensive state management that allows users to restore previous
 notebook states." (§2.3)
 
-This module provides the pieces PalimpChat needs from Beaker: an ordered
-cell document (chat turns, generated code, outputs), per-turn state
-snapshots with restore, and export to a Jupyter ``.ipynb`` file a user can
-download and keep iterating on.
+This module provides the document PalimpChat exports: an ordered list of
+cells (chat turns, generated code, outputs) and its Jupyter ``.ipynb``
+form, which a user can download and keep iterating on.  A session renders
+its notebook from its turn log (``PalimpChatSession.notebook``); restoring
+a previous state is the session's :meth:`restore`, which refolds the step
+log, so the notebook holds no state of its own.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
-
-from repro.chat.workspace import PipelineWorkspace
 
 NBFORMAT_VERSION = 4
 
@@ -60,52 +60,21 @@ class NotebookCell:
 
 
 class Notebook:
-    """Cells + state snapshots for one chat session."""
+    """The cells of one chat session."""
 
     def __init__(self, title: str = "PalimpChat session"):
         self.title = title
         self.cells: List[NotebookCell] = []
-        self._snapshots: List[Dict[str, Any]] = []
 
-    # -- cells --------------------------------------------------------------
-
-    def add_markdown(self, source: str) -> NotebookCell:
-        cell = NotebookCell(kind="markdown", source=source)
-        self.cells.append(cell)
-        return cell
+    def add_markdown(self, source: str) -> None:
+        self.cells.append(NotebookCell("markdown", source))
 
     def add_code(self, source: str,
-                 outputs: Optional[List[str]] = None) -> NotebookCell:
-        cell = NotebookCell(kind="code", source=source,
-                            outputs=list(outputs or []))
-        self.cells.append(cell)
-        return cell
+                 outputs: Optional[List[str]] = None) -> None:
+        self.cells.append(NotebookCell("code", source, list(outputs or [])))
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    # -- state management ---------------------------------------------------
-
-    def snapshot_state(self, workspace: PipelineWorkspace) -> int:
-        """Capture the workspace after a turn; returns the snapshot index."""
-        self._snapshots.append(workspace.snapshot())
-        return len(self._snapshots) - 1
-
-    @property
-    def snapshot_count(self) -> int:
-        return len(self._snapshots)
-
-    def restore_state(self, index: int, workspace: PipelineWorkspace) -> None:
-        """Restore the workspace to a previous snapshot (Beaker's rewind)."""
-        if not -len(self._snapshots) <= index < len(self._snapshots):
-            raise IndexError(
-                f"snapshot index {index} out of range "
-                f"[0, {len(self._snapshots)})"
-            )
-        workspace.restore(self._snapshots[index])
-        # Snapshots after the restore point no longer describe the timeline.
-        if index >= 0:
-            del self._snapshots[index + 1:]
 
     # -- export -------------------------------------------------------------
 

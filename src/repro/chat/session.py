@@ -1,4 +1,11 @@
-"""The PalimpChat session: agent + tools + workspace + notebook."""
+"""The PalimpChat session: agent + tools + workspace + turn log.
+
+The session's record of a conversation is its turn log (:attr:`turns`)
+beside the workspace's step log.  Each turn keeps the step count it ended
+at, so the notebook renders from the two at export, :meth:`restore`
+refolds a prefix of the steps, and :meth:`to_payload` /
+:meth:`from_payload` carry a session across processes.
+"""
 
 from __future__ import annotations
 
@@ -18,20 +25,39 @@ from repro.llm.clock import VirtualClock
 from repro.llm.models import ModelCard, get_model
 from repro.llm.usage import UsageLedger
 from repro.obs.trace import NULL_TRACER, SpanKind, Trace, Tracer
-from repro.physical.options import ExecutionOptions
+
+#: Tools whose turns render as the program built so far.
+_PIPELINE_TOOLS = ("load_dataset", "filter_dataset", "convert_dataset",
+                   "create_schema", "execute_pipeline")
+#: The fields of a turn that its persisted row keeps.
+_ROW_FIELDS = ("message", "text", "tool_sequence", "steps", "code",
+               "outputs")
 
 
 @dataclass
 class ChatResponse:
-    """What one chat turn returns to the caller/UI."""
+    """One turn of the session's log; :meth:`PalimpChatSession.chat`
+    returns the chat turns.
 
-    text: str
+    A chat turn has the user's ``message``, the reply ``text`` (None when
+    the turn raised) and the ``tool_sequence``; a kernel cell
+    (:meth:`PalimpChatSession.run_code`) has its ``code`` and
+    ``outputs``.  ``steps`` is the workspace's step count when the turn
+    ended, and ``snapshot_index`` the turn's place in the log:
+    ``restore(snapshot_index)`` returns to the state as of this turn.
+    """
+
+    text: Optional[str]
     tool_sequence: List[str] = field(default_factory=list)
     result: Optional[AgentResult] = None
     snapshot_index: int = -1
+    message: Optional[str] = None
+    steps: int = 0
+    code: Optional[str] = None
+    outputs: List[str] = field(default_factory=list)
 
     def __str__(self) -> str:
-        return self.text
+        return self.text or ""
 
 
 class PalimpChatSession:
@@ -43,8 +69,6 @@ class PalimpChatSession:
     Args:
         agent_model: model card (or name) metering the agent's reasoning
             steps; must be reasoning-capable.
-        max_workers: execution parallelism for pipelines run via chat.
-        sample_size: optimizer sentinel sample size for chat-run pipelines.
         title: notebook title.
         trace: record a session-level trace — a ``chat.turn`` span per
             message with the agent's steps, intent routing, and tool
@@ -63,16 +87,13 @@ class PalimpChatSession:
     def __init__(
         self,
         agent_model: Optional[str] = "gpt-4o",
-        max_workers: int = 1,
-        sample_size: int = 0,
         title: str = "PalimpChat session",
         trace: bool = True,
         on_event=None,
     ):
         self.on_event = on_event
+        self.title = title
         self.workspace = PipelineWorkspace()
-        self.workspace.options = ExecutionOptions(max_workers=max_workers)
-        self.workspace.sample_size = sample_size
         self.workspace.on_progress = self._emit_event
         self.registry = build_pz_tools(self.workspace)
         self.agent_ledger = UsageLedger()
@@ -91,13 +112,34 @@ class PalimpChatSession:
             max_steps=16,
             tracer=self.tracer,
         )
-        self.notebook = Notebook(title=title)
         self.turns: List[ChatResponse] = []
         # The Beaker-style notebook kernel: a persistent namespace where
         # expert users iterate on the generated code directly.
         import repro as _pz
 
         self.kernel: Dict[str, Any] = {"pz": _pz}
+
+    # -- persistence ------------------------------------------------------
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The JSON-able session: the workspace's step log and run ids,
+        and one row per turn."""
+        return {"workspace": self.workspace.to_payload(),
+                "turns": [{name: getattr(turn, name) for name in _ROW_FIELDS}
+                          for turn in self.turns]}
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any],
+                     **kwargs) -> "PalimpChatSession":
+        """A session rebuilt from :meth:`to_payload` output (``kwargs``
+        go to the constructor).  The steps refold; the kernel namespace
+        starts empty."""
+        session = cls(**kwargs)
+        session.workspace.apply_payload(payload.get("workspace") or {})
+        for row in payload.get("turns") or []:
+            session.turns.append(ChatResponse(
+                **row, snapshot_index=len(session.turns)))
+        return session
 
     # -- conversation -----------------------------------------------------
 
@@ -109,16 +151,16 @@ class PalimpChatSession:
 
     def chat(self, message: str) -> ChatResponse:
         """Process one user message through the ReAct agent."""
+        index = len(self.turns)
         self._emit_event({
             "type": "turn_start",
-            "turn": len(self.turns),
+            "turn": index,
             "message_chars": len(message),
         })
-        self.notebook.add_markdown(f"**User:** {message}")
         try:
             with self.tracer.span(
                 "chat.turn", SpanKind.CHAT, clock=self.agent_clock,
-                turn=len(self.turns), message_chars=len(message),
+                turn=index, message_chars=len(message),
             ) as turn_span:
                 result = self.agent.run(message, state={})
                 if self.tracer.enabled:
@@ -128,46 +170,45 @@ class PalimpChatSession:
         except Exception as exc:
             # Errored turns still close their lifecycle on the event
             # stream (the serving layer logs and streams these); the
-            # exception itself propagates to the caller unchanged.
+            # exception itself propagates to the caller unchanged.  The
+            # turn stays in the log, with no reply.
+            self._log_turn(ChatResponse(text=None, message=message))
             self._emit_event({
                 "type": "turn_error",
-                "turn": len(self.turns),
+                "turn": index,
                 "error": f"{type(exc).__name__}: {exc}",
             })
             raise
 
-        # Record generated code for pipeline-building turns.
-        code = generate_program(self.workspace)
         tool_sequence = result.trace.tool_sequence()
-        built_pipeline = any(
-            name in ("load_dataset", "filter_dataset", "convert_dataset",
-                     "create_schema", "execute_pipeline")
-            for name in tool_sequence
-        )
-        if built_pipeline:
-            self.notebook.add_code(code, outputs=[result.answer])
-        else:
-            self.notebook.add_markdown(f"**PalimpChat:** {result.answer}")
-
-        snapshot_index = self.notebook.snapshot_state(self.workspace)
-        response = ChatResponse(
+        response = self._log_turn(ChatResponse(
             text=result.answer,
             tool_sequence=tool_sequence,
             result=result,
-            snapshot_index=snapshot_index,
-        )
-        self.turns.append(response)
+            message=message,
+        ))
         self._emit_event({
             "type": "turn_end",
-            "turn": len(self.turns) - 1,
+            "turn": index,
             "tools": list(tool_sequence),
             "reply_chars": len(result.answer),
         })
         return response
 
+    def _log_turn(self, turn: ChatResponse) -> ChatResponse:
+        turn.snapshot_index = len(self.turns)
+        turn.steps = len(self.workspace.steps)
+        self.turns.append(turn)
+        return turn
+
     def restore(self, snapshot_index: int) -> None:
-        """Rewind the workspace to an earlier turn (Beaker state restore)."""
-        self.notebook.restore_state(snapshot_index, self.workspace)
+        """Return to the state as of turn ``snapshot_index`` (Beaker's
+        state restore): the step log is cut to that turn's mark and
+        refolded, and the later turns leave the session and its notebook.
+        The kernel namespace is not rewound."""
+        index = range(len(self.turns))[snapshot_index]
+        del self.turns[index + 1:]
+        self.workspace.replay(self.workspace.steps[:self.turns[index].steps])
 
     def run_code(self, source: str) -> str:
         """Execute Python in the session's notebook kernel.
@@ -188,12 +229,12 @@ class PalimpChatSession:
                 exec(compile(source, "<palimpchat-kernel>", "exec"),
                      self.kernel)
         except Exception as exc:
-            self.notebook.add_code(
-                source, outputs=[f"{type(exc).__name__}: {exc}"]
-            )
+            self._log_turn(ChatResponse(
+                None, code=source, outputs=[f"{type(exc).__name__}: {exc}"]))
             raise
         output = stdout.getvalue()
-        self.notebook.add_code(source, outputs=[output] if output else [])
+        self._log_turn(ChatResponse(None, code=source,
+                                    outputs=[output] if output else []))
         return output
 
     def lint(self):
@@ -214,7 +255,29 @@ class PalimpChatSession:
 
     def generated_code(self) -> str:
         """The Fig. 6-style program for the pipeline built so far."""
-        return generate_program(self.workspace)
+        return generate_program(self.workspace.steps)
+
+    @property
+    def notebook(self) -> Notebook:
+        """The session's notebook, rendered from the turns: each chat turn
+        as the user's message, then either the program as of that turn
+        (for turns that built or ran the pipeline) or the reply; each
+        kernel cell as itself."""
+        notebook = Notebook(title=self.title)
+        steps = self.workspace.steps
+        for turn in self.turns:
+            if turn.code is not None:
+                notebook.add_code(turn.code, outputs=turn.outputs)
+                continue
+            notebook.add_markdown(f"**User:** {turn.message}")
+            if turn.text is None:
+                continue
+            if any(name in _PIPELINE_TOOLS for name in turn.tool_sequence):
+                notebook.add_code(generate_program(steps[:turn.steps]),
+                                  outputs=[turn.text])
+            else:
+                notebook.add_markdown(f"**PalimpChat:** {turn.text}")
+        return notebook
 
     def export_notebook(self, path) -> Path:
         """Save the session as a Jupyter notebook the user can download."""

@@ -10,21 +10,15 @@ reproduces the paper's Fig. 2 example — including the dynamic
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.agent.tools import AgentRef, ToolError, ToolRegistry, tool
 from repro.chat.workspace import PipelineWorkspace
-from repro.core.cardinality import Cardinality
-from repro.core.dataset import Dataset
-from repro.core.schemas import make_schema
 from repro.core.sources import global_source_registry
 from repro.execution.execute import Execute, ExecutionEngine
 from repro.execution.stats import render_summary
 from repro.obs import Trace, aggregate_ops, analyze_critical_path
 from repro.obs.registry import diff_runs
-from repro.physical.options import ExecutionOptions
-from repro.optimizer.policies import parse_policy
 
 
 def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
@@ -39,10 +33,17 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         try:
             return (read or workspace.runs.get)(run_id)
         except KeyError:
-            raise ToolError(
-                f"no result {run_id!r} in this session; "
-                f"known results: {workspace.run_ids or '<none>'}"
-            ) from None
+            pass
+        held = [known for known in workspace.run_ids if known in workspace.runs]
+        lost = [known for known in workspace.run_ids if known not in held]
+        message = (f"no result {run_id!r} in this session; "
+                   f"known results: {held or '<none>'}")
+        if lost:
+            message += (f"; {lost} were recorded in memory by a session "
+                        "that no longer holds them"
+                        if workspace.runs_dir is None else
+                        f"; {lost} are missing from {workspace.runs_dir}")
+        raise ToolError(message)
 
     def _pipeline():
         if workspace.current is None:
@@ -54,7 +55,6 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         records, stats = Execute(
             workspace.current,
             policy=workspace.policy,
-            sample_size=workspace.sample_size,
             **workspace.options.kwargs(),
             trace=True,  # so explain_execution can answer "what took so long"
             provenance=True,  # so explain_record can answer "why is X here"
@@ -83,14 +83,8 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
             load_dataset(source="./papers")
             load_dataset(source="sigmod-demo")
         """
-        dataset = Dataset(source=source)
-        workspace.current = dataset
-        workspace.log_step(
-            "load",
-            source=source,
-            schema=dataset.schema.schema_name(),
-            records=len(dataset.source),
-        )
+        workspace.log_step("load", source=source)
+        dataset = workspace.current
         return (
             f"Loaded dataset {dataset.source.dataset_id!r}: "
             f"{len(dataset.source)} records with schema "
@@ -123,13 +117,6 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             create_schema(schema_name="Author", schema_description="Paper author", field_names=["name"], field_descriptions=["The author's name"])
         """
-        schema = make_schema(
-            schema_name,
-            schema_description,
-            field_names,
-            field_descriptions=field_descriptions,
-        )
-        workspace.add_schema(schema)
         workspace.log_step(
             "schema",
             name=schema_name,
@@ -155,7 +142,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             filter_dataset(predicate="The papers are about colorectal cancer")
         """
-        workspace.current = _pipeline().filter(predicate)
+        _pipeline()
         workspace.log_step("filter", predicate=predicate)
         return f"Added filter: {predicate!r}."
 
@@ -178,10 +165,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             convert_dataset(schema_name="ClinicalData", cardinality="one_to_many")
         """
-        workspace.current = _pipeline().convert(
-            workspace.get_schema(schema_name),
-            cardinality=Cardinality.parse(cardinality),
-        )
+        _pipeline()
         workspace.log_step(
             "convert", schema=schema_name, cardinality=cardinality
         )
@@ -201,7 +185,6 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             set_optimization_target(target="quality")
         """
-        workspace.policy = parse_policy(target)
         workspace.log_step("policy", target=target)
         return f"Optimization target set to {workspace.policy.describe()}."
 
@@ -514,7 +497,7 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         """
         from repro.chat.codegen import generate_program
 
-        return generate_program(workspace)
+        return generate_program(workspace.steps)
 
     @tool()
     def set_parallelism(workers: int, agent: AgentRef = None) -> str:
@@ -531,11 +514,9 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         """
         workers = int(workers)
         try:
-            workspace.options = dataclasses.replace(
-                workspace.options, max_workers=workers)
+            workspace.log_step("parallelism", workers=workers)
         except ValueError as exc:
             raise ToolError(str(exc)) from None
-        workspace.log_step("parallelism", workers=workers)
         return f"Pipelines will now execute with {workers} workers."
 
     @tool()
@@ -572,18 +553,14 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         """
         executor = str(executor).strip().lower()
         try:
-            workspace.options = ExecutionOptions(
-                executor, workspace.options.max_workers, int(batch_size),
-                None if shards is None else int(shards),
+            batch_size = int(batch_size)
+            shards = None if shards is None else int(shards)
+            workspace.log_step(
+                "execution_mode", executor=executor, batch_size=batch_size,
+                shards=shards,
             )
         except ValueError as exc:
             raise ToolError(str(exc)) from None
-        batch_size = workspace.options.batch_size
-        shards = workspace.options.shards
-        workspace.log_step(
-            "execution_mode", executor=executor, batch_size=batch_size,
-            shards=shards,
-        )
         if executor == "pipelined":
             suffix = f" with batch size {batch_size}"
         elif workspace.options.scale_out:
@@ -640,7 +617,8 @@ def build_pz_tools(workspace: PipelineWorkspace) -> ToolRegistry:
         Examples:
             reset_pipeline()
         """
-        workspace.reset()
+        workspace.log_step("reset")
+        workspace.prune_runs()
         return "Pipeline reset; load a dataset to start again."
 
     registry = ToolRegistry()

@@ -1,4 +1,9 @@
-"""The pipeline workspace: state a chat conversation builds up."""
+"""The pipeline workspace: state a chat conversation builds up.
+
+The step log is the only record of a conversation's pipeline: every live
+field of :class:`PipelineWorkspace` is a fold over it, applied one step at
+a time by :meth:`PipelineWorkspace.log_step`.
+"""
 
 from __future__ import annotations
 
@@ -16,38 +21,32 @@ from repro.physical.options import ExecutionOptions
 #: Step kinds that recorded a run; their ``result_id`` names it.
 _RUN_STEPS = ("execute", "rerun")
 
-#: What a Beaker-style snapshot captures.  The run store and root are
-#: part of it: a restore keeps pointing at the same runs.
-_SNAPSHOT = ("current", "schemas", "policy", "options", "sample_size",
-             "steps", "root", "runs", "keep_runs")
+#: How many of a session's runs a reset keeps (the newest ones).
+KEEP_RUNS = 8
 
 
 @dataclass(frozen=True)
 class PipelineStep:
-    """One logical step the conversation added (used for codegen/replay).
+    """One logical step the conversation took (folded, rendered, saved).
 
-    Steps are append-only and never change once logged, so snapshots of
-    the step log share them.
+    Steps are append-only and never change once logged.
     """
 
     kind: str  # "load" | "filter" | "schema" | "convert" | "policy" | ...
     params: Dict[str, Any] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"{self.kind}({inner})"
-
 
 def fold_options(options: ExecutionOptions,
                  step: PipelineStep) -> ExecutionOptions:
     """The execution options in effect after ``step`` (the
-    ``parallelism`` and ``execution_mode`` steps change them)."""
+    ``parallelism`` and ``execution_mode`` steps change them; an invalid
+    setting raises ValueError)."""
     params = step.params
     if step.kind == "parallelism":
         return dataclasses.replace(options,
                                    max_workers=int(params["workers"]))
     if step.kind == "execution_mode":
-        return ExecutionOptions.normalized(
+        return ExecutionOptions(
             params.get("executor"), options.max_workers,
             int(params.get("batch_size", 1)), params.get("shards"),
         )
@@ -57,35 +56,23 @@ def fold_options(options: ExecutionOptions,
 class PipelineWorkspace:
     """Mutable state shared by the PalimpChat tools.
 
-    Tracks the dataset pipeline under construction, the dynamically created
-    schemas, the optimization policy, and the ids of the runs it made (the
-    runs themselves live in :attr:`runs`).  Snapshots support the
-    Beaker-style "restore previous notebook state" feature.
+    :attr:`steps` is the conversation's pipeline; the live fields
+    (``current``, ``schemas``, ``policy``, ``options``,
+    ``current_run_id``) are what :meth:`log_step` folded from it, so
+    :meth:`replay` rebuilds them from any prefix of it (resume, restore).
+    The ids of the runs the session made live beside the log, the runs
+    themselves in :attr:`runs`.
     """
 
     def __init__(self):
-        self.current: Optional[Dataset] = None
-        self.schemas: Dict[str, Type[Schema]] = {}
-        self.policy: Policy = MaxQuality()
-        #: How pipelines run (executor, max_workers, batch_size, shards);
-        #: set by the set_parallelism / set_execution_mode tools.
-        self.options = ExecutionOptions()
-        self.sample_size: int = 0
-        self.steps: List[PipelineStep] = []
+        self.replay([])
         #: Ids of every run this session made, in order; compare_runs
-        #: diffs the last two.  Survives reset() — the runs happened even
-        #: if the pipeline is discarded.
+        #: diffs the last two.  A reset keeps the newest
+        #: :data:`KEEP_RUNS` of them — the runs happened even if the
+        #: pipeline is discarded.
         self.run_ids: List[str] = []
         #: Where the runs live (see ``runs_dir``).
         self.runs = RunStore()
-        #: Retention applied on reset(): how many of this session's runs
-        #: survive a workspace reset.
-        self.keep_runs: int = 8
-        #: State root this workspace lives under (e.g. a tenant's
-        #: ``.repro/tenants/<id>/``); ``attach_root`` derives runs_dir
-        #: from it.  None = runs stay in memory.  Two workspaces with
-        #: different roots never share registries.
-        self.root: Optional[str] = None
         #: Shared :class:`~repro.llm.usage.BudgetMeter` (tenant quota)
         #: executions charge; None = unmetered.
         self.budget: Optional[Any] = None
@@ -101,12 +88,70 @@ class PipelineWorkspace:
         #: never influence records/stats/traces/provenance).
         self.telemetry: Optional[Any] = None
 
-    # -- step log ----------------------------------------------------------
+    def _start_over(self) -> None:
+        """The pipeline fields before any step, and after a reset (which
+        keeps the options)."""
+        self.current: Optional[Dataset] = None
+        self.schemas: Dict[str, Type[Schema]] = {}
+        self.policy: Policy = MaxQuality()
+        #: The run of the last ``execute``/``rerun`` step since the last
+        #: reset (the current result), or None.
+        self.current_run_id: Optional[str] = None
+
+    # -- the step log ------------------------------------------------------
 
     def log_step(self, kind: str, **params) -> PipelineStep:
+        """Apply one step to the live fields, then log it.
+
+        This is the fold every live field is built by: the tools call it
+        for each step they take, and :meth:`replay` calls it to rebuild
+        the fields from a log.  A step that does not apply raises, and is
+        not logged; kinds it does not know are logged and change nothing.
+        """
         step = PipelineStep(kind=kind, params=params)
+        if kind == "load":
+            self.current = Dataset(source=params["source"])
+        elif kind == "filter":
+            self.current = self._dataset(kind).filter(params["predicate"])
+        elif kind == "convert":
+            self.current = self._dataset(kind).convert(
+                self.get_schema(params["schema"]),
+                cardinality=Cardinality.parse(
+                    params.get("cardinality", "one_to_one")),
+            )
+        elif kind == "schema":
+            schema = make_schema(
+                params["name"],
+                params.get("description", ""),
+                list(params.get("field_names", [])),
+                field_descriptions=list(params.get("field_descriptions", [])),
+            )
+            self.schemas[schema.schema_name()] = schema
+        elif kind == "policy":
+            self.policy = parse_policy(params["target"])
+        elif kind in _RUN_STEPS:
+            self.current_run_id = params.get("result_id")
+        elif kind == "reset":
+            self._start_over()
+        else:
+            self.options = fold_options(self.options, step)
         self.steps.append(step)
         return step
+
+    def _dataset(self, kind: str) -> Dataset:
+        if self.current is None:
+            raise ValueError(f"a {kind} step needs a loaded dataset")
+        return self.current
+
+    def replay(self, steps: List[PipelineStep]) -> None:
+        """Rebuild the live fields and the log from ``steps``."""
+        self.steps: List[PipelineStep] = []
+        #: How pipelines run (executor, max_workers, batch_size, shards);
+        #: folded from the parallelism / execution_mode steps.
+        self.options = ExecutionOptions()
+        self._start_over()
+        for step in steps:
+            self.log_step(step.kind, **step.params)
 
     def steps_of_kind(self, kind: str) -> List[PipelineStep]:
         return [s for s in self.steps if s.kind == kind]
@@ -123,19 +168,20 @@ class PipelineWorkspace:
     def runs_dir(self, runs_dir: Optional[str]) -> None:
         self.runs = RunStore(runs_dir)
 
-    @property
-    def current_run_id(self) -> Optional[str]:
-        """The run of the last ``execute``/``rerun`` step (the current
-        result), or None when the pipeline has not run."""
-        for step in reversed(self.steps):
-            if step.kind in _RUN_STEPS:
-                return step.params["result_id"]
-        return None
+    def prune_runs(self) -> List[str]:
+        """Keep the newest :data:`KEEP_RUNS` of this session's own runs.
+
+        Drops the others from :attr:`run_ids` and from the run store (and
+        from disk when a ``runs_dir`` is attached); runs other sessions
+        recorded in a shared registry are never touched.  Returns the
+        pruned run ids, oldest first.
+        """
+        doomed = self.run_ids[:max(0, len(self.run_ids) - KEEP_RUNS)]
+        del self.run_ids[:len(doomed)]
+        self.runs.drop(doomed)
+        return doomed
 
     # -- schema registry -------------------------------------------------
-
-    def add_schema(self, schema: Type[Schema]) -> None:
-        self.schemas[schema.schema_name()] = schema
 
     def get_schema(self, name: str) -> Type[Schema]:
         try:
@@ -146,147 +192,35 @@ class PipelineWorkspace:
                 f"known schemas: {sorted(self.schemas)}"
             ) from None
 
-    # -- tenancy root -----------------------------------------------------
-
-    def attach_root(self, root) -> None:
-        """Pin this workspace's persistent state under ``root``.
-
-        Sets ``root`` and derives ``runs_dir`` (``<root>/runs``) from it,
-        so every workspace with a distinct root gets its own
-        :class:`~repro.obs.registry.RunRegistry` — two tenants in one
-        process never collide on the global ``.repro/`` default.
-        """
-        import os
-
-        self.root = os.fspath(root)
-        self.runs_dir = os.path.join(self.root, "runs")
-
     @property
     def max_workers(self) -> int:
         return self.options.max_workers
 
-    # -- snapshots (Beaker-style state restore) ---------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Capture enough state to restore this point of the conversation
-        (Datasets are immutable chains, options frozen, steps frozen)."""
-        state = {name: getattr(self, name) for name in _SNAPSHOT}
-        state.update(schemas=dict(self.schemas), steps=list(self.steps))
-        return state
-
-    def restore(self, snapshot: Dict[str, Any]) -> None:
-        """Rewind to ``snapshot``; the current result becomes the run
-        that was current then."""
-        for name in _SNAPSHOT:
-            setattr(self, name, snapshot[name])
-        self.schemas = dict(self.schemas)
-        self.steps = list(self.steps)
-
     # -- disk persistence (service-layer session store) -------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """A JSON-able snapshot: the step log plus execution settings.
-
-        Unlike :meth:`snapshot` (which holds live objects for in-process
-        restore), the payload survives a process restart: every step's
-        params are primitives, and :meth:`apply_payload` replays them to
-        rebuild the pipeline, schemas, and policy.
-        """
+        """The JSON-able form: the step log (every step's params are
+        primitives) and the session's run ids."""
         return {
             "steps": [
                 {"kind": step.kind, "params": dict(step.params)}
                 for step in self.steps
             ],
             "run_ids": list(self.run_ids),
-            "policy": self.policy.describe(),
-            "max_workers": self.options.max_workers,
-            "executor": self.options.executor,
-            "batch_size": self.options.batch_size,
-            "shards": self.options.shards,
-            "sample_size": self.sample_size,
-            "keep_runs": self.keep_runs,
         }
 
     def apply_payload(self, payload: Dict[str, Any]) -> None:
-        """Rebuild workspace state from :meth:`to_payload` output.
-
-        Pipeline-building steps (load/schema/filter/convert/policy and
-        the execution-mode settings) are replayed to reconstruct the
-        live ``current`` dataset and schema registry; ``execute`` /
-        ``rerun`` steps are kept in the log (codegen still shows them)
-        but not re-run — their results live in the run store.
-        """
-        self.options = ExecutionOptions.normalized(
-            payload.get("executor"), int(payload.get("max_workers", 1)),
-            int(payload.get("batch_size", 1)), payload.get("shards"),
-        )
-        self.sample_size = int(payload.get("sample_size", 0))
-        self.keep_runs = int(payload.get("keep_runs", self.keep_runs))
-        self.current = None
-        self.schemas = {}
-        self.steps = []
-        for entry in payload.get("steps", []):
-            kind = entry["kind"]
-            params = dict(entry.get("params", {}))
-            step = PipelineStep(kind=kind, params=params)
-            if kind == "load":
-                self.current = Dataset(source=params["source"])
-            elif kind == "schema":
-                self.add_schema(make_schema(
-                    params["name"],
-                    params.get("description", ""),
-                    list(params.get("field_names", [])),
-                    field_descriptions=list(
-                        params.get("field_descriptions", [])),
-                ))
-            elif kind == "filter" and self.current is not None:
-                self.current = self.current.filter(params["predicate"])
-            elif kind == "convert" and self.current is not None:
-                self.current = self.current.convert(
-                    self.get_schema(params["schema"]),
-                    cardinality=Cardinality.parse(
-                        params.get("cardinality", "one_to_one")),
-                )
-            elif kind == "policy":
-                self.policy = parse_policy(params["target"])
-            # Mode steps move the options; execute/rerun and unknown
-            # kinds are log-only.
-            self.options = fold_options(self.options, step)
-            self.steps.append(step)
+        """Rebuild the workspace from :meth:`to_payload` output by
+        replaying its steps; ``execute``/``rerun`` steps are not re-run
+        (their results live in the run store).  Other keys, such as the
+        settings older payloads copied beside the steps, are ignored."""
+        self.replay([
+            PipelineStep(entry["kind"], dict(entry.get("params", {})))
+            for entry in payload.get("steps", [])
+        ])
         self.run_ids = list(payload.get("run_ids", [
             s.params["result_id"] for s in self.steps if s.kind in _RUN_STEPS
         ]))
-        if "policy" in payload and not any(
-                s.kind == "policy" for s in self.steps):
-            try:
-                self.policy = parse_policy(payload["policy"])
-            except ValueError:
-                # Constrained policies (e.g. "max-quality@cost($1.00)")
-                # don't parse back from describe(); keep the default —
-                # a replayed "policy" step would have restored it above.
-                pass
-
-    def reset(self) -> None:
-        self.current = None
-        self.schemas = {}
-        self.policy = MaxQuality()
-        self.steps = []
-        self.prune_runs()
-
-    def prune_runs(self) -> List[str]:
-        """Apply the ``keep_runs`` retention to this session's own runs.
-
-        Drops all but the newest ``keep_runs`` of :attr:`run_ids` from the
-        run store (and from disk when a ``runs_dir`` is attached); runs
-        other sessions recorded in a shared registry are never touched.
-        Returns the pruned run ids, oldest first.
-        """
-        if self.keep_runs is None:
-            return []
-        doomed = self.run_ids[:max(0, len(self.run_ids) - self.keep_runs)]
-        del self.run_ids[:len(doomed)]
-        self.runs.drop(doomed)
-        return doomed
 
     def describe_pipeline(self) -> str:
         if self.current is None:

@@ -537,6 +537,14 @@ class RunStore:
             return self.get(run_id).handle()
         return self._read(RunRegistry.handle, run_id)
 
+    def __contains__(self, run_id: str) -> bool:
+        """Whether the store can answer ``run_id``."""
+        try:
+            self.handle(run_id)
+        except KeyError:
+            return False
+        return True
+
     def drop(self, run_ids: List[str]) -> None:
         """Forget ``run_ids``, deleting them from disk when attached."""
         for run_id in run_ids:

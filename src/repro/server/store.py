@@ -204,6 +204,10 @@ class TurnState:
         self.tools: List[str] = []
         self.error: Optional[str] = None
         self.usage_delta: Dict[str, Any] = {}
+        #: The chat session's step count when the turn's ``chat`` call
+        #: ended — the turn's mark in the session's turn log; None when
+        #: the turn never reached it.
+        self.steps: Optional[int] = None
 
     def finish(
         self,
@@ -249,6 +253,7 @@ class TurnState:
             "usage": dict(self.usage_delta),
             "error": self.error,
             "events": len(self.events),
+            "steps": self.steps,
         }
 
     def to_payload(self) -> Dict[str, Any]:
@@ -262,6 +267,7 @@ class TurnState:
         turn = cls(payload["turn_id"], payload.get("message", ""),
                    request_id=payload.get("request_id"))
         turn.events.extend(payload.get("events") or [])
+        turn.steps = payload.get("steps")
         turn.finish(
             payload.get("status", "ok"),
             payload.get("reply"),
@@ -524,11 +530,13 @@ class SessionStore:
             return {**session.to_dict(), "resumed": False}
 
     def _new_session(self, tenant: TenantState, session_id: str,
-                     title: str) -> ServerSession:
+                     title: str,
+                     chat_payload: Optional[Dict[str, Any]] = None
+                     ) -> ServerSession:
         from repro.chat.session import PalimpChatSession
 
-        chat = PalimpChatSession(agent_model=self.agent_model)
-        chat.workspace.attach_root(tenant.root)
+        chat = PalimpChatSession.from_payload(
+            chat_payload or {}, agent_model=self.agent_model)
         chat.workspace.runs = tenant.runs
         # The agent's own reasoning spend counts against the tenant
         # quota too, not just pipeline execution.
@@ -556,12 +564,21 @@ class SessionStore:
                         path: Path) -> ServerSession:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        turns = [TurnState.from_payload(row)
+                 for row in payload.get("turns") or []]
+        # The chat session's turn log is the rows of the turns that
+        # reached it; a turn that raised there has no reply.
+        chat_turns = [
+            {"message": turn.message, "tool_sequence": turn.tools,
+             "text": None if turn.error else turn.reply,
+             "steps": turn.steps}
+            for turn in turns if turn.steps is not None
+        ]
         session = self._new_session(
             tenant, payload["session_id"],
-            payload.get("title", "PalimpChat session"))
-        session.chat.workspace.apply_payload(payload.get("workspace") or {})
-        for turn_payload in payload.get("turns") or []:
-            session.turns.append(TurnState.from_payload(turn_payload))
+            payload.get("title", "PalimpChat session"),
+            {"workspace": payload.get("workspace"), "turns": chat_turns})
+        session.turns.extend(turns)
         tenant.put_session(session)
         return session
 
@@ -742,6 +759,7 @@ class SessionStore:
                                     stage="mid_run_tool")
             finally:
                 chat.on_event = None
+                turn.steps = len(chat.workspace.steps)
             # Span-derived tail: when this turn executed a pipeline,
             # summarize its tracer spans into the event stream so late
             # (and post-restart) readers see where the time went.

@@ -11,29 +11,29 @@ from repro.analysis import (
 )
 from repro.chat.codegen import CodegenError, generate_program
 from repro.chat.notebook import Notebook
-from repro.chat.workspace import PipelineWorkspace
+from repro.chat.workspace import PipelineStep
 
 
-def build_workspace():
-    ws = PipelineWorkspace()
-    ws.log_step("load", source="demo")
-    ws.log_step("filter", predicate="about colorectal cancer")
-    ws.log_step(
-        "schema",
-        name="ClinicalData",
-        description="Datasets from papers.",
-        field_names=["name", "url"],
-        field_descriptions=["the name", "the url"],
-    )
-    ws.log_step("convert", schema="ClinicalData", cardinality="one_to_many")
-    ws.log_step("policy", target="cost")
-    ws.log_step("execute")
-    return ws
+def build_steps():
+    return [
+        PipelineStep("load", {"source": "demo"}),
+        PipelineStep("filter", {"predicate": "about colorectal cancer"}),
+        PipelineStep("schema", {
+            "name": "ClinicalData",
+            "description": "Datasets from papers.",
+            "field_names": ["name", "url"],
+            "field_descriptions": ["the name", "the url"],
+        }),
+        PipelineStep("convert", {"schema": "ClinicalData",
+                                 "cardinality": "one_to_many"}),
+        PipelineStep("policy", {"target": "cost"}),
+        PipelineStep("execute"),
+    ]
 
 
 class TestProgramLint:
     def test_generated_program_is_clean(self):
-        program = generate_program(build_workspace())
+        program = generate_program(build_steps())
         assert lint_program(program).codes() == []
 
     def test_cg301_syntax_error(self):
@@ -105,41 +105,38 @@ class TestProgramLint:
 
 class TestWorkspaceSteps:
     def test_cg305_unknown_policy_target(self):
-        ws = PipelineWorkspace()
-        ws.log_step("policy", target="vibes")
-        result = lint_workspace_steps(ws.steps)
+        steps = [PipelineStep("policy", {"target": "vibes"})]
+        result = lint_workspace_steps(steps)
         assert result.codes() == ["CG305"]
 
     def test_cg305_unknown_cardinality(self):
-        ws = PipelineWorkspace()
-        ws.log_step("convert", schema="S", cardinality="many_to_many")
-        assert lint_workspace_steps(ws.steps).codes() == ["CG305"]
+        steps = [PipelineStep("convert", {"schema": "S",
+                                          "cardinality": "many_to_many"})]
+        assert lint_workspace_steps(steps).codes() == ["CG305"]
 
     def test_valid_steps_are_clean(self):
-        assert lint_workspace_steps(build_workspace().steps).codes() == []
+        assert lint_workspace_steps(build_steps()).codes() == []
 
 
 class TestCodegenStrictness:
     def test_unknown_policy_target_raises(self):
-        ws = PipelineWorkspace()
-        ws.log_step("load", source="demo")
-        ws.log_step("policy", target="vibes")
+        steps = [PipelineStep("load", {"source": "demo"}),
+                 PipelineStep("policy", {"target": "vibes"})]
         with pytest.raises(CodegenError, match="vibes"):
-            generate_program(ws)
+            generate_program(steps)
 
     def test_unknown_cardinality_raises(self):
-        ws = PipelineWorkspace()
-        ws.log_step("load", source="demo")
-        ws.log_step("convert", schema="S", cardinality="many_to_many")
+        steps = [PipelineStep("load", {"source": "demo"}),
+                 PipelineStep("convert", {"schema": "S",
+                                          "cardinality": "many_to_many"})]
         with pytest.raises(CodegenError, match="many_to_many"):
-            generate_program(ws)
+            generate_program(steps)
 
     def test_error_lists_valid_keys(self):
-        ws = PipelineWorkspace()
-        ws.log_step("load", source="demo")
-        ws.log_step("policy", target="vibes")
+        steps = [PipelineStep("load", {"source": "demo"}),
+                 PipelineStep("policy", {"target": "vibes"})]
         with pytest.raises(CodegenError, match="quality"):
-            generate_program(ws)
+            generate_program(steps)
 
 
 def notebook_dict(**overrides):

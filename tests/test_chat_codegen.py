@@ -27,7 +27,7 @@ def workspace(sigmod_demo):
 
 class TestGenerateProgram:
     def test_contains_fig6_sections(self, workspace):
-        code = generate_program(workspace)
+        code = generate_program(workspace.steps)
         assert "# Set input dataset" in code
         assert "# Filter dataset" in code
         assert "# Create new schema" in code
@@ -35,7 +35,7 @@ class TestGenerateProgram:
         assert "# Execute workload" in code
 
     def test_pipeline_statements(self, workspace):
-        code = generate_program(workspace)
+        code = generate_program(workspace.steps)
         assert "pz.Dataset(source='sigmod-demo')" in code
         assert "dataset.filter('The papers are about colorectal cancer')" in code
         assert "pz.Cardinality.ONE_TO_MANY" in code
@@ -43,7 +43,7 @@ class TestGenerateProgram:
 
     def test_policy_mapping(self, workspace):
         workspace.steps[-2].params["target"] = "cost"
-        code = generate_program(workspace)
+        code = generate_program(workspace.steps)
         assert "pz.MinCost()" in code
 
     def test_unknown_policy_target_raises(self, workspace):
@@ -51,33 +51,33 @@ class TestGenerateProgram:
 
         workspace.steps[-2].params["target"] = "speeed"
         with pytest.raises(CodegenError, match="speeed"):
-            generate_program(workspace)
+            generate_program(workspace.steps)
 
     def test_unknown_cardinality_raises(self, workspace):
         from repro.chat.codegen import CodegenError
 
         workspace.steps[3].params["cardinality"] = "one_to_none"
         with pytest.raises(CodegenError, match="one_to_none"):
-            generate_program(workspace)
+            generate_program(workspace.steps)
 
     def test_empty_workspace_placeholder(self):
-        code = generate_program(PipelineWorkspace())
+        code = generate_program([])
         assert "No pipeline" in code
 
     def test_generated_code_is_valid_python(self, workspace):
-        compile(generate_program(workspace), "<test>", "exec")
+        compile(generate_program(workspace.steps), "<test>", "exec")
 
 
 class TestExecProgram:
     def test_reexecution_produces_records(self, workspace):
-        code = generate_program(workspace)
+        code = generate_program(workspace.steps)
         namespace = exec_program(code)
         assert "records" in namespace
         assert "execution_stats" in namespace
         assert len(namespace["records"]) == 6
 
     def test_reexecution_matches_fig5_shape(self, workspace):
-        namespace = exec_program(generate_program(workspace))
+        namespace = exec_program(generate_program(workspace.steps))
         stats = namespace["execution_stats"]
         assert stats.records_out == 6
         assert stats.total_cost_usd > 0
@@ -119,7 +119,7 @@ class TestExportedModes:
         workspace.log_step("execution_mode", executor="sharded",
                            batch_size=1, shards=4)
         workspace.log_step("rerun", base="run-0001", result_id="run-0002")
-        code = generate_program(workspace)
+        code = generate_program(workspace.steps)
         call = ("records, execution_stats = pz.Execute(dataset, "
                 "policy=policy, executor='sharded', shards=4)")
         assert code.rstrip().endswith(
@@ -129,4 +129,4 @@ class TestExportedModes:
     def test_unknown_step_kind_raises(self, workspace):
         workspace.log_step("teleport", where="moon")
         with pytest.raises(CodegenError, match="teleport"):
-            generate_program(workspace)
+            generate_program(workspace.steps)

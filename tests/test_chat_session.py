@@ -61,6 +61,20 @@ class TestScenarioFlow:
             "The documents are about colorectal cancer"]
         assert len(session.last_run.records) == 8
 
+    @pytest.mark.parametrize("message,fields", [
+        ("Extract the dataset name, description and url, then keep only "
+         "the papers about colorectal cancer",
+         ["dataset_name", "description", "url"]),
+        ("Keep only the papers about colorectal cancer, extract the title "
+         "and authors, then run the pipeline", ["title", "authors"]),
+    ], ids=["then-filter", "then-run"])
+    def test_one_turn_extract_keeps_no_connector(self, session, message,
+                                                 fields):
+        session.chat("Load the sigmod-demo dataset")
+        session.chat(message)
+        schemas = session.workspace.steps_of_kind("schema")
+        assert [step.params["field_names"] for step in schemas] == [fields]
+
     def test_agent_reasoning_is_metered(self, session):
         session.chat("Load the papers from the sigmod-demo dataset")
         assert session.agent_cost_usd() > 0

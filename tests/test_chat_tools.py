@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.agent.tools import ToolError
+import repro.chat.workspace as workspace_module
 from repro.chat.tools_pz import build_pz_tools
 from repro.chat.workspace import PipelineWorkspace
 
@@ -119,7 +120,8 @@ class TestPipelineBuilding:
         invoke(tools, "load_dataset", source="sigmod-demo")
         invoke(tools, "reset_pipeline")
         assert workspace.current is None
-        assert workspace.steps == []
+        assert "no pipeline" in invoke(tools, "describe_pipeline")
+        assert "No pipeline" in invoke(tools, "generate_code")
 
 
 class TestExecution:
@@ -163,8 +165,8 @@ class TestUtilities:
 
 class TestRunIds:
     def test_rootless_ids_never_repeat_after_a_reset(
-            self, tools, workspace, sigmod_demo):
-        workspace.keep_runs = 1
+            self, tools, workspace, sigmod_demo, monkeypatch):
+        monkeypatch.setattr(workspace_module, "KEEP_RUNS", 1)
         ids = []
         for executions in (2, 1):
             invoke(tools, "load_dataset", source="sigmod-demo")

@@ -505,10 +505,13 @@ class TestChat:
         plan = plan_requests("run the pipeline", workspace)
         assert [c.tool_name for c in plan] == ["execute_pipeline"]
 
-    def test_workspace_reset_prunes_attached_registry(self, tmp_path):
+    def test_workspace_reset_prunes_attached_registry(self, tmp_path,
+                                                      monkeypatch):
+        import repro.chat.workspace as workspace_module
+
+        monkeypatch.setattr(workspace_module, "KEEP_RUNS", 1)
         workspace, call = self._session(dataset_id="chat-incr-d")
         workspace.runs_dir = str(tmp_path / "runs")
-        workspace.keep_runs = 1
         call("load_dataset", source="chat-incr-d")
         call("filter_dataset", predicate=SCALE_PREDICATE)
         call("execute_pipeline")

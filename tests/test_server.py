@@ -474,25 +474,13 @@ class TestSharedTenantRuns:
 
 
 class TestWorkspaceRootPin:
-    def test_snapshot_restore_threads_the_root(self, tmp_path):
-        from repro.chat.workspace import PipelineWorkspace
-
-        workspace = PipelineWorkspace()
-        workspace.attach_root(tmp_path / "tenant-a")
-        snapshot = workspace.snapshot()
-        workspace.root = None
-        workspace.runs_dir = None
-        workspace.restore(snapshot)
-        assert workspace.root == str(tmp_path / "tenant-a")
-        assert workspace.runs_dir == str(tmp_path / "tenant-a" / "runs")
-
     def test_attached_session_never_writes_global_root(
             self, sigmod_demo, tmp_path, monkeypatch):
         from repro.chat.session import PalimpChatSession
 
         monkeypatch.chdir(tmp_path)
         session = PalimpChatSession()
-        session.workspace.attach_root(tmp_path / "tenant-a")
+        session.workspace.runs_dir = str(tmp_path / "tenant-a" / "runs")
         for message in SCRIPT:
             session.chat(message)
         assert (tmp_path / "tenant-a" / "runs" / "run-0001").is_dir()
@@ -510,7 +498,7 @@ class TestConcurrentTenantIsolation:
         # Solo baseline: one in-process session, no server, own root.
         solo_root = tmp_path / "solo"
         solo = PalimpChatSession()
-        solo.workspace.attach_root(solo_root)
+        solo.workspace.runs_dir = str(solo_root / "runs")
         for message in SCRIPT:
             solo.chat(message)
         solo_bytes = {

@@ -14,8 +14,10 @@ turns billed.  After every step it checks that
 * each tenant's ``spent_tokens`` is exactly the sum of its turns'
   ``usage.tokens``;
 * every run a live session recorded is still in its tenant's registry
-  (a session records one run here, far below its ``keep_runs``, and a
-  reset never prunes another session's runs).
+  (a session records one run here, far below ``KEEP_RUNS``, and a
+  reset never prunes another session's runs);
+* a session resumed after a restart has the ``generated_code()`` and
+  ``.ipynb`` bytes it had before the restart.
 
 A turn that ends in anything but ``ok`` leaves its session's workspace
 in a state the reference never visits, so that session's later replies
@@ -95,6 +97,8 @@ class SessionModel:
         self.runs = []  # run ids this session recorded, oldest first
         self.compared = True  # False once a turn ended other than ok
         self.before = []  # the session's run ids when its turn started
+        #: (generated code, .ipynb bytes) when a restart unloaded it.
+        self.artifacts = None
 
 
 class ServiceMachine(RuleBasedStateMachine):
@@ -138,7 +142,16 @@ class ServiceMachine(RuleBasedStateMachine):
         assert row["resumed"] is True
         assert row["turns"] == model.turns, (
             f"{key} resumed with {row['turns']} turns, ran {model.turns}")
+        if model.artifacts is not None:
+            assert self._artifacts(model) == model.artifacts, key
+            model.artifacts = None
         self.resident.add(key)
+
+    def _artifacts(self, model):
+        with self.store.acquire(model.tenant_id) as tenant:
+            chat = tenant.get_session(model.session_id).chat
+            path = chat.export_notebook(self.tmp / "session.ipynb")
+            return chat.generated_code(), path.read_bytes()
 
     def _submit(self, model, wait):
         """Start one turn at the session's position; None when the
@@ -254,6 +267,9 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule()
     def restart(self):
+        for key in self.resident:
+            model = self.sessions[key]
+            model.artifacts = self._artifacts(model)
         self.store.close()
         self.store = self._open()
         self.resident = set()
