@@ -669,8 +669,8 @@ def _cmd_runs(args) -> int:
                 )
         if snapshot.graph is not None:
             print()
-            print(f"provenance: {len(snapshot.graph.nodes)} records, "
-                  f"{len(snapshot.graph.events)} events, "
+            print(f"provenance: {len(snapshot.graph)} records, "
+                  f"{snapshot.graph.event_count()} events, "
                   f"outputs {snapshot.graph.output_ids}")
         return 0
 

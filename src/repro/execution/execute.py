@@ -10,6 +10,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.core.dataset import Dataset
 from repro.core.records import DataRecord
+from repro.core.sources import MemorySource
 from repro.execution.asyncexec import AsyncExecutor
 from repro.execution.executors import ParallelExecutor, SequentialExecutor
 from repro.execution.incremental import (
@@ -283,9 +284,12 @@ class ExecutionEngine:
             report = self.optimize(dataset, tracer=tracer)
         replay_log = None
         live_manifest = None
+        parsed = None
         incremental_plan = None  # (base snapshot, delta, pricing, mode)
         if self.capture_calls:
-            live_manifest = build_source_manifest(dataset.source)
+            # Parse once: the scan yields the records the manifest read.
+            parsed = list(dataset.source)
+            live_manifest = build_source_manifest(dataset.source, parsed)
         if self.incremental:
             snapshot = self._resolve_base_snapshot()
             delta = diff_manifests(snapshot.manifest, live_manifest)
@@ -346,8 +350,16 @@ class ExecutionEngine:
         executor = self._build_executor(
             context, options, plan_shards, journeys
         )
-        with self._phase("engine.execute"):
-            records, plan_stats = executor.execute(chosen_plan)
+        scan = chosen_plan.scan
+        source = scan.source
+        if parsed is not None:
+            scan.source = MemorySource(parsed, source.dataset_id,
+                                       source.schema)
+        try:
+            with self._phase("engine.execute"):
+                records, plan_stats = executor.execute(chosen_plan)
+        finally:
+            scan.source = source
         if self.telemetry is not None:
             self.telemetry.event(
                 "engine_run", executor=name,

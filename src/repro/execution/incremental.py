@@ -53,13 +53,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.core.errors import ExecutionError
 from repro.core.sources import DataSource
 from repro.llm.client import meter_call
-from repro.llm.memo import TextMemo, register_memo
 from repro.llm.oracle import fingerprint_text
+from repro.obs.provenance import record_fingerprint
 from repro.obs.trace import NULL_TRACER
 
 __all__ = [
@@ -82,35 +82,19 @@ JOURNEY_VERSION = 1
 #: How :func:`prefix_identity` marks a UDF whose body it cannot read.
 OPAQUE_UDF = "opaque"
 
-#: Record-JSON -> sha256[:16], shared with provenance node fingerprints.
-#: Memoized because a warm re-run re-fingerprints an unchanged corpus:
-#: the SHA-256 over each document's full record JSON is the dominant
-#: manifest cost, and the memo turns it into one dict probe per document.
-_record_fp_memo = register_memo(TextMemo("record_fp"))
-
-
-def record_fingerprint(payload: str) -> str:
-    """``sha256(record.to_json())[:16]`` — the provenance node ``fp``.
-
-    Memoized on the JSON payload through :mod:`repro.llm.memo` so warm
-    manifest builds are O(changed documents) in hashing work.
-    """
-    return _record_fp_memo.get_or_compute(
-        payload,
-        lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
-    )
-
-
-def build_source_manifest(source: DataSource) -> Dict[str, Any]:
+def build_source_manifest(
+    source: DataSource, records: Optional[Iterable] = None
+) -> Dict[str, Any]:
     """Per-document manifest of ``source``: what a later run diffs against.
 
     Each entry carries a stable key (the record's ``filename`` field when
     the schema has one, else ``dataset_id#index``), the oracle content
     fingerprint of the document text, and the record fingerprint matching
-    the provenance graph's root-node ``fp``.
+    the provenance graph's root-node ``fp``.  ``records`` are the
+    source's records when the caller has parsed them already.
     """
     entries: List[Dict[str, Any]] = []
-    for index, record in enumerate(source):
+    for index, record in enumerate(source if records is None else records):
         filename = record.get("filename")
         key = str(filename) if filename else f"{source.dataset_id}#{index}"
         entries.append({
@@ -548,19 +532,19 @@ class JourneyLog:
         raw = self._provenance.events_since(self._mark)
         if not raw:
             return None
-        event = raw[0]
-        children = (
-            [output.record_id for output in outputs]
-            if event["kind"] == "emit" else []
+        _, reason, parents, children, llm, attrs = raw[0]
+        emitted = (
+            tuple([output.record_id for output in outputs])
+            if reason is None else ()
         )
-        llm = event["llm"]
-        if (len(raw) > 1 or event["parents"] != [record.record_id]
-                or event["children"] != children
-                or not _json_faithful(event["attrs"])
-                # Replayed with all of the visit's calls or none of them.
-                or (llm is not None and llm["calls"] != len(usages))):
+        if (len(raw) > 1 or parents != (record.record_id,)
+                or children != emitted
+                or not _json_faithful(attrs)
+                # Replayed with all of the visit's calls or none of them;
+                # llm[1] is the summary's call count.
+                or (llm is not None and llm[1] != len(usages))):
             return False
-        return [event["reason"], event["attrs"], llm is not None]
+        return [reason, attrs, llm is not None]
 
 
 def delta_impact(graph, delta: ManifestDelta,
@@ -587,12 +571,12 @@ def delta_impact(graph, delta: ManifestDelta,
         n["id"] for n in graph.roots() if n["fp"] in stale_fps
     ]
     reached: Set[int] = set(frontier)
-    # One pass over the events builds parent -> children; the walk then
-    # costs O(touched nodes), not O(touched nodes x events).
+    # One pass over the event columns builds parent -> children; the walk
+    # then costs O(touched nodes), not O(touched nodes x events).
     children_of: Dict[int, List[int]] = {}
-    for event in graph.events:
-        for parent in event["parents"]:
-            children_of.setdefault(parent, []).extend(event["children"])
+    for parents, children in graph.edges():
+        for parent in parents:
+            children_of.setdefault(parent, []).extend(children)
     # Forward walk: events are a DAG over canonical ids, so a worklist with
     # a visited set terminates; children of a touched parent are touched.
     while frontier:

@@ -21,6 +21,8 @@ proper observability subsystem:
   ``why`` / ``why_not`` explanations, canonicalized like traces.
 * :mod:`repro.obs.registry` — the persistent run registry
   (``.repro/runs/``) with list/load/diff over recorded executions.
+* :mod:`repro.obs.columns` — the columnar layout a recorded run keeps
+  its trace and provenance graph in, and the row views rendered from it.
 * :mod:`repro.obs.telemetry` — the *wall-clock* operational layer for
   the service tier: request-correlated structured JSONL logs, the
   ``OpsMetrics`` dict behind ``GET /metrics``, the ``SLOS`` table over

@@ -8,7 +8,8 @@ orchestrator / sequential lane; lanes 1..N are workers.
 
 The plain-JSON format is the canonical tree serialization
 (``Trace.to_dict`` plus metadata) used by tooling that wants parent/child
-structure without reconstructing it from timestamps.
+structure without reconstructing it from timestamps.  A run registry
+stores the same payload as columns (:mod:`repro.obs.columns`).
 """
 
 from __future__ import annotations

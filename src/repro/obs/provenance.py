@@ -38,7 +38,18 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
+
+from repro.llm.memo import TextMemo, register_memo
+from repro.obs.columns import (
+    mapping_at,
+    mapping_positions,
+    pack_mappings,
+)
 
 __all__ = [
     "DropReason",
@@ -47,11 +58,23 @@ __all__ = [
     "ProvenanceRecorder",
     "ProvenanceGraph",
     "NULL_PROVENANCE",
+    "record_fingerprint",
     "render_why",
     "render_why_not",
 ]
 
 _PREVIEW_CHARS = 120
+#: Node fields with a column of their own; a node's id is its position
+#: plus one.
+_NODE_FIELDS = ("source_id", "schema", "origin", "preview", "fp")
+#: The fields of an event's ``llm`` summary, flattened into ``llm_*``
+#: event columns (None where the hop made no call).
+_LLM_FIELDS = ("models", "calls", "input_tokens", "output_tokens",
+               "cost_usd", "cache_hits", "operations")
+#: ``format`` of a columnar graph payload (``provenance.json``).
+PROVENANCE_COLUMNS_FORMAT = "repro.provenance/columns-v1"
+
+_record_fp_memo = register_memo(TextMemo("record_fp"))
 
 
 class ProvenanceError(RuntimeError):
@@ -79,8 +102,23 @@ DROP_REASONS = frozenset(
 )
 
 
-def _llm_summary(usages: Optional[Sequence[Any]]) -> Optional[Dict[str, Any]]:
-    """Collapse LLM usage records into batch-invariant attributes.
+def record_fingerprint(payload: str) -> str:
+    """``sha256(record.to_json())[:16]``: a provenance node's ``fp`` and
+    a source manifest entry's ``record_fp``.
+
+    Memoized on the JSON text through :mod:`repro.llm.memo`, so a record
+    the manifest pass fingerprinted costs finalization one dict probe,
+    and a warm manifest build hashes only documents whose text changed.
+    """
+    return _record_fp_memo.get_or_compute(
+        payload,
+        lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
+    )
+
+
+def _llm_summary(usages: Optional[Sequence[Any]]) -> Optional[tuple]:
+    """Collapse LLM usage records into batch-invariant attributes, in
+    :data:`_LLM_FIELDS` order.
 
     Tokens, cost, and cache hits are identical whether calls ran
     per-record or batched; **latency is not** (it amortizes across a
@@ -89,16 +127,24 @@ def _llm_summary(usages: Optional[Sequence[Any]]) -> Optional[Dict[str, Any]]:
     """
     if not usages:
         return None
-    cache_hits = sum(1 for u in usages if u.operation.endswith(":cached"))
-    return {
-        "models": ",".join(sorted({u.model for u in usages})),
-        "calls": len(usages),
-        "input_tokens": sum(u.input_tokens for u in usages),
-        "output_tokens": sum(u.output_tokens for u in usages),
-        "cost_usd": round(sum(u.cost_usd for u in usages), 9),
-        "cache_hits": cache_hits,
-        "operations": ",".join(sorted({u.operation for u in usages})),
-    }
+    models, operations = set(), set()
+    input_tokens = output_tokens = cost_usd = cache_hits = 0
+    for usage in usages:
+        models.add(usage.model)
+        operations.add(usage.operation)
+        input_tokens += usage.input_tokens
+        output_tokens += usage.output_tokens
+        cost_usd += usage.cost_usd
+        cache_hits += usage.operation.endswith(":cached")
+    return (
+        ",".join(sorted(models)),
+        len(usages),
+        input_tokens,
+        output_tokens,
+        round(cost_usd, 9),
+        cache_hits,
+        ",".join(sorted(operations)),
+    )
 
 
 class _NullProvenance:
@@ -151,7 +197,11 @@ class ProvenanceRecorder:
         self._records: Dict[int, Any] = {}
         self._roots: List[Tuple[str, int, int]] = []  # (origin, arrival, rid)
         self._origin_counts: Dict[str, int] = {}
-        self._events: List[Dict[str, Any]] = []
+        #: Raw events as ``(op, reason, parent rids, child rids, llm,
+        #: attrs)`` tuples: ``reason`` is None for an emit, ``llm`` the
+        #: :func:`_llm_summary` tuple (or None), ``attrs`` the keyword
+        #: dict the operator passed.
+        self._events: List[tuple] = []
         #: Depth of open :meth:`suspended` blocks.
         self._suspend = 0
 
@@ -204,7 +254,7 @@ class ProvenanceRecorder:
         """
         if not self.enabled:
             return
-        self._record_event(op, "emit", None, parents, children, llm, attrs)
+        self._record_event(op, None, parents, children, llm, attrs)
 
     def drop(self, op, record, reason, llm=None, **attrs) -> None:
         """Record an elimination: ``record`` left the pipeline at ``op``."""
@@ -212,9 +262,9 @@ class ProvenanceRecorder:
             return
         if reason not in DROP_REASONS:
             raise ProvenanceError(f"unknown drop reason {reason!r}")
-        self._record_event(op, "drop", reason, [record], [], llm, attrs)
+        self._record_event(op, reason, [record], (), llm, attrs)
 
-    def _record_event(self, op, kind, reason, parents, children, llm,
+    def _record_event(self, op, reason, parents, children, llm,
                       attrs) -> None:
         op_idx = self._op_index.get(id(op))
         if op_idx is None:
@@ -222,19 +272,19 @@ class ProvenanceRecorder:
                 f"operator {op.op_label!r} was never registered via "
                 "begin_plan(); provenance events would be orphaned"
             )
+        records = self._records
         for record in parents:
-            self._records.setdefault(record.record_id, record)
+            records.setdefault(record.record_id, record)
         for record in children:
-            self._records.setdefault(record.record_id, record)
-        self._events.append({
-            "op": op_idx,
-            "kind": kind,
-            "reason": reason,
-            "parents": [r.record_id for r in parents],
-            "children": [r.record_id for r in children],
-            "llm": _llm_summary(llm),
-            "attrs": dict(attrs),
-        })
+            records.setdefault(record.record_id, record)
+        self._events.append((
+            op_idx,
+            reason,
+            tuple([r.record_id for r in parents]),
+            tuple([r.record_id for r in children]),
+            _llm_summary(llm),
+            attrs,
+        ))
 
     # -- raw event access -----------------------------------------------
 
@@ -242,10 +292,11 @@ class ProvenanceRecorder:
         """Raw events recorded so far — a mark for :meth:`events_since`."""
         return len(self._events)
 
-    def events_since(self, mark: int) -> List[Dict[str, Any]]:
-        """The raw events recorded after ``mark`` (read-only views; ids
-        are runtime record ids).  Journey capture on the inline schedule
-        reads the event one operator visit reported from here."""
+    def events_since(self, mark: int) -> List[tuple]:
+        """The raw event tuples recorded after ``mark`` (ids are runtime
+        record ids; see ``_events``).  Journey capture on the inline
+        schedule reads the event one operator visit reported from
+        here."""
         return self._events[mark:]
 
     # -- finalization ---------------------------------------------------
@@ -257,40 +308,37 @@ class ProvenanceRecorder:
         ordered by (origin, arrival index), then each operator's events
         (ascending plan index) are sorted by their canonical parent
         ids + kind + reason + attributes, and canonical ids are handed
-        out in exactly that order.
+        out in exactly that order.  The graph is built as columns.
         """
         rid_to_cid: Dict[int, int] = {}
-        nodes: List[Dict[str, Any]] = []
+        records = self._records
+        nodes: Dict[str, List[Any]] = {field: [] for field in _NODE_FIELDS}
+        source_ids, schemas, origins, previews, fps = (
+            nodes[field] for field in _NODE_FIELDS)
 
         def add_node(rid: int, origin: str) -> int:
-            record = self._records[rid]
-            cid = len(nodes) + 1
-            rid_to_cid[rid] = cid
+            record = records[rid]
             payload = record.to_json()
-            nodes.append({
-                "id": cid,
-                "source_id": record.source_id,
-                "schema": record.schema.schema_name(),
-                "origin": origin,
-                "preview": payload[:_PREVIEW_CHARS],
-                "fp": hashlib.sha256(
-                    payload.encode("utf-8")).hexdigest()[:16],
-            })
+            source_ids.append(record.source_id)
+            schemas.append(record.schema.schema_name())
+            origins.append(origin)
+            previews.append(payload[:_PREVIEW_CHARS])
+            fps.append(record_fingerprint(payload))
+            cid = rid_to_cid[rid] = len(fps)
             return cid
 
         for origin, arrival, rid in sorted(
                 self._roots, key=lambda r: (r[0], r[1])):
             add_node(rid, origin)
 
-        by_op: Dict[int, List[Dict[str, Any]]] = {}
+        by_op: Dict[int, List[tuple]] = {}
         for event in self._events:
-            by_op.setdefault(event["op"], []).append(event)
+            by_op.setdefault(event[0], []).append(event)
 
-        canonical_events: List[Dict[str, Any]] = []
+        events = _EventColumns()
         for op_idx in sorted(by_op):
             prepared = []
-            for event in by_op[op_idx]:
-                attrs = dict(event["attrs"])
+            for _, reason, parents, children, llm, attrs in by_op[op_idx]:
                 # duplicate_of names another record by *runtime* id;
                 # rewrite to the canonical id before sorting on it.
                 dup = attrs.get("duplicate_of")
@@ -299,10 +347,9 @@ class ProvenanceRecorder:
                         raise ProvenanceError(
                             "duplicate_of references a record with no "
                             "canonical id yet")
-                    attrs["duplicate_of"] = rid_to_cid[dup]
+                    attrs = dict(attrs, duplicate_of=rid_to_cid[dup])
                 try:
-                    parent_cids = [rid_to_cid[rid]
-                                   for rid in event["parents"]]
+                    parent_cids = [rid_to_cid[rid] for rid in parents]
                 except KeyError:
                     raise ProvenanceError(
                         f"event at op {self._op_labels[op_idx]!r} has a "
@@ -310,29 +357,21 @@ class ProvenanceRecorder:
                         "registered via source()?") from None
                 key = (
                     tuple(sorted(parent_cids)),
-                    0 if event["kind"] == "emit" else 1,
-                    event["reason"] or "",
-                    json.dumps(attrs, default=str, sort_keys=True),
+                    0 if reason is None else 1,
+                    reason or "",
                 )
-                prepared.append((key, event, attrs, parent_cids))
-            prepared.sort(key=lambda item: item[0])
-            for _, event, attrs, parent_cids in prepared:
+                prepared.append(
+                    (key, reason, parent_cids, children, llm, attrs))
+            for _, reason, parent_cids, children, llm, attrs in (
+                    _canonical_events(prepared)):
                 child_cids = []
-                for rid in event["children"]:
+                for rid in children:
                     cid = rid_to_cid.get(rid)
                     if cid is None:
                         cid = add_node(rid, "derived")
                     child_cids.append(cid)
-                canonical_events.append({
-                    "op": event["op"],
-                    "op_label": self._op_labels[event["op"]],
-                    "kind": event["kind"],
-                    "reason": event["reason"],
-                    "parents": parent_cids,
-                    "children": child_cids,
-                    "llm": event["llm"],
-                    "attrs": attrs,
-                })
+                events.append(op_idx, reason, parent_cids, child_cids, llm,
+                              attrs)
 
         output_ids = []
         for record in outputs:
@@ -349,33 +388,113 @@ class ProvenanceRecorder:
         graph = ProvenanceGraph(
             ops=list(self._op_labels),
             nodes=nodes,
-            events=canonical_events,
+            events=events.columns(),
             output_ids=output_ids,
         )
-        graph._rid_to_cid = dict(rid_to_cid)
+        graph._rid_to_cid = rid_to_cid
         return graph
 
 
-class ProvenanceGraph:
-    """The canonical record-derivation DAG for one run.
+def _canonical_events(prepared: List[tuple]) -> List[tuple]:
+    """``prepared`` sorted by (key, attributes as sorted-key JSON), where
+    each item is ``(key, ..., attrs)``.  The JSON is encoded only for
+    items whose keys tie."""
+    ordered: List[tuple] = []
+    for _, tied in groupby(sorted(prepared, key=itemgetter(0)),
+                           key=itemgetter(0)):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda item: json.dumps(
+                item[-1], default=str, sort_keys=True))
+        ordered.extend(tied)
+    return ordered
 
-    Serializable (``to_dict``/``from_dict``/``to_json``) and hashable
-    (``signature``).  ``why``/``why_not`` answer the two PalimpChat
+
+class _EventColumns:
+    """Builds a graph's event columns one canonical event at a time."""
+
+    def __init__(self):
+        self.ops: List[int] = []
+        self.reasons: List[Optional[str]] = []
+        self.parents: List[int] = []
+        self.parent_ends: List[int] = []
+        self.children: List[int] = []
+        self.child_ends: List[int] = []
+        self.llms: List[Optional[tuple]] = []
+        self.attrs: List[Dict[str, Any]] = []
+
+    def append(self, op: int, reason: Optional[str], parents, children,
+               llm: Optional[tuple], attrs: Dict[str, Any]) -> None:
+        self.ops.append(op)
+        self.reasons.append(reason)
+        self.parents.extend(parents)
+        self.parent_ends.append(len(self.parents))
+        self.children.extend(children)
+        self.child_ends.append(len(self.children))
+        self.llms.append(llm)
+        self.attrs.append(attrs)
+
+    def columns(self) -> Dict[str, Any]:
+        columns: Dict[str, Any] = {
+            "op": self.ops,
+            "reason": self.reasons,
+            "parents": self.parents,
+            "parent_ends": self.parent_ends,
+            "children": self.children,
+            "child_ends": self.child_ends,
+        }
+        for position, field in enumerate(_LLM_FIELDS):
+            columns["llm_" + field] = [
+                None if llm is None else llm[position] for llm in self.llms]
+        columns["attrs"] = pack_mappings(self.attrs)
+        return columns
+
+
+class ProvenanceGraph:
+    """The canonical record-derivation DAG for one run, held as columns.
+
+    ``node_columns`` maps each node field (``source_id``, ``schema``,
+    ``origin``, ``preview``, ``fp``) to a list; node ``i`` of the lists
+    has id ``i + 1``.  ``event_columns`` maps ``op``, ``reason`` (None
+    for an emit, whose kind it implies), the flattened ``llm_*`` summary
+    fields and ``attrs`` (stored per key set, see
+    :mod:`repro.obs.columns`) to lists, and holds each event's parent and
+    child ids as flat lists cut by ``parent_ends``/``child_ends``.
+
+    Serializable (``to_columns``, ``to_dict``/``from_dict``, ``to_json``)
+    and hashable (``signature``): ``to_dict`` renders the row shape (one
+    dict per node and per event), and the JSON and signature are those
+    of the row shape.  ``why``/``why_not`` answer the two PalimpChat
     explanation questions purely from the canonical form, so their
     results are byte-identical wherever the graph is.
     """
 
-    def __init__(self, ops: List[str], nodes: List[Dict[str, Any]],
-                 events: List[Dict[str, Any]], output_ids: List[int]):
+    def __init__(self, ops: List[str], nodes: Dict[str, List[Any]],
+                 events: Dict[str, Any], output_ids: List[int]):
         self.ops = ops
-        self.nodes = nodes
-        self.events = events
+        self.node_columns = nodes
+        self.event_columns = events
         self.output_ids = output_ids
         self._rid_to_cid: Dict[int, int] = {}
+        #: Built on first use: each event's row within its attribute
+        #: key set, and the per-node event index ``why``/``why_not`` read.
+        self._attr_positions: Optional[List[int]] = None
+        self._by_node: Optional[tuple] = None
 
     # -- serialization --------------------------------------------------
 
+    def to_columns(self) -> Dict[str, Any]:
+        """The columnar payload a run registry stores (``provenance.json``)."""
+        return {
+            "format": PROVENANCE_COLUMNS_FORMAT,
+            "ops": self.ops,
+            "nodes": self.node_columns,
+            "events": self.event_columns,
+            "output_ids": self.output_ids,
+        }
+
     def to_dict(self) -> Dict[str, Any]:
+        """The row shape: one dict per node and per event."""
         return {
             "ops": self.ops,
             "nodes": self.nodes,
@@ -385,10 +504,26 @@ class ProvenanceGraph:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ProvenanceGraph":
+        """Rebuild a graph from :meth:`to_columns` or :meth:`to_dict`
+        output (the rows earlier registries wrote)."""
+        if payload.get("format") == PROVENANCE_COLUMNS_FORMAT:
+            return cls(list(payload["ops"]), payload["nodes"],
+                       payload["events"], list(payload["output_ids"]))
+        rows = payload["nodes"]
+        events = _EventColumns()
+        for event in payload["events"]:
+            llm = event["llm"]
+            events.append(
+                event["op"], event["reason"], event["parents"],
+                event["children"],
+                None if llm is None else tuple(
+                    llm[field] for field in _LLM_FIELDS),
+                event["attrs"])
         return cls(
             ops=list(payload["ops"]),
-            nodes=list(payload["nodes"]),
-            events=list(payload["events"]),
+            nodes={field: [row[field] for row in rows]
+                   for field in _NODE_FIELDS},
+            events=events.columns(),
             output_ids=list(payload["output_ids"]),
         )
 
@@ -399,13 +534,82 @@ class ProvenanceGraph:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.node_columns["fp"])
+
+    def event_count(self) -> int:
+        return len(self.event_columns["op"])
 
     def __repr__(self) -> str:
         return (
-            f"ProvenanceGraph(nodes={len(self.nodes)}, "
-            f"events={len(self.events)}, outputs={len(self.output_ids)})"
+            f"ProvenanceGraph(nodes={len(self)}, "
+            f"events={self.event_count()}, outputs={len(self.output_ids)})"
         )
+
+    # -- rows -----------------------------------------------------------
+
+    @property
+    def nodes(self) -> List[Dict[str, Any]]:
+        """Every node as a row dict (rendered on each read)."""
+        return [self._node_row(index) for index in range(len(self))]
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """Every canonical event as a row dict (rendered on each read)."""
+        return [self._event_row(index) for index in range(self.event_count())]
+
+    def _node_row(self, index: int) -> Dict[str, Any]:
+        row = {"id": index + 1}
+        for field in _NODE_FIELDS:
+            row[field] = self.node_columns[field][index]
+        return row
+
+    def _event_row(self, index: int) -> Dict[str, Any]:
+        columns = self.event_columns
+        op, reason = columns["op"][index], columns["reason"][index]
+        return {
+            "op": op,
+            "op_label": self.ops[op],
+            "kind": "emit" if reason is None else "drop",
+            "reason": reason,
+            "parents": self._parents(index),
+            "children": self._children(index),
+            "llm": self._llm(index),
+            "attrs": self._attrs(index),
+        }
+
+    def _parents(self, index: int) -> List[int]:
+        ends = self.event_columns["parent_ends"]
+        return self.event_columns["parents"][
+            ends[index - 1] if index else 0:ends[index]]
+
+    def _children(self, index: int) -> List[int]:
+        ends = self.event_columns["child_ends"]
+        return self.event_columns["children"][
+            ends[index - 1] if index else 0:ends[index]]
+
+    def _llm(self, index: int) -> Optional[Dict[str, Any]]:
+        columns = self.event_columns
+        if columns["llm_calls"][index] is None:
+            return None
+        return {field: columns["llm_" + field][index]
+                for field in _LLM_FIELDS}
+
+    def _attrs(self, index: int) -> Dict[str, Any]:
+        packed = self.event_columns["attrs"]
+        if self._attr_positions is None:
+            self._attr_positions = mapping_positions(packed)
+        return mapping_at(packed, index, self._attr_positions)
+
+    def edges(self) -> Iterator[Tuple[List[int], List[int]]]:
+        """Each event's (parent ids, child ids), in canonical order."""
+        columns = self.event_columns
+        parents, children = columns["parents"], columns["children"]
+        parent_start = child_start = 0
+        for parent_end, child_end in zip(columns["parent_ends"],
+                                         columns["child_ends"]):
+            yield (parents[parent_start:parent_end],
+                   children[child_start:child_end])
+            parent_start, child_start = parent_end, child_end
 
     # -- lookups --------------------------------------------------------
 
@@ -414,14 +618,18 @@ class ProvenanceGraph:
         return self._rid_to_cid.get(record.record_id)
 
     def node(self, node_id: int) -> Dict[str, Any]:
-        if not 1 <= node_id <= len(self.nodes):
+        if not 1 <= node_id <= len(self):
             raise ProvenanceError(
                 f"no record {node_id} in this provenance graph "
-                f"(ids run 1..{len(self.nodes)})")
-        return self.nodes[node_id - 1]
+                f"(ids run 1..{len(self)})")
+        return self._node_row(node_id - 1)
 
     def roots(self) -> List[Dict[str, Any]]:
-        return [n for n in self.nodes if n["origin"] != "derived"]
+        return [
+            self._node_row(index)
+            for index, origin in enumerate(self.node_columns["origin"])
+            if origin != "derived"
+        ]
 
     def find_sources(self, source_id: str) -> List[Dict[str, Any]]:
         """Root nodes matching ``source_id``.
@@ -430,29 +638,73 @@ class ProvenanceGraph:
         content-preview containment (datasets often share one source id,
         so "why not paper_003?" matches on the scanned filename/content).
         """
-        exact = [n for n in self.roots() if n["source_id"] == source_id]
+        roots = self.roots()
+        exact = [n for n in roots if n["source_id"] == source_id]
         if exact:
             return exact
         contained = [
-            n for n in self.roots()
+            n for n in roots
             if n["source_id"] and source_id in n["source_id"]
         ]
         if contained:
             return contained
-        return [n for n in self.roots() if source_id in n["preview"]]
+        return [n for n in roots if source_id in n["preview"]]
 
-    def _producing_event(self, node_id: int) -> Optional[Dict[str, Any]]:
-        for event in self.events:
-            if node_id in event["children"] and node_id not in event["parents"]:
-                return event
+    def output_node_for(self, fp: str) -> Optional[int]:
+        """The first output node whose record fingerprint is ``fp``."""
+        fps = self.node_columns["fp"]
+        for node_id in self.output_ids:
+            if fps[node_id - 1] == fp:
+                return node_id
         return None
 
-    def _journey(self, node_id: int) -> List[Dict[str, Any]]:
-        """Pass-through events the record survived, in plan order."""
-        return [
-            e for e in self.events
-            if node_id in e["parents"] and node_id in e["children"]
-        ]
+    def _index(self) -> tuple:
+        """Per node, in event order: the event that produced it (first
+        one listing it as a child but not a parent), the pass-through
+        events it survived, the drops and the derivations it fed, and
+        the output ids as a set."""
+        if self._by_node is None:
+            produced: Dict[int, int] = {}
+            journeys: Dict[int, List[int]] = {}
+            drops: Dict[int, List[int]] = {}
+            derives: Dict[int, List[int]] = {}
+            reasons = self.event_columns["reason"]
+            for index, (parents, children) in enumerate(self.edges()):
+                inside = set(children)
+                for node in inside.difference(parents):
+                    produced.setdefault(node, index)
+                for node in dict.fromkeys(parents):
+                    if reasons[index] is not None:
+                        found = drops
+                    elif node in inside:
+                        found = journeys
+                    else:
+                        found = derives
+                    found.setdefault(node, []).append(index)
+            self._by_node = (produced, journeys, drops, derives,
+                             set(self.output_ids))
+        return self._by_node
+
+    def _view(self, index: Optional[int]) -> Optional[Dict[str, Any]]:
+        """The stable, user-facing projection of canonical event ``index``."""
+        if index is None:
+            return None
+        columns = self.event_columns
+        op, reason = columns["op"][index], columns["reason"][index]
+        view = {
+            "op": op,
+            "op_label": self.ops[op],
+            "kind": "emit" if reason is None else "drop",
+        }
+        if reason:
+            view["reason"] = reason
+        attrs = self._attrs(index)
+        if attrs:
+            view["attrs"] = dict(sorted(attrs.items()))
+        llm = self._llm(index)
+        if llm:
+            view["llm"] = llm
+        return view
 
     # -- why ------------------------------------------------------------
 
@@ -465,11 +717,12 @@ class ProvenanceGraph:
         instead of a producing event.
         """
         node = self.node(record_id)
-        produced = self._producing_event(record_id)
+        produced_by, journeys, _, _, outputs = self._index()
+        produced = produced_by.get(record_id)
         parents = []
         if produced is not None:
             seen = set()
-            for pid in produced["parents"]:
+            for pid in self._parents(produced):
                 if pid in seen:
                     continue
                 seen.add(pid)
@@ -480,9 +733,9 @@ class ProvenanceGraph:
             "schema": node["schema"],
             "origin": node["origin"],
             "preview": node["preview"],
-            "in_output": node["id"] in self.output_ids,
-            "produced_by": _event_view(produced),
-            "hops": [_event_view(e) for e in self._journey(record_id)],
+            "in_output": node["id"] in outputs,
+            "produced_by": self._view(produced),
+            "hops": [self._view(e) for e in journeys.get(record_id, ())],
             "parents": parents,
         }
 
@@ -507,68 +760,44 @@ class ProvenanceGraph:
     def _fate(self, node_id: int, _seen: Optional[set] = None) -> Dict[str, Any]:
         seen = _seen if _seen is not None else set()
         node = self.node(node_id)
+        _, journeys, drops, derives, outputs = self._index()
         base = {
             "id": node["id"],
             "source_id": node["source_id"],
             "schema": node["schema"],
-            "journey": [_event_view(e) for e in self._journey(node_id)],
+            "journey": [self._view(e) for e in journeys.get(node_id, ())],
         }
         if node_id in seen:
             base["status"] = "cycle"
             return base
         seen.add(node_id)
-        if node_id in self.output_ids:
+        if node_id in outputs:
             base["status"] = "in_output"
             return base
-        drops = [
-            e for e in self.events
-            if e["kind"] == "drop" and node_id in e["parents"]
-        ]
-        derives = [
-            e for e in self.events
-            if e["kind"] == "emit" and node_id in e["parents"]
-            and node_id not in e["children"]
-        ]
-        if drops and derives:
+        dropped = drops.get(node_id)
+        derived = derives.get(node_id)
+        if dropped and derived:
             # An aggregate folded it in *and* produced an output record.
             base["status"] = "folded"
-            base["dropped_by"] = _event_view(drops[0])
+            base["dropped_by"] = self._view(dropped[0])
             base["children"] = [
                 self._fate(cid, seen)
-                for e in derives for cid in e["children"]
+                for e in derived for cid in self._children(e)
             ]
             return base
-        if drops:
+        if dropped:
             base["status"] = "dropped"
-            base["dropped_by"] = _event_view(drops[0])
+            base["dropped_by"] = self._view(dropped[0])
             return base
-        if derives:
+        if derived:
             base["status"] = "derived"
             base["children"] = [
                 self._fate(cid, seen)
-                for e in derives for cid in e["children"]
+                for e in derived for cid in self._children(e)
             ]
             return base
         base["status"] = "dangling"
         return base
-
-
-def _event_view(event: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """The stable, user-facing projection of a canonical event."""
-    if event is None:
-        return None
-    view = {
-        "op": event["op"],
-        "op_label": event["op_label"],
-        "kind": event["kind"],
-    }
-    if event["reason"]:
-        view["reason"] = event["reason"]
-    if event["attrs"]:
-        view["attrs"] = dict(sorted(event["attrs"].items()))
-    if event["llm"]:
-        view["llm"] = event["llm"]
-    return view
 
 
 # -- rendering ----------------------------------------------------------

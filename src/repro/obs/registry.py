@@ -6,8 +6,8 @@ Every recorded run lands in its own directory under ``.repro/runs/``::
         meta.json         # plan signature, policy, executor, headline totals
         stats.json        # full ExecutionStats.to_dict()
         records.json      # output records (schema-shaped dicts, sink order)
-        provenance.json   # canonical ProvenanceGraph (when recorded)
-        trace.json        # plain-JSON trace (when traced)
+        provenance.json   # canonical ProvenanceGraph, columnar (when recorded)
+        trace.json        # trace, columnar (when traced)
         manifest.json     # per-document source manifest  } when the run
         calls.json        # LLM call log                  } captured calls
         journeys.json     # per-document journeys (inline schedules only)
@@ -19,6 +19,15 @@ directory, so concurrent recorders never share one.  Files are compact,
 sorted-key JSON from :func:`repro.obs.persist.write_json`, and
 ``meta.json`` is written last: a directory without it is a run still being
 written (or an abandoned one), and :meth:`RunRegistry.list` skips it.
+
+``provenance.json`` and ``trace.json`` hold one list per field
+(:meth:`ProvenanceGraph.to_columns`, :func:`repro.obs.columns.trace_columns`)
+rather than one object per node, event or span: a recorded run keeps them
+as columns from finalization to disk and back, and the row shapes readers
+show (``ProvenanceGraph.to_dict``, ``to_plain_json`` spans) are rendered
+from the columns.  Directories written in the row layout by earlier
+versions still load: :meth:`RunRegistry.load` turns their rows into
+columns.
 
 :func:`diff_runs` compares two snapshots and names three kinds of delta:
 
@@ -41,10 +50,20 @@ import re
 import shutil
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.columns import (
+    TRACE_COLUMNS_FORMAT,
+    trace_columns,
+    trace_columns_from_rows,
+)
 from repro.obs.persist import write_json
-from repro.obs.provenance import ProvenanceGraph, render_why, render_why_not
+from repro.obs.provenance import (
+    ProvenanceGraph,
+    record_fingerprint,
+    render_why,
+    render_why_not,
+)
 
 __all__ = [
     "ResultHandle",
@@ -73,8 +92,7 @@ def _record_key(payload: Dict[str, Any]) -> str:
 
 def _record_fp(payload: Dict[str, Any]) -> str:
     """Same 16-hex fingerprint provenance nodes carry (``node["fp"]``)."""
-    return hashlib.sha256(
-        _record_key(payload).encode("utf-8")).hexdigest()[:16]
+    return record_fingerprint(_record_key(payload))
 
 
 def _read_json(path: Path) -> Any:
@@ -92,11 +110,12 @@ def _tree_bytes(root: Path) -> int:
     return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
 
 
-def _result_fp(payloads: List[Dict[str, Any]]) -> str:
-    """Order-sensitive fingerprint of a whole result set."""
+def _result_fp(keys: Iterable[str]) -> str:
+    """Order-sensitive fingerprint of a whole result set, from its
+    records' membership keys (:func:`_record_key`)."""
     digest = hashlib.sha256()
-    for payload in payloads:
-        digest.update(_record_key(payload).encode("utf-8"))
+    for key in keys:
+        digest.update(key.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
 
@@ -190,6 +209,8 @@ class RunSnapshot:
         self.stats = stats
         self.records = records
         self.graph = graph
+        #: The trace as columns (:func:`repro.obs.columns.trace_columns`);
+        #: :func:`repro.obs.columns.plain_trace` renders its span rows.
         self.trace = trace
         #: Per-document source manifest (``manifest.json``) when the run
         #: captured one — the base an incremental re-run diffs against.
@@ -209,10 +230,13 @@ class RunSnapshot:
         """Snapshot live ``(records, stats)`` from ``Execute``.
 
         Records are normalized through a JSON round-trip so an in-memory
-        snapshot is byte-identical to one reloaded from disk.
+        snapshot is byte-identical to one reloaded from disk, and the
+        trace is taken as columns straight from the finished ``Trace``.
         """
         plan = stats.plan_stats
-        payloads = [json.loads(r.to_json()) for r in records]
+        # ``to_json`` is each record's membership key (_record_key).
+        keys = [r.to_json() for r in records]
+        payloads = [json.loads(key) for key in keys]
         schema = records[0].schema.schema_name() if records else ""
         meta = {
             "run_id": run_id,
@@ -224,7 +248,7 @@ class RunSnapshot:
             "plan": plan.plan_describe,
             "records_out": plan.records_out,
             "schema": schema,
-            "result_fp": _result_fp(payloads),
+            "result_fp": _result_fp(keys),
             "total_time_seconds": round(stats.total_time_seconds, 3),
             "total_cost_usd": round(stats.total_cost_usd, 6),
             "llm_calls": sum(op.llm_calls for op in plan.operator_stats),
@@ -234,9 +258,7 @@ class RunSnapshot:
             meta["incremental"] = incremental.to_dict()
         trace = None
         if stats.trace is not None:
-            from repro.obs.export import to_plain_json
-
-            trace = to_plain_json(stats.trace, metrics=stats.metrics)
+            trace = trace_columns(stats.trace, metrics=stats.metrics)
         return cls(
             run_id=run_id,
             meta=meta,
@@ -268,7 +290,8 @@ class RunSnapshot:
         records = self.records
         return ResultHandle(
             self.run_id, str(self.meta.get("schema", "")), len(records),
-            str(self.meta.get("result_fp") or _result_fp(records)),
+            str(self.meta.get("result_fp")
+                or _result_fp(map(_record_key, records))),
             loader=lambda: records)
 
     # -- lookups --------------------------------------------------------
@@ -282,11 +305,7 @@ class RunSnapshot:
         content fingerprint (duplicates resolve to the first match)."""
         if self.graph is None:
             return None
-        fp = _record_fp(payload)
-        for node_id in self.graph.output_ids:
-            if self.graph.node(node_id)["fp"] == fp:
-                return node_id
-        return None
+        return self.graph.output_node_for(_record_fp(payload))
 
     def source_ids_for(self, payload: Dict[str, Any]) -> List[str]:
         """Source document ids an output record derives from."""
@@ -360,7 +379,7 @@ class RunRegistry:
         files = [
             ("stats.json", snapshot.stats),
             ("records.json", snapshot.records),
-            ("provenance.json", (snapshot.graph.to_dict()
+            ("provenance.json", (snapshot.graph.to_columns()
                                  if snapshot.graph is not None else None)),
             ("trace.json", snapshot.trace),
             ("manifest.json", snapshot.manifest),
@@ -403,6 +422,9 @@ class RunRegistry:
             return _read_json(run_dir / name)
 
         graph_payload = read("provenance.json")
+        trace = read("trace.json")
+        if trace is not None and trace.get("format") != TRACE_COLUMNS_FORMAT:
+            trace = trace_columns_from_rows(trace)
         return RunSnapshot(
             run_id=run_id,
             meta=read("meta.json"),
@@ -410,7 +432,7 @@ class RunRegistry:
             records=read("records.json") or [],
             graph=(ProvenanceGraph.from_dict(graph_payload)
                    if graph_payload else None),
-            trace=read("trace.json"),
+            trace=trace,
             manifest=read("manifest.json"),
             calls=read("calls.json"),
             journeys=read("journeys.json"),
@@ -431,7 +453,7 @@ class RunRegistry:
             schema=str(meta.get("schema", "")),
             count=int(meta.get("records_out", 0)),
             fingerprint=str(meta.get("result_fp")
-                            or _result_fp(load_records())),
+                            or _result_fp(map(_record_key, load_records()))),
             loader=load_records,
         )
 

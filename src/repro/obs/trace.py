@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.columns import plain_trace
+
 _SEQ_MISSING = float("inf")
 
 
@@ -114,7 +116,10 @@ class Span:
 def _canonical_order(children: List[Span]) -> List[Span]:
     """Deterministic sibling order: by ``seq`` attribute where present
     (a schedule appends bundle spans in the order it visits its lanes,
-    not in input order), otherwise stable append order."""
+    not in input order), otherwise stable append order.  Lists of fewer
+    than two spans are returned as they are."""
+    if len(children) < 2:
+        return children
     return sorted(
         children,
         key=lambda span: _seq_key(span.attributes.get("seq")),
@@ -186,10 +191,12 @@ class Trace:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Trace":
-        """Rebuild a trace from :meth:`to_dict` output or its plain-JSON
-        export (:func:`repro.obs.export.to_plain_json`).  Span ends are
-        rebuilt from rounded starts and durations, so the makespan comes
-        from the export when it records one."""
+        """Rebuild a trace from :meth:`to_dict` output, its plain-JSON
+        export (:func:`repro.obs.export.to_plain_json`) or the columns a
+        run registry stores (:func:`repro.obs.columns.trace_columns`).  Span
+        ends are rebuilt from rounded starts and durations, so the
+        makespan comes from the export when it records one."""
+        payload = plain_trace(payload)
         by_id: Dict[int, Span] = {}
         roots: List[Span] = []
         for row in payload["spans"]:

@@ -46,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.llm.usage import QuotaExceededError
+from repro.obs.columns import plain_trace
 from repro.obs.telemetry import bind_context, wall_perf
 from repro.server.store import SessionStore, WorkerPoolSaturated
 
@@ -357,7 +358,7 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
         if snapshot.trace is None:
             return 404, {"error": "not_found",
                          "message": f"run {run_id} recorded no trace"}
-        return 200, {"run_id": run_id, "trace": snapshot.trace}
+        return 200, {"run_id": run_id, "trace": plain_trace(snapshot.trace)}
 
     def _handle_get_result(self, tenant_id, run_id,
                            body=None, params=None):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.columns import plain_trace
 from repro.server.serving import ServingLock
 
 __all__ = ["ProgressBuffer", "progress_events_from_trace"]
@@ -103,11 +104,12 @@ def progress_events_from_trace(
     trace: Optional[Dict[str, Any]],
     limit: int = 200,
 ) -> List[Dict[str, Any]]:
-    """Summarize a plain-JSON trace into ``span`` progress events.
+    """Summarize a stored trace into ``span`` progress events.
 
-    ``trace`` is the ``repro.obs/v1`` payload a
-    :class:`~repro.obs.registry.RunSnapshot` stores (``to_plain_json``
-    output: a flat ``spans`` list).  Each surfaced span becomes::
+    ``trace`` is the columnar payload a
+    :class:`~repro.obs.registry.RunSnapshot` stores, or its row layout
+    (``to_plain_json`` output: a flat ``spans`` list).  Each surfaced
+    span becomes::
 
         {"type": "span", "name": ..., "kind": ..., "start": ...,
          "duration": ..., "lane": ...}
@@ -119,7 +121,7 @@ def progress_events_from_trace(
     """
     if not trace:
         return []
-    spans = trace.get("spans") or []
+    spans = plain_trace(trace).get("spans") or []
     events: List[Dict[str, Any]] = []
     dropped = 0
     for span in spans:

@@ -1081,7 +1081,7 @@ class TestReplayTable:
 
 
 class _CountingGraph:
-    """A ProvenanceGraph stand-in that counts passes over ``events``."""
+    """A ProvenanceGraph stand-in that counts passes over its events."""
 
     def __init__(self, roots, events, output_ids):
         self._roots, self._events = roots, events
@@ -1095,6 +1095,10 @@ class _CountingGraph:
     def events(self):
         self.passes += 1
         return iter(self._events)
+
+    def edges(self):
+        self.passes += 1
+        return ((e["parents"], e["children"]) for e in self._events)
 
 
 def _chain_graph(documents, fanout=2):

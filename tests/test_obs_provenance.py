@@ -6,9 +6,11 @@ round-trips, and the persistent run registry with its three-way diff.
 """
 
 import json
+import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +30,13 @@ from repro.obs import (
     render_why,
     render_why_not,
 )
+from repro.obs.columns import TRACE_COLUMNS_FORMAT, plain_trace
 from repro.obs.registry import RunStore
 
 sys.path.insert(0, "tests")
 from test_execution_pipeline import Clinical, make_source
+
+PARENT_RUNS = Path(__file__).parent / "data" / "parent_runs"
 
 
 def make_mixed_source(dataset_id, n=6):
@@ -374,6 +379,95 @@ class TestRunRegistry:
             "run-0001", "run-0002"]
         for snapshot in stored:
             assert registry.load(snapshot.run_id).records == snapshot.records
+
+
+class TestParentRunDirectory:
+    """A registry written in the row layout (one JSON object per
+    provenance node, event and trace span), before run files held
+    columns: two runs of a filter+convert pipeline over
+    ``make_mixed_source("parent-runs")``, traced, with provenance and
+    captured calls, the second with ``.limit(2)``.  ``expected.json``
+    holds the answers the row-layout code gave for them."""
+
+    IDS = ("run-0001", "run-0002")
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return json.loads((PARENT_RUNS / "expected.json").read_text())
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(PARENT_RUNS / "runs", runs)
+        return runs
+
+    def test_load_turns_rows_into_columns(self, runs):
+        registry = RunRegistry(runs)
+        for run_id in self.IDS:
+            def read(name):
+                return json.loads((runs / run_id / name).read_text())
+
+            loaded = registry.load(run_id)
+            assert loaded.trace["format"] == TRACE_COLUMNS_FORMAT
+            assert plain_trace(loaded.trace) == read("trace.json")
+            assert isinstance(loaded.graph.node_columns, dict)
+            assert loaded.graph.to_dict() == read("provenance.json")
+            for name in ("meta", "stats", "records", "manifest", "calls",
+                         "journeys"):
+                assert getattr(loaded, name) == read(f"{name}.json"), name
+            # Saved again, the run is columnar and reads back the same.
+            resaved = RunRegistry(runs.parent / "resaved")
+            resaved.save(loaded)
+            again = resaved.load(run_id)
+            assert read("provenance.json") == again.graph.to_dict()
+            assert again.trace == loaded.trace
+            stored = json.loads(
+                (resaved.root / run_id / "provenance.json").read_text())
+            assert stored == loaded.graph.to_columns()
+
+    def test_why_and_why_not_answer_as_they_did(self, runs, expected):
+        registry = RunRegistry(runs)
+        for run_id in self.IDS:
+            graph = registry.load(run_id).graph
+            answers = expected["runs"][run_id]
+            assert {str(n): render_why(graph.why(n))
+                    for n in graph.output_ids} == answers["why"]
+            for source, text in answers["why_not"].items():
+                assert render_why_not(graph.why_not(source)) == text
+
+    def test_diff_answers_as_it_did(self, runs, expected):
+        diff = RunRegistry(runs).diff(*self.IDS)
+        assert diff.to_dict() == expected["diff"]
+        assert diff.render() == expected["diff_render"]
+
+    def test_cli_answers_as_it_did(self, runs, expected, capsys):
+        from repro.cli import main
+
+        commands = {
+            "show": ["runs", "show", "run-0001"],
+            "why": ["runs", "why", "1"],
+            "why_list": ["runs", "why"],
+            "why_not": ["runs", "why-not", "parent-runs-1", "--run",
+                        "run-0001"],
+            "diff": ["runs", "diff"],
+        }
+        for name, argv in commands.items():
+            code = main(argv + ["--runs-dir", str(runs)])
+            assert [code, capsys.readouterr().out] == expected["cli"][name]
+
+    def test_chat_explanations_answer_as_they_did(self, runs, expected):
+        from repro.chat.tools_pz import build_pz_tools
+        from repro.chat.workspace import PipelineWorkspace
+
+        for run_id in self.IDS:
+            workspace = PipelineWorkspace()
+            workspace.runs_dir = str(runs)
+            workspace.run_ids = list(self.IDS)
+            workspace.current_run_id = run_id
+            tools = build_pz_tools(workspace)
+            answers = expected["runs"][run_id]
+            for tool in ("explain_execution", "explain_record"):
+                assert tools.get(tool).invoke({}) == answers[tool], tool
 
 
 class TestRunStore:
