@@ -10,8 +10,9 @@ to decompose a user question into several tasks required before execution")
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.agent.react import (
     Brain,
@@ -110,131 +111,22 @@ def _camel(identifier: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Intent anchors.
+# Plans: (clause, message) -> the tool calls one intent's clause asks for.
 # ---------------------------------------------------------------------------
 
-_ANCHORS: List[Tuple[str, re.Pattern]] = [
-    ("load", re.compile(
-        r"\b(load|upload|ingest|register)\b|\buse\b[^.]*\b(folder|directory|dataset|files)\b",
-        re.I)),
-    ("filter", re.compile(
-        r"\b(filter|keep only|only keep|select only|interested in)\b"
-        r"|\bpapers (?:that are )?about\b|\bdocuments about\b",
-        re.I)),
-    ("schema", re.compile(r"\bcreate (?:a |an )?schema\b", re.I)),
-    ("extract", re.compile(r"\bextract(?:ing)?\b", re.I)),
-    ("policy", re.compile(
-        r"\b(maximi[sz]e|minimi[sz]e|prioriti[sz]e|optimi[sz]e for|cheapest"
-        r"|optimization (?:goal|target))\b", re.I)),
-    # Before "execute": "explain the last run" contains the word "run", so
-    # this anchor must exist for containment suppression to veto execute.
-    ("explain_run", re.compile(
-        r"\bwhat took so long\b|\bwhy (?:was|is) (?:it|that|the run) "
-        r"(?:so )?slow\b"
-        r"|\b(?:explain|profile|analy[sz]e|break down)\b[^.]*"
-        r"\b(?:last|previous|that|the) (?:run|execution)\b"
-        r"|\bwhere did (?:all )?the time go\b|\bcritical path\b"
-        r"|\bwhat was the bottleneck\b|\bbounding stage\b", re.I)),
-    # Provenance questions — before "execute"/"show" so spans like "what
-    # changed since the last run" suppress the contained "run" hit.
-    ("why_not", re.compile(
-        r"\bwhy (?:isn't|wasn't|aren't|weren't|is not|was not|didn't"
-        r"|did not)\b"
-        r"|\bwhat happened to\b"
-        r"|\bwhy\b[^.?]*\bnot in the (?:output|results?)\b"
-        r"|\bwhy (?:is|was)\b[^.?]*\b(?:dropped|filtered out|eliminated"
-        r"|excluded|missing|removed)\b", re.I)),
-    ("why_record", re.compile(
-        r"\bwhy (?:is|was|are|were) (?!not\b|n't)(?:(?!\bnot\b)[^.?])*"
-        r"\bin the (?:output|results?)\b"
-        r"|\b(?:explain|how was|where did|where does) record\s*#?\d+"
-        r"|\bprovenance of\b|\bderivation (?:tree|of)\b", re.I)),
-    ("compare_runs", re.compile(
-        r"\bwhat(?:'s| is| has)? changed? since (?:the )?(?:last|previous)"
-        r" run\b"
-        r"|\b(?:compare|diff)\b(?:\s+\w+){0,3}\s+runs\b"
-        r"|\b(?:compare|diff)\b(?:\s+\w+){0,2}\s+(?:last|previous) run\b"
-        r"|\bhow (?:do|did) the (?:two )?runs differ\b", re.I)),
-    # Before "execute": "re-run" and "run it again" contain the word
-    # "run", so this longer anchor must exist for containment suppression
-    # to veto execute and route to the incremental re-run instead.
-    ("rerun", re.compile(
-        r"\bre-?run\b(?:[^.?]*\bupdated\b[^.?]*)?"
-        r"|\brun (?:it|that|the pipeline) again\b"
-        r"|\b(?:run|execute|recompute)\b[^.?]*\bupdated "
-        r"(?:corpus|data|dataset|documents|files)\b"
-        r"|\bincremental(?:ly)?\b[^.?]*\b(?:run|execution|re-?run)\b",
-        re.I)),
-    ("execute", re.compile(r"\b(run|execute|launch|process the)\b", re.I)),
-    ("stats", re.compile(
-        r"\bhow (?:much|long)\b|\bstatistics\b|\bstats\b|\bcosted\b"
-        r"|\bwhat did (?:it|this) cost\b", re.I)),
-    ("show", re.compile(
-        r"\b(show|display|visuali[sz]e)\b|\bwhat (?:did you|was) (?:find|found|extracted)\b",
-        re.I)),
-    ("code", re.compile(r"\b(code|notebook|export|download)\b", re.I)),
-    ("workers", re.compile(
-        r"\b(?:use|with|set)\s+(\d+)\s+(?:parallel\s+)?workers?\b"
-        r"|\bin parallel\b", re.I)),
-    ("executor", re.compile(
-        r"\b(?:sequential|parallel|pipelined|sharded|async(?:io)?)"
-        r"\s+(?:executor|engine|execution|mode)\b"
-        r"|\bexecution mode\b|\bexecutor\b|\bbatch size\b"
-        r"|\b\d+\s+shards?\b|\bshard(?:ed)?\s+(?:the\s+)?(?:pipeline|execution)\b",
-        re.I)),
-    ("explain", re.compile(
-        r"\b(explain|compare|what) (?:the )?(physical )?plans?\b"
-        r"|\bplan space\b|\bwhich plan\b", re.I)),
-    ("lint", re.compile(
-        r"\blint\b|\b(?:validate|sanity[- ]check|check)\b[^.]*\bpipeline\b"
-        r"|\bany (?:problems|mistakes|issues) (?:with|in)\b[^.]*\bpipeline\b",
-        re.I)),
-    ("reset", re.compile(r"\b(reset|start over|clear the pipeline)\b", re.I)),
-    ("list", re.compile(r"\b(?:list|which|what) datasets\b", re.I)),
-    ("describe", re.compile(r"\b(describe|explain) the pipeline\b", re.I)),
-]
+def _call(tool: str, thought: str, **arguments: Any) -> ToolCall:
+    return ToolCall(thought=thought, tool_name=tool, arguments=arguments)
 
 
-def _match_anchors(message: str) -> List[Tuple[int, str, re.Match]]:
-    hits = []
-    for intent, pattern in _ANCHORS:
-        for match in pattern.finditer(message):
-            hits.append((match.start(), intent, match))
-    # Containment suppression: a hit strictly inside another intent's
-    # longer match is a fragment of that phrase, not a request of its own
-    # ("run" inside "explain the last run" must not trigger execute).
-    hits = [
-        hit for hit in hits
-        if not any(
-            other is not hit
-            and other[1] != hit[1]
-            and other[2].start() <= hit[2].start()
-            and hit[2].end() <= other[2].end()
-            and (other[2].end() - other[2].start())
-            > (hit[2].end() - hit[2].start())
-            for other in hits
-        )
-    ]
-    hits.sort(key=lambda h: h[0])
-    # Deduplicate overlapping same-intent hits.
-    deduped: List[Tuple[int, str, re.Match]] = []
-    for hit in hits:
-        if deduped and deduped[-1][1] == hit[1]:
-            continue
-        deduped.append(hit)
-    return deduped
+def _fixed(tool: str, thought: str) -> Callable[[str, str], List[ToolCall]]:
+    """The plan of an intent whose tool takes no arguments."""
+    return lambda clause, message: [_call(tool, thought)]
 
 
-def _clause_bounds(hits, index: int, message: str) -> str:
-    start = hits[index][0]
-    stop = hits[index + 1][0] if index + 1 < len(hits) else len(message)
-    return message[start:stop]
-
-
+# A bare "that"/"which" leads a verb predicate ("papers that discuss X").
 _PREDICATE_LEADS = re.compile(
-    r"(?:that (?:are|is)|which (?:are|is)|about|where|satisfying|related to)\s+",
-    re.I,
-)
+    r"(?:(?:that|which)(?: (?:are|is))?|about|where|satisfying|related to)"
+    r"\s+", re.I)
 
 # Trailing connectors that belong to the *next* request, not the predicate
 # or field list: "... about colorectal cancer, and I would like to" -> cut
@@ -248,11 +140,6 @@ _CLAUSE_TAIL_RE = re.compile(
 )
 
 
-def _trim_predicate(predicate: str) -> str:
-    predicate = _CLAUSE_TAIL_RE.sub("", predicate)
-    return predicate.strip().rstrip(".,;")
-
-
 def _parse_filter(clause: str) -> Optional[str]:
     match = _PREDICATE_LEADS.search(clause)
     if match:
@@ -264,7 +151,7 @@ def _parse_filter(clause: str) -> Optional[str]:
             lead = inner.group(0).strip().lower()
             predicate = predicate[inner.end():].strip()
             inner = _PREDICATE_LEADS.match(predicate)
-        predicate = _trim_predicate(predicate)
+        predicate = _CLAUSE_TAIL_RE.sub("", predicate).strip().rstrip(".,;")
         if not predicate:
             return None
         if lead.startswith(("about", "related")):
@@ -278,20 +165,8 @@ def _parse_filter(clause: str) -> Optional[str]:
     return tail or None
 
 
-def _parse_policy(clause: str) -> Optional[str]:
-    lowered = clause.lower()
-    if re.search(r"quality", lowered):
-        return "quality"
-    if re.search(r"cost|cheap|budget|money|dollar", lowered):
-        return "cost"
-    if re.search(r"time|fast|quick|latency|speed", lowered):
-        return "runtime"
-    return None
-
-
 _SCHEMA_NAME_RE = re.compile(
-    r"schema (?:called|named)\s+['\"]?(\w+)['\"]?", re.I
-)
+    r"schema (?:called|named)\s+['\"]?(\w+)['\"]?", re.I)
 _EXTRACT_LIST_RE = re.compile(r"\bextract(?:ing)?\b\s*(.*)", re.I | re.S)
 
 # Identifiers that are clause fragments rather than field names: verb
@@ -309,8 +184,12 @@ DEFAULT_DATASET_FIELDS = [
 ]
 
 
-def _parse_extract(clause: str) -> Dict[str, Any]:
-    """Derive schema name, fields, and cardinality from an extract clause."""
+def _plan_schema(clause: str, message: str,
+                 convert: bool = False) -> List[ToolCall]:
+    """Create the schema a clause names (and, with ``convert``, apply it).
+
+    Derives the schema name, fields and cardinality from the clause.
+    """
     lowered = clause.lower()
     one_to_many = bool(
         re.search(r"\b(any|all|every|each|whatever)\b", lowered)
@@ -342,16 +221,24 @@ def _parse_extract(clause: str) -> Dict[str, Any]:
             fields = [("value", "The extracted value")]
     if schema_name is None:
         schema_name = "Extracted" + _camel(fields[0][0])
-    description = (
-        f"A schema for extracting {', '.join(f for f, _ in fields)} "
-        "from the documents."
-    )
-    return {
-        "schema_name": schema_name,
-        "schema_description": description,
-        "fields": fields,
-        "cardinality": "one_to_many" if one_to_many else "one_to_one",
-    }
+    calls = [_call(
+        "create_schema",
+        f"I need an extraction schema {schema_name} for the requested "
+        "fields.",
+        schema_name=schema_name,
+        schema_description=f"A schema for extracting "
+        f"{', '.join(f for f, _ in fields)} from the documents.",
+        field_names=[f for f, _ in fields],
+        field_descriptions=[d for _, d in fields],
+    )]
+    if convert:
+        calls.append(_call(
+            "convert_dataset",
+            "Apply the extraction schema with a convert operation.",
+            schema_name=schema_name,
+            cardinality="one_to_many" if one_to_many else "one_to_one",
+        ))
+    return calls
 
 
 _RECORD_ID_RE = re.compile(r"(?:record|#)\s*#?(\d+)", re.I)
@@ -359,12 +246,6 @@ _SOURCE_TOKEN_RE = re.compile(r"\b([A-Za-z0-9][\w\-]*[._][\w.\-]*\w)\b")
 _WHY_NOT_LEAD_RE = re.compile(
     r"^\W*(?:why (?:isn't|wasn't|aren't|weren't|is not|was not|didn't"
     r"|did not)|what happened to|why (?:is|was))\s*", re.I)
-
-
-def _parse_record_id(clause: str) -> int:
-    """'why is record 3 in the output' -> 3 (0 when unnumbered)."""
-    match = _RECORD_ID_RE.search(clause)
-    return int(match.group(1)) if match else 0
 
 
 def _parse_source_ref(clause: str) -> str:
@@ -388,215 +269,282 @@ def _parse_source_ref(clause: str) -> str:
     return " ".join(words[:4])
 
 
+def _plan_load(clause: str, message: str) -> List[ToolCall]:
+    source = _find_source(clause) or _find_source(message)
+    if source:
+        return [_call("load_dataset",
+                      f"The user wants to load data from {source!r}.",
+                      source=source)]
+    # No recognizable path or dataset id: ask instead of guessing (the
+    # brain turns this into a clarification).
+    return [_call("list_datasets", "The user wants to load data but gave "
+                                   "no recognizable source.")]
+
+
+def _plan_filter(clause: str, message: str) -> List[ToolCall]:
+    predicate = _parse_filter(clause)
+    return [_call("filter_dataset",
+                  "The user wants to keep only matching records.",
+                  predicate=predicate)] if predicate else []
+
+
+_POLICY_WORDS = (("quality", "quality"),
+                 ("cost", "cost|cheap|budget|money|dollar"),
+                 ("runtime", "time|fast|quick|latency|speed"))
+
+
+def _plan_policy(clause: str, message: str) -> List[ToolCall]:
+    for target, words in _POLICY_WORDS:
+        if re.search(words, clause, re.I):
+            return [_call("set_optimization_target",
+                          f"Set the optimization target to {target}.",
+                          target=target)]
+    return []
+
+
+def _plan_why_record(clause: str, message: str) -> List[ToolCall]:
+    # 'why is record 3 in the output' -> 3 (0 when unnumbered).
+    match = _RECORD_ID_RE.search(clause)
+    return [_call("explain_record",
+                  "Explain how that output record was derived, from the "
+                  "run's provenance graph.",
+                  record_id=int(match.group(1)) if match else 0)]
+
+
+def _plan_why_not(clause: str, message: str) -> List[ToolCall]:
+    source = _parse_source_ref(clause)
+    return [_call("explain_record",
+                  f"Trace the fate of source {source!r} through the run's "
+                  "provenance graph.",
+                  source=source)]
+
+
+def _plan_workers(clause: str, message: str) -> List[ToolCall]:
+    count = re.search(r"(\d+)\s+(?:parallel\s+)?workers?", clause, re.I)
+    workers = int(count.group(1)) if count else 4
+    return [_call("set_parallelism",
+                  f"Run pipelines with {workers} parallel workers.",
+                  workers=workers)]
+
+
+def _plan_executor(clause: str, message: str) -> List[ToolCall]:
+    name_match = re.search(
+        r"\b(sequential|parallel|pipelined|sharded|async)\b", clause, re.I)
+    shard_match = re.search(r"\b(\d+)\s+shards?\b", clause, re.I)
+    if name_match:
+        executor = name_match.group(1).lower()
+    elif shard_match or re.search(r"\bshard", clause, re.I):
+        executor = "sharded"
+    else:
+        executor = "pipelined"
+    size_match = re.search(r"\bbatch(?:\s+size)?(?:\s+of)?\s+(\d+)\b",
+                           clause, re.I)
+    arguments = {"executor": executor,
+                 "batch_size": int(size_match.group(1)) if size_match else 1}
+    if executor in SCALE_OUT_EXECUTORS and shard_match:
+        arguments["shards"] = int(shard_match.group(1))
+    return [_call("set_execution_mode",
+                  f"Switch pipelines to the {executor} executor.",
+                  **arguments)]
+
+
+# ---------------------------------------------------------------------------
+# The intent table.
+# ---------------------------------------------------------------------------
+
+class Intent(NamedTuple):
+    """One row of the intent table.
+
+    ``before`` names the intents this one is hoisted ahead of: within one
+    utterance, a hit of this intent that follows the first hit of one of
+    them is planned just before that hit ("run it with 4 workers" sets
+    the workers, then runs).
+    """
+
+    name: str
+    anchor: re.Pattern
+    plan: Callable[[str, str], List[ToolCall]]
+    before: Tuple[str, ...] = ()
+
+
+def _anchor(pattern: str) -> re.Pattern:
+    return re.compile(pattern, re.I)
+
+
+_ACTIONS = ("execute", "rerun")
+
+# The words between two parts of one anchor never cross a clause break, so
+# one request's phrase cannot swallow the next ("use 4 workers and extract
+# the dataset name" is not a load).
+_BREAK = r"[,;?]|\.(?!\S)|\b(?:and|then)\b"
+_GAP = rf"(?:(?!{_BREAK}).)*"
+
+#: Every intent, one row each.  Row order breaks ties between hits that
+#: start at the same offset.  A long anchor such as "explain the last run"
+#: or "run it again" vetoes the shorter hits inside it ("run"), so those
+#: phrases plan their own tool rather than an execution.
+INTENTS: List[Intent] = [
+    Intent("load", _anchor(
+        r"\b(load|upload|ingest|register)\b"
+        rf"|\buse\b{_GAP}\b(folder|directory|dataset|files)\b"), _plan_load),
+    Intent("filter", _anchor(
+        r"\b(filter|keep only|only keep|select only|interested in)\b"
+        r"|\bpapers (?:that are )?about\b|\bdocuments about\b"),
+        _plan_filter, before=("schema", "extract")),
+    Intent("schema", _anchor(r"\bcreate (?:a |an )?schema\b"), _plan_schema),
+    Intent("extract", _anchor(r"\bextract(?:ing)?\b"),
+           functools.partial(_plan_schema, convert=True)),
+    Intent("policy", _anchor(
+        r"\b(maximi[sz](?:e|ing)|minimi[sz](?:e|ing)|prioriti[sz]e"
+        r"|optimi[sz]e for|cheapest|optimization (?:goal|target))\b"
+        r"|\bas (?:cheaply|fast) as possible\b"
+        r"|\bminimal cost\b|\bbest quality\b"), _plan_policy, before=_ACTIONS),
+    Intent("explain_run", _anchor(
+        r"\bwhat took so long\b|\bwhy (?:was|is) (?:it|that|the run) "
+        r"(?:so )?slow\b"
+        rf"|\b(?:explain|profile|analy[sz]e|break down)\b{_GAP}"
+        r"\b(?:last|previous|that|the) (?:run|execution)\b"
+        r"|\bwhere did (?:all )?the time go\b|\bcritical path\b"
+        r"|\bwhat was the bottleneck\b|\bbounding stage\b"),
+        _fixed("explain_execution",
+               "Explain the last run from its execution trace.")),
+    Intent("why_not", _anchor(
+        r"\bwhy (?:isn't|wasn't|aren't|weren't|is not|was not|didn't"
+        r"|did not)\b"
+        r"|\bwhat happened to\b"
+        rf"|\bwhy\b{_GAP}\bnot in the (?:output|results?)\b"
+        rf"|\bwhy (?:is|was)\b{_GAP}\b(?:dropped|filtered out|eliminated"
+        r"|excluded|missing|removed)\b"), _plan_why_not),
+    Intent("why_record", _anchor(
+        rf"\bwhy (?:is|was|are|were) (?!not\b|n't)(?:(?!\bnot\b|{_BREAK}).)*"
+        r"\bin the (?:output|results?)\b"
+        r"|\b(?:explain|how was|where did|where does) record\s*#?\d+"
+        r"|\bprovenance of\b|\bderivation (?:tree|of)\b"), _plan_why_record),
+    Intent("compare_runs", _anchor(
+        r"\bwhat(?:'s| is| has)? changed? since (?:the )?(?:last|previous)"
+        r" run\b"
+        r"|\b(?:compare|diff)\b(?:\s+\w+){0,3}\s+runs\b"
+        r"|\b(?:compare|diff)\b(?:\s+\w+){0,2}\s+(?:last|previous) run\b"
+        r"|\bhow (?:do|did) the (?:two )?runs differ\b"),
+        _fixed("compare_runs", "Diff the last two runs of this session.")),
+    Intent("rerun", _anchor(
+        rf"\bre-?run\b(?:{_GAP}\bupdated\b)?"
+        r"|\brun (?:it|that|the pipeline) again\b"
+        rf"|\b(?:run|execute|recompute)\b{_GAP}\bupdated "
+        r"(?:corpus|data|dataset|documents|files)\b"
+        rf"|\bincremental(?:ly)?\b{_GAP}\b(?:run|execution|re-?run)\b"),
+        _fixed("rerun_pipeline",
+               "Re-run the pipeline incrementally on the updated corpus, "
+               "reusing the previous run's recorded calls.")),
+    Intent("execute", _anchor(r"\b(run|execute|launch|process the)\b"),
+           _fixed("execute_pipeline",
+                  "Run the pipeline that has been built.")),
+    Intent("stats", _anchor(
+        r"\bhow (?:much|long)\b|\bstatistics\b|\bstats\b|\bcosted\b"
+        r"|\bwhat did (?:it|this) cost\b"),
+        _fixed("get_execution_stats", "Report the execution statistics.")),
+    Intent("show", _anchor(
+        r"\b(show|display|visuali[sz]e)\b"
+        r"|\bwhat (?:did you|was) (?:find|found|extracted)\b"),
+        _fixed("show_records", "Show the output records.")),
+    Intent("code", _anchor(r"\b(code|notebook|export|download)\b"),
+           _fixed("generate_code",
+                  "Produce the equivalent Palimpzest program.")),
+    Intent("workers", _anchor(
+        r"\b(?:use|with|set)\s+(\d+)\s+(?:parallel\s+)?workers?\b"
+        r"|\bin parallel\b"), _plan_workers, before=_ACTIONS),
+    Intent("executor", _anchor(
+        r"\b(?:(?:switch to|use) (?:the )?)?"
+        r"(?:sequential|parallel|pipelined|sharded|async(?:io)?)"
+        r"\s+(?:executor|engine|execution|mode)\b"
+        r"|\bexecution mode\b|\bexecutor\b|\bbatch size\b"
+        r"|\b\d+\s+shards?\b"
+        r"|\bshard(?:ed)?\s+(?:the\s+)?(?:pipeline|execution)\b"),
+        _plan_executor, before=_ACTIONS),
+    Intent("explain", _anchor(
+        r"\b(explain|compare|what) (?:the )?(physical )?plans?\b"
+        r"|\bplan space\b|\bwhich plan\b"),
+        _fixed("explain_plans",
+               "Show the optimizer's plan space and choice.")),
+    Intent("lint", _anchor(
+        rf"\blint\b|\b(?:validate|sanity[- ]check|check)\b{_GAP}\bpipeline\b"
+        r"|\bany (?:problems|mistakes|issues) (?:with|in)\b"
+        rf"{_GAP}\bpipeline\b"),
+        _fixed("lint_pipeline",
+               "Statically check the pipeline for mistakes.")),
+    Intent("reset", _anchor(r"\b(reset|start over|clear the pipeline)\b"),
+           _fixed("reset_pipeline", "Discard the current pipeline.")),
+    Intent("list", _anchor(r"\b(?:list|which|what) datasets\b"),
+           _fixed("list_datasets", "List the registered datasets.")),
+    Intent("describe", _anchor(r"\b(describe|explain) the pipeline\b"),
+           _fixed("describe_pipeline", "Describe the pipeline so far.")),
+]
+
+_Hit = Tuple[int, Intent, re.Match]
+
+
+def _match_anchors(message: str) -> List[_Hit]:
+    hits = [(match.start(), row, match)
+            for row in INTENTS for match in row.anchor.finditer(message)]
+    # Containment suppression: a hit strictly inside another intent's
+    # longer match is a fragment of that phrase, not a request of its own
+    # ("run" inside "explain the last run" must not trigger execute).
+    hits = [
+        hit for hit in hits
+        if not any(
+            other[1] is not hit[1]
+            and other[2].start() <= hit[2].start()
+            and hit[2].end() <= other[2].end()
+            and (other[2].end() - other[2].start())
+            > (hit[2].end() - hit[2].start())
+            for other in hits
+        )
+    ]
+    hits.sort(key=lambda h: h[0])
+    # Deduplicate overlapping same-intent hits.
+    deduped: List[_Hit] = []
+    for hit in hits:
+        if not deduped or deduped[-1][1] is not hit[1]:
+            deduped.append(hit)
+    return deduped
+
+
+def _hoisted(hits: List[_Hit]) -> List[int]:
+    """The indices of ``hits`` in planning order: a hit whose row applies
+    before an earlier hit's intent moves just ahead of the first such hit,
+    and every other hit keeps utterance order."""
+    names = [row.name for _, row, _ in hits]
+
+    def key(index: int) -> Tuple[int, bool, int]:
+        before = hits[index][1].before
+        target = next((j for j in range(index) if names[j] in before), index)
+        return target, target == index, index
+
+    return sorted(range(len(hits)), key=key)
+
+
 # ---------------------------------------------------------------------------
 # The planner and the brain.
 # ---------------------------------------------------------------------------
 
 def plan_requests(message: str,
                   workspace: PipelineWorkspace) -> List[ToolCall]:
-    """Parse ``message`` into an ordered tool-call plan."""
-    calls: List[ToolCall] = []
+    """Parse ``message`` into an ordered tool-call plan.
+
+    Match the table's anchors, hoist modifiers ahead of what they modify,
+    plan each hit's clause (the text up to the next hit) with its row, and
+    drop a call that repeats the one before it (anchor overlap artifacts).
+    """
     hits = _match_anchors(message)
-
-    for index, (_, intent, _match) in enumerate(hits):
-        clause = _clause_bounds(hits, index, message)
-        if intent == "load":
-            source = _find_source(clause) or _find_source(message)
-            if source:
-                calls.append(ToolCall(
-                    thought=f"The user wants to load data from {source!r}.",
-                    tool_name="load_dataset",
-                    arguments={"source": source},
-                ))
-            else:
-                # No recognizable path or dataset id: ask instead of
-                # guessing (the brain turns this into a clarification).
-                calls.append(ToolCall(
-                    thought="The user wants to load data but gave no "
-                            "recognizable source.",
-                    tool_name="list_datasets",
-                    arguments={},
-                ))
-        elif intent == "filter":
-            predicate = _parse_filter(clause)
-            if predicate:
-                calls.append(ToolCall(
-                    thought="The user wants to keep only matching records.",
-                    tool_name="filter_dataset",
-                    arguments={"predicate": predicate},
-                ))
-        elif intent in ("extract", "schema"):
-            spec = _parse_extract(clause)
-            calls.append(ToolCall(
-                thought=(
-                    "I need an extraction schema "
-                    f"{spec['schema_name']} for the requested fields."
-                ),
-                tool_name="create_schema",
-                arguments={
-                    "schema_name": spec["schema_name"],
-                    "schema_description": spec["schema_description"],
-                    "field_names": [f for f, _ in spec["fields"]],
-                    "field_descriptions": [d for _, d in spec["fields"]],
-                },
-            ))
-            if intent == "extract":
-                calls.append(ToolCall(
-                    thought=(
-                        "Apply the extraction schema with a convert "
-                        "operation."
-                    ),
-                    tool_name="convert_dataset",
-                    arguments={
-                        "schema_name": spec["schema_name"],
-                        "cardinality": spec["cardinality"],
-                    },
-                ))
-        elif intent == "policy":
-            target = _parse_policy(clause)
-            if target:
-                calls.append(ToolCall(
-                    thought=f"Set the optimization target to {target}.",
-                    tool_name="set_optimization_target",
-                    arguments={"target": target},
-                ))
-        elif intent == "execute":
-            calls.append(ToolCall(
-                thought="Run the pipeline that has been built.",
-                tool_name="execute_pipeline",
-                arguments={},
-            ))
-        elif intent == "rerun":
-            calls.append(ToolCall(
-                thought=(
-                    "Re-run the pipeline incrementally on the updated "
-                    "corpus, reusing the previous run's recorded calls."
-                ),
-                tool_name="rerun_pipeline",
-                arguments={},
-            ))
-        elif intent == "explain_run":
-            calls.append(ToolCall(
-                thought="Explain the last run from its execution trace.",
-                tool_name="explain_execution",
-                arguments={},
-            ))
-        elif intent == "why_record":
-            record_id = _parse_record_id(clause)
-            calls.append(ToolCall(
-                thought=(
-                    "Explain how that output record was derived, from "
-                    "the run's provenance graph."
-                ),
-                tool_name="explain_record",
-                arguments={"record_id": record_id},
-            ))
-        elif intent == "why_not":
-            source = _parse_source_ref(clause)
-            calls.append(ToolCall(
-                thought=(
-                    f"Trace the fate of source {source!r} through the "
-                    "run's provenance graph."
-                ),
-                tool_name="explain_record",
-                arguments={"source": source},
-            ))
-        elif intent == "compare_runs":
-            calls.append(ToolCall(
-                thought="Diff the last two runs of this session.",
-                tool_name="compare_runs",
-                arguments={},
-            ))
-        elif intent == "stats":
-            calls.append(ToolCall(
-                thought="Report the execution statistics.",
-                tool_name="get_execution_stats",
-                arguments={},
-            ))
-        elif intent == "show":
-            calls.append(ToolCall(
-                thought="Show the output records.",
-                tool_name="show_records",
-                arguments={},
-            ))
-        elif intent == "code":
-            calls.append(ToolCall(
-                thought="Produce the equivalent Palimpzest program.",
-                tool_name="generate_code",
-                arguments={},
-            ))
-        elif intent == "workers":
-            count_match = re.search(r"(\d+)\s+(?:parallel\s+)?workers?",
-                                    clause, re.I)
-            workers = int(count_match.group(1)) if count_match else 4
-            calls.append(ToolCall(
-                thought=f"Run pipelines with {workers} parallel workers.",
-                tool_name="set_parallelism",
-                arguments={"workers": workers},
-            ))
-        elif intent == "executor":
-            name_match = re.search(
-                r"\b(sequential|parallel|pipelined|sharded|async)\b",
-                clause, re.I)
-            shard_match = re.search(r"\b(\d+)\s+shards?\b", clause, re.I)
-            if name_match:
-                executor = name_match.group(1).lower()
-            elif shard_match or re.search(r"\bshard", clause, re.I):
-                executor = "sharded"
-            else:
-                executor = "pipelined"
-            size_match = re.search(r"\bbatch(?:\s+size)?(?:\s+of)?\s+(\d+)\b",
-                                   clause, re.I)
-            batch_size = int(size_match.group(1)) if size_match else 1
-            arguments = {"executor": executor, "batch_size": batch_size}
-            if executor in SCALE_OUT_EXECUTORS and shard_match:
-                arguments["shards"] = int(shard_match.group(1))
-            calls.append(ToolCall(
-                thought=f"Switch pipelines to the {executor} executor.",
-                tool_name="set_execution_mode",
-                arguments=arguments,
-            ))
-        elif intent == "explain":
-            calls.append(ToolCall(
-                thought="Show the optimizer's plan space and choice.",
-                tool_name="explain_plans",
-                arguments={},
-            ))
-        elif intent == "lint":
-            calls.append(ToolCall(
-                thought="Statically check the pipeline for mistakes.",
-                tool_name="lint_pipeline",
-                arguments={},
-            ))
-        elif intent == "reset":
-            calls.append(ToolCall(
-                thought="Discard the current pipeline.",
-                tool_name="reset_pipeline",
-                arguments={},
-            ))
-        elif intent == "list":
-            calls.append(ToolCall(
-                thought="List the registered datasets.",
-                tool_name="list_datasets",
-                arguments={},
-            ))
-        elif intent == "describe":
-            calls.append(ToolCall(
-                thought="Describe the pipeline so far.",
-                tool_name="describe_pipeline",
-                arguments={},
-            ))
-
-    # Deduplicate identical consecutive calls (anchor overlap artifacts).
-    deduped: List[ToolCall] = []
-    for call in calls:
-        if deduped and (
-            deduped[-1].tool_name == call.tool_name
-            and deduped[-1].arguments == call.arguments
-        ):
-            continue
-        deduped.append(call)
-    return deduped
+    stops = [start for start, _, _ in hits[1:]] + [len(message)]
+    calls: List[ToolCall] = []
+    for index in _hoisted(hits):
+        start, row, _ = hits[index]
+        for call in row.plan(message[start:stops[index]], message):
+            if not calls or (calls[-1].tool_name, calls[-1].arguments) != (
+                    call.tool_name, call.arguments):
+                calls.append(call)
+    return calls
 
 
 _HELP_TEXT = (

@@ -1,6 +1,8 @@
 """The deterministic NL -> tool-call planner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chat.intent import PalimpChatBrain, plan_requests
 from repro.chat.workspace import PipelineWorkspace
@@ -246,3 +248,278 @@ class TestParallelismIntent:
             c for c in calls if c.tool_name == "set_parallelism"
         )
         assert parallel_call.arguments["workers"] == 4
+
+
+def planned(message):
+    """``message``'s plan as (tool, arguments) pairs."""
+    return [(call.tool_name, call.arguments)
+            for call in plan_requests(message, PipelineWorkspace())]
+
+
+def keyed(plan, expected):
+    """``plan`` cut down to the tools and argument keys of ``expected``."""
+    return [(tool, {k: arguments.get(k) for k in keys})
+            for (tool, arguments), (_, keys) in zip(plan, expected)]
+
+
+COST = {"target": "cost"}
+
+# Phrasings the parser used to misplan, each with its whole plan.
+@pytest.mark.parametrize("message,expected", [
+    ("Run it with 4 workers",
+     [("set_parallelism", {"workers": 4}), ("execute_pipeline", {})]),
+    ("Execute it in parallel",
+     [("set_parallelism", {"workers": 4}), ("execute_pipeline", {})]),
+    ("Run it using the pipelined executor with batch size 8",
+     [("set_execution_mode", {"executor": "pipelined", "batch_size": 8}),
+      ("execute_pipeline", {})]),
+    ("Run the pipeline with the sharded executor and 4 shards",
+     [("set_execution_mode", {"executor": "sharded", "shards": 4}),
+      ("execute_pipeline", {})]),
+    ("Extract the dataset name, description and url, then keep only the "
+     "papers about colorectal cancer",
+     [("filter_dataset",
+       {"predicate": "The documents are about colorectal cancer"}),
+      ("create_schema",
+       {"field_names": ["dataset_name", "description", "url"]}),
+      ("convert_dataset", {})]),
+    ("run the pipeline with minimal cost",
+     [("set_optimization_target", COST), ("execute_pipeline", {})]),
+    ("Run the pipeline as cheaply as possible",
+     [("set_optimization_target", COST), ("execute_pipeline", {})]),
+    ("run the pipeline minimizing cost",
+     [("set_optimization_target", COST), ("execute_pipeline", {})]),
+    ("run the pipeline as fast as possible",
+     [("set_optimization_target", {"target": "runtime"}),
+      ("execute_pipeline", {})]),
+    ("run the pipeline with the best quality",
+     [("set_optimization_target", {"target": "quality"}),
+      ("execute_pipeline", {})]),
+    ("Only keep papers that discuss colorectal cancer",
+     [("filter_dataset",
+       {"predicate": "Documents that discuss colorectal cancer"})]),
+    ("Only keep papers which mention colorectal cancer",
+     [("filter_dataset",
+       {"predicate": "Documents that mention colorectal cancer"})]),
+    # An anchor's gap stops at a clause break: "use ... dataset" is not a
+    # load, "explain ... the last run" not a question about the run.
+    ("use 4 workers and extract the dataset name",
+     [("set_parallelism", {"workers": 4}),
+      ("create_schema", {"field_names": ["dataset_name"]}),
+      ("convert_dataset", {})]),
+    ("explain the plans, what changed since the last run",
+     [("explain_plans", {}), ("compare_runs", {})]),
+    ("why was paper_07.pdf dropped",
+     [("explain_record", {"source": "paper_07.pdf"})]),
+    ("extract the dataset name and then switch to the pipelined executor",
+     [("create_schema", {"field_names": ["dataset_name"]}),
+      ("convert_dataset", {}),
+      ("set_execution_mode", {"executor": "pipelined"})]),
+])
+def test_misplanned_phrasing(message, expected):
+    plan = planned(message)
+    assert len(plan) == len(expected) and keyed(plan, expected) == expected
+
+
+DEMO = [
+    ("Load the sigmod-demo dataset", ["load_dataset"]),
+    ("Keep only the papers about colorectal cancer and extract whatever "
+     "public dataset is used by the study",
+     ["filter_dataset", "create_schema", "convert_dataset"]),
+    ("Maximize quality and run the pipeline",
+     ["set_optimization_target", "execute_pipeline"]),
+    ("How much did it cost?", ["get_execution_stats"]),
+    ("what took so long?", ["explain_execution"]),
+    ("show me the generated code", ["show_records", "generate_code"]),
+] + [(f"why is record {n} in the output?", ["explain_record"])
+     for n in range(1, 7)]
+LONG_ROUND = [
+    ("run the pipeline", ["execute_pipeline"]),
+    ("show me the records", ["show_records"]),
+    ("what changed since the last run?", ["compare_runs"]),
+]
+E4 = [
+    ("Load the papers from the sigmod-demo dataset", ["load_dataset"]),
+    ("I am interested in papers that are about colorectal cancer, and I "
+     "would like to extract the dataset name, description and url for "
+     "any public dataset used by the study",
+     ["filter_dataset", "create_schema", "convert_dataset"]),
+    ("How much did the LLM invocations cost?", ["get_execution_stats"]),
+    ("Keep only the papers about colorectal cancer", ["filter_dataset"]),
+]
+
+
+# The serving benchmark's demo and long-session scripts, claim E4's turns
+# and the pinned notebook conversations (which reuse those strings); they
+# plan as they did before the intent table.
+@pytest.mark.parametrize("message,tools", DEMO + LONG_ROUND + E4)
+def test_fixed_point(sigmod_demo, message, tools):
+    assert [tool for tool, _ in planned(message)] == tools
+
+
+# ---------------------------------------------------------------------------
+# The phrasing generator: every row of the intent table, said six ways.
+# ---------------------------------------------------------------------------
+
+def _policy(target, phrase, after):
+    return phrase, after, [("set_optimization_target", {"target": target})]
+
+
+def _schema(fields, cardinality, phrase):
+    return phrase, None, [("create_schema", {"field_names": fields}),
+                          ("convert_dataset", {"cardinality": cardinality})]
+
+
+def _fixed(tool, *phrases):
+    return [(phrase, None, [(tool, {})]) for phrase in phrases]
+
+
+DATASET_FIELDS = ["dataset_name", "description", "url"]
+
+#: intent -> its phrasings: (phrase, the phrase after its verb for a
+#: modifier, [(tool, key arguments)] it plans).
+PHRASES = {
+    "load": [
+        ("load the papers from ./papers", None,
+         [("load_dataset", {"source": "./papers"})]),
+        ('load the files from "./papers"', None,
+         [("load_dataset", {"source": "./papers"})])],
+    "filter": [
+        (f"{lead} colorectal cancer", None,
+         [("filter_dataset", {"predicate": predicate + " colorectal cancer"})])
+        for lead, predicate in (
+            ("keep only the papers about", "The documents are about"),
+            ("only keep papers that discuss", "Documents that discuss"),
+            ("only keep papers which mention", "Documents that mention"))],
+    "schema": [("create a schema called Contract", None,
+                [("create_schema", {"schema_name": "Contract"})])],
+    "extract": [
+        _schema(DATASET_FIELDS, "one_to_one",
+                "extract the dataset name, description and url"),
+        _schema(DATASET_FIELDS, "one_to_many",
+                "extract the dataset name, description and url for any "
+                "public dataset used by the study"),
+        _schema(["name", "description", "url"], "one_to_many",
+                "extract whatever public dataset is used by the study")],
+    "policy": [
+        _policy("cost", "minimize cost", "as cheaply as possible"),
+        _policy("quality", "maximize quality", "with the best quality"),
+        _policy("runtime", "minimize runtime", "as fast as possible"),
+        _policy("cost", "minimize cost", "with minimal cost"),
+        _policy("cost", "minimize cost", "minimizing cost")],
+    "explain_run": _fixed("explain_execution", "what took so long",
+                          "explain the last run"),
+    "why_not": [
+        (phrase, None, [("explain_record", {"source": "paper_07.pdf"})])
+        for phrase in ("why isn't paper_07.pdf in the output",
+                       "why was paper_07.pdf dropped")],
+    "why_record": [("why is record 3 in the output", None,
+                    [("explain_record", {"record_id": 3})])],
+    "compare_runs": _fixed("compare_runs", "what changed since the last run"),
+    "rerun": _fixed("rerun_pipeline", "re-run the pipeline", "run it again",
+                    "re-run it on the updated corpus"),
+    "execute": _fixed("execute_pipeline", "run the pipeline", "execute it"),
+    "stats": _fixed("get_execution_stats", "how much did it cost",
+                    "how long did it take"),
+    "show": _fixed("show_records", "show the results", "show me the records"),
+    "code": _fixed("generate_code", "export the notebook"),
+    "workers": [
+        ("use 4 workers", "with 4 workers",
+         [("set_parallelism", {"workers": 4})]),
+        ("use 8 workers", "with 8 workers",
+         [("set_parallelism", {"workers": 8})]),
+        ("use 4 workers", "in parallel",
+         [("set_parallelism", {"workers": 4})])],
+    "executor": [
+        ("switch to the pipelined executor with batch size 8",
+         "using the pipelined executor with batch size 8",
+         [("set_execution_mode",
+           {"executor": "pipelined", "batch_size": 8})]),
+        ("use the sharded executor with 4 shards",
+         "with the sharded executor and 4 shards",
+         [("set_execution_mode", {"executor": "sharded", "shards": 4})])],
+    "explain": _fixed("explain_plans", "explain the plans"),
+    "lint": _fixed("lint_pipeline", "lint the pipeline",
+                   "check the pipeline for problems"),
+    "reset": _fixed("reset_pipeline", "start over", "reset the pipeline"),
+    "list": _fixed("list_datasets", "which datasets are there"),
+    "describe": _fixed("describe_pipeline", "describe the pipeline"),
+}
+
+ACTIONS = ("execute", "rerun")
+MODIFIERS = ("policy", "workers", "executor")
+JOINERS = {"sentences": " ", "commas": ", ", "and": " and ",
+           "and then": " and then ", "semicolons": "; ", "after verb": ", "}
+STYLES = tuple(JOINERS)
+CONNECTORS = {"and", "then", "also", "next", "afterwards"}
+
+
+def spoken(intents, style):
+    """The order in which ``render`` says ``intents`` in ``style``.
+
+    In the "after verb" style every modifier follows the first action
+    ("run the pipeline with 4 workers"); otherwise the order is as given.
+    """
+    actions = [i for i in intents if i in ACTIONS]
+    if style != "after verb" or not actions:
+        return list(intents)
+    rest = [i for i in intents if i not in MODIFIERS]
+    cut = rest.index(actions[0]) + 1
+    return rest[:cut] + [i for i in intents if i in MODIFIERS] + rest[cut:]
+
+
+def phrasing(intent, variant):
+    variants = PHRASES[intent]
+    return variants[variant % len(variants)]
+
+
+def render(intents, style, variant=0):
+    """One utterance that asks for ``intents`` in ``style``."""
+    after_verb = style == "after verb" and any(i in ACTIONS for i in intents)
+    pieces = []
+    for intent in spoken(intents, style):
+        phrase, after, _ = phrasing(intent, variant)
+        if after_verb and intent in MODIFIERS:
+            pieces[-1] += " " + after
+        else:
+            pieces.append(phrase)
+    if style == "sentences":
+        pieces = [p[0].upper() + p[1:] + "." for p in pieces]
+    return JOINERS[style].join(pieces)
+
+
+def hoisted(order):
+    """Planning order: each modifier ahead of the first action and a
+    filter ahead of the first schema or extract; the rest as said."""
+    order = list(order)
+    for movers, targets in ((MODIFIERS, ACTIONS),
+                            (("filter",), ("schema", "extract"))):
+        first = next((k for k, i in enumerate(order) if i in targets), None)
+        if first is not None:
+            tail = order[first:]
+            order = (order[:first] + [i for i in tail if i in movers]
+                     + [i for i in tail if i not in movers])
+    return order
+
+
+def check_phrasing(intents, style, variant):
+    """The generator's laws for one drawn utterance."""
+    from repro.chat.intent import INTENTS
+
+    assert set(PHRASES) == {row.name for row in INTENTS}
+    message = render(intents, style, variant)
+    plan = planned(message)
+    expected = [call for intent in hoisted(spoken(intents, style))
+                for call in phrasing(intent, variant)[2]]
+    assert len(plan) == len(expected), message
+    assert keyed(plan, expected) == expected, message
+    for _, arguments in plan:
+        for field in arguments.get("field_names", ()):
+            assert not CONNECTORS & set(field.split("_")), message
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.permutations(sorted(PHRASES)), st.integers(1, 4),
+       st.sampled_from(STYLES), st.integers(0, 4))
+def test_phrasing_grid(intents, count, style, variant):
+    check_phrasing(intents[:count], style, variant)
