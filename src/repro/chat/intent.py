@@ -353,13 +353,8 @@ def _plan_executor(clause: str, message: str) -> List[ToolCall]:
 # ---------------------------------------------------------------------------
 
 class Intent(NamedTuple):
-    """One row of the intent table.
-
-    ``before`` names the intents this one is hoisted ahead of: within one
-    utterance, a hit of this intent that follows the first hit of one of
-    them is planned just before that hit ("run it with 4 workers" sets
-    the workers, then runs).
-    """
+    """One row of the intent table; ``before`` names the intents this one
+    modifies (see :func:`_hoisted`)."""
 
     name: str
     anchor: re.Pattern
@@ -368,16 +363,23 @@ class Intent(NamedTuple):
 
 
 def _anchor(pattern: str) -> re.Pattern:
-    return re.compile(pattern, re.I)
+    return re.compile(pattern, re.I | re.S)
 
 
 _ACTIONS = ("execute", "rerun")
 
-# The words between two parts of one anchor never cross a clause break, so
-# one request's phrase cannot swallow the next ("use 4 workers and extract
-# the dataset name" is not a load).
-_BREAK = r"[,;?]|\.(?!\S)|\b(?:and|then)\b"
-_GAP = rf"(?:(?!{_BREAK}).)*"
+# A clause ends at , ; ? a sentence-ending dot, or an "and"/"then" that
+# opens a new request ("use 4 workers and extract the dataset name"), not
+# at one that joins two nouns ("check the filter and convert pipeline").
+# The words between two parts of one anchor never cross it.
+_BREAK = (r"[,;?]|\.(?!\S)|\b(?:and|then)\s+(?:then\s+)?(?:what|why|how"
+          r"|which|where|re-?run|run|execute|launch|process|recompute|load"
+          r"|upload|ingest|register|use|filter|keep|only|select|create"
+          r"|extract|maximi[sz]e|minimi[sz]e|prioriti[sz]e|optimi[sz]e"
+          r"|explain|profile|analy[sz]e|compare|diff|show|display|visuali[sz]e"
+          r"|export|download|set|switch|check|validate|lint|reset|start|clear"
+          r"|list|describe)\b")
+_GAP = rf"(?:(?!{_BREAK}).)*?"
 
 #: Every intent, one row each.  Row order breaks ties between hits that
 #: start at the same offset.  A long anchor such as "explain the last run"
@@ -489,17 +491,10 @@ def _match_anchors(message: str) -> List[_Hit]:
     # Containment suppression: a hit strictly inside another intent's
     # longer match is a fragment of that phrase, not a request of its own
     # ("run" inside "explain the last run" must not trigger execute).
-    hits = [
-        hit for hit in hits
-        if not any(
-            other[1] is not hit[1]
-            and other[2].start() <= hit[2].start()
-            and hit[2].end() <= other[2].end()
-            and (other[2].end() - other[2].start())
-            > (hit[2].end() - hit[2].start())
-            for other in hits
-        )
-    ]
+    hits = [hit for hit in hits if not any(
+        other[1] is not hit[1] and other[2].start() <= hit[2].start()
+        and hit[2].end() <= other[2].end()
+        and len(other[2].group()) > len(hit[2].group()) for other in hits)]
     hits.sort(key=lambda h: h[0])
     # Deduplicate overlapping same-intent hits.
     deduped: List[_Hit] = []
@@ -509,16 +504,23 @@ def _match_anchors(message: str) -> List[_Hit]:
     return deduped
 
 
-def _hoisted(hits: List[_Hit]) -> List[int]:
-    """The indices of ``hits`` in planning order: a hit whose row applies
-    before an earlier hit's intent moves just ahead of the first such hit,
-    and every other hit keeps utterance order."""
-    names = [row.name for _, row, _ in hits]
+def _hoisted(message: str, hits: List[_Hit]) -> List[int]:
+    """The indices of ``hits`` in planning order: a modifier moves just
+    ahead of a target said right before it (past modifiers of its kind),
+    unless it is its own clause and a target also follows it ("run it,
+    then minimize cost and run it again").  The rest keep their order."""
+    def neighbour(index: int, step: int) -> Optional[int]:
+        before, j = hits[index][1].before, index + step
+        while 0 <= j < len(hits) and hits[j][1].before == before:
+            j += step
+        return j if 0 <= j < len(hits) and hits[j][1].name in before else None
 
     def key(index: int) -> Tuple[int, bool, int]:
-        before = hits[index][1].before
-        target = next((j for j in range(index) if names[j] in before), index)
-        return target, target == index, index
+        back = neighbour(index, -1) if hits[index][1].before else None
+        if back is not None and neighbour(index, 1) is not None and re.search(
+                _BREAK, message[hits[back][0]:hits[index][2].end()], re.I):
+            back = None
+        return (index, True, index) if back is None else (back, False, index)
 
     return sorted(range(len(hits)), key=key)
 
@@ -538,7 +540,7 @@ def plan_requests(message: str,
     hits = _match_anchors(message)
     stops = [start for start, _, _ in hits[1:]] + [len(message)]
     calls: List[ToolCall] = []
-    for index in _hoisted(hits):
+    for index in _hoisted(message, hits):
         start, row, _ = hits[index]
         for call in row.plan(message[start:stops[index]], message):
             if not calls or (calls[-1].tool_name, calls[-1].arguments) != (

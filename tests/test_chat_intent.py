@@ -321,6 +321,33 @@ def test_misplanned_phrasing(message, expected):
     assert len(plan) == len(expected) and keyed(plan, expected) == expected
 
 
+# Phrasings the hoist and the clause breaks leave as the parser always
+# planned them: a modifier said as its own clause before a later action
+# stays there, nothing moves across a reset, a noun conjunction does not
+# end an anchor, and an anchor spans a line break.
+@pytest.mark.parametrize("message,expected", [
+    ("Maximize quality and run the pipeline, then minimize cost and run it "
+     "again",
+     [("set_optimization_target", {"target": "quality"}),
+      ("execute_pipeline", {}), ("set_optimization_target", COST),
+      ("rerun_pipeline", {})]),
+    ("run the pipeline and use 4 workers and re-run the pipeline",
+     [("execute_pipeline", {}), ("set_parallelism", {"workers": 4}),
+      ("rerun_pipeline", {})]),
+    ("create a schema called Contract, start over, keep only papers about "
+     "lung cancer",
+     [("create_schema", {"schema_name": "Contract"}), ("reset_pipeline", {}),
+      ("filter_dataset",
+       {"predicate": "The documents are about lung cancer"})]),
+    ("check the filter and convert pipeline", [("lint_pipeline", {})]),
+    ("explain the\nlast run", [("explain_execution", {})]),
+    ('use the\n"papers" folder', [("load_dataset", {"source": "papers"})]),
+])
+def test_kept_phrasing(message, expected):
+    plan = planned(message)
+    assert len(plan) == len(expected) and keyed(plan, expected) == expected
+
+
 DEMO = [
     ("Load the sigmod-demo dataset", ["load_dataset"]),
     ("Keep only the papers about colorectal cancer and extract whatever "
@@ -488,17 +515,25 @@ def render(intents, style, variant=0):
     return JOINERS[style].join(pieces)
 
 
-def hoisted(order):
-    """Planning order: each modifier ahead of the first action and a
-    filter ahead of the first schema or extract; the rest as said."""
-    order = list(order)
-    for movers, targets in ((MODIFIERS, ACTIONS),
-                            (("filter",), ("schema", "extract"))):
-        first = next((k for k, i in enumerate(order) if i in targets), None)
-        if first is not None:
-            tail = order[first:]
-            order = (order[:first] + [i for i in tail if i in movers]
-                     + [i for i in tail if i not in movers])
+BEFORE = {**{m: ACTIONS for m in MODIFIERS}, "filter": ("schema", "extract")}
+
+
+def hoisted(order, attached):
+    """Planning order.  A run of modifiers of one kind moves just ahead of
+    the target said right before it, unless an action also follows the
+    run and the run is its own clause (``attached`` is the "after verb"
+    style, where modifiers share the clause of their action).  The rest
+    keeps the order said."""
+    order, k = list(order), 0
+    while k < len(order):
+        targets, end = BEFORE.get(order[k]), k
+        while end < len(order) and BEFORE.get(order[end]) == targets:
+            end += 1
+        if targets and k and order[k - 1] in targets and (
+                (attached and order[k] in MODIFIERS)
+                or end == len(order) or order[end] not in targets):
+            order[k - 1:end] = order[k:end] + [order[k - 1]]
+        k = end
     return order
 
 
@@ -509,7 +544,11 @@ def check_phrasing(intents, style, variant):
     assert set(PHRASES) == {row.name for row in INTENTS}
     message = render(intents, style, variant)
     plan = planned(message)
-    expected = [call for intent in hoisted(spoken(intents, style))
+    attached = style == "after verb" and any(i in ACTIONS for i in intents)
+    order = hoisted(spoken(intents, style), attached)
+    # The planner drops a call that repeats the one before it.
+    expected = [call for k, intent in enumerate(order)
+                if not k or order[k - 1] != intent
                 for call in phrasing(intent, variant)[2]]
     assert len(plan) == len(expected), message
     assert keyed(plan, expected) == expected, message
@@ -518,8 +557,14 @@ def check_phrasing(intents, style, variant):
             assert not CONNECTORS & set(field.split("_")), message
 
 
+# An intent may come back ("run it, then minimize cost and run it again"),
+# but not straight after itself.
+UTTERANCES = st.lists(st.sampled_from(sorted(PHRASES)), min_size=1,
+                      max_size=4).map(
+    lambda xs: [x for k, x in enumerate(xs) if not k or xs[k - 1] != x])
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(st.permutations(sorted(PHRASES)), st.integers(1, 4),
-       st.sampled_from(STYLES), st.integers(0, 4))
-def test_phrasing_grid(intents, count, style, variant):
-    check_phrasing(intents[:count], style, variant)
+@given(UTTERANCES, st.sampled_from(STYLES), st.integers(0, 4))
+def test_phrasing_grid(intents, style, variant):
+    check_phrasing(intents, style, variant)
